@@ -40,7 +40,6 @@ from .diffgeo import (
 from .errors import (
     AncontourError,
     ConvergenceError,
-    DegenerateModelError,
     DegenerateTangentError,
     EmptyStudyError,
     InvalidDimensionError,
@@ -81,7 +80,6 @@ from .montecarlo import (
     OrderStudySpec,
     PartitionOrderReport,
     QuadratureReport,
-    ancillarity_order_study,
     order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
@@ -114,11 +112,10 @@ __all__ = [
     # simulation and quadrature
     "QuadratureReport", "OrderStudySpec", "OrderStudyReport",
     "PartitionOrderReport", "quadrature_first_derivative",
-    "ancillarity_order_study", "run_replicated", "partition_order_study",
-    "order_spec_from_config",
+    "run_replicated", "partition_order_study", "order_spec_from_config",
     # errors
     "AncontourError", "InvalidDimensionError", "InvalidParameterError",
-    "UnsupportedFamilyError", "DegenerateModelError", "DegenerateTangentError",
+    "UnsupportedFamilyError", "DegenerateTangentError",
     "ReferenceSolveError", "ConvergenceError", "SingularInformationError",
     "NumericalFailureError", "EmptyStudyError", "PartialResultsError",
 ]

@@ -2,7 +2,8 @@
 
 The contour through an observed point is the parameter trajectory of the
 quantile map holding the fitted reference value fixed: t -> q(x_hat; theta_hat + t).
-This module builds grid clouds of such contours, measures how close the
+Quantile maps take a batch of parameter rows, so a whole grid cloud is one
+call.  This module builds grid clouds of such contours, measures how close the
 construction is to a partition of sample space, compares against exact
 ancillaries where those exist, and carries the two counterexample
 demonstrations (a full-data pivot that is no ancillary, and the coordinate
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import ndimage
@@ -141,16 +141,13 @@ def build_contour(
     y0: np.ndarray,
     grid: GridSpec = GridSpec(),
     fit: FitResult | None = None,
-    workers: int = 1,
 ) -> ContourCloud:
     """Build the observed contour cloud through y0.
 
     Fits the model (unless a fit is supplied), solves the fitted reference
-    value, and evaluates the quantile map on the offset grid.  Grid points
-    whose parameter leaves the open domain (a negative sigma, say) are
-    dropped, which is how positive-ray constraints are enforced.  workers > 1
-    evaluates grid chunks on a thread pool; output ordering is identical
-    either way.
+    value, and evaluates the quantile map on the offset grid in one call.
+    Grid points whose parameter leaves the open domain (a negative sigma,
+    say) are dropped, which is how positive-ray constraints are enforced.
     """
     y0 = model.check_point(y0)
     if fit is None:
@@ -162,32 +159,15 @@ def build_contour(
         offsets_std = t_std
     else:
         offsets = t_std
-        chol_t = rec.chol.T
-        offsets_std = offsets @ chol_t.T  # t_std = L' t
-    theta = fit.theta_hat
-    keep = np.ones(len(offsets), dtype=bool)
-    for j, (lo, hi) in enumerate(model.param_domain):
-        vals = theta[j] + offsets[:, j]
-        keep &= (vals > lo) & (vals < hi)
+        offsets_std = offsets @ rec.chol  # t_std = L' t
+    rows = fit.theta_hat + offsets
+    lo, hi = np.array(model.param_domain).T
+    keep = np.all((rows > lo) & (rows < hi), axis=1)
     dropped = int(len(offsets) - keep.sum())
-    offsets = offsets[keep]
-    offsets_std = offsets_std[keep]
+    offsets, offsets_std = offsets[keep], offsets_std[keep]
+    points = model.quantile(fit.x_hat, rows[keep])
 
-    def eval_rows(rows: np.ndarray) -> np.ndarray:
-        out = np.empty((len(rows), model.n))
-        for i, off in enumerate(rows):
-            out[i] = model.quantile(fit.x_hat, theta + off)
-        return out
-
-    if workers > 1 and len(offsets) > 64:
-        chunks = np.array_split(np.arange(len(offsets)), workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda idx: eval_rows(offsets[idx]), chunks))
-        points = np.vstack(parts)
-    else:
-        points = eval_rows(offsets)
-
-    frame = build_frame(model, fit.x_hat, theta)
+    frame = build_frame(model, fit.x_hat, fit.theta_hat)
     return ContourCloud(
         family=model.family,
         base_point=y0,
@@ -367,28 +347,35 @@ class ExactComparisonReport:
         return out
 
 
-def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    """Exact ancillary statistic where one exists.
+_CIRCLES = ("circle2d", "circleN")
 
-    Location-scale: the configuration (y - mu_hat 1) / sigma_hat.  Circle:
-    the radius together with the untouched coordinates y_3..y_n.
+
+def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
+    """Exact ancillary statistic where one exists, for a point or rows of points.
+
+    Location-scale: the configuration (y - mu_hat 1) / sigma_hat, in closed
+    form for Normal errors and from one fit per point otherwise.  Circle: the
+    radius together with the untouched coordinates y_3..y_n.
     """
-    if model.family in ("location-scale", "cauchy-location-scale", "inverted-cauchy"):
-        fit = fit_mle(model, y)
-        return (y - fit.theta_hat[0]) / fit.theta_hat[1]
-    if model.family in ("circle2d", "circleN"):
-        return np.concatenate([[math.hypot(y[0], y[1])], y[2:]])
-    raise UnsupportedFamilyError(f"no exact ancillary registered for {model.family!r}")
+    y = np.asarray(y, dtype=float)
+    if model.family in _CIRCLES:
+        return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
+    if model.family == "location-scale":
+        theta = model.closed_form(y)
+    elif model.family in ("cauchy-location-scale", "inverted-cauchy"):
+        fits = [fit_mle(model, row).theta_hat for row in y.reshape(-1, model.n)]
+        theta = np.reshape(fits, y.shape[:-1] + (2,))
+    else:
+        raise UnsupportedFamilyError(f"no exact ancillary registered for {model.family!r}")
+    return (y - theta[..., :1]) / theta[..., 1:]
 
 
 def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonReport:
     """Evaluate the family's exact ancillary along a contour cloud."""
     base = exact_label(model, cloud.base_point)
-    spread = 0.0
-    for q in cloud.points:
-        spread = max(spread, float(np.max(np.abs(exact_label(model, q) - base))))
+    spread = float(np.max(np.abs(exact_label(model, cloud.points) - base), initial=0.0))
     radius_contour = radius_exact = None
-    if model.family in ("circle2d", "circleN"):
+    if model.family in _CIRCLES:
         vel = cloud.frame.velocity[:, 0]
         normal = cloud.frame.normal_acceleration[:, 0, 0]
         bend = float(np.linalg.norm(normal))
@@ -440,7 +427,7 @@ class SeveriniReport:
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """The full-data pivot for the circle family."""
-    if model.family not in ("circle2d", "circleN"):
+    if model.family not in _CIRCLES:
         raise UnsupportedFamilyError("pivot defined for circle families only")
     rho = model.meta["rho"]
     r = math.hypot(y[0], y[1])

@@ -2,7 +2,8 @@
 
 Subcommands: example (canned demonstrations), contour (build a contour cloud
 from a model config and one data point), frame (the Taylor frame at the
-fit), verify (quadrature and simulation studies).  Configs are JSON files
+fit), verify (quadrature and simulation studies).  contour and frame read
+the same config (model, data, optional grid).  Configs are JSON files
 parsed and validated completely before any output is created; writes are
 atomic, so interrupted runs never leave partial files.  Exit codes: 0 on
 success, 2 for usage or configuration errors, 1 for runtime failures.
@@ -76,6 +77,13 @@ class _UsageError(Exception):
     """Configuration or argument problem; maps to exit code 2."""
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ancontour",
@@ -91,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for simulated data and studies")
     common.add_argument("--reps", type=int, default=None,
                         help="replication count override for studies")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads (results do not depend on this)")
+    common.add_argument("--workers", type=_positive_int, default=1,
+                        help="worker threads for the verify ancillarity-order "
+                             "study only; results never depend on it")
     common.add_argument("--grid", default=None, metavar="HW,POINTS",
                         help="offset grid: half width and points per axis")
 
@@ -226,7 +235,8 @@ def _kv_csv(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_contour(args) -> int:
+def _load_point_config(args):
+    """(model, y0, grid) from a contour/frame config: model, data, optional grid."""
     config = _load_json(args.config)
     bad = set(config) - {"model", "data", "grid"}
     if bad:
@@ -239,8 +249,12 @@ def _cmd_contour(args) -> int:
         y0 = _resolve_data(model, config["data"], args.seed)
     except _CONFIG_ERRORS as exc:
         raise _UsageError(str(exc)) from exc
+    return model, y0, grid
 
-    cloud = build_contour(model, y0, grid, workers=max(1, args.workers))
+
+def _cmd_contour(args) -> int:
+    model, y0, grid = _load_point_config(args)
+    cloud = build_contour(model, y0, grid)
     ext = args.format
     path = os.path.join(args.out, f"contour.{ext}")
     _write(path, cloud.to_csv() if ext == "csv" else cloud.to_json())
@@ -255,18 +269,7 @@ def _cmd_contour(args) -> int:
 
 
 def _cmd_frame(args) -> int:
-    config = _load_json(args.config)
-    bad = set(config) - {"model", "data"}
-    if bad:
-        raise _UsageError(f"unknown config keys: {sorted(bad)}")
-    if "model" not in config or "data" not in config:
-        raise _UsageError("config needs 'model' and 'data'")
-    try:
-        model = model_from_config(config["model"])
-        y0 = _resolve_data(model, config["data"], args.seed)
-    except _CONFIG_ERRORS as exc:
-        raise _UsageError(str(exc)) from exc
-
+    model, y0, _ = _load_point_config(args)
     fit = fit_mle(model, y0)
     frame = build_frame(model, fit.x_hat, fit.theta_hat)
     tilt = reparameterize(frame, np.full(model.p, 0.1))
@@ -331,7 +334,7 @@ def _cmd_verify(args) -> int:
             spec = order_spec_from_config(merged)
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        report = run_replicated(spec, workers=max(1, args.workers))
+        report = run_replicated(spec, workers=args.workers)
         summary = {"study": study, "family": spec.family,
                    "inconclusive": report.inconclusive}
         for name, arm in report.arms.items():

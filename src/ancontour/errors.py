@@ -23,16 +23,12 @@ class UnsupportedFamilyError(AncontourError):
     """Operation requested for a family it is not defined on."""
 
 
-class DegenerateModelError(AncontourError):
-    """Model construction is degenerate (zero scale, rank-deficient design)."""
-
-
 class DegenerateTangentError(AncontourError):
     """Velocity array is rank deficient at the expansion point."""
 
 
 class ReferenceSolveError(AncontourError):
-    """Coordinate-wise root solve for the reference value failed to bracket."""
+    """Reference value undefined: the quantile map is not increasing in x."""
 
 
 class ConvergenceError(AncontourError):

@@ -1,10 +1,13 @@
 """Maximum likelihood fitting and reference-value recovery for quantile models.
 
-The log-likelihood of y under theta is the reference log density at the
-solved reference value x(y, theta) minus the log Jacobian sum(log dq/dx).
-Scores are analytic via implicit differentiation (exact for families affine
-in x); Hessians come from central differences of the score.  Sigma-type
-parameters (positive open domain) are iterated on the log scale internally.
+Every model is affine in x, q(x; theta) = a(theta) + b(theta) x, so the
+reference value x(y, theta) = (y - a) / b is closed form.  The
+log-likelihood of y under theta is the reference log density at x(y, theta)
+minus the log Jacobian sum(log b).  Scores are analytic via implicit
+differentiation; Hessians come from central differences of the score.
+Newton starts and closed-form estimates come from the model itself, so no
+family is named here.  Sigma-type parameters (positive open domain) are
+iterated on the log scale internally.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from ._jsonio import encode_array
 from .errors import (
@@ -69,40 +72,15 @@ class FitResult:
 
 
 def fitted_reference(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Solve y = q(x; theta) coordinate-wise for the reference value x.
-
-    Families affine in x are solved in closed form; otherwise each coordinate
-    is bracketed by doubling and solved with Brent's method.
-    """
+    """Solve y = q(x; theta) coordinate-wise for the reference value x."""
     y = model.check_point(y)
     theta = model.check_theta(theta)
-    if model.affine_in_x:
-        zero = np.zeros(model.n)
-        a = model.quantile(zero, theta)
-        b = model.dquantile_dx(zero, theta)
-        if np.any(b <= 0.0):
-            raise ReferenceSolveError("dquantile_dx not positive, solve undefined")
-        return (y - a) / b
-
-    x = np.empty(model.n)
-    for i in range(model.n):
-        def g(xi, i=i):
-            probe = np.zeros(model.n)
-            probe[i] = xi
-            return model.quantile(probe, theta)[i] - y[i]
-
-        lo, hi = -8.0, 8.0
-        for _ in range(60):
-            if g(lo) <= 0.0 <= g(hi):
-                break
-            lo *= 2.0
-            hi *= 2.0
-        else:
-            raise ReferenceSolveError(
-                f"coordinate {i}: root not bracketable within expanding bounds"
-            )
-        x[i] = brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-    return x
+    zero = np.zeros(model.n)
+    a = model.quantile(zero, theta)
+    b = model.dquantile_dx(zero, theta)
+    if np.any(b <= 0.0):
+        raise ReferenceSolveError("dquantile_dx not positive, solve undefined")
+    return (y - a) / b
 
 
 def loglik(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> float:
@@ -115,22 +93,10 @@ def loglik(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> float:
 def score(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Analytic score via implicit differentiation of the reference solve.
 
-    dx/dtheta = -V / D coordinate-wise; for affine-in-x families the Jacobian
-    term contributes exactly -sum(B / D).  Non-affine models fall back to
-    central differences of the log-likelihood.
+    dx/dtheta = -V / D coordinate-wise, and since the model is affine in x
+    the Jacobian term contributes exactly -sum(B / D).
     """
     theta = model.check_theta(theta)
-    if not model.affine_in_x:
-        out = np.empty(model.p)
-        for a in range(model.p):
-            h = 1e-6 * max(1.0, abs(theta[a]))
-            up = theta.copy()
-            dn = theta.copy()
-            up[a] += h
-            dn[a] -= h
-            out[a] = (loglik(model, y, up) - loglik(model, y, dn)) / (2.0 * h)
-        return out
-
     x = fitted_reference(model, y, theta)
     d = model.dquantile_dx(x, theta)
     v = model.dquantile_dtheta(x, theta)
@@ -159,57 +125,12 @@ def observed_information(model: QuantileModel, y: np.ndarray, theta: np.ndarray)
     return info
 
 
-def _default_init(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    family = model.family
-    if family == "location-scale":
-        mu = float(np.mean(y))
-        sd = float(np.sqrt(np.mean((y - mu) ** 2)))
-        return np.array([mu, max(sd, 1e-8)])
-    if family in ("cauchy-location-scale", "inverted-cauchy"):
-        mu = float(np.median(y))
-        q75, q25 = np.percentile(y, [75.0, 25.0])
-        scale = 0.5 * float(q75 - q25)
-        return np.array([mu, max(scale, 1e-8)])
-    if family in ("circle2d", "circleN"):
-        return np.array([math.atan2(y[1], y[0])])
-    if family == "nonlinreg-unknown-sigma":
-        sub = _init_regression_part(model, y)
-        resid = y - model.quantile(np.zeros(model.n), np.append(sub, 1.0))
-        sd = float(np.sqrt(np.mean(resid ** 2)))
-        return np.append(sub, max(sd, 1e-8))
-    return _init_regression_part(model, y)
-
-
-def _init_regression_part(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    # coarse grid along each axis of a +-3 box, refined by the Newton pass later
-    r = model.p - (1 if model.family == "nonlinreg-unknown-sigma" else 0)
-    if r == 1:
-        grid = np.linspace(-3.0, 3.0, 61)
-        best, best_val = 0.0, -math.inf
-        for t in grid:
-            theta = np.array([t, 1.0]) if model.p > r else np.array([t])
-            mu = model.quantile(np.zeros(model.n), theta)
-            val = -float(np.sum((y - mu) ** 2))
-            if val > best_val:
-                best, best_val = t, val
-        return np.array([best])
-    return np.zeros(r)
-
-
 def closed_form_mle(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    """Closed-form estimates where they exist (Normal location-scale, circle angle)."""
+    """The model's closed-form estimate; InvalidParameterError if it has none."""
     y = model.check_point(y)
-    if model.family == "location-scale":
-        mu = float(np.mean(y))
-        sigma = float(np.sqrt(np.mean((y - mu) ** 2)))
-        if sigma <= 0.0:
-            raise SingularInformationError("degenerate sample, sigma_hat = 0")
-        return np.array([mu, sigma])
-    if model.family in ("circle2d", "circleN"):
-        if math.hypot(y[0], y[1]) == 0.0:
-            raise SingularInformationError("data at the circle center, angle undefined")
-        return np.array([math.atan2(y[1], y[0])])
-    raise InvalidParameterError(f"no closed form for family {model.family!r}")
+    if model.closed_form is None:
+        raise InvalidParameterError(f"no closed form for family {model.family!r}")
+    return model.closed_form(y)
 
 
 def _to_internal(model, theta):
@@ -270,10 +191,8 @@ def fit_mle(
     Parameters
     ----------
     model, y : family and observed data point.
-    init : starting value; family-specific default when omitted
-        (moments for location-scale, atan2 for the circle angle, coarse grid
-        for scalar regression).
-    method : "auto" starts Newton from the closed form when one exists;
+    init : starting value; model.start(y) when omitted.
+    method : "auto" starts Newton from model.closed_form(y) when one exists;
         "closed" returns the closed form directly; "newton" forces iteration
         from the default or given init.
 
@@ -285,14 +204,11 @@ def fit_mle(
         raise InvalidParameterError(f"unknown method {method!r}")
 
     if method == "closed":
-        theta = closed_form_mle(model, y)
-        return _finalize(model, y, theta, iterations=0)
+        return _finalize(model, y, closed_form_mle(model, y), iterations=0)
 
     if init is None:
-        if method == "auto" and model.family in ("location-scale", "circle2d", "circleN"):
-            init = closed_form_mle(model, y)
-        else:
-            init = _default_init(model, y)
+        closed = method == "auto" and model.closed_form is not None
+        init = model.closed_form(y) if closed else model.start(y)
     init = model.check_theta(np.asarray(init, dtype=float))
 
     z = _to_internal(model, init)

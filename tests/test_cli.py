@@ -35,6 +35,14 @@ CIRCLE_CONFIG = {
     "grid": "3.0,41",
 }
 
+# the contour/frame config shown in README.md, copied verbatim
+README_CONFIG = """{
+  "model": {"family": "circle2d", "rho": 1.0, "variance_scale": 1.0},
+  "data": {"y": [1.2, 0.0]},
+  "grid": "3.0,41"
+}
+"""
+
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
@@ -155,6 +163,36 @@ def test_contour_workers_do_not_change_file(tmp_path, capsys):
     assert run_cli(["contour", "--config", config, "--out", str(tmp_path),
                     "--workers", "2"], capsys)[0] == 0
     assert (tmp_path / "contour.json").read_bytes() == serial
+
+
+@pytest.mark.parametrize("command", ["contour", "frame"])
+def test_readme_config_runs_for_contour_and_frame(command, tmp_path, capsys):
+    config = tmp_path / "contour.json"
+    config.write_text(README_CONFIG)
+    code, values, _ = run_cli([command, "--config", str(config),
+                               "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert values["wrote"] == str(tmp_path / f"{command}.json")
+
+
+@pytest.mark.parametrize("command", ["contour", "frame"])
+def test_malformed_grid_is_usage_error_for_contour_and_frame(command, tmp_path, capsys):
+    config = write_config(tmp_path, dict(CIRCLE_CONFIG, grid={"bogus": 1}))
+    code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert "grid" in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_non_positive_workers_is_usage_error(workers, tmp_path, capsys):
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    code, _, err = run_cli(["contour", "--config", config, "--out", str(tmp_path),
+                            "--workers", workers], capsys)
+    assert code == 2
+    assert "--workers" in err
+    assert not (tmp_path / "contour.json").exists()
 
 
 def test_contour_grid_flag_overrides_config(tmp_path, capsys):

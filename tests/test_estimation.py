@@ -1,6 +1,5 @@
 """Likelihood machinery: fits, score/information oracles, standardization."""
 
-import dataclasses
 import json
 import math
 
@@ -242,14 +241,3 @@ def test_fit_result_json_roundtrip():
     np.testing.assert_array_equal(data, fit.obs_info)
     assert payload["loglik"] == fit.loglik
     assert payload["converged"] is True
-
-
-def test_generic_solver_route_matches_affine_route():
-    """Disabling the affine shortcut must not change the fitted reference."""
-    model = make_circle(1.1, n=3, variance_scale=0.2)
-    generic = dataclasses.replace(model, affine_in_x=False)
-    y = np.array([0.9, 0.4, -0.2])
-    theta = np.array([0.5])
-    fast = fitted_reference(model, y, theta)
-    slow = fitted_reference(generic, y, theta)
-    np.testing.assert_allclose(slow, fast, rtol=1e-9, atol=1e-9)

@@ -1,5 +1,6 @@
 """Model constructors: derivative correctness, domains, config parsing."""
 
+import dataclasses
 import json
 import math
 
@@ -84,7 +85,6 @@ def test_cross_hessian_matches_fd(family):
 def test_affine_structure(family):
     """q(x) - q(0) = dq_dx(0) * x coordinate-wise for every built-in family."""
     for model, theta, _ in iter_instances(family, 5, seed=104):
-        assert model.affine_in_x
         x = model.ref_sampler(6, 1)[0]
         zero = np.zeros(model.n)
         lhs = model.quantile(x, theta) - model.quantile(zero, theta)
@@ -199,6 +199,16 @@ def test_inverted_cauchy_parameter_involution():
     # the documented value: (mu, sigma) = (0.5, 1.5) maps to (0.2, 0.6)
     np.testing.assert_allclose(inv.param_map(np.array([0.5, 1.5])),
                                np.array([0.2, 0.6]), atol=1e-15)
+
+
+def test_inverted_model_differs_only_in_family_and_meta():
+    base = make_location_scale(4, error_law="cauchy")
+    inverted = invert_coordinates(base).model
+    assert inverted.family == "inverted-cauchy"
+    assert inverted.meta == {"error_law": "cauchy", "inverted": True}
+    for f in dataclasses.fields(base):
+        if f.name not in ("family", "meta"):
+            assert getattr(inverted, f.name) is getattr(base, f.name), f.name
 
 
 def test_inverted_cauchy_point_map():

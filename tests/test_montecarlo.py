@@ -12,7 +12,6 @@ from ancontour import (
     InvalidParameterError,
     PartialResultsError,
     UnsupportedFamilyError,
-    ancillarity_order_study,
     order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
@@ -202,7 +201,7 @@ def test_order_study_circle_arms_small():
     """Both arms respond on the curved family, tangent-only responding more."""
     spec = OrderStudySpec(family="circle", n_grid=(16, 32), deltas=(1.0, 2.0),
                           reps=2000, batch_size=250)
-    report = ancillarity_order_study(spec)
+    report = run_replicated(spec)
     second = {row.n: row.sensitivity for row in report.arms["second_order"].per_n}
     tangent = {row.n: row.sensitivity for row in report.arms["tangent_only"].per_n}
     for n in (16, 32):
