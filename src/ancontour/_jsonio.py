@@ -1,14 +1,28 @@
-"""Serialization helpers: canonical JSON, row-major matrix blocks, atomic writes."""
+"""JSON helpers: config integer checks, canonical JSON, row-major matrix blocks,
+atomic writes."""
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 
 import numpy as np
 
-__all__ = ["encode_array", "dumps", "atomic_write_text", "csv_lines"]
+from .errors import InvalidParameterError
+
+__all__ = ["config_int", "encode_array", "dumps", "atomic_write_text", "csv_lines"]
+
+
+def config_int(value, key: str, minimum: int | None = None) -> int:
+    """value as an int if it is an integer (not a float or a bool) of at least
+    minimum, when one is given; otherwise InvalidParameterError naming key."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameterError(f"{key!r} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def encode_array(arr: np.ndarray) -> dict:

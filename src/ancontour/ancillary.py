@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import root
 
-from ._jsonio import csv_lines, dumps, encode_array
+from ._jsonio import config_int, csv_lines, dumps, encode_array
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
@@ -61,8 +61,7 @@ class GridSpec:
     def __post_init__(self):
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise InvalidParameterError("half_width must be positive and finite")
-        if self.points_per_axis < 3:
-            raise InvalidParameterError("points_per_axis must be at least 3")
+        config_int(self.points_per_axis, "points_per_axis", 3)
 
     @classmethod
     def parse(cls, text: str, standardized: bool = True) -> "GridSpec":

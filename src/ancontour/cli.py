@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, csv_lines, dumps
+from ._jsonio import atomic_write_text, config_int, dumps
 from .ancillary import (
     GridSpec,
     build_contour,
@@ -77,11 +78,14 @@ class _UsageError(Exception):
     """Configuration or argument problem; maps to exit code 2."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least minimum."""
+    def integer(text: str) -> int:  # argparse reports "invalid integer value" itself
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--format", choices=("csv", "json"), default="json",
                         help="output file format")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="seed for simulated data and studies")
     common.add_argument("--reps", type=int, default=None,
                         help="replication count override for studies")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker threads for the verify ancillarity-order "
-                             "study only; results never depend on it")
+    common.add_argument("--workers", type=_int_at_least(1), default=1,
+                        help="deprecated and ignored: every command runs in "
+                             "one thread; still accepted, must be at least 1")
     common.add_argument("--grid", default=None, metavar="HW,POINTS",
                         help="offset grid: half width and points per axis")
 
@@ -143,7 +147,8 @@ def _load_json(path: str) -> dict:
 
 def _read_point(path: str) -> np.ndarray:
     try:
-        text = open(path).read()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read data file {path}: {exc}") from exc
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
@@ -189,8 +194,9 @@ def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
         if "theta" not in sim:
             raise _UsageError("'simulate' needs key 'theta'")
         theta = model.check_theta(np.asarray(sim["theta"], dtype=float))
-        seed = seed_flag if seed_flag is not None else sim.get("seed", _DEFAULT_SEED)
-        x = model.ref_sampler(int(seed), 1)[0]
+        seed = seed_flag if seed_flag is not None else config_int(
+            sim.get("seed", _DEFAULT_SEED), "seed", 0)
+        x = model.ref_sampler(seed, 1)[0]
         y = model.quantile(x, theta)
     return model.check_point(y)
 
@@ -309,11 +315,17 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
         try:
             c_values = tuple(float(c) for c in config.get("c_values", (0.5, 1.0, 2.0)))
-            a_points = int(config.get("a_points", 61))
+            a_points = config_int(config.get("a_points", 61), "a_points", 1)
             eps = float(config.get("eps", 1e-4))
             probe = float(config.get("theta_probe", 0.5))
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
+        if not c_values or not all(math.isfinite(c) for c in c_values):
+            raise _UsageError("'c_values' must be a nonempty list of finite numbers")
+        if not 0.0 < eps < math.inf:
+            raise _UsageError("'eps' must be positive and finite")
+        if probe == 0.0 or not math.isfinite(probe):
+            raise _UsageError("'theta_probe' must be nonzero and finite")
         report = quadrature_first_derivative(
             c_values=c_values, a_grid=np.linspace(-3.0, 3.0, a_points),
             eps=eps, theta_probe=probe)
@@ -334,7 +346,7 @@ def _cmd_verify(args) -> int:
             spec = order_spec_from_config(merged)
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        report = run_replicated(spec, workers=args.workers)
+        report = run_replicated(spec)
         summary = {"study": study, "family": spec.family,
                    "inconclusive": report.inconclusive}
         for name, arm in report.arms.items():
@@ -346,14 +358,20 @@ def _cmd_verify(args) -> int:
         if bad:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
         try:
-            n_grid = tuple(int(n) for n in config.get("n_grid", (16, 64, 256, 1024)))
+            n_grid = tuple(config_int(n, "n_grid", 2)
+                           for n in config.get("n_grid", (16, 64, 256, 1024)))
             t1_std = float(config.get("t1_std", 1.0))
-            draws = int(config.get("draws", 12))
-            seed = args.seed if args.seed is not None else int(config.get("seed", _DEFAULT_SEED))
+            draws = config_int(config.get("draws", 12), "draws", 1)
+            seed = args.seed if args.seed is not None else config_int(
+                config.get("seed", _DEFAULT_SEED), "seed", 0)
             grid = GridSpec(half_width=float(config.get("grid_half_width", 3.0)),
-                            points_per_axis=int(config.get("grid_points", 21)))
+                            points_per_axis=config.get("grid_points", 21))
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
+        if not n_grid:
+            raise _UsageError("'n_grid' must be nonempty")
+        if not math.isfinite(t1_std):
+            raise _UsageError("'t1_std' must be finite")
         report = partition_order_study(n_grid=n_grid, t1_std=t1_std, draws=draws,
                                        seed=seed, grid=grid)
         summary = {"study": study, "slope": report.slope,

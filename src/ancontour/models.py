@@ -2,16 +2,18 @@
 
 A model is recorded through its vector quantile function y = q(x; theta),
 coordinate-wise in the reference (scoring) variable x and smooth in the
-parameter theta.  Every family has the affine form q(x; theta) = a(theta) +
-b(theta) * x, coordinate by coordinate, which the estimation routines rely
-on.  Each instance bundles the quantile map (vectorized over a batch of
-parameter rows, so a contour sweep is one call), its first and second
-parameter derivatives, the x-derivative and cross derivative, the reference
-distribution (log density, score, sampler), and the family's own Newton
-start and closed-form estimate, where one exists.
+parameter theta.  Every family is declared once, by its mean a(theta), its
+scale b(theta) and a reference law: q(x; theta) = a(theta) + b(theta) * x
+coordinate by coordinate, where b is either 1 or the last parameter
+coordinate, and the law is independent Normal(0, var) or standard Cauchy
+coordinates.  One constructor derives from this the quantile map (vectorized
+over a batch of parameter rows, so a contour sweep is one call), its first
+and second parameter derivatives, the x-derivative and the cross derivative;
+each family adds its own Newton start and closed-form estimate, where one
+exists.
 
 Instances are frozen; samplers take explicit seeds, so models are safe to
-share across worker threads.
+share.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._jsonio import config_int
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -106,12 +109,94 @@ class QuantileModel:
         return y
 
 
-def _normal_logpdf(x: np.ndarray, var: float) -> float:
-    return float(-0.5 * np.sum(x * x) / var - 0.5 * x.size * math.log(2.0 * math.pi * var))
+def _normal_law(n: int, var: float):
+    """(log density, score, sampler) of n independent Normal(0, var) coordinates."""
+    sd = math.sqrt(var)
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)
+        return float(-0.5 * np.sum(x * x) / var - 0.5 * x.size * math.log(2.0 * math.pi * var))
+
+    def sampler(seed, count):
+        return sd * np.random.default_rng(seed).standard_normal((count, n))
+
+    return log_density, lambda x: -np.asarray(x, dtype=float) / var, sampler
 
 
-def _cauchy_logpdf(x: np.ndarray) -> float:
-    return float(-np.sum(np.log1p(x * x)) - x.size * math.log(math.pi))
+def _cauchy_law(n: int):
+    """(log density, score, sampler) of n independent standard Cauchy coordinates."""
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)
+        return float(-np.sum(np.log1p(x * x)) - x.size * math.log(math.pi))
+
+    def score(x):
+        x = np.asarray(x, dtype=float)
+        return -2.0 * x / (1.0 + x * x)
+
+    def sampler(seed, count):
+        return np.random.default_rng(seed).standard_cauchy((count, n))
+
+    return log_density, score, sampler
+
+
+def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
+                  closed_form, meta) -> QuantileModel:
+    """The model q(x; theta) = a(theta[:r]) + b(theta) * x, all callables derived here.
+
+    p = len(domain).  With scaled, b is the last coordinate theta[r] (r = p - 1)
+    and a does not depend on it; otherwise b = 1 and r = p.  a maps parameter
+    rows (..., r) to (..., n); da and d2a take one row (r,) and give (n, r) and
+    (n, r, r).  Each may return anything that broadcasts to its shape.  b is
+    linear in theta, so its second derivative is zero.  law is the reference
+    (log density, score, sampler).
+    """
+    p = len(domain)
+    r = p - 1 if scaled else p
+
+    def quantile(x, theta):
+        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return a(theta[..., :r]) + (theta[..., r:] * x if scaled else x)
+
+    def dquantile_dtheta(x, theta):
+        out = np.zeros((n, p))
+        out[:, :r] = da(np.asarray(theta, dtype=float)[:r])
+        if scaled:
+            out[:, r] = x  # assigned, not added: keeps the sign of a zero x
+        return out
+
+    def d2quantile_dtheta2(x, theta):
+        out = np.zeros((n, p, p))
+        out[:, :r, :r] = d2a(np.asarray(theta, dtype=float)[:r])
+        return out
+
+    def dquantile_dx(x, theta):
+        return np.full(n, theta[r], dtype=float) if scaled else np.ones(n)
+
+    def cross_hessian(x, theta):
+        out = np.zeros((n, p))
+        out[:, r:] = 1.0
+        return out
+
+    ref_log_density, ref_score, ref_sampler = law
+    return QuantileModel(
+        family=family,
+        n=n,
+        p=p,
+        quantile=quantile,
+        dquantile_dtheta=dquantile_dtheta,
+        d2quantile_dtheta2=d2quantile_dtheta2,
+        dquantile_dx=dquantile_dx,
+        cross_hessian=cross_hessian,
+        ref_log_density=ref_log_density,
+        ref_score=ref_score,
+        ref_sampler=ref_sampler,
+        param_domain=tuple(domain),
+        start=start,
+        closed_form=closed_form,
+        meta=meta,
+    )
 
 
 def _moments(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,33 +217,8 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
         raise InvalidDimensionError("location-scale needs n >= 2")
     if error_law not in ("normal", "cauchy"):
         raise UnsupportedFamilyError(f"unknown error law {error_law!r}")
-    ones = np.ones(n)
-    zeros_col = np.zeros(n)
-
-    def quantile(x, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[..., :1] + theta[..., 1:] * np.asarray(x, dtype=float)
-
-    def dq_dtheta(x, theta):
-        return np.column_stack([ones, np.asarray(x, dtype=float)])
-
-    def d2q_dtheta2(x, theta):
-        return np.zeros((n, 2, 2))
-
-    def dq_dx(x, theta):
-        return np.full(n, theta[1], dtype=float)
-
-    def cross(x, theta):
-        return np.column_stack([zeros_col, ones])
 
     if error_law == "normal":
-        ref_log_density = lambda x: _normal_logpdf(np.asarray(x, dtype=float), 1.0)
-        ref_score = lambda x: -np.asarray(x, dtype=float)
-
-        def sampler(seed, count):
-            rng = np.random.default_rng(seed)
-            return rng.standard_normal((count, n))
-
         def closed_form(y):
             mu, sigma = _moments(y)
             if np.any(sigma <= 0.0):
@@ -169,43 +229,48 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
             mu, sigma = _moments(y)
             return np.stack([mu, np.maximum(sigma, 1e-8)], axis=-1)
 
-        family = "location-scale"
+        family, law = "location-scale", _normal_law(n, 1.0)
     else:
-        def ref_log_density(x):
-            return _cauchy_logpdf(np.asarray(x, dtype=float))
-
-        def ref_score(x):
-            x = np.asarray(x, dtype=float)
-            return -2.0 * x / (1.0 + x * x)
-
-        def sampler(seed, count):
-            rng = np.random.default_rng(seed)
-            return rng.standard_cauchy((count, n))
-
         def start(y):
             q75, q25 = np.percentile(y, [75.0, 25.0])
             return np.array([float(np.median(y)), max(0.5 * float(q75 - q25), 1e-8)])
 
         closed_form = None
-        family = "cauchy-location-scale"
+        family, law = "cauchy-location-scale", _cauchy_law(n)
 
-    return QuantileModel(
-        family=family,
-        n=n,
-        p=2,
-        quantile=quantile,
-        dquantile_dtheta=dq_dtheta,
-        d2quantile_dtheta2=d2q_dtheta2,
-        dquantile_dx=dq_dx,
-        cross_hessian=cross,
-        ref_log_density=ref_log_density,
-        ref_score=ref_score,
-        ref_sampler=sampler,
-        param_domain=(_UNBOUNDED, _POSITIVE),
-        start=start,
-        closed_form=closed_form,
-        meta={"error_law": error_law},
-    )
+    # a(mu) = mu broadcasts over the n coordinates
+    return _affine_model(family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0,
+                         True, law, (_UNBOUNDED, _POSITIVE), start, closed_form,
+                         {"error_law": error_law})
+
+
+def _circle_mean(rho: float, n: int):
+    """(a, da, d2a) of the circle mean rho (cos t, sin t, 0, ..., 0)."""
+    if n < 2:
+        raise InvalidDimensionError("circle family needs n >= 2")
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise InvalidParameterError("rho must be positive and finite")
+
+    def a(theta):
+        angle = np.asarray(theta, dtype=float)[..., 0]
+        out = np.zeros(angle.shape + (n,))
+        out[..., 0] = rho * np.cos(angle)
+        out[..., 1] = rho * np.sin(angle)
+        return out
+
+    def da(theta):
+        out = np.zeros((n, 1))
+        out[0, 0] = -rho * math.sin(theta[0])
+        out[1, 0] = rho * math.cos(theta[0])
+        return out
+
+    def d2a(theta):
+        out = np.zeros((n, 1, 1))
+        out[0, 0, 0] = -rho * math.cos(theta[0])
+        out[1, 0, 0] = -rho * math.sin(theta[0])
+        return out
+
+    return a, da, d2a
 
 
 def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> QuantileModel:
@@ -215,41 +280,9 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
     variance_scale; p = 1.  n = 2 gives the planar family, n > 2 embeds the
     same circle in higher dimension (rotation taken as the identity).
     """
-    if n < 2:
-        raise InvalidDimensionError("circle family needs n >= 2")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise InvalidParameterError("rho must be positive and finite")
+    a, da, d2a = _circle_mean(rho, n)
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
         raise InvalidParameterError("variance_scale must be positive and finite")
-
-    def quantile(x, theta):
-        angle = np.asarray(theta, dtype=float)[..., 0]
-        out = np.zeros(angle.shape + (n,))
-        out[..., 0] = rho * np.cos(angle)
-        out[..., 1] = rho * np.sin(angle)
-        return out + np.asarray(x, dtype=float)
-
-    def dq_dtheta(x, theta):
-        out = np.zeros((n, 1))
-        out[0, 0] = -rho * math.sin(theta[0])
-        out[1, 0] = rho * math.cos(theta[0])
-        return out
-
-    def d2q_dtheta2(x, theta):
-        out = np.zeros((n, 1, 1))
-        out[0, 0, 0] = -rho * math.cos(theta[0])
-        out[1, 0, 0] = -rho * math.sin(theta[0])
-        return out
-
-    def dq_dx(x, theta):
-        return np.ones(n)
-
-    def cross(x, theta):
-        return np.zeros((n, 1))
-
-    def sampler(seed, count):
-        rng = np.random.default_rng(seed)
-        return math.sqrt(variance_scale) * rng.standard_normal((count, n))
 
     def start(y):
         return np.array([math.atan2(y[1], y[0])])
@@ -259,23 +292,9 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
             raise SingularInformationError("data at the circle center, angle undefined")
         return start(y)
 
-    return QuantileModel(
-        family="circle2d" if n == 2 else "circleN",
-        n=n,
-        p=1,
-        quantile=quantile,
-        dquantile_dtheta=dq_dtheta,
-        d2quantile_dtheta2=d2q_dtheta2,
-        dquantile_dx=dq_dx,
-        cross_hessian=cross,
-        ref_log_density=lambda x: _normal_logpdf(np.asarray(x, dtype=float), variance_scale),
-        ref_score=lambda x: -np.asarray(x, dtype=float) / variance_scale,
-        ref_sampler=sampler,
-        param_domain=(_UNBOUNDED,),
-        start=start,
-        closed_form=closed_form,
-        meta={"rho": float(rho), "variance_scale": float(variance_scale)},
-    )
+    return _affine_model("circle2d" if n == 2 else "circleN", n, a, da, d2a, False,
+                         _normal_law(n, variance_scale), (_UNBOUNDED,), start, closed_form,
+                         {"rho": float(rho), "variance_scale": float(variance_scale)})
 
 
 @dataclass(frozen=True)
@@ -296,15 +315,8 @@ class EtaHandle:
 
 def eta_circle(rho: float, n: int = 2) -> EtaHandle:
     """Circle mean curve as a scalar-parameter regression surface."""
-    base = make_circle(rho, n=n)
-    return EtaHandle(
-        tag="circle",
-        n=n,
-        r=1,
-        value=lambda th: base.quantile(np.zeros(n), th),
-        jac=lambda th: base.dquantile_dtheta(np.zeros(n), th),
-        hess=lambda th: base.d2quantile_dtheta2(np.zeros(n), th),
-    )
+    a, da, d2a = _circle_mean(rho, n)
+    return EtaHandle(tag="circle", n=n, r=1, value=a, jac=da, hess=d2a)
 
 
 def eta_curved(n: int) -> EtaHandle:
@@ -328,23 +340,20 @@ def eta_curved(n: int) -> EtaHandle:
     )
 
 
-def _regression_start(quantile, n: int, r: int, p: int):
+def _regression_start(mean, r: int, scaled: bool):
     """Newton start for regression: a scalar mean parameter is the best point
     of a coarse grid over [-3, 3] (a longer one starts at 0); an unknown sigma
-    (p = r + 1) starts at the root mean square residual."""
+    (scaled) starts at the root mean square residual."""
     axis = np.linspace(-3.0, 3.0, 61)
-    zero = np.zeros(n)
 
     def start(y):
         head = np.zeros(r)
         if r == 1:
-            rows = np.ones((len(axis), p))
-            rows[:, 0] = axis
-            sse = np.sum((y - quantile(zero, rows)) ** 2, axis=1)
+            sse = np.sum((y - mean(axis[:, None])) ** 2, axis=1)
             head[0] = axis[np.argmin(sse)]
-        if p == r:
+        if not scaled:
             return head
-        resid = y - quantile(zero, np.append(head, 1.0))
+        resid = y - mean(head)
         return np.append(head, max(float(np.sqrt(np.mean(resid ** 2))), 1e-8))
 
     return start
@@ -366,85 +375,24 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
     if np.asarray(eta.jac(np.zeros(r))).shape != (n, r):
         raise InvalidDimensionError("eta jacobian shape does not match (n, r)")
 
-    if sigma_mode == "unknown":
-        p = r + 1
+    scaled = sigma_mode == "unknown"
+    if scaled:
+        var, meta = 1.0, {"eta": eta.tag, "sigma_mode": "unknown"}
+    else:
+        if not (isinstance(sigma_mode, tuple) and len(sigma_mode) == 2
+                and sigma_mode[0] == "known"):
+            raise InvalidParameterError(
+                "sigma_mode must be 'unknown' or ('known', sigma0)"
+            )
+        sigma0 = float(sigma_mode[1])
+        if not (sigma0 > 0.0 and math.isfinite(sigma0)):
+            raise InvalidParameterError("sigma0 must be positive and finite")
+        var, meta = sigma0 * sigma0, {"eta": eta.tag, "sigma_mode": "known", "sigma0": sigma0}
 
-        def quantile(x, theta):
-            theta = np.asarray(theta, dtype=float)
-            return eta.value(theta[..., :r]) + theta[..., r:] * np.asarray(x, dtype=float)
-
-        def dq_dtheta(x, theta):
-            out = np.empty((n, p))
-            out[:, :r] = eta.jac(theta[:r])
-            out[:, r] = np.asarray(x, dtype=float)
-            return out
-
-        def d2q_dtheta2(x, theta):
-            out = np.zeros((n, p, p))
-            out[:, :r, :r] = eta.hess(theta[:r])
-            return out
-
-        def dq_dx(x, theta):
-            return np.full(n, theta[r], dtype=float)
-
-        def cross(x, theta):
-            out = np.zeros((n, p))
-            out[:, r] = 1.0
-            return out
-
-        def sampler(seed, count):
-            rng = np.random.default_rng(seed)
-            return rng.standard_normal((count, n))
-
-        return QuantileModel(
-            family="nonlinreg-unknown-sigma",
-            n=n,
-            p=p,
-            quantile=quantile,
-            dquantile_dtheta=dq_dtheta,
-            d2quantile_dtheta2=d2q_dtheta2,
-            dquantile_dx=dq_dx,
-            cross_hessian=cross,
-            ref_log_density=lambda x: _normal_logpdf(np.asarray(x, dtype=float), 1.0),
-            ref_score=lambda x: -np.asarray(x, dtype=float),
-            ref_sampler=sampler,
-            param_domain=tuple([_UNBOUNDED] * r + [_POSITIVE]),
-            start=_regression_start(quantile, n, r, p),
-            meta={"eta": eta.tag, "sigma_mode": "unknown"},
-        )
-
-    if not (isinstance(sigma_mode, tuple) and len(sigma_mode) == 2 and sigma_mode[0] == "known"):
-        raise InvalidParameterError(
-            "sigma_mode must be 'unknown' or ('known', sigma0)"
-        )
-    sigma0 = float(sigma_mode[1])
-    if not (sigma0 > 0.0 and math.isfinite(sigma0)):
-        raise InvalidParameterError("sigma0 must be positive and finite")
-    var = sigma0 * sigma0
-
-    def quantile(x, theta):
-        return eta.value(np.asarray(theta, dtype=float)) + np.asarray(x, dtype=float)
-
-    def sampler(seed, count):
-        rng = np.random.default_rng(seed)
-        return sigma0 * rng.standard_normal((count, n))
-
-    return QuantileModel(
-        family="nonlinreg-known-sigma",
-        n=n,
-        p=r,
-        quantile=quantile,
-        dquantile_dtheta=lambda x, th: np.asarray(eta.jac(th), dtype=float),
-        d2quantile_dtheta2=lambda x, th: np.asarray(eta.hess(th), dtype=float),
-        dquantile_dx=lambda x, th: np.ones(n),
-        cross_hessian=lambda x, th: np.zeros((n, r)),
-        ref_log_density=lambda x: _normal_logpdf(np.asarray(x, dtype=float), var),
-        ref_score=lambda x: -np.asarray(x, dtype=float) / var,
-        ref_sampler=sampler,
-        param_domain=tuple([_UNBOUNDED] * r),
-        start=_regression_start(quantile, n, r, r),
-        meta={"eta": eta.tag, "sigma_mode": "known", "sigma0": sigma0},
-    )
+    return _affine_model(f"nonlinreg-{meta['sigma_mode']}-sigma", n, eta.value, eta.jac,
+                         eta.hess, scaled, _normal_law(n, var),
+                         (_UNBOUNDED,) * r + (_POSITIVE,) * scaled,
+                         _regression_start(eta.value, r, scaled), None, meta)
 
 
 def make_synthetic_curved(n: int) -> QuantileModel:
@@ -511,34 +459,58 @@ def invert_coordinates(model: QuantileModel) -> InvertedCauchyMap:
     )
 
 
-_CONFIG_KEYS = {
-    "location-scale": {"required": {"family", "n"}, "optional": {"error_law"}},
-    "cauchy-location-scale": {"required": {"family", "n"}, "optional": set()},
-    "inverted-cauchy": {"required": {"family", "n"}, "optional": set()},
-    "circle2d": {"required": {"family", "rho"}, "optional": {"n", "variance_scale"}},
-    "circleN": {"required": {"family", "n", "rho"}, "optional": {"variance_scale"}},
-    "nonlinreg-known-sigma": {
-        "required": {"family", "eta"},
-        "optional": {"n", "rho", "sigma0", "sigma_mode"},
-    },
-    "nonlinreg-unknown-sigma": {
-        "required": {"family", "eta"},
-        "optional": {"n", "rho", "sigma_mode"},
-    },
-}
-
-
 def _build_eta(config: dict) -> EtaHandle:
     tag = config["eta"]
     if tag == "circle":
         if "rho" not in config:
             raise InvalidParameterError("eta 'circle' needs key 'rho'")
-        return eta_circle(float(config["rho"]), int(config.get("n", 2)))
+        return eta_circle(float(config["rho"]), config_int(config.get("n", 2), "n"))
     if tag == "curved":
         if "n" not in config:
             raise InvalidParameterError("eta 'curved' needs key 'n'")
-        return eta_curved(int(config["n"]))
+        return eta_curved(config_int(config["n"], "n"))
     raise UnsupportedFamilyError(f"unknown eta tag {tag!r} (use 'circle' or 'curved')")
+
+
+def _circle_from_config(config: dict, n: int) -> QuantileModel:
+    return make_circle(float(config["rho"]), n=n,
+                       variance_scale=float(config.get("variance_scale", 1.0)))
+
+
+def _circle2d_from_config(config: dict) -> QuantileModel:
+    if config_int(config.get("n", 2), "n") != 2:
+        raise InvalidParameterError("circle2d has n = 2; use circleN for n > 2")
+    return _circle_from_config(config, 2)
+
+
+def _regression_from_config(config: dict, mode: str) -> QuantileModel:
+    eta = _build_eta(config)
+    if config.get("sigma_mode", mode) != mode:
+        raise InvalidParameterError(f"sigma_mode must be '{mode}' for this family")
+    sigma_mode = ("known", float(config.get("sigma0", 1.0))) if mode == "known" else mode
+    return make_nonlinear_regression(eta, sigma_mode)
+
+
+def _location_scale_from_config(config: dict, law: str) -> QuantileModel:
+    return make_location_scale(config_int(config["n"], "n"), error_law=law)
+
+
+# family -> (required keys besides "family", optional keys, model factory)
+_FAMILIES = {
+    "location-scale": ({"n"}, {"error_law"}, lambda c: _location_scale_from_config(
+        c, c.get("error_law", "normal"))),
+    "cauchy-location-scale": ({"n"}, set(), lambda c: _location_scale_from_config(
+        c, "cauchy")),
+    "inverted-cauchy": ({"n"}, set(), lambda c: invert_coordinates(
+        _location_scale_from_config(c, "cauchy")).model),
+    "circle2d": ({"rho"}, {"n", "variance_scale"}, _circle2d_from_config),
+    "circleN": ({"n", "rho"}, {"variance_scale"}, lambda c: _circle_from_config(
+        c, config_int(c["n"], "n"))),
+    "nonlinreg-known-sigma": ({"eta"}, {"n", "rho", "sigma0", "sigma_mode"},
+                              lambda c: _regression_from_config(c, "known")),
+    "nonlinreg-unknown-sigma": ({"eta"}, {"n", "rho", "sigma_mode"},
+                                lambda c: _regression_from_config(c, "unknown")),
+}
 
 
 def model_from_config(config) -> QuantileModel:
@@ -552,47 +524,20 @@ def model_from_config(config) -> QuantileModel:
     if not isinstance(config, dict):
         raise InvalidParameterError("model config must be a JSON object")
     family = config.get("family")
-    if family not in _CONFIG_KEYS:
+    if family not in _FAMILIES:
         raise UnsupportedFamilyError(
-            f"unknown family {family!r}; known: {sorted(_CONFIG_KEYS)}"
+            f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
-    spec = _CONFIG_KEYS[family]
-    keys = set(config)
-    unknown = keys - spec["required"] - spec["optional"]
+    required, optional, build = _FAMILIES[family]
+    keys = set(config) - {"family"}
+    unknown = keys - required - optional
     if unknown:
         raise InvalidParameterError(
             f"unknown keys for family {family!r}: {sorted(unknown)}"
         )
-    missing = spec["required"] - keys
+    missing = required - keys
     if missing:
         raise InvalidParameterError(
             f"missing keys for family {family!r}: {sorted(missing)}"
         )
-
-    if family == "location-scale":
-        law = config.get("error_law", "normal")
-        return make_location_scale(int(config["n"]), error_law=law)
-    if family == "cauchy-location-scale":
-        return make_location_scale(int(config["n"]), error_law="cauchy")
-    if family == "inverted-cauchy":
-        base = make_location_scale(int(config["n"]), error_law="cauchy")
-        return invert_coordinates(base).model
-    if family == "circle2d":
-        n = int(config.get("n", 2))
-        if n != 2:
-            raise InvalidParameterError("circle2d has n = 2; use circleN for n > 2")
-        return make_circle(float(config["rho"]), n=2,
-                           variance_scale=float(config.get("variance_scale", 1.0)))
-    if family == "circleN":
-        return make_circle(float(config["rho"]), n=int(config["n"]),
-                           variance_scale=float(config.get("variance_scale", 1.0)))
-
-    eta = _build_eta(config)
-    mode = config.get("sigma_mode", "known" if family == "nonlinreg-known-sigma" else "unknown")
-    if family == "nonlinreg-known-sigma":
-        if mode != "known":
-            raise InvalidParameterError("sigma_mode must be 'known' for this family")
-        return make_nonlinear_regression(eta, ("known", float(config.get("sigma0", 1.0))))
-    if mode != "unknown":
-        raise InvalidParameterError("sigma_mode must be 'unknown' for this family")
-    return make_nonlinear_regression(eta, "unknown")
+    return build(config)

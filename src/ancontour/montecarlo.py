@@ -7,20 +7,19 @@ contour and tracks how fast cell-probability sensitivity decays with n
 (second-order contours decay like 1/n, tangent-only contours like
 1/sqrt(n)); and a deterministic partition-discrepancy study on a synthetic
 curved family.  All randomness is counter-seeded per (n, batch), so results
-are bit-identical for any worker count.
+are a function of the configuration alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from ._jsonio import csv_lines, dumps
+from ._jsonio import config_int, csv_lines, dumps
 from .ancillary import GridSpec, build_contour, partition_check
 from .errors import (
     EmptyStudyError,
@@ -197,32 +196,33 @@ class OrderStudySpec:
     lattice_points: int = 337
 
     def validate(self):
+        """Reject every value the study cannot run with, before any work."""
         if self.reps <= 0:
             raise EmptyStudyError("reps must be positive")
         if self.family not in ("circle", "location-scale"):
             raise UnsupportedFamilyError(f"no order study for family {self.family!r}")
-        if self.cells < 2:
-            raise InvalidParameterError("need at least two cells")
-        if self.batch_size <= 0:
-            raise InvalidParameterError("batch_size must be positive")
-        if any(d < 0.0 for d in self.deltas) or not self.deltas:
-            raise InvalidParameterError("deltas must be nonnegative and nonempty")
-        if any(n < 2 for n in self.n_grid) or not self.n_grid:
-            raise InvalidParameterError("n_grid entries must be >= 2")
-
-
-_ORDER_CONFIG_KEYS = {
-    "study", "family", "n_grid", "deltas", "reps", "batch_size", "cells",
-    "rho", "theta_star", "seed", "lattice_half_width", "lattice_points",
-}
+        for key, minimum in (("reps", 1), ("batch_size", 1), ("cells", 2),
+                             ("lattice_points", 3), ("seed", 0)):
+            config_int(getattr(self, key), key, minimum)
+        if not self.deltas or not all(0.0 <= d < math.inf for d in self.deltas):
+            raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
+        if not self.n_grid:
+            raise InvalidParameterError("n_grid must be nonempty")
+        for n in self.n_grid:
+            config_int(n, "n_grid", 2)
+        for key in ("rho", "lattice_half_width"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise InvalidParameterError(f"{key!r} must be positive and finite")
+        if not math.isfinite(self.theta_star):
+            raise InvalidParameterError("'theta_star' must be finite")
 
 
 def order_spec_from_config(config: dict) -> OrderStudySpec:
-    """Build an OrderStudySpec from a JSON mapping, rejecting unknown keys."""
-    unknown = set(config) - _ORDER_CONFIG_KEYS
+    """Build an OrderStudySpec from a JSON mapping: "study" plus spec fields."""
+    kwargs = {k: v for k, v in config.items() if k != "study"}
+    unknown = set(kwargs) - {f.name for f in fields(OrderStudySpec)}
     if unknown:
         raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in config.items() if k != "study"}
     for key in ("n_grid", "deltas"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
@@ -366,12 +366,11 @@ class ArmSummary:
 class OrderStudyReport:
     """Replicated study output: per-n sensitivities, slopes, diagnostics.
 
-    The JSON payload is a pure function of the spec (not of the worker
-    count), which is what makes parallel runs bit-comparable.
+    The JSON payload is a pure function of the spec, so reruns are
+    bit-comparable.
     """
 
     spec: OrderStudySpec
-    workers: int
     arms: dict
     inconclusive: bool
     required_reps_estimate: int | None
@@ -412,28 +411,18 @@ class OrderStudyReport:
         return dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
-        rows = []
+        names, rows = [], []
         for name, arm in self.arms.items():
+            slope = arm.slope if arm.slope is not None else math.nan
             for row in arm.per_n:
                 for entry in row.per_delta:
-                    rows.append([
-                        row.n, entry["delta"], entry["sign"], entry["tv_per_std"],
-                        entry["se"], row.sensitivity,
-                        arm.slope if arm.slope is not None else math.nan,
-                    ])
-                    rows[-1] = [float(v) for v in rows[-1]]
+                    names.append(name)
+                    rows.append([row.n, entry["delta"], entry["sign"], entry["tv_per_std"],
+                                 entry["se"], row.sensitivity, slope])
         header = ["n", "delta", "sign", "tv_per_std", "se", "sensitivity", "slope"]
-        text = csv_lines(header, rows)
-        # annotate the arm per row; csv_lines is numeric, so prepend a column
-        lines = text.splitlines()
-        out = ["arm," + lines[0]]
-        i = 1
-        for name, arm in self.arms.items():
-            for row in arm.per_n:
-                for _ in row.per_delta:
-                    out.append(f"{name},{lines[i]}")
-                    i += 1
-        return "\n".join(out) + "\n"
+        # csv_lines is numeric, so the arm column is prepended to its lines
+        lines = csv_lines(header, rows).splitlines()
+        return "\n".join(f"{name},{line}" for name, line in zip(["arm"] + names, lines)) + "\n"
 
 
 def _slope_fit(ns, values):
@@ -449,45 +438,29 @@ def _slope_fit(ns, values):
     return float(slope), float(se), (float(slope - 2 * se), float(slope + 2 * se))
 
 
-def run_replicated(spec: OrderStudySpec, workers: int = 1) -> OrderStudyReport:
+def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
     """Run the order study with counter-based per-batch seeds.
 
     Batches are the unit of work: each draws its own reference noise from
     SeedSequence(seed, spawn_key=(n_index, batch_index)) and counts cell
-    labels at every parameter offset with the same draws.  Results are
-    merged in batch order, so any worker count gives bit-identical output.
-    A failed batch raises PartialResultsError carrying the finished ones.
+    labels at every parameter offset with the same draws, so the output
+    depends on the spec alone.  A failed batch raises PartialResultsError
+    carrying the finished ones.
     """
     spec.validate()
-    if workers < 1:
-        raise InvalidParameterError("workers must be >= 1")
     contexts = [_StudyContext(spec, n) for n in spec.n_grid]
     n_batches = math.ceil(spec.reps / spec.batch_size)
     sizes = [min(spec.batch_size, spec.reps - b * spec.batch_size)
              for b in range(n_batches)]
 
-    tasks = [(n_idx, b) for n_idx in range(len(spec.n_grid)) for b in range(n_batches)]
     results: dict = {}
-    completed: list = []
-
-    def run_one(task):
-        n_idx, b = task
-        return task, _run_batch(spec, contexts[n_idx], n_idx, b, sizes[b])
-
     try:
-        if workers == 1:
-            for task in tasks:
-                key, value = run_one(task)
-                results[key] = value
-                completed.append(key)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for key, value in pool.map(run_one, tasks):
-                    results[key] = value
-                    completed.append(key)
+        for n_idx in range(len(spec.n_grid)):
+            for b in range(n_batches):
+                results[(n_idx, b)] = _run_batch(spec, contexts[n_idx], n_idx, b, sizes[b])
     except Exception as exc:
         raise PartialResultsError(
-            f"replicated study failed mid-run: {exc}", completed=completed
+            f"replicated study failed mid-run: {exc}", completed=list(results)
         ) from exc
 
     arm_names = contexts[0].arms
@@ -545,7 +518,7 @@ def run_replicated(spec: OrderStudySpec, workers: int = 1) -> OrderStudyReport:
                                slope_se=slope_se, slope_band=band)
 
     required = math.ceil(spec.reps * flagged_ratio) if inconclusive else None
-    return OrderStudyReport(spec=spec, workers=workers, arms=arms,
+    return OrderStudyReport(spec=spec, arms=arms,
                             inconclusive=inconclusive,
                             required_reps_estimate=required)
 

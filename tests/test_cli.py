@@ -195,6 +195,34 @@ def test_non_positive_workers_is_usage_error(workers, tmp_path, capsys):
     assert not (tmp_path / "contour.json").exists()
 
 
+ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16],
+              "deltas": [1.0], "reps": 200, "batch_size": 100}
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("contour", {**CIRCLE_CONFIG, "grid": {"points_per_axis": 41.0}}, "points_per_axis"),
+    ("contour", {"model": {"family": "location-scale", "n": 3.7},
+                 "data": {"simulate": {"theta": [0.0, 1.0]}}}, "'n'"),
+    ("verify", {"study": "quadrature", "a_points": 0}, "a_points"),
+    ("verify", {**ORDER_BASE, "cells": 8.0}, "cells"),
+    ("verify", {**ORDER_BASE, "reps": 100.5}, "reps"),
+    ("verify", {**ORDER_BASE, "n_grid": [8.5]}, "n_grid"),
+    ("verify", {**ORDER_BASE, "lattice_points": 2}, "lattice_points"),
+    ("verify", {"study": "partition-order", "draws": 0}, "draws"),
+    ("verify", {"study": "partition-order", "n_grid": [1]}, "n_grid"),
+], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
+        "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
+        "partition-draws-0", "partition-n_grid-1"])
+def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
+    """Non-integer or out-of-range numbers are rejected before any work, naming the key."""
+    config = write_config(tmp_path, payload)
+    code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     config = write_config(tmp_path, CIRCLE_CONFIG)
     code, values, _ = run_cli(["contour", "--config", config,

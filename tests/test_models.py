@@ -1,6 +1,7 @@
 """Model constructors: derivative correctness, domains, config parsing."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -9,11 +10,14 @@ import pytest
 from scipy import stats
 
 from ancontour import (
+    GridSpec,
     InvalidDimensionError,
     InvalidParameterError,
     UnsupportedFamilyError,
+    build_contour,
     eta_circle,
     eta_curved,
+    fit_mle,
     invert_coordinates,
     make_circle,
     make_location_scale,
@@ -52,6 +56,38 @@ def test_circle_values():
     acc = model.d2quantile_dtheta2(x, theta)[:, 0, 0]
     np.testing.assert_allclose(acc, -rho * u, atol=1e-12)
     assert abs(float(vel @ acc)) < 1e-12
+
+
+# The model fields a span tracer wraps by name, through dataclasses.replace.
+TRACED_FIELDS = ("quantile", "dquantile_dtheta", "d2quantile_dtheta2", "dquantile_dx",
+                 "cross_hessian", "ref_log_density", "ref_score")
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_wrapped_callable_fields_change_no_result(family):
+    """Wrapping the callable fields of a model changes no fit or contour bit,
+    and fitting plus contouring reaches every wrapped field."""
+    called = set()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return traced
+
+    for model, _, y in iter_instances(family, 3, seed=107):
+        wrapped = dataclasses.replace(
+            model, **{f: wrap(f, getattr(model, f)) for f in TRACED_FIELDS})
+        plain_fit, traced_fit = fit_mle(model, y), fit_mle(wrapped, y)
+        for field in ("theta_hat", "x_hat", "obs_info"):
+            assert (getattr(plain_fit, field).tobytes()
+                    == getattr(traced_fit, field).tobytes()), field
+        assert plain_fit.iterations == traced_fit.iterations
+        grid = GridSpec(2.0, 5)
+        assert (build_contour(model, y, grid).to_json()
+                == build_contour(wrapped, y, grid).to_json())
+    assert called == set(TRACED_FIELDS)
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -278,3 +314,11 @@ def test_model_from_config_rejects_bad_input():
         model_from_config({"family": "nonlinreg-known-sigma", "eta": "spiral"})
     with pytest.raises(InvalidParameterError):
         model_from_config({"family": "nonlinreg-known-sigma", "eta": "curved"})
+    for bad in ({"family": "location-scale", "n": 3.7},
+                {"family": "circleN", "n": 4.0, "rho": 1.0},
+                {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8,
+                 "sigma_mode": "unknown"},
+                {"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 8,
+                 "sigma_mode": "known"}):
+        with pytest.raises(InvalidParameterError):
+            model_from_config(bad)

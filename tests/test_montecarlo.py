@@ -97,6 +97,9 @@ def test_order_spec_validation():
         OrderStudySpec(deltas=(-0.5,)).validate()
     with pytest.raises(InvalidParameterError):
         OrderStudySpec(n_grid=(1, 16)).validate()
+    for bad in ({"n_grid": (8.5,)}, {"cells": 8.0}, {"lattice_points": 2}, {"rho": 0.0}):
+        with pytest.raises(InvalidParameterError):
+            OrderStudySpec(**bad).validate()
 
 
 def test_order_spec_from_config():
@@ -114,17 +117,14 @@ def test_order_spec_from_config():
         order_spec_from_config({"family": "circle", "bogus": 3})
 
 
-def test_order_study_worker_and_rerun_identity():
-    """The report payload depends on the spec alone, not on scheduling."""
+def test_order_study_rerun_identity():
+    """The report payload depends on the spec alone."""
     spec = OrderStudySpec(family="circle", n_grid=(16, 32), deltas=(1.0, 2.0),
                           reps=400, batch_size=100, cells=6)
-    first = run_replicated(spec, workers=1)
-    again = run_replicated(spec, workers=1)
-    threaded = run_replicated(spec, workers=3)
+    first = run_replicated(spec)
+    again = run_replicated(spec)
     assert first.to_json() == again.to_json()
-    assert first.to_json() == threaded.to_json()
-    assert first.to_csv() == threaded.to_csv()
-    assert threaded.workers == 3
+    assert first.to_csv() == again.to_csv()
 
 
 def test_order_study_partial_results_error(monkeypatch):
