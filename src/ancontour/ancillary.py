@@ -24,10 +24,11 @@ from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
+    SingularInformationError,
     UnsupportedFamilyError,
 )
 from .estimation import FitResult, StandardizationRecord, fit_mle, standardize
-from .models import QuantileModel, make_location_scale, non_invertible_mask
+from .models import QuantileModel, non_invertible_mask
 
 __all__ = [
     "GridSpec",
@@ -135,6 +136,22 @@ def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _sweep(model, fit, rec, grid):
+    """(offsets, offsets_std, points, dropped) of the grid contour through fit."""
+    t_std = _grid_offsets(model.p, grid)
+    if grid.standardized:
+        offsets = rec.map_offsets(t_std)
+        offsets_std = t_std
+    else:
+        offsets = t_std
+        offsets_std = offsets @ rec.chol  # t_std = L' t
+    rows = fit.theta_hat + offsets
+    lo, hi = np.array(model.param_domain).T
+    keep = np.all((rows > lo) & (rows < hi), axis=1)
+    points = model.quantile(fit.x_hat, rows[keep])
+    return offsets[keep], offsets_std[keep], points, int(len(offsets) - keep.sum())
+
+
 def build_contour(
     model: QuantileModel,
     y0: np.ndarray,
@@ -152,26 +169,12 @@ def build_contour(
     if fit is None:
         fit = fit_mle(model, y0)
     rec = standardize(fit.obs_info, model.n)
-    t_std = _grid_offsets(model.p, grid)
-    if grid.standardized:
-        offsets = rec.map_offsets(t_std)
-        offsets_std = t_std
-    else:
-        offsets = t_std
-        offsets_std = offsets @ rec.chol  # t_std = L' t
-    rows = fit.theta_hat + offsets
-    lo, hi = np.array(model.param_domain).T
-    keep = np.all((rows > lo) & (rows < hi), axis=1)
-    dropped = int(len(offsets) - keep.sum())
-    offsets, offsets_std = offsets[keep], offsets_std[keep]
-    points = model.quantile(fit.x_hat, rows[keep])
-
-    frame = build_frame(model, fit.x_hat, fit.theta_hat)
+    offsets, offsets_std, points, dropped = _sweep(model, fit, rec, grid)
     return ContourCloud(
         family=model.family,
         base_point=y0,
         fit=fit,
-        frame=frame,
+        frame=build_frame(model, fit.x_hat, fit.theta_hat),
         standardization=rec,
         grid=grid,
         offsets=offsets,
@@ -295,14 +298,14 @@ def partition_check(
     y1 = model.quantile(fit0.x_hat, theta1_expected)
 
     fit1 = fit_mle(model, y1)
-    cloud1 = build_contour(model, y1, grid, fit=fit1)
+    points1 = _sweep(model, fit1, standardize(fit1.obs_info, model.n), grid)[2]
 
     # nearest original grid offset as the refinement start for each rebuilt point
-    cloud0 = build_contour(model, y0, grid, fit=fit0)
+    offsets0, _, points0, _ = _sweep(model, fit0, rec0, grid)
     worst = 0.0
-    for q in cloud1.points:
-        d2 = np.sum((cloud0.points - q) ** 2, axis=1)
-        t_init = cloud0.offsets[int(np.argmin(d2))]
+    for q in points1:
+        d2 = np.sum((points0 - q) ** 2, axis=1)
+        t_init = offsets0[int(np.argmin(d2))]
         dist, _ = contour_min_distance(model, fit0, q, t_init)
         worst = max(worst, dist)
 
@@ -570,10 +573,12 @@ def cauchy_inversion_demo(
 ) -> InversionReport:
     """Count back-mapped components of an inverted-coordinate Cauchy contour.
 
-    Fits the two-observation Cauchy location-scale model at ytilde0, forms
-    the contour half-plane {m 1 + s zhat : s > 0} in the inverted
-    coordinates, rasterizes its back image under y = 1/ytilde over the
-    square window, and counts 8-connected components per sign quadrant (the
+    The two-observation Cauchy likelihood is flat along a semicircle, but the
+    contour half-plane {m 1 + s zhat : s > 0} depends only on span{1, ytilde0},
+    so no fit is needed: theta_hat = (mean, half range) of ytilde0 is the
+    symmetric ridge point and zhat = (ytilde0 - mean) / half range = +-1.  The
+    demo forms that half-plane in the inverted coordinates, rasterizes its
+    back image under y = 1/ytilde over the square window, and counts 8-connected components per sign quadrant (the
     back-mapped set never touches the axes, so components cannot join across
     them).  Also samples the line ytilde_2 = ytilde_1 + line_offset on the
     contour and reports its zero-coordinate points, which have no back image.
@@ -583,11 +588,12 @@ def cauchy_inversion_demo(
         raise InvalidDimensionError("demo is the two-observation case")
     if resolution < 16:
         raise InvalidParameterError("resolution too small to count components")
-    model = make_location_scale(2, error_law="cauchy")
-    fit = fit_mle(model, ytilde0)
-    zhat = fit.x_hat
-    if abs(zhat[1] - zhat[0]) < 1e-12:
-        raise InvalidParameterError("degenerate configuration, equal coordinates")
+    if not np.all(np.isfinite(ytilde0)):
+        raise InvalidParameterError("ytilde0 has non-finite entries")
+    if ytilde0[0] == ytilde0[1]:
+        raise SingularInformationError("degenerate configuration, equal coordinates")
+    theta_hat = np.array([np.mean(ytilde0), 0.5 * abs(ytilde0[1] - ytilde0[0])])
+    zhat = np.sign(ytilde0 - ytilde0[::-1])
 
     lo, hi = window
     axis = np.linspace(lo, hi, resolution)
@@ -627,7 +633,7 @@ def cauchy_inversion_demo(
         line_segment_count=segments,
         line_excluded_points=np.array(excluded) if excluded else np.empty((0, 2)),
         zhat=zhat,
-        theta_hat=fit.theta_hat,
+        theta_hat=theta_hat,
         resolution=resolution,
         window=(float(lo), float(hi)),
     )

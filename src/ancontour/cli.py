@@ -368,8 +368,8 @@ def _cmd_verify(args) -> int:
                             points_per_axis=config.get("grid_points", 21))
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        if not n_grid:
-            raise _UsageError("'n_grid' must be nonempty")
+        if len(set(n_grid)) < 2:
+            raise _UsageError("'n_grid' needs two distinct sample sizes to fit a slope")
         if not math.isfinite(t1_std):
             raise _UsageError("'t1_std' must be finite")
         report = partition_order_study(n_grid=n_grid, t1_std=t1_std, draws=draws,

@@ -61,9 +61,10 @@ class QuantileModel:
     (n,),(K, p) -> (K, n), one row per parameter row; dquantile_dx maps
     (n,),(p,) -> (n,); dquantile_dtheta -> (n, p); d2quantile_dtheta2 ->
     (n, p, p) symmetric in the trailing axes; cross_hessian -> (n, p) holding
-    d2 y_i / dx_i dtheta_a.  ref_sampler(seed, count) returns (count, n)
-    reference draws.  param_domain holds one open interval per parameter
-    coordinate.  start(y) is the Newton starting value for data y;
+    d2 y_i / dx_i dtheta_a.  ref_score and ref_score_derivative give the
+    first and second derivatives of each reference log density coordinate,
+    (n,) -> (n,); ref_sampler(seed, count) returns (count, n) reference draws.
+    param_domain holds one open interval per parameter coordinate.  start(y) is the Newton starting value for data y;
     closed_form(y), when not None, is the exact MLE.
     """
 
@@ -77,6 +78,7 @@ class QuantileModel:
     cross_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ref_log_density: Callable[[np.ndarray], float]
     ref_score: Callable[[np.ndarray], np.ndarray]
+    ref_score_derivative: Callable[[np.ndarray], np.ndarray]
     ref_sampler: Callable[[int, int], np.ndarray]
     param_domain: tuple
     start: Callable[[np.ndarray], np.ndarray]
@@ -110,7 +112,7 @@ class QuantileModel:
 
 
 def _normal_law(n: int, var: float):
-    """(log density, score, sampler) of n independent Normal(0, var) coordinates."""
+    """(log density, score, score derivative, sampler) of n iid Normal(0, var)."""
     sd = math.sqrt(var)
 
     def log_density(x):
@@ -120,11 +122,12 @@ def _normal_law(n: int, var: float):
     def sampler(seed, count):
         return sd * np.random.default_rng(seed).standard_normal((count, n))
 
-    return log_density, lambda x: -np.asarray(x, dtype=float) / var, sampler
+    return (log_density, lambda x: -np.asarray(x, dtype=float) / var,
+            lambda x: np.full(np.shape(x), -1.0 / var), sampler)
 
 
 def _cauchy_law(n: int):
-    """(log density, score, sampler) of n independent standard Cauchy coordinates."""
+    """(log density, score, score derivative, sampler) of n iid standard Cauchy."""
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
@@ -134,10 +137,14 @@ def _cauchy_law(n: int):
         x = np.asarray(x, dtype=float)
         return -2.0 * x / (1.0 + x * x)
 
+    def score_derivative(x):  # -2 (1 - x^2) / (1 + x^2)^2, kept finite as x grows
+        u = 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2)
+        return 2.0 * u * (1.0 - 2.0 * u)
+
     def sampler(seed, count):
         return np.random.default_rng(seed).standard_cauchy((count, n))
 
-    return log_density, score, sampler
+    return log_density, score, score_derivative, sampler
 
 
 def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
@@ -149,7 +156,7 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
     rows (..., r) to (..., n); da and d2a take one row (r,) and give (n, r) and
     (n, r, r).  Each may return anything that broadcasts to its shape.  b is
     linear in theta, so its second derivative is zero.  law is the reference
-    (log density, score, sampler).
+    (log density, score, score derivative, sampler).
     """
     p = len(domain)
     r = p - 1 if scaled else p
@@ -179,23 +186,13 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         out[:, r:] = 1.0
         return out
 
-    ref_log_density, ref_score, ref_sampler = law
+    ref_log_density, ref_score, ref_score_derivative, ref_sampler = law
     return QuantileModel(
-        family=family,
-        n=n,
-        p=p,
-        quantile=quantile,
-        dquantile_dtheta=dquantile_dtheta,
-        d2quantile_dtheta2=d2quantile_dtheta2,
-        dquantile_dx=dquantile_dx,
-        cross_hessian=cross_hessian,
-        ref_log_density=ref_log_density,
-        ref_score=ref_score,
-        ref_sampler=ref_sampler,
-        param_domain=tuple(domain),
-        start=start,
-        closed_form=closed_form,
-        meta=meta,
+        family=family, n=n, p=p, quantile=quantile, dquantile_dtheta=dquantile_dtheta,
+        d2quantile_dtheta2=d2quantile_dtheta2, dquantile_dx=dquantile_dx,
+        cross_hessian=cross_hessian, ref_log_density=ref_log_density, ref_score=ref_score,
+        ref_score_derivative=ref_score_derivative, ref_sampler=ref_sampler,
+        param_domain=tuple(domain), start=start, closed_form=closed_form, meta=meta,
     )
 
 

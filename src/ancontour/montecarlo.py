@@ -573,12 +573,14 @@ def partition_order_study(
     observed points; the contour is rebuilt from its own point at offset
     t1_std and the one-sided set discrepancy recorded.  The log-log slope of
     the per-n means is the order estimate (1/n for this second-order
-    construction).
+    construction), so n_grid needs at least two distinct sample sizes.
     """
     if draws <= 0:
         raise EmptyStudyError("draws must be positive")
     if not n_grid:
         raise EmptyStudyError("n_grid must be nonempty")
+    if len(set(n_grid)) < 2:
+        raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
     per_draw = []
     means = []
     for n_idx, n in enumerate(n_grid):

@@ -238,8 +238,8 @@ def test_inversion_demo_values():
     report = cauchy_inversion_demo()
     assert report.component_count == 3
     assert report.line_segment_count == 3
-    np.testing.assert_allclose(report.theta_hat, [0.5, 1.5], atol=1e-7)
-    np.testing.assert_allclose(np.sort(report.zhat), [-1.0, 1.0], atol=1e-7)
+    np.testing.assert_array_equal(report.theta_hat, [0.5, 1.5])
+    np.testing.assert_array_equal(report.zhat, [-1.0, 1.0])
     pts = {tuple(np.round(row, 9)) for row in report.line_excluded_points}
     assert pts == {(0.0, 1.0), (-1.0, 0.0)}
 

@@ -210,9 +210,12 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {**ORDER_BASE, "lattice_points": 2}, "lattice_points"),
     ("verify", {"study": "partition-order", "draws": 0}, "draws"),
     ("verify", {"study": "partition-order", "n_grid": [1]}, "n_grid"),
+    ("verify", {"study": "partition-order", "n_grid": [16]}, "n_grid"),
+    ("verify", {"study": "partition-order", "n_grid": [16, 16]}, "n_grid"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
-        "partition-draws-0", "partition-n_grid-1"])
+        "partition-draws-0", "partition-n_grid-1", "partition-single-n",
+        "partition-repeated-n"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range numbers are rejected before any work, naming the key."""
     config = write_config(tmp_path, payload)

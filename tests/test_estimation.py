@@ -23,6 +23,7 @@ from ancontour import (
     score,
     standardize,
 )
+from ancontour.estimation import _from_internal, _newton_system, _to_internal
 from conftest import (
     FAMILY_NAMES,
     central_difference,
@@ -69,6 +70,21 @@ def test_score_matches_fd_of_loglik(family):
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_internal_newton_system_matches_fd(family):
+    """The chain rule into log-sigma coordinates matches differencing there."""
+    for model, theta, y in iter_instances(family, 4, seed=206):
+        z = _to_internal(model, theta)
+        theta = _from_internal(model, z)
+        internal = lambda zv: loglik(model, y, _from_internal(model, zv))
+        info, s = _newton_system(model, theta, score(model, y, theta),
+                                 observed_information(model, y, theta))
+        np.testing.assert_allclose(s, central_difference(internal, z, h=1e-6),
+                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(info, -second_difference(internal, z, h=1e-4),
+                                   rtol=5e-4, atol=5e-4)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_observed_information_matches_fd_hessian(family):
     """Information = negative Hessian of the log likelihood, at generic theta."""
     for model, theta, y in iter_instances(family, 5, seed=203):
@@ -105,13 +121,14 @@ def test_closed_form_circle():
 
 
 def test_closed_form_cauchy_pair():
-    """With two observations the Cauchy MLE has an explicit form."""
+    """With two observations the Cauchy likelihood is flat along the semicircle
+    over [y1, y2] (Copas 1975), so no MLE is unique and every fit raises,
+    whatever the location and scale of the pair."""
     model = make_location_scale(2, error_law="cauchy")
-    y = np.array([-1.0, 2.0])
-    fit = fit_mle(model, y)
-    assert abs(fit.theta_hat[0] - 0.5) < 1e-7
-    assert abs(fit.theta_hat[1] - 1.5) < 1e-7
-    np.testing.assert_allclose(np.sort(fit.x_hat), [-1.0, 1.0], atol=1e-7)
+    for y in ([-1.0, 2.0], [1.0, 4.0], [-2.0, 4.0]):
+        for method in ("auto", "newton"):
+            with pytest.raises(SingularInformationError):
+                fit_mle(model, np.array(y), method=method)
 
 
 def test_location_scale_information_at_mle():

@@ -136,6 +136,22 @@ def test_ref_score_matches_log_density_gradient(family):
         np.testing.assert_allclose(model.ref_score(x), fd, rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_ref_score_derivative_matches_score_gradient(family):
+    """Coordinates are independent, so the score's Jacobian is diagonal."""
+    for model, _, _ in iter_instances(family, 4, seed=106):
+        x = model.ref_sampler(8, 1)[0]
+        fd = central_difference(model.ref_score, x, h=1e-6)
+        np.testing.assert_allclose(np.diag(model.ref_score_derivative(x)), fd,
+                                   rtol=1e-5, atol=1e-6)
+
+
+def test_cauchy_score_derivative_stays_finite():
+    law = make_location_scale(3, error_law="cauchy").ref_score_derivative
+    np.testing.assert_allclose(law(np.array([0.0, 1.0, 1e150])), [-2.0, 0.0, 2e-300],
+                               rtol=1e-15, atol=0.0)
+
+
 def test_reference_density_oracles():
     """Log densities agree with the scipy distributions they implement."""
     model = make_location_scale(5)

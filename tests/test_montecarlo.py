@@ -225,6 +225,9 @@ def test_partition_order_study_guards():
         partition_order_study(draws=0)
     with pytest.raises(EmptyStudyError):
         partition_order_study(n_grid=())
+    for n_grid in ((16,), (16, 16)):
+        with pytest.raises(InvalidParameterError, match="n_grid"):
+            partition_order_study(n_grid=n_grid, draws=2)
 
 
 def test_partition_order_study_rerun_identical():
