@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import root
 
 from ._jsonio import config_int, csv_lines, dumps, encode_array
 from .diffgeo import TaylorFrame, build_frame
@@ -399,11 +397,11 @@ class SeveriniReport:
 
     The pivot ((r - rho) cos theta_hat, (r - rho) sin theta_hat, y_3..y_n)
     has the same dimension as the data.  Away from the degenerate shell
-    r0 = rho, solving pivot(y) = observed over a moderate-deviation
-    neighborhood recovers y0 alone (solution set dimension 0), which is what
-    disqualifies the pivot as an ancillary: its level set is a point cloud,
-    not a contour.  A second, antipodal pre-image exists globally when
-    |r0 - rho| < rho and is reported separately.
+    r0 = rho, its level set within rho of y0 is y0 alone (solution set
+    dimension 0), which is what disqualifies the pivot as an ancillary: its
+    level set is a point cloud, not a contour.  A second, antipodal
+    pre-image 2 rho away exists when |r0 - rho| < rho and is reported
+    separately.
     """
 
     observed: np.ndarray
@@ -438,21 +436,14 @@ def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     return np.concatenate([head, y[2:]])
 
 
-def severini_pivot_check(
-    model: QuantileModel,
-    y0: np.ndarray,
-    n_starts: int = 64,
-    radius: float | None = None,
-    neighborhood: float | None = None,
-    seed: int = 20260816,
-    tol: float = 1e-8,
-) -> SeveriniReport:
-    """Solve pivot(y) = pivot(y0) from many starts near y0 and classify the set.
+def severini_pivot_check(model: QuantileModel, y0: np.ndarray) -> SeveriniReport:
+    """Solve pivot(y) = pivot(y0) in closed form and classify the solution set.
 
-    Needs the embedded circle family with n >= 3.  radius (the start spread)
-    defaults to three reference standard deviations; neighborhood (the
-    locality filter on solutions) defaults to rho, strictly inside the 2 rho
-    separation between the two global pre-images, so the count is local.
+    Needs the embedded circle family with n >= 3.  The pivot keeps y_3..y_n
+    and sets (r - rho)(cos phi, sin phi) = o, so its pre-images are
+    r = rho + |o| at phi = arg o and, when |o| < rho, r = rho - |o| at
+    arg o + pi.  The two lie 2 rho apart: the one through y0 is the only
+    solution within rho of y0, the other is the antipodal candidate.
     """
     if model.family != "circleN" or model.n < 3:
         raise UnsupportedFamilyError("pivot check needs the circleN family with n >= 3")
@@ -474,47 +465,25 @@ def severini_pivot_check(
             antipodal_candidate=None,
         )
 
-    if radius is None:
-        radius = 3.0 * math.sqrt(model.meta.get("variance_scale", 1.0))
-    if neighborhood is None:
-        neighborhood = rho
+    size = math.hypot(observed[0], observed[1])
+    arg = math.atan2(observed[1], observed[0])
 
-    def gap(y):
-        return severini_pivot(model, y) - observed
+    def pre_image(r, phi):
+        y = observed.copy()
+        y[:2] = r * math.cos(phi), r * math.sin(phi)
+        return y
 
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(n_starts):
-        start = y0 + radius * rng.standard_normal(model.n)
-        sol = root(gap, start, method="hybr", tol=1e-12)
-        if not sol.success:
-            continue
-        cand = sol.x
-        if float(np.max(np.abs(gap(cand)))) > 1e-9:
-            continue
-        if float(np.linalg.norm(cand - y0)) > neighborhood:
-            continue  # wandered outside the neighborhood under study
-        if not any(np.linalg.norm(cand - f) < 1e-6 for f in found):
-            found.append(cand)
-    solutions = np.array(found) if found else np.empty((0, model.n))
-    gaps = [float(np.linalg.norm(s - y0)) for s in found]
-    unique = len(found) == 1 and gaps[0] <= tol
-
-    anti = None
-    r_anti = 2.0 * rho - r0
-    if r_anti > 0.0:
-        angle0 = math.atan2(y0[1], y0[0])
-        cand = y0.copy()
-        cand[0] = r_anti * math.cos(angle0 + math.pi)
-        cand[1] = r_anti * math.sin(angle0 + math.pi)
-        if float(np.max(np.abs(gap(cand)))) < 1e-10:
-            anti = cand
-
+    # y0 is the rho + |o| pre-image when r0 > rho, the rho - |o| one otherwise
+    sign = 1.0 if r0 > rho else -1.0
+    solution = pre_image(rho + sign * size, arg if sign > 0 else arg + math.pi)
+    r_anti = rho - sign * size
+    anti = pre_image(r_anti, arg + math.pi if sign > 0 else arg) if r_anti > 0.0 else None
+    gap = float(np.linalg.norm(solution - y0))
     return SeveriniReport(
         observed=observed,
-        solutions=solutions,
-        unique_in_neighborhood=unique,
-        max_gap_to_y0=max(gaps) if gaps else math.inf,
+        solutions=solution.reshape(1, -1),
+        unique_in_neighborhood=True,
+        max_gap_to_y0=gap,
         degenerate=False,
         solution_set_dim=0,
         antipodal_candidate=anti,
@@ -602,6 +571,8 @@ def cauchy_inversion_demo(
     ytilde = np.stack([np.where(safe, 1.0 / yy1, np.inf),
                        np.where(safe, 1.0 / yy2, np.inf)], axis=-1)
     mask = safe & _halfplane_membership(ytilde, zhat, tilde_bounds)
+
+    from scipy import ndimage
 
     structure = np.ones((3, 3), dtype=int)
     count = 0

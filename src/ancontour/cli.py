@@ -101,13 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file format")
     common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="seed for simulated data and studies")
-    common.add_argument("--reps", type=int, default=None,
-                        help="replication count override for studies")
-    common.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="deprecated and ignored: every command runs in "
-                             "one thread; still accepted, must be at least 1")
-    common.add_argument("--grid", default=None, metavar="HW,POINTS",
-                        help="offset grid: half width and points per axis")
 
     sub = parser.add_subparsers(dest="command")
     p_example = sub.add_parser("example", parents=[common],
@@ -115,19 +108,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("name", choices=_EXAMPLES)
     p_example.set_defaults(handler=_cmd_example)
 
-    p_contour = sub.add_parser("contour", parents=[common],
-                               help="build the contour cloud through a data point")
-    p_contour.add_argument("--config", required=True, help="JSON config path")
-    p_contour.set_defaults(handler=_cmd_contour)
-
-    p_frame = sub.add_parser("frame", parents=[common],
-                             help="Taylor frame at the fitted parameter")
-    p_frame.add_argument("--config", required=True, help="JSON config path")
-    p_frame.set_defaults(handler=_cmd_frame)
+    for name, handler, text in (
+            ("contour", _cmd_contour, "build the contour cloud through a data point"),
+            ("frame", _cmd_frame, "Taylor frame at the fitted parameter")):
+        p_point = sub.add_parser(name, parents=[common], help=text)
+        p_point.add_argument("--config", required=True, help="JSON config path")
+        p_point.add_argument("--grid", default=None, metavar="HW,POINTS",
+                             help="offset grid: half width and points per axis")
+        p_point.set_defaults(handler=handler)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a quadrature or simulation study")
     p_verify.add_argument("--config", required=True, help="JSON config path")
+    p_verify.add_argument("--reps", type=int, default=None,
+                          help="replication count override for the order study")
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -462,7 +456,7 @@ def _cmd_example(args) -> int:
     elif name == "severini":
         model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
         y0 = np.array([1.25, 0.0, 0.15])
-        report = severini_pivot_check(model, y0, seed=seed)
+        report = severini_pivot_check(model, y0)
         doc = {"example": name, "pivot_check": report.to_json_dict()}
         summary = {
             "example": name,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._jsonio import encode_array
 from .errors import (
@@ -280,6 +279,8 @@ def fit_mle(
         # Newton stalled away from a stationary point (Cauchy likelihoods are
         # not concave); quasi-Newton in the unconstrained internal coordinates
         # is robust there, followed by the usual Newton polish
+        from scipy.optimize import minimize
+
         def objective(zv):  # negative log-likelihood and its internal gradient
             theta_v = _from_internal(model, zv)
             _, value, s_v, info_v = _likelihood(model, y, theta_v)

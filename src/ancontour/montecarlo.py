@@ -2,8 +2,9 @@
 
 Three harnesses live here: a quadrature check that the candidate scalar
 statistic has a vanishing parameter derivative of its density at the
-expansion point; a replicated order study that bins draws by nearest
-contour and tracks how fast cell-probability sensitivity decays with n
+expansion point, by a fixed Gauss-Legendre rule; a replicated order study
+that bins draws by nearest contour (a scipy KD-tree, imported only when the
+study runs) and tracks how fast cell-probability sensitivity decays with n
 (second-order contours decay like 1/n, tangent-only contours like
 1/sqrt(n)); and a deterministic partition-discrepancy study on a synthetic
 curved family.  All randomness is counter-seeded per (n, batch), so results
@@ -12,12 +13,12 @@ are a function of the configuration alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from statistics import NormalDist
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 from ._jsonio import config_int, csv_lines, dumps
 from .ancillary import GridSpec, build_contour, partition_check
@@ -42,24 +43,36 @@ __all__ = [
     "order_spec_from_config",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+@functools.cache  # built on first use: the nodes cost more than importing the module
+def _half_rule(points: int):
+    """Gauss-Legendre nodes of [-8, 8] on the positive half, with their weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return 8.0 * nodes[points // 2:], 8.0 * weights[points // 2:]
 
 
-def _phi(u: float) -> float:
-    return math.exp(-0.5 * u * u) / _SQRT_2PI
+def _folded_sum(a, theta, c, rule):
+    """sum_i w_i (f(x_i) + f(-x_i)) for f(x) = phi(x - theta) phi(a - c x^2 / 2)."""
+    nodes, weights = rule
+
+    def two_pi_f(x):
+        u, v = x - theta, a - 0.5 * c * x * x
+        return np.exp(-0.5 * (u * u + v * v))
+
+    return np.sum((two_pi_f(nodes) + two_pi_f(-nodes)) * weights, axis=-1) / (2.0 * math.pi)
 
 
-def _density_integral(a: float, theta: float, c: float, bound: float = 8.0) -> float:
-    """f(a; theta) = integral of phi(x - theta) phi(a - c x^2 / 2) dx."""
-    value, err = quad(
-        lambda x: _phi(x - theta) * _phi(a - 0.5 * c * x * x),
-        -bound,
-        bound,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=300,
-    )
-    if not math.isfinite(value) or err > 1e-9:
+def _density_integral(a, theta: float, c: float):
+    """f(a; theta) = integral of phi(x - theta) phi(a - c x^2 / 2) dx over [-8, 8].
+
+    a may be an array.  The 256-node Gauss-Legendre rule sums mirror-image
+    nodes in pairs, so theta -> -theta and (a, c) -> (-a, -c) give
+    bit-identical values; the 192-node rule estimates the error.
+    """
+    a = np.asarray(a, dtype=float)[..., None]
+    value = _folded_sum(a, theta, c, _half_rule(256))
+    err = float(np.max(np.abs(value - _folded_sum(a, theta, c, _half_rule(192)))))
+    if not (np.all(np.isfinite(value)) and err <= 1e-9):
         raise NumericalFailureError(f"quadrature error estimate {err:.3e} too large")
     return value
 
@@ -142,26 +155,20 @@ def quadrature_first_derivative(
     a_grid = np.asarray(a_grid, dtype=float)
     cases = []
     for c in c_values:
-        derivs = np.empty(len(a_grid))
-        sym = 0.0
-        flip = 0.0
-        curvature = 0.0
-        for i, a in enumerate(a_grid):
-            up = _density_integral(a, eps, c)
-            dn = _density_integral(a, -eps, c)
-            derivs[i] = (up - dn) / (2.0 * eps)
-            at_probe = _density_integral(a, theta_probe, c)
-            at_zero = _density_integral(a, 0.0, c)
-            sym = max(sym, abs(at_probe - _density_integral(a, -theta_probe, c)))
-            flip = max(flip, abs(at_probe - _density_integral(-a, theta_probe, -c)))
-            curvature = max(curvature, abs(at_probe - at_zero) / theta_probe**2)
+        derivs = (_density_integral(a_grid, eps, c)
+                  - _density_integral(a_grid, -eps, c)) / (2.0 * eps)
+        at_probe = _density_integral(a_grid, theta_probe, c)
+
+        def gap_to(other):
+            return float(np.max(np.abs(at_probe - other)))
+
         cases.append(
             QuadratureCase(
                 c=float(c),
                 max_abs_derivative=float(np.max(np.abs(derivs))),
-                symmetry_gap=float(sym),
-                flip_gap=float(flip),
-                second_order_scale=float(curvature),
+                symmetry_gap=gap_to(_density_integral(a_grid, -theta_probe, c)),
+                flip_gap=gap_to(_density_integral(-a_grid, theta_probe, -c)),
+                second_order_scale=gap_to(_density_integral(a_grid, 0.0, c)) / theta_probe**2,
                 derivatives=derivs,
             )
         )
@@ -210,6 +217,8 @@ class OrderStudySpec:
             raise InvalidParameterError("n_grid must be nonempty")
         for n in self.n_grid:
             config_int(n, "n_grid", 2)
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise InvalidParameterError(f"{key!r} must be positive and finite")
@@ -265,14 +274,19 @@ class _StudyContext:
         self.bases = [self.model.quantile(zero, th) for th in thetas]
         self.jacs = [self.model.dquantile_dx(zero, th) for th in thetas]
 
-        self.trees = {}
-        self.block = 0
-        if spec.family == "circle":
-            self._build_circle_lattice(spec)
-        else:
-            self._build_location_scale_lattice(spec)
+        from scipy.spatial import cKDTree
 
-    def _build_circle_lattice(self, spec):
+        if spec.family == "circle":
+            clouds = self._circle_lattice(spec)
+        else:
+            clouds = self._location_scale_lattice(spec)
+        self.block = clouds["second_order"][0].shape[0]
+        if any(c.shape[0] != self.block for arm in clouds.values() for c in arm):
+            raise InvalidParameterError("lattice contours must share the grid size")
+        self.trees = {arm: cKDTree(np.vstack(arm_clouds))
+                      for arm, arm_clouds in clouds.items()}
+
+    def _circle_lattice(self, spec):
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * self.sd
         grid = GridSpec(half_width=spec.lattice_half_width,
@@ -284,16 +298,13 @@ class _StudyContext:
             cloud = build_contour(self.model, anchor, grid, fit=fit)
             curved.append(cloud.points)
             tangent.append(anchor[None, :] + cloud.offsets @ cloud.frame.velocity.T)
-        self.block = curved[0].shape[0]
-        if any(c.shape[0] != self.block for c in curved):
-            raise InvalidParameterError("lattice contours must share the grid size")
-        self.trees["second_order"] = cKDTree(np.vstack(curved))
-        self.trees["tangent_only"] = cKDTree(np.vstack(tangent))
+        return {"second_order": curved, "tangent_only": tangent}
 
-    def _build_location_scale_lattice(self, spec):
+    def _location_scale_lattice(self, spec):
         n = self.n
         # deterministic base configuration (normal scores) and a transverse pattern
-        base = np.sort(np.array([_norm_ppf((i + 0.5) / n) for i in range(n)]))
+        inv_cdf = NormalDist().inv_cdf
+        base = np.sort([inv_cdf((i + 0.5) / n) for i in range(n)])
         base = (base - base.mean()) / math.sqrt(np.mean((base - base.mean()) ** 2))
         direction = np.sin(2.0 * math.pi * (np.arange(n) + 0.25) / n)
         ones = np.ones(n) / math.sqrt(n)
@@ -308,10 +319,8 @@ class _StudyContext:
         for tau in centers:
             z = base + tau * direction
             z = (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
-            pts = mm.reshape(-1, 1) + ss.reshape(-1, 1) * z[None, :]
-            clouds.append(pts)
-        self.block = clouds[0].shape[0]
-        self.trees["second_order"] = cKDTree(np.vstack(clouds))
+            clouds.append(mm.reshape(-1, 1) + ss.reshape(-1, 1) * z[None, :])
+        return {"second_order": clouds}
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.sd * rng.standard_normal((count, self.dim))
@@ -319,12 +328,6 @@ class _StudyContext:
     def labels(self, arm: str, y: np.ndarray) -> np.ndarray:
         _, idx = self.trees[arm].query(y)
         return idx // self.block
-
-
-def _norm_ppf(q: float) -> float:
-    from scipy.special import ndtri
-
-    return float(ndtri(q))
 
 
 def _run_batch(spec: OrderStudySpec, ctx: _StudyContext, n_idx: int, batch_idx: int,

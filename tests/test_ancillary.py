@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import root
 
 from ancontour import (
     GridSpec,
@@ -217,6 +218,49 @@ def test_severini_unique_pre_image():
                                atol=1e-12)
     gap = np.linalg.norm(report.antipodal_candidate - y0)
     assert abs(gap - 2.0) < 1e-12
+
+
+def _root_pre_images(model, y0, starts=64, seed=20260816):
+    """Distinct solutions of pivot(y) = pivot(y0) by a multi-start hybr search.
+
+    Starts spread over a box three radii wide in the first two coordinates,
+    so both global pre-images are reachable without knowing where they are.
+    """
+    observed = severini_pivot(model, y0)
+    rho = model.meta["rho"]
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(starts):
+        start = y0.copy()
+        start[:2] = rng.uniform(-3.0 * rho, 3.0 * rho, 2)
+        sol = root(lambda y: severini_pivot(model, y) - observed, start,
+                   method="hybr", tol=1e-12)
+        gap = np.max(np.abs(severini_pivot(model, sol.x) - observed))
+        if sol.success and gap <= 1e-12 and not any(
+                np.linalg.norm(sol.x - f) < 1e-6 for f in found):
+            found.append(sol.x)
+    return sorted(found, key=lambda y: float(np.linalg.norm(y - y0)))
+
+
+@pytest.mark.parametrize("r0,angle", [(1.25, 0.0), (1.6, 2.1), (0.6, -0.7), (0.2, 3.0),
+                                      (2.5, 0.4)],
+                         ids=["outside", "outside-turned", "inside", "near-center",
+                              "beyond-2rho"])
+def test_severini_closed_form_matches_root_search(r0, angle):
+    """Closed-form pre-images equal what a numeric root search finds, to 1e-10."""
+    model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
+    y0 = np.array([r0 * math.cos(angle), r0 * math.sin(angle), 0.15])
+    report = severini_pivot_check(model, y0)
+    found = _root_pre_images(model, y0)
+    closed = [report.solutions[0]]
+    if report.antipodal_candidate is not None:
+        closed.append(report.antipodal_candidate)
+    assert len(closed) == (1 if r0 > 2.0 else 2)
+    assert len(found) == len(closed)
+    for numeric, exact in zip(found, closed):
+        np.testing.assert_allclose(exact, numeric, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(report.solutions[0], y0, rtol=0.0, atol=1e-10)
+    assert report.unique_in_neighborhood and report.solution_set_dim == 0
 
 
 def test_severini_degenerate_shell():

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ancontour
 from ancontour.cli import main
 
 EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
@@ -151,20 +154,6 @@ def test_contour_csv_output_and_rerun_identical(tmp_path, capsys):
     assert (tmp_path / "contour.csv").read_bytes() == first
 
 
-def test_contour_workers_do_not_change_file(tmp_path, capsys):
-    config = write_config(tmp_path, {
-        "model": {"family": "location-scale", "n": 6},
-        "data": {"simulate": {"theta": [0.2, 1.0], "seed": 7}},
-        "grid": "2.0,11",
-    })
-    assert run_cli(["contour", "--config", config, "--out", str(tmp_path),
-                    "--workers", "1"], capsys)[0] == 0
-    serial = (tmp_path / "contour.json").read_bytes()
-    assert run_cli(["contour", "--config", config, "--out", str(tmp_path),
-                    "--workers", "2"], capsys)[0] == 0
-    assert (tmp_path / "contour.json").read_bytes() == serial
-
-
 @pytest.mark.parametrize("command", ["contour", "frame"])
 def test_readme_config_runs_for_contour_and_frame(command, tmp_path, capsys):
     config = tmp_path / "contour.json"
@@ -185,16 +174,6 @@ def test_malformed_grid_is_usage_error_for_contour_and_frame(command, tmp_path, 
     assert not (tmp_path / f"{command}.json").exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_non_positive_workers_is_usage_error(workers, tmp_path, capsys):
-    config = write_config(tmp_path, CIRCLE_CONFIG)
-    code, _, err = run_cli(["contour", "--config", config, "--out", str(tmp_path),
-                            "--workers", workers], capsys)
-    assert code == 2
-    assert "--workers" in err
-    assert not (tmp_path / "contour.json").exists()
-
-
 ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16],
               "deltas": [1.0], "reps": 200, "batch_size": 100}
 
@@ -212,10 +191,11 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {"study": "partition-order", "n_grid": [1]}, "n_grid"),
     ("verify", {"study": "partition-order", "n_grid": [16]}, "n_grid"),
     ("verify", {"study": "partition-order", "n_grid": [16, 16]}, "n_grid"),
+    ("verify", {**ORDER_BASE, "n_grid": [16, 16]}, "n_grid"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
-        "partition-repeated-n"])
+        "partition-repeated-n", "order-repeated-n"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range numbers are rejected before any work, naming the key."""
     config = write_config(tmp_path, payload)
@@ -223,6 +203,22 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     assert code == 2
     assert key in err
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["example", "circle2d", "--grid", "1,5"], "--grid"),
+    (["example", "circle2d", "--reps", "3"], "--reps"),
+    (["contour", "--config", "CONFIG", "--reps", "3"], "--reps"),
+    (["verify", "--config", "CONFIG", "--grid", "1,5"], "--grid"),
+], ids=["example-grid", "example-reps", "contour-reps", "verify-grid"])
+def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, tmp_path, capsys):
+    """--grid belongs to contour and frame, --reps to verify; elsewhere they exit 2."""
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    argv = [config if a == "CONFIG" else a for a in argv]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert flag in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -352,18 +348,6 @@ def test_verify_order_study_with_overrides(tmp_path, capsys):
     assert payload["reps"] == 300
 
 
-def test_verify_order_study_worker_parity(tmp_path, capsys):
-    config = write_config(tmp_path, {
-        "study": "ancillarity-order", "family": "circle",
-        "n_grid": [8, 16], "deltas": [1.0], "reps": 300, "batch_size": 100})
-    assert run_cli(["verify", "--config", config, "--out", str(tmp_path),
-                    "--workers", "1"], capsys)[0] == 0
-    serial = (tmp_path / "ancillarity-order.json").read_bytes()
-    assert run_cli(["verify", "--config", config, "--out", str(tmp_path),
-                    "--workers", "2"], capsys)[0] == 0
-    assert (tmp_path / "ancillarity-order.json").read_bytes() == serial
-
-
 def test_verify_partition_order(tmp_path, capsys):
     config = write_config(tmp_path, {
         "study": "partition-order", "n_grid": [16, 64], "draws": 3})
@@ -419,3 +403,32 @@ def test_simulated_data_seed_precedence(tmp_path, capsys):
     code, values_c, _ = run_cli(base_args + ["--seed", "12"], capsys)
     assert code == 0
     assert values_c["theta_hat"] != values_a["theta_hat"]
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from ancontour import cli
+out, contour, quadrature, partition = sys.argv[1:]
+runs = [["contour", "--config", contour], ["frame", "--config", contour]]
+runs += [["example", name] for name in ("circle2d", "location-scale", "nonlinreg-known",
+                                        "nonlinreg-unknown", "severini")]
+runs += [["verify", "--config", quadrature], ["verify", "--config", partition]]
+for argv in runs:
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_without_scipy_load_no_scipy(tmp_path):
+    """Only the Cauchy BFGS fallback, the inversion raster and the order-study
+    KD-tree need scipy; every other command runs without importing it."""
+    configs = [write_config(tmp_path, CIRCLE_CONFIG, "contour-config.json"),
+               write_config(tmp_path, {"study": "quadrature"}, "quadrature-config.json"),
+               write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64],
+                                       "draws": 2}, "partition-config.json")]
+    src = os.path.dirname(os.path.dirname(ancontour.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out"), *configs],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -10,6 +10,7 @@ import ancontour.montecarlo as mc
 from ancontour import (
     EmptyStudyError,
     InvalidParameterError,
+    NumericalFailureError,
     PartialResultsError,
     UnsupportedFamilyError,
     order_spec_from_config,
@@ -41,6 +42,28 @@ def test_density_integral_sign_flip_invariance():
             lhs = _density_integral(a, theta, c)
             rhs = _density_integral(-a, theta, -c)
             assert abs(lhs - rhs) < 1e-12
+
+
+def test_density_integral_accepts_an_array_of_a():
+    a = np.linspace(-3.0, 3.0, 13)
+    values = _density_integral(a, 0.4, 1.5)
+    assert values.shape == a.shape
+    for a_i, value in zip(a, values):
+        assert abs(_density_integral(a_i, 0.4, 1.5) - value) < 1e-15
+
+
+def test_quadrature_gaps_are_exactly_zero():
+    """Mirror-image nodes are summed in pairs, so the symmetries hold bit for bit."""
+    for case in quadrature_first_derivative().cases:
+        assert case.max_abs_derivative == 0.0
+        assert case.symmetry_gap == 0.0
+        assert case.flip_gap == 0.0
+
+
+def test_density_integral_names_an_unresolved_integrand():
+    """A curvature too sharp for the fixed rule raises instead of returning a value."""
+    with pytest.raises(NumericalFailureError, match="error estimate"):
+        _density_integral(np.linspace(-4.0, 4.0, 81), 0.0, 8.0)
 
 
 def test_quadrature_report_bounds():
@@ -97,7 +120,8 @@ def test_order_spec_validation():
         OrderStudySpec(deltas=(-0.5,)).validate()
     with pytest.raises(InvalidParameterError):
         OrderStudySpec(n_grid=(1, 16)).validate()
-    for bad in ({"n_grid": (8.5,)}, {"cells": 8.0}, {"lattice_points": 2}, {"rho": 0.0}):
+    for bad in ({"n_grid": (8.5,)}, {"n_grid": (16, 16)}, {"cells": 8.0},
+                {"lattice_points": 2}, {"rho": 0.0}):
         with pytest.raises(InvalidParameterError):
             OrderStudySpec(**bad).validate()
 
