@@ -8,9 +8,9 @@ construction, exact-ancillary cross checks, a full-data pivot counterexample,
 a coordinate-inversion counterexample, and simulation and quadrature
 harnesses measuring the order of approximate ancillarity.
 
-Importing the package loads numpy only.  scipy is imported inside the three
-code paths that use it: the BFGS fallback of fit_mle, the raster count of
-cauchy_inversion_demo and the KD-tree of run_replicated.
+Importing the package loads numpy only.  scipy is imported inside the two
+code paths that use it: the BFGS fallback of fit_mle and the raster count
+of cauchy_inversion_demo.
 """
 
 from .ancillary import (

@@ -302,6 +302,8 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"config key 'study' must be one of {list(_VERIFY_STUDIES)}, got {study!r}"
         )
+    if args.reps is not None and study != "ancillarity-order":
+        raise _UsageError(f"--reps is read by the ancillarity-order study only, not {study!r}")
 
     if study == "quadrature":
         bad = set(config) - _QUAD_KEYS

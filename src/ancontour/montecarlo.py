@@ -3,12 +3,12 @@
 Three harnesses live here: a quadrature check that the candidate scalar
 statistic has a vanishing parameter derivative of its density at the
 expansion point, by a fixed Gauss-Legendre rule; a replicated order study
-that bins draws by nearest contour (a scipy KD-tree, imported only when the
-study runs) and tracks how fast cell-probability sensitivity decays with n
-(second-order contours decay like 1/n, tangent-only contours like
-1/sqrt(n)); and a deterministic partition-discrepancy study on a synthetic
-curved family.  All randomness is counter-seeded per (n, batch), so results
-are a function of the configuration alone.
+that bins draws by nearest lattice contour (a projection snapped to each
+contour's uniform grid) and tracks how fast cell-probability sensitivity
+decays with n (second-order contours decay like 1/n, tangent-only contours
+like 1/sqrt(n)); and a deterministic partition-discrepancy study on a
+synthetic curved family.  All randomness is counter-seeded per (n, batch),
+so results are a function of the configuration alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     PartialResultsError,
     UnsupportedFamilyError,
 )
-from .estimation import fit_mle
 from .models import make_circle, make_location_scale, make_synthetic_curved
 
 __all__ = [
@@ -181,8 +180,8 @@ class OrderStudySpec:
     """Configuration of the replicated cell-sensitivity study.
 
     family "circle" scales the coordinate variance like 1/n on the planar
-    circle model and runs both arms; family "location-scale" uses n as the
-    sample size with Normal errors and runs the exact (second-order) arm
+    circle model and runs both arms; family "location-scale" uses n >= 3 as
+    the sample size with Normal errors and runs the exact (second-order) arm
     only.  deltas are standardized parameter offsets; cells is the number of
     lattice contours per transverse direction.  The default n_grid keeps the
     second-order signal several standard errors above the replication noise
@@ -215,8 +214,8 @@ class OrderStudySpec:
             raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
         if not self.n_grid:
             raise InvalidParameterError("n_grid must be nonempty")
-        for n in self.n_grid:
-            config_int(n, "n_grid", 2)
+        for n in self.n_grid:  # location-scale needs a direction normal to 1 and the scores
+            config_int(n, "n_grid", 3 if self.family == "location-scale" else 2)
         if len(set(self.n_grid)) < len(self.n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
@@ -240,24 +239,32 @@ def order_spec_from_config(config: dict) -> OrderStudySpec:
     return spec
 
 
+def _snap(coord, axis):
+    """Flat index into axis (rows, K) of the node of each row's uniform grid
+    nearest coord (rows, count), clipped to the row's ends."""
+    rows, last = axis.shape[0], axis.shape[1] - 1
+    step = (axis[:, -1:] - axis[:, :1]) / last
+    k = np.clip(np.rint((coord - axis[:, :1]) / step), 0, last).astype(np.intp)
+    return k + (last + 1) * np.arange(rows)[:, None]
+
+
 class _StudyContext:
-    """Per-n immutable pieces: model, offset thetas, lattice trees, draws."""
+    """Per-n immutable pieces: model, offset thetas, lattice scores, draws.
+
+    scores[arm](y) is, per cell and draw, the part of the squared distance to
+    the cell's nearest lattice node that differs between cells."""
 
     def __init__(self, spec: OrderStudySpec, n: int):
         self.n = n
         if spec.family == "circle":
             variance = 1.0 / n
             self.model = make_circle(spec.rho, n=2, variance_scale=variance)
-            self.dim = 2
             self.sd = math.sqrt(variance)
             info = spec.rho**2 / variance
-            self.arms = ("second_order", "tangent_only")
         else:
             self.model = make_location_scale(n)
-            self.dim = n
             self.sd = 1.0
             info = float(n)
-            self.arms = ("second_order",)
 
         self.offsets = [(0.0, 0, 0)]
         for d in spec.deltas:
@@ -265,69 +272,81 @@ class _StudyContext:
             self.offsets.append((d, +1, raw))
             self.offsets.append((d, -1, -raw))
 
-        theta_star = spec.theta_star
         if spec.family == "circle":
-            thetas = [np.array([theta_star + off]) for (_, _, off) in self.offsets]
+            thetas = [np.array([spec.theta_star + off]) for (_, _, off) in self.offsets]
+            self.scores = self._circle_scores(spec)
         else:
-            thetas = [np.array([theta_star + off, 1.0]) for (_, _, off) in self.offsets]
-        zero = np.zeros(self.dim)
+            thetas = [np.array([spec.theta_star + off, 1.0]) for (_, _, off) in self.offsets]
+            self.scores = self._location_scale_scores(spec)
+        # both models have dquantile_dx = 1 on these rows, so y = base + x
+        zero = np.zeros(self.model.n)
         self.bases = [self.model.quantile(zero, th) for th in thetas]
-        self.jacs = [self.model.dquantile_dx(zero, th) for th in thetas]
+        self.arms = tuple(self.scores)
 
-        from scipy.spatial import cKDTree
-
-        if spec.family == "circle":
-            clouds = self._circle_lattice(spec)
-        else:
-            clouds = self._location_scale_lattice(spec)
-        self.block = clouds["second_order"][0].shape[0]
-        if any(c.shape[0] != self.block for arm in clouds.values() for c in arm):
-            raise InvalidParameterError("lattice contours must share the grid size")
-        self.trees = {arm: cKDTree(np.vstack(arm_clouds))
-                      for arm, arm_clouds in clouds.items()}
-
-    def _circle_lattice(self, spec):
+    def _circle_scores(self, spec):
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * self.sd
         grid = GridSpec(half_width=spec.lattice_half_width,
                         points_per_axis=spec.lattice_points)
-        curved, tangent = [], []
-        for tau in centers:
-            anchor = (spec.rho + tau) * u
-            fit = fit_mle(self.model, anchor)
-            cloud = build_contour(self.model, anchor, grid, fit=fit)
-            curved.append(cloud.points)
-            tangent.append(anchor[None, :] + cloud.offsets @ cloud.frame.velocity.T)
-        return {"second_order": curved, "tangent_only": tangent}
+        clouds = [build_contour(self.model, (spec.rho + tau) * u, grid) for tau in centers]
+        # (cells, 1) columns: the fit, the anchor (the data point) and the velocity
+        x1, x2, theta_hat, a1, a2, v1, v2 = np.array([
+            [*c.fit.x_hat, *c.fit.theta_hat, *c.base_point, *c.frame.velocity[:, 0]]
+            for c in clouds]).T[:, :, None]
+        t_axis = np.array([c.offsets[:, 0] for c in clouds])
+        # an arc longer than 2 pi overlaps itself: try every turn it covers
+        most = 1 + int(np.max(np.abs(t_axis)) // (2.0 * math.pi))
+        node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
 
-    def _location_scale_lattice(self, spec):
+        def arc(y):  # cell c: x_hat_c + rho u(theta_hat_c + t_k)
+            d1, d2 = y[:, 0] - x1, y[:, 1] - x2
+            phi = (np.arctan2(d2, d1) - theta_hat + math.pi) % (2.0 * math.pi) - math.pi
+            along = -np.inf
+            for m in range(-most, most + 1):
+                k = _snap(phi + 2.0 * math.pi * m, t_axis)
+                along = np.maximum(along, d1 * node_cos.take(k) + d2 * node_sin.take(k))
+            return d1 * d1 + d2 * d2 - 2.0 * spec.rho * along
+
+        def line(y):  # cell c: anchor_c + t_k v_c
+            d1, d2 = y[:, 0] - a1, y[:, 1] - a2
+            dv, vv = d1 * v1 + d2 * v2, v1 * v1 + v2 * v2
+            t = t_axis.take(_snap(dv / vv, t_axis))
+            return d1 * d1 + d2 * d2 - 2.0 * t * dv + t * t * vv
+
+        return {"second_order": arc, "tangent_only": line}
+
+    def _location_scale_scores(self, spec):
         n = self.n
+
+        def unit(z):  # centred, with mean square 1
+            return (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
+
         # deterministic base configuration (normal scores) and a transverse pattern
         inv_cdf = NormalDist().inv_cdf
-        base = np.sort([inv_cdf((i + 0.5) / n) for i in range(n)])
-        base = (base - base.mean()) / math.sqrt(np.mean((base - base.mean()) ** 2))
+        base = unit(np.sort([inv_cdf((i + 0.5) / n) for i in range(n)]))
         direction = np.sin(2.0 * math.pi * (np.arange(n) + 0.25) / n)
         ones = np.ones(n) / math.sqrt(n)
         direction -= (direction @ ones) * ones
         direction -= (direction @ base) * base / float(base @ base)
         direction /= np.linalg.norm(direction)
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * 0.5
-        m_axis = np.linspace(-3.0, 3.0, 41) / math.sqrt(n)
-        s_axis = 1.0 + np.linspace(-3.0, 3.0, 41) / math.sqrt(2.0 * n)
-        mm, ss = np.meshgrid(m_axis, s_axis, indexing="ij")
-        clouds = []
-        for tau in centers:
-            z = base + tau * direction
-            z = (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
-            clouds.append(mm.reshape(-1, 1) + ss.reshape(-1, 1) * z[None, :])
-        return {"second_order": clouds}
+        z = np.array([unit(base + tau * direction) for tau in centers])
+        s_axis = 1.0 + np.linspace(-3.0, 3.0, 41)[None, :] / math.sqrt(2.0 * n)
+
+        # cell c: the plane m 1 + s z_c on a 41 x 41 grid; 1.z_c = 0 and
+        # |z_c|^2 = n, so the m coordinate and its snap are common to all cells
+        def plane(y):
+            yz = z @ y.T
+            s = s_axis.take(_snap(yz / n, s_axis))
+            return n * s * s - 2.0 * s * yz
+
+        return {"second_order": plane}
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.sd * rng.standard_normal((count, self.dim))
+        return self.sd * rng.standard_normal((count, self.model.n))
 
     def labels(self, arm: str, y: np.ndarray) -> np.ndarray:
-        _, idx = self.trees[arm].query(y)
-        return idx // self.block
+        return np.argmin(self.scores[arm](y), axis=0)
 
 
 def _run_batch(spec: OrderStudySpec, ctx: _StudyContext, n_idx: int, batch_idx: int,
@@ -336,15 +355,9 @@ def _run_batch(spec: OrderStudySpec, ctx: _StudyContext, n_idx: int, batch_idx: 
     seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(n_idx, batch_idx))
     rng = np.random.default_rng(seq)
     x = ctx.draw(rng, count)
-    out = {}
-    for arm in ctx.arms:
-        counts = np.zeros((len(ctx.offsets), spec.cells), dtype=np.int64)
-        for t_idx in range(len(ctx.offsets)):
-            y = ctx.bases[t_idx][None, :] + ctx.jacs[t_idx][None, :] * x
-            lab = ctx.labels(arm, y)
-            counts[t_idx] = np.bincount(lab, minlength=spec.cells)
-        out[arm] = counts
-    return out
+    return {arm: np.array([np.bincount(ctx.labels(arm, base + x), minlength=spec.cells)
+                           for base in ctx.bases])
+            for arm in ctx.arms}
 
 
 @dataclass(frozen=True)

@@ -192,10 +192,11 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {"study": "partition-order", "n_grid": [16]}, "n_grid"),
     ("verify", {"study": "partition-order", "n_grid": [16, 16]}, "n_grid"),
     ("verify", {**ORDER_BASE, "n_grid": [16, 16]}, "n_grid"),
+    ("verify", {**ORDER_BASE, "family": "location-scale", "n_grid": [2, 8]}, "n_grid"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
-        "partition-repeated-n", "order-repeated-n"])
+        "partition-repeated-n", "order-repeated-n", "order-ls-n-2"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range numbers are rejected before any work, naming the key."""
     config = write_config(tmp_path, payload)
@@ -206,15 +207,21 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["example", "circle2d", "--grid", "1,5"], "--grid"),
-    (["example", "circle2d", "--reps", "3"], "--reps"),
-    (["contour", "--config", "CONFIG", "--reps", "3"], "--reps"),
-    (["verify", "--config", "CONFIG", "--grid", "1,5"], "--grid"),
-], ids=["example-grid", "example-reps", "contour-reps", "verify-grid"])
-def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, tmp_path, capsys):
-    """--grid belongs to contour and frame, --reps to verify; elsewhere they exit 2."""
-    config = write_config(tmp_path, CIRCLE_CONFIG)
+@pytest.mark.parametrize("argv,flag,payload", [
+    (["example", "circle2d", "--grid", "1,5"], "--grid", CIRCLE_CONFIG),
+    (["example", "circle2d", "--reps", "3"], "--reps", CIRCLE_CONFIG),
+    (["contour", "--config", "CONFIG", "--reps", "3"], "--reps", CIRCLE_CONFIG),
+    (["verify", "--config", "CONFIG", "--grid", "1,5"], "--grid", CIRCLE_CONFIG),
+    (["verify", "--config", "CONFIG", "--reps", "3"], "--reps", {"study": "quadrature"}),
+    (["verify", "--config", "CONFIG", "--reps", "3"], "--reps",
+     {"study": "partition-order", "n_grid": [16, 64], "draws": 2}),
+], ids=["example-grid", "example-reps", "contour-reps", "verify-grid",
+        "verify-quadrature-reps", "verify-partition-reps"])
+def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, payload, tmp_path,
+                                                           capsys):
+    """--grid belongs to contour and frame, --reps to the ancillarity-order study;
+    elsewhere they exit 2."""
+    config = write_config(tmp_path, payload)
     argv = [config if a == "CONFIG" else a for a in argv]
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
@@ -408,11 +415,11 @@ def test_simulated_data_seed_precedence(tmp_path, capsys):
 NO_SCIPY_SCRIPT = """
 import sys
 from ancontour import cli
-out, contour, quadrature, partition = sys.argv[1:]
+out, contour, *studies = sys.argv[1:]
 runs = [["contour", "--config", contour], ["frame", "--config", contour]]
 runs += [["example", name] for name in ("circle2d", "location-scale", "nonlinreg-known",
                                         "nonlinreg-unknown", "severini")]
-runs += [["verify", "--config", quadrature], ["verify", "--config", partition]]
+runs += [["verify", "--config", study] for study in studies]
 for argv in runs:
     assert cli.main(argv + ["--out", out]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
@@ -420,12 +427,15 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_commands_without_scipy_load_no_scipy(tmp_path):
-    """Only the Cauchy BFGS fallback, the inversion raster and the order-study
-    KD-tree need scipy; every other command runs without importing it."""
+    """Only the Cauchy BFGS fallback and the inversion raster need scipy; every
+    other command, the order studies included, runs without importing it."""
     configs = [write_config(tmp_path, CIRCLE_CONFIG, "contour-config.json"),
                write_config(tmp_path, {"study": "quadrature"}, "quadrature-config.json"),
                write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64],
-                                       "draws": 2}, "partition-config.json")]
+                                       "draws": 2}, "partition-config.json"),
+               write_config(tmp_path, ORDER_BASE, "order-circle-config.json"),
+               write_config(tmp_path, {**ORDER_BASE, "family": "location-scale"},
+                            "order-ls-config.json")]
     src = os.path.dirname(os.path.dirname(ancontour.__file__))
     result = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out"), *configs],

@@ -2,6 +2,7 @@
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 import ancontour.montecarlo as mc
 from ancontour import (
     EmptyStudyError,
+    GridSpec,
     InvalidParameterError,
     NumericalFailureError,
     PartialResultsError,
     UnsupportedFamilyError,
+    build_contour,
     order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
@@ -121,7 +124,8 @@ def test_order_spec_validation():
     with pytest.raises(InvalidParameterError):
         OrderStudySpec(n_grid=(1, 16)).validate()
     for bad in ({"n_grid": (8.5,)}, {"n_grid": (16, 16)}, {"cells": 8.0},
-                {"lattice_points": 2}, {"rho": 0.0}):
+                {"lattice_points": 2}, {"rho": 0.0},
+                {"family": "location-scale", "n_grid": (2, 8)}):
         with pytest.raises(InvalidParameterError):
             OrderStudySpec(**bad).validate()
 
@@ -149,6 +153,57 @@ def test_order_study_rerun_identity():
     again = run_replicated(spec)
     assert first.to_json() == again.to_json()
     assert first.to_csv() == again.to_csv()
+
+
+def _explicit_lattice(spec, ctx):
+    """Every lattice node, one equal-sized block per cell, for a KD-tree oracle."""
+    if spec.family == "circle":
+        u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
+        centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
+        grid = GridSpec(half_width=spec.lattice_half_width,
+                        points_per_axis=spec.lattice_points)
+        clouds = [build_contour(ctx.model, (spec.rho + tau) * u, grid) for tau in centers]
+        return {"second_order": [c.points for c in clouds],
+                "tangent_only": [c.base_point + c.offsets @ c.frame.velocity.T
+                                 for c in clouds]}
+    n = ctx.n
+    base = np.sort([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
+    base = (base - base.mean()) / math.sqrt(np.mean((base - base.mean()) ** 2))
+    direction = np.sin(2.0 * math.pi * (np.arange(n) + 0.25) / n)
+    ones = np.ones(n) / math.sqrt(n)
+    direction -= (direction @ ones) * ones
+    direction -= (direction @ base) * base / float(base @ base)
+    direction /= np.linalg.norm(direction)
+    mm, ss = np.meshgrid(np.linspace(-3.0, 3.0, 41) / math.sqrt(n),
+                         1.0 + np.linspace(-3.0, 3.0, 41) / math.sqrt(2.0 * n), indexing="ij")
+    blocks = []
+    for tau in (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * 0.5:
+        z = base + tau * direction
+        z = (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
+        blocks.append(mm.reshape(-1, 1) + ss.reshape(-1, 1) * z[None, :])
+    return {"second_order": blocks}
+
+
+@pytest.mark.parametrize("spec", [
+    OrderStudySpec(n_grid=(2, 5, 16, 128), theta_star=2.5),
+    OrderStudySpec(n_grid=(2, 16), theta_star=2.5, lattice_points=40,
+                   lattice_half_width=2.0),
+    OrderStudySpec(n_grid=(2, 16), theta_star=2.5, cells=3, rho=0.3),
+    OrderStudySpec(family="location-scale", n_grid=(3, 8, 64), cells=5),
+], ids=["circle", "circle-short-even-lattice", "circle-3-cells", "location-scale"])
+def test_closed_form_labels_match_kd_tree(spec):
+    """Snapping to each lattice picks the cell a KD-tree over all nodes picks."""
+    from scipy.spatial import cKDTree
+
+    for n in spec.n_grid:
+        ctx = mc._StudyContext(spec, n)
+        x = ctx.draw(np.random.default_rng(n), 1000)
+        for arm, blocks in _explicit_lattice(spec, ctx).items():
+            tree = cKDTree(np.vstack(blocks))
+            for base in ctx.bases:
+                y = base + x
+                np.testing.assert_array_equal(ctx.labels(arm, y),
+                                              tree.query(y)[1] // len(blocks[0]))
 
 
 def test_order_study_partial_results_error(monkeypatch):
