@@ -50,7 +50,6 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
     PartialResultsError,
-    ReferenceSolveError,
     SingularInformationError,
     UnsupportedFamilyError,
 )
@@ -119,7 +118,7 @@ __all__ = [
     "run_replicated", "partition_order_study", "order_spec_from_config",
     # errors
     "AncontourError", "InvalidDimensionError", "InvalidParameterError",
-    "UnsupportedFamilyError", "DegenerateTangentError",
-    "ReferenceSolveError", "ConvergenceError", "SingularInformationError",
-    "NumericalFailureError", "EmptyStudyError", "PartialResultsError",
+    "UnsupportedFamilyError", "DegenerateTangentError", "ConvergenceError",
+    "SingularInformationError", "NumericalFailureError", "EmptyStudyError",
+    "PartialResultsError",
 ]

@@ -25,7 +25,7 @@ from .errors import (
     SingularInformationError,
     UnsupportedFamilyError,
 )
-from .estimation import FitResult, StandardizationRecord, fit_mle, standardize
+from .estimation import FitResult, StandardizationRecord, _fit_many, _norms, fit_mle, standardize
 from .models import QuantileModel, non_invertible_mask
 
 __all__ = [
@@ -188,53 +188,76 @@ def contour_min_distance(
     q: np.ndarray,
     t_init: np.ndarray,
     max_iter: int = 60,
-) -> tuple[float, np.ndarray]:
+) -> tuple:
     """Distance from q to the continuous contour through fit, by Gauss-Newton.
 
     Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t starting from
     t_init (typically the nearest grid offset), with backtracking and domain
-    clipping.  Returns (distance, argmin offset).
+    clipping.  Returns (distance, argmin offset): a float and (p,) for one
+    point q (n,), or (K,) and (K, p) for rows q (K, n) and t_init (K, p),
+    solved together with each row on the path it would take alone.
     """
-    theta = fit.theta_hat
-    t = np.asarray(t_init, dtype=float).copy()
+    theta, single, (lo, hi) = fit.theta_hat, np.ndim(q) == 1, np.array(model.param_domain).T
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    t = np.array(t_init, dtype=float).reshape(len(q), model.p)
 
-    def residual(tv):
-        return q - model.quantile(fit.x_hat, theta + tv)
+    def inside(tv):
+        return np.all((theta + tv > lo) & (theta + tv < hi), axis=-1)
 
-    def in_domain(tv):
-        return all(lo < theta[j] + tv[j] < hi
-                   for j, (lo, hi) in enumerate(model.param_domain))
+    def residual(rows, tv):
+        return q[rows] - model.quantile(fit.x_hat, theta + tv)
+
+    def sq(r):
+        return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
     for _ in range(60):
-        if in_domain(t):
+        out = ~inside(t)
+        if not out.any():
             break
-        t *= 0.5
-    r = residual(t)
-    value = float(r @ r)
+        t[out] *= 0.5
+    value = sq(residual(slice(None), t))
+    active = np.ones(len(q), dtype=bool)
     for _ in range(max_iter):
-        vel = model.dquantile_dtheta(fit.x_hat, theta + t)
-        grad = vel.T @ r
-        gram = vel.T @ vel
-        try:
-            step = np.linalg.solve(gram + 1e-14 * np.trace(gram) * np.eye(model.p), grad)
-        except np.linalg.LinAlgError:
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        scale = 1.0
-        for _ in range(40):
-            t_new = t + scale * step
-            if in_domain(t_new):
-                r_new = residual(t_new)
-                value_new = float(r_new @ r_new)
-                if value_new <= value:
-                    break
-            scale *= 0.5
-        else:
-            break
-        moved = float(np.linalg.norm(t_new - t))
-        t, r, value = t_new, r_new, value_new
-        if moved < 1e-13 * (1.0 + float(np.linalg.norm(t))):
-            break
-    return math.sqrt(value), t
+        vel = model.dquantile_dtheta(fit.x_hat, theta + t[rows])
+        vel_t = np.swapaxes(vel, 1, 2)
+        gram = vel_t @ vel
+        # tiny changes no nonzero ridge and gives a zero Gram the step 0, which retires the row
+        ridge = 1e-14 * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
+        grad = vel_t @ residual(rows, t[rows])[..., None]
+        step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
+        # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
+        # in the domain and does not raise the value (one too small to move t
+        # does, and retires the row); searching rows try 1, 2, 4, ... per call.
+        scale, tried, width = 1.0, 0, 1
+        while rows.size and tried < 40:
+            count = min(width, 40 - tried, max(1, _BLOCK // (rows.size * model.n)))
+            t_new = (t[rows, None] + (scale * 0.5 ** np.arange(count))[:, None]
+                     * step[:, None]).reshape(-1, model.p)
+            # a candidate that leaves t unmoved keeps the row's value unevaluated
+            ok, old = inside(t_new), np.repeat(value[rows], count)
+            ev = np.flatnonzero(ok & np.any(t_new != np.repeat(t[rows], count, axis=0), axis=1))
+            value_new = old.copy()
+            value_new[ev] = sq(residual(np.repeat(rows, count)[ev], t_new[ev]))
+            hit = (ok & (value_new <= old)).reshape(-1, count)
+            first = np.argmax(hit, axis=1)
+            got = hit[np.arange(rows.size), first]
+            acc, pick = rows[got], np.flatnonzero(got) * count + first[got]
+            moved = _norms(t_new[pick] - t[acc])
+            t[acc], value[acc] = t_new[pick], value_new[pick]
+            active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
+            rows, step = rows[~got], step[~got]
+            scale, tried, width = scale * 0.5 ** count, tried + count, 2 * width
+        active[rows] = False  # line search failed
+    dist = np.sqrt(value)
+    return (float(dist[0]), t[0]) if single else (dist, t)
+
+
+# float64 elements (64 KiB) of the largest temporary (rows, candidates, n)
+# block that partition_check and contour_min_distance hold at once
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -298,14 +321,14 @@ def partition_check(
     fit1 = fit_mle(model, y1)
     points1 = _sweep(model, fit1, standardize(fit1.obs_info, model.n), grid)[2]
 
-    # nearest original grid offset as the refinement start for each rebuilt point
+    # nearest original grid offset as the refinement start for each rebuilt
+    # point, found a bounded block of rebuilt points at a time
     offsets0, _, points0, _ = _sweep(model, fit0, rec0, grid)
-    worst = 0.0
-    for q in points1:
-        d2 = np.sum((points0 - q) ** 2, axis=1)
-        t_init = offsets0[int(np.argmin(d2))]
-        dist, _ = contour_min_distance(model, fit0, q, t_init)
-        worst = max(worst, dist)
+    block = max(1, _BLOCK // points0.size)
+    nearest = [np.argmin(np.sum((points0 - points1[i:i + block, None]) ** 2, axis=2), axis=1)
+               for i in range(0, len(points1), block)]
+    dist, _ = contour_min_distance(model, fit0, points1, offsets0[np.concatenate(nearest)])
+    worst = float(np.max(dist, initial=0.0))
 
     theta_gap = float(np.linalg.norm(fit1.theta_hat - theta1_expected))
     return PartitionReport(
@@ -354,8 +377,8 @@ def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """Exact ancillary statistic where one exists, for a point or rows of points.
 
     Location-scale: the configuration (y - mu_hat 1) / sigma_hat, in closed
-    form for Normal errors and from one fit per point otherwise.  Circle: the
-    radius together with the untouched coordinates y_3..y_n.
+    form for Normal errors and from one batched fit of all rows otherwise.
+    Circle: the radius together with the untouched coordinates y_3..y_n.
     """
     y = np.asarray(y, dtype=float)
     if model.family in _CIRCLES:
@@ -363,8 +386,7 @@ def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     if model.family == "location-scale":
         theta = model.closed_form(y)
     elif model.family in ("cauchy-location-scale", "inverted-cauchy"):
-        fits = [fit_mle(model, row).theta_hat for row in y.reshape(-1, model.n)]
-        theta = np.reshape(fits, y.shape[:-1] + (2,))
+        theta = _fit_many(model, y.reshape(-1, model.n)).reshape(y.shape[:-1] + (2,))
     else:
         raise UnsupportedFamilyError(f"no exact ancillary registered for {model.family!r}")
     return (y - theta[..., :1]) / theta[..., 1:]
@@ -372,8 +394,9 @@ def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
 
 def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonReport:
     """Evaluate the family's exact ancillary along a contour cloud."""
-    base = exact_label(model, cloud.base_point)
-    spread = float(np.max(np.abs(exact_label(model, cloud.points) - base), initial=0.0))
+    labels = exact_label(model, np.vstack([cloud.base_point, cloud.points]))
+    base = labels[0]
+    spread = float(np.max(np.abs(labels[1:] - base), initial=0.0))
     radius_contour = radius_exact = None
     if model.family in _CIRCLES:
         vel = cloud.frame.velocity[:, 0]

@@ -27,10 +27,6 @@ class DegenerateTangentError(AncontourError):
     """Velocity array is rank deficient at the expansion point."""
 
 
-class ReferenceSolveError(AncontourError):
-    """Reference value undefined: the quantile map is not increasing in x."""
-
-
 class ConvergenceError(AncontourError):
     """Iterative fit did not converge; carries the iterate trace."""
 

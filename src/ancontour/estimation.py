@@ -15,6 +15,7 @@ scale, so flat likelihood ridges raise SingularInformationError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ from ._jsonio import encode_array
 from .errors import (
     AncontourError,
     ConvergenceError,
+    InvalidDimensionError,
     InvalidParameterError,
-    ReferenceSolveError,
     SingularInformationError,
 )
 from .models import QuantileModel
@@ -78,55 +79,60 @@ class FitResult:
         }
 
 
-def fitted_reference(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Solve y = q(x; theta) coordinate-wise for the reference value x."""
-    y = model.check_point(y)
-    theta = model.check_theta(theta)
-    zero = np.zeros(model.n)
-    a = model.quantile(zero, theta)
-    b = model.dquantile_dx(zero, theta)
-    if np.any(b <= 0.0):
-        raise ReferenceSolveError("dquantile_dx not positive, solve undefined")
-    return (y - a) / b
-
-
 def _likelihood(model, y, theta):
-    """(x, log-likelihood, score, observed information) at theta in one pass.
+    """(x, log-likelihood, score, observed information) of rows y (K, n) at
+    unchecked rows theta (K, p), in one pass.
 
     Implicit differentiation of y = a + b x at fixed y gives, coordinate-wise
     with D = b, V = dquantile_dtheta, B = cross_hessian / D and
     W = d2quantile_dtheta2 / D: dx = -V / D and d2x = -(W + B dx' + dx B').
     B = grad log D and b is linear in theta, so with g the reference log
-    density the Hessian is sum g''(x) dx dx' + sum g'(x) d2x + B'B.
+    density the Hessian is sum g''(x) dx dx' + sum g'(x) d2x + B'B.  Stacked
+    matmuls give each row the same bits as a one-row call.
     """
+    k, p = theta.shape
+    zero = np.zeros(model.n)
+    d = model.dquantile_dx(zero, theta)  # 1 or a sigma that check_theta keeps positive
+    x = (y - model.quantile(zero, theta)) / d
+    dx = -model.dquantile_dtheta(x, theta) / d[..., None]
+    b = model.cross_hessian(x, theta) / d[..., None]
+    dx_t, g1 = np.swapaxes(dx, 1, 2), model.ref_score(x)
+    cross = b[..., :, None] * dx[..., None, :]
+    d2x = -(model.d2quantile_dtheta2(x, theta) / d[..., None, None]
+            + cross + np.swapaxes(cross, 2, 3))
+    hess = ((dx_t * model.ref_score_derivative(x)[:, None, :]) @ dx
+            + (g1[:, None, :] @ d2x.reshape(x.shape + (p * p,))).reshape(k, p, p)
+            + np.swapaxes(b, 1, 2) @ b)
+    value = model.ref_log_density(x) - np.sum(np.log(d), axis=-1)
+    s = (dx_t @ g1[..., None])[..., 0] - b.sum(axis=1)
+    return x, value, s, -0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def _at(model, y, theta):
+    """_likelihood of one point y (n,) at one checked parameter row."""
     theta = model.check_theta(theta)
-    x = fitted_reference(model, y, theta)
-    d = model.dquantile_dx(x, theta)
-    dx = -model.dquantile_dtheta(x, theta) / d[:, None]
-    b = model.cross_hessian(x, theta) / d[:, None]
-    g1 = model.ref_score(x)
-    cross = b[:, :, None] * dx[:, None, :]
-    d2x = -(model.d2quantile_dtheta2(x, theta) / d[:, None, None]
-            + cross + cross.transpose(0, 2, 1))
-    hess = ((dx.T * model.ref_score_derivative(x)) @ dx
-            + np.tensordot(g1, d2x, axes=1) + b.T @ b)
-    value = model.ref_log_density(x) - float(np.sum(np.log(d)))
-    return x, value, dx.T @ g1 - b.sum(axis=0), -0.5 * (hess + hess.T)
+    x, value, s, info = _likelihood(model, y[None], theta[None])
+    return x[0], float(value[0]), s[0], info[0]
+
+
+def fitted_reference(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Solve y = q(x; theta) coordinate-wise for the reference value x."""
+    return _at(model, model.check_point(y), theta)[0]
 
 
 def loglik(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> float:
     """Exact log-likelihood via the reference density and the x-Jacobian."""
-    return _likelihood(model, y, theta)[1]
+    return _at(model, model.check_point(y), theta)[1]
 
 
 def score(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Analytic score via implicit differentiation of the reference solve."""
-    return _likelihood(model, y, theta)[2]
+    return _at(model, model.check_point(y), theta)[2]
 
 
 def observed_information(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Negative Hessian of the log-likelihood, in closed form."""
-    return _likelihood(model, y, theta)[3]
+    return _at(model, model.check_point(y), theta)[3]
 
 
 def closed_form_mle(model: QuantileModel, y: np.ndarray) -> np.ndarray:
@@ -142,18 +148,17 @@ def _log_axes(model) -> np.ndarray:
     return np.array([lo == 0.0 and math.isinf(hi) for lo, hi in model.param_domain])
 
 
-def _to_internal(model, theta):
-    z = np.array(theta, dtype=float)
+def _on_log_axes(fn, model, values):
+    # math.log or math.exp per element: numpy's vector log and exp can differ
+    # from them in the last bit, and a fit must not depend on its batch
+    out = np.array(values, dtype=float)
     for j in np.flatnonzero(_log_axes(model)):
-        z[j] = math.log(theta[j])
-    return z
+        out[..., j] = np.reshape([fn(v) for v in np.ravel(out[..., j])], out.shape[:-1])
+    return out
 
 
-def _from_internal(model, z):
-    theta = np.array(z, dtype=float)
-    for j in np.flatnonzero(_log_axes(model)):
-        theta[j] = math.exp(z[j])
-    return theta
+_to_internal = functools.partial(_on_log_axes, math.log)  # (model, theta) -> z
+_from_internal = functools.partial(_on_log_axes, math.exp)  # (model, z) -> theta
 
 
 def _newton_system(model, theta, s, info):
@@ -161,17 +166,25 @@ def _newton_system(model, theta, s, info):
 
     On a log axis theta_j = exp(z_j), so the score is scaled by theta_j and
     the information by theta_j theta_k, less s_j theta_j on the diagonal.
+    Takes one row or rows (K, p).
     """
     logs = _log_axes(model)
     jac = np.where(logs, theta, 1.0)
-    return info * np.outer(jac, jac) - np.diag(np.where(logs, s * theta, 0.0)), s * jac
+    diag = np.where(logs, s * theta, 0.0)
+    return (info * (jac[..., :, None] * jac[..., None, :])
+            - diag[..., None] * np.eye(model.p)), s * jac
+
+
+def _norms(v):
+    """Euclidean norm of each row of v (K, m), by the dot product np.linalg.norm uses."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _polish(model, y, z):
     """Eight undamped Newton steps from the internal point z; returns theta."""
     for _ in range(8):
         theta = _from_internal(model, z)
-        _, _, s, info = _likelihood(model, y, theta)
+        _, _, s, info = _at(model, y, theta)
         z = z + np.linalg.solve(*_newton_system(model, theta, s, info))
     return _from_internal(model, z)
 
@@ -193,6 +206,59 @@ def _golden_section(model, y, center, half_width=1.6, tol=1e-12):
             d = a + invphi * (b - a)
             fd = f(d)
     return np.array([0.5 * (a + b)])
+
+
+def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
+    """Damped Newton in internal coordinates from rows theta (K, p) for rows y (K, n).
+
+    A row stops at a score norm below 1e-8, a failed line search (the first
+    of 1, 1/2, ..., 1/2^39 times the step that does not lower the
+    log-likelihood; only rows still searching are halved), a step under
+    1e-10 or the iteration limit; a singular Hessian raises.  Returns rows
+    (z, theta, iterations, converged); trace gets the first row's iterates.
+    """
+    logs, (lo, hi) = _log_axes(model), np.array(model.param_domain).T
+    z = _to_internal(model, theta)
+    theta = _from_internal(model, z)
+    _, current, s, info = _likelihood(model, y, theta)
+    iterations, active = np.zeros(len(y), dtype=int), np.ones(len(y), dtype=bool)
+    for _ in range(max_iterations):
+        active &= ~(_norms(s) < _SCORE_TOL)
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        iterations[rows] += 1
+        hess, grad = _newton_system(model, theta[rows], s[rows], info[rows])
+        try:
+            cond = np.linalg.cond(hess)
+        except np.linalg.LinAlgError:
+            cond = np.full(len(rows), math.inf)
+        if not np.all(cond <= 1e14):
+            k = int(np.argmin(cond <= 1e14))
+            raise SingularInformationError(
+                f"Hessian singular at iterate {iterations[rows[k]]} (cond {cond[k]:.2e})"
+            )
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        if trace is not None and rows[0] == 0:
+            trace.append({"iter": int(iterations[0]), "theta": theta[0].tolist(),
+                          "loglik": float(current[0])})
+        scale = 1.0
+        while rows.size and scale > 0.5 ** 40:
+            z_try = z[rows] + scale * step
+            # past 709 math.exp overflows; such a row is out of the domain
+            theta_try = _from_internal(model, np.where(logs & (z_try > 709.0), np.nan, z_try))
+            ok = np.all((theta_try > lo) & (theta_try < hi), axis=1)
+            _, v, s_try, info_try = _likelihood(model, y[rows[ok]], theta_try[ok])
+            up = np.zeros(rows.size, dtype=bool)
+            up[ok] = v >= current[rows[ok]] - 1e-12 * (1.0 + np.abs(current[rows[ok]]))
+            acc, sel = rows[up], up[ok]
+            moved = _norms(z_try[up] - z[acc])
+            z[acc], theta[acc], current[acc] = z_try[up], theta_try[up], v[sel]
+            s[acc], info[acc] = s_try[sel], info_try[sel]
+            active[acc[moved < _STEP_TOL]] = False
+            rows, step, scale = rows[~up], step[~up], scale * 0.5
+        active[rows] = False  # line search failed: the row stays where it is
+    return z, theta, iterations, _norms(s) < _SCORE_TOL
 
 
 def fit_mle(
@@ -226,49 +292,15 @@ def fit_mle(
         closed = method == "auto" and model.closed_form is not None
         init = model.closed_form(y) if closed else model.start(y)
     init = model.check_theta(np.asarray(init, dtype=float))
-
-    z = _to_internal(model, init)
-    theta = _from_internal(model, z)
-    _, current, s, info = _likelihood(model, y, theta)
     trace = []
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if float(np.linalg.norm(s)) < _SCORE_TOL:
-            return _finalize(model, y, theta, iterations - 1)
-        hess, grad = _newton_system(model, theta, s, info)
-        try:
-            cond = np.linalg.cond(hess)
-        except np.linalg.LinAlgError:
-            cond = math.inf
-        if not math.isfinite(cond) or cond > 1e14:
-            raise SingularInformationError(
-                f"Hessian singular at iterate {iterations} (cond {cond:.2e})"
-            )
-        step = np.linalg.solve(hess, grad)
-        trace.append({"iter": iterations, "theta": theta.tolist(), "loglik": current})
-        # backtracking: accept the first step that does not reduce the log-likelihood
-        scale = 1.0
-        for _ in range(40):
-            z_new = z + scale * step
-            try:
-                theta_new = _from_internal(model, z_new)
-                _, value, s_new, info_new = _likelihood(model, y, theta_new)
-            except (InvalidParameterError, ReferenceSolveError, FloatingPointError):
-                scale *= 0.5
-                continue
-            if value >= current - 1e-12 * (1.0 + abs(current)):
-                break
-            scale *= 0.5
-        else:
-            break  # line search failed; the trace ends at the stuck iterate
-        moved = float(np.linalg.norm(z_new - z))
-        z, theta, current, s, info = z_new, theta_new, value, s_new, info_new
-        if moved < _STEP_TOL:
-            break
+    z, theta, iterations, converged = _newton(model, y[None], init[None], max_iterations, trace)
+    if converged[0]:
+        return _finalize(model, y, theta[0], int(iterations[0]))
+    return _rescue(model, y, z[0], theta[0], int(iterations[0]), method, trace)
 
-    if float(np.linalg.norm(s)) < _SCORE_TOL:
-        return _finalize(model, y, theta, iterations)
 
+def _rescue(model, y, z, theta, iterations, method, trace) -> FitResult:
+    """Finish a fit where Newton stopped short at the internal point z."""
     if model.p == 1:
         z = _golden_section(model, y, z[0])
         bracket = _from_internal(model, z)
@@ -283,7 +315,7 @@ def fit_mle(
 
         def objective(zv):  # negative log-likelihood and its internal gradient
             theta_v = _from_internal(model, zv)
-            _, value, s_v, info_v = _likelihood(model, y, theta_v)
+            _, value, s_v, info_v = _at(model, y, theta_v)
             return -value, -_newton_system(model, theta_v, s_v, info_v)[1]
 
         try:
@@ -301,14 +333,20 @@ def fit_mle(
     )
 
 
-def _finalize(model, y, theta, iterations) -> FitResult:
-    x_hat, value, s, info = _likelihood(model, y, theta)
-    eigs = np.linalg.eigvalsh(info)
-    if not eigs[0] > _RANK_TOL * eigs[-1]:
+def _rank_gate(info):
+    """Raise unless every information matrix is positive definite relative to its scale."""
+    eigs = np.linalg.eigvalsh(info).reshape(-1, info.shape[-1])[:, [0, -1]]
+    bad = eigs[~(eigs[:, 0] > _RANK_TOL * eigs[:, 1])]
+    if len(bad):
         raise SingularInformationError(
             f"observed information not positive definite relative to its scale "
-            f"(eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e})"
+            f"(eigenvalues {bad[0, 0]:.3e} to {bad[0, 1]:.3e})"
         )
+
+
+def _finalize(model, y, theta, iterations) -> FitResult:
+    x_hat, value, s, info = _at(model, y, theta)
+    _rank_gate(info)
     return FitResult(
         theta_hat=theta,
         y_fit=model.quantile(np.zeros(model.n), theta),
@@ -319,6 +357,29 @@ def _finalize(model, y, theta, iterations) -> FitResult:
         iterations=iterations,
         score_norm=float(np.linalg.norm(s)),
     )
+
+
+def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
+    """Maximum likelihood rows (K, p) for data rows y (K, n), fitted together.
+
+    fit_mle's Newton iteration and rank gate from model.start(y), on all rows
+    at once; a row stopping short of a score norm of 1e-8 is finished alone
+    as fit_mle finishes it.  Each row then takes one undamped Newton step,
+    kept where it lowers the score norm: stationary to rounding, not to 1e-8.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != model.n or not np.all(np.isfinite(y)):
+        raise InvalidDimensionError(f"y must be finite rows (K, {model.n}), got {y.shape}")
+    z, theta, iterations, converged = _newton(model, y, model.start(y))
+    for i in np.flatnonzero(~converged):
+        theta[i] = _rescue(model, y[i], z[i], theta[i], iterations[i], "auto", []).theta_hat
+    _, _, s, info = _likelihood(model, y, theta)
+    _rank_gate(info[converged])
+    hess, grad = _newton_system(model, theta, s, info)
+    polished = _from_internal(model, _to_internal(model, theta)
+                              + np.linalg.solve(hess, grad[..., None])[..., 0])
+    better = _norms(_likelihood(model, y, polished)[2]) < _norms(s)
+    return np.where(better[:, None], polished, theta)
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,17 @@ class QuantileModel:
     """Bundle of quantile-map callables defining one parametric family.
 
     Every family is affine in x: q(x; theta) = q(0; theta) + dq_dx(theta) * x
-    coordinate-wise.  Shapes: quantile maps (n,),(p,) -> (n,) and
-    (n,),(K, p) -> (K, n), one row per parameter row; dquantile_dx maps
-    (n,),(p,) -> (n,); dquantile_dtheta -> (n, p); d2quantile_dtheta2 ->
-    (n, p, p) symmetric in the trailing axes; cross_hessian -> (n, p) holding
-    d2 y_i / dx_i dtheta_a.  ref_score and ref_score_derivative give the
-    first and second derivatives of each reference log density coordinate,
-    (n,) -> (n,); ref_sampler(seed, count) returns (count, n) reference draws.
-    param_domain holds one open interval per parameter coordinate.  start(y) is the Newton starting value for data y;
-    closed_form(y), when not None, is the exact MLE.
+    coordinate-wise.  Quantile callables take theta (p,) or rows (K, p) and x
+    (n,) or (K, n); rows add a leading K axis to the output.  For one row,
+    quantile and dquantile_dx give (n,), dquantile_dtheta (n, p),
+    d2quantile_dtheta2 (n, p, p) symmetric in the trailing axes, and
+    cross_hessian (n, p) holding d2 y_i / dx_i dtheta_a.  ref_log_density sums
+    over the last axis, (..., n) -> (...); ref_score and ref_score_derivative
+    are the elementwise first and second derivatives of each coordinate's
+    reference log density; ref_sampler(seed, count) returns (count, n) draws.
+    param_domain holds one open interval per parameter coordinate.  start(y)
+    is the Newton start for data y, (..., n) -> (..., p); closed_form(y), when
+    not None, is the exact MLE.
     """
 
     family: str
@@ -117,7 +119,7 @@ def _normal_law(n: int, var: float):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return float(-0.5 * np.sum(x * x) / var - 0.5 * x.size * math.log(2.0 * math.pi * var))
+        return -0.5 * np.sum(x * x, axis=-1) / var - 0.5 * n * math.log(2.0 * math.pi * var)
 
     def sampler(seed, count):
         return sd * np.random.default_rng(seed).standard_normal((count, n))
@@ -131,7 +133,7 @@ def _cauchy_law(n: int):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return float(-np.sum(np.log1p(x * x)) - x.size * math.log(math.pi))
+        return -np.sum(np.log1p(x * x), axis=-1) - n * math.log(math.pi)
 
     def score(x):
         x = np.asarray(x, dtype=float)
@@ -152,14 +154,18 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
     """The model q(x; theta) = a(theta[:r]) + b(theta) * x, all callables derived here.
 
     p = len(domain).  With scaled, b is the last coordinate theta[r] (r = p - 1)
-    and a does not depend on it; otherwise b = 1 and r = p.  a maps parameter
-    rows (..., r) to (..., n); da and d2a take one row (r,) and give (n, r) and
-    (n, r, r).  Each may return anything that broadcasts to its shape.  b is
-    linear in theta, so its second derivative is zero.  law is the reference
-    (log density, score, score derivative, sampler).
+    and a does not depend on it; otherwise b = 1 and r = p.  a, da and d2a
+    map parameter rows (..., r) to (..., n), (..., n, r) and (..., n, r, r);
+    each may return anything that broadcasts to its shape.  b is linear in
+    theta, so its second derivative is zero.  law is the reference (log
+    density, score, score derivative, sampler).
     """
     p = len(domain)
     r = p - 1 if scaled else p
+
+    def blank(x, theta, *tail):  # float x and theta, and zeros (rows..., n, *tail)
+        x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+        return x, theta, np.zeros(max(x.shape[:-1], theta.shape[:-1], key=len) + (n,) + tail)
 
     def quantile(x, theta):
         theta = np.asarray(theta, dtype=float)
@@ -167,23 +173,25 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         return a(theta[..., :r]) + (theta[..., r:] * x if scaled else x)
 
     def dquantile_dtheta(x, theta):
-        out = np.zeros((n, p))
-        out[:, :r] = da(np.asarray(theta, dtype=float)[:r])
+        x, theta, out = blank(x, theta, p)
+        out[..., :r] = da(theta[..., :r])
         if scaled:
-            out[:, r] = x  # assigned, not added: keeps the sign of a zero x
+            out[..., r] = x  # assigned, not added: keeps the sign of a zero x
         return out
 
     def d2quantile_dtheta2(x, theta):
-        out = np.zeros((n, p, p))
-        out[:, :r, :r] = d2a(np.asarray(theta, dtype=float)[:r])
+        x, theta, out = blank(x, theta, p, p)
+        out[..., :r, :r] = d2a(theta[..., :r])
         return out
 
     def dquantile_dx(x, theta):
-        return np.full(n, theta[r], dtype=float) if scaled else np.ones(n)
+        x, theta, out = blank(x, theta)
+        out[...] = theta[..., r:] if scaled else 1.0
+        return out
 
     def cross_hessian(x, theta):
-        out = np.zeros((n, p))
-        out[:, r:] = 1.0
+        x, theta, out = blank(x, theta, p)
+        out[..., r:] = 1.0
         return out
 
     ref_log_density, ref_score, ref_score_derivative, ref_sampler = law
@@ -229,8 +237,9 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
         family, law = "location-scale", _normal_law(n, 1.0)
     else:
         def start(y):
-            q75, q25 = np.percentile(y, [75.0, 25.0])
-            return np.array([float(np.median(y)), max(0.5 * float(q75 - q25), 1e-8)])
+            q75, q25 = np.percentile(y, [75.0, 25.0], axis=-1)
+            return np.stack([np.median(y, axis=-1), np.maximum(0.5 * (q75 - q25), 1e-8)],
+                            axis=-1)
 
         closed_form = None
         family, law = "cauchy-location-scale", _cauchy_law(n)
@@ -248,26 +257,17 @@ def _circle_mean(rho: float, n: int):
     if not (rho > 0.0 and math.isfinite(rho)):
         raise InvalidParameterError("rho must be positive and finite")
 
-    def a(theta):
+    def plane(theta, first, second, trailing):
+        # rho (first(t), second(t), 0, ..., 0) per row, with trailing unit axes
         angle = np.asarray(theta, dtype=float)[..., 0]
         out = np.zeros(angle.shape + (n,))
-        out[..., 0] = rho * np.cos(angle)
-        out[..., 1] = rho * np.sin(angle)
-        return out
+        out[..., 0] = rho * first(angle)
+        out[..., 1] = rho * second(angle)
+        return out.reshape(angle.shape + (n,) + (1,) * trailing)
 
-    def da(theta):
-        out = np.zeros((n, 1))
-        out[0, 0] = -rho * math.sin(theta[0])
-        out[1, 0] = rho * math.cos(theta[0])
-        return out
-
-    def d2a(theta):
-        out = np.zeros((n, 1, 1))
-        out[0, 0, 0] = -rho * math.cos(theta[0])
-        out[1, 0, 0] = -rho * math.sin(theta[0])
-        return out
-
-    return a, da, d2a
+    return (lambda theta: plane(theta, np.cos, np.sin, 0),
+            lambda theta: plane(theta, lambda t: -np.sin(t), np.cos, 1),
+            lambda theta: plane(theta, lambda t: -np.cos(t), lambda t: -np.sin(t), 2))
 
 
 def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> QuantileModel:
@@ -281,8 +281,10 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
         raise InvalidParameterError("variance_scale must be positive and finite")
 
-    def start(y):
-        return np.array([math.atan2(y[1], y[0])])
+    def start(y):  # math.atan2: np.arctan2 differs from it in the last bit
+        y = np.asarray(y, dtype=float)
+        angle = [math.atan2(v, u) for u, v in y[..., :2].reshape(-1, 2)]
+        return np.reshape(angle, y.shape[:-1] + (1,))
 
     def closed_form(y):
         if math.hypot(y[0], y[1]) == 0.0:
@@ -298,8 +300,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 class EtaHandle:
     """Mean-curve handle for regression families.
 
-    value(theta) -> (n,), and (..., n) for a batch of rows (..., r);
-    jac(theta) -> (n, r), hess(theta) -> (n, r, r).
+    Each callable takes one row theta (r,) or rows (..., r): value gives
+    (..., n), jac (..., n, r) and hess (..., n, r, r), one entry per row.
     """
 
     tag: str
@@ -332,7 +334,7 @@ def eta_curved(n: int) -> EtaHandle:
         n=n,
         r=1,
         value=lambda th: v * th + 0.5 * w * th ** 2,  # th: (1,) or (..., 1)
-        jac=lambda th: (v + w * th[0]).reshape(n, 1),
+        jac=lambda th: (v + w * th[..., :1])[..., None],
         hess=lambda th: w.reshape(n, 1, 1),
     )
 
@@ -344,14 +346,15 @@ def _regression_start(mean, r: int, scaled: bool):
     axis = np.linspace(-3.0, 3.0, 61)
 
     def start(y):
-        head = np.zeros(r)
+        y = np.asarray(y, dtype=float)
+        head = np.zeros(y.shape[:-1] + (r,))
         if r == 1:
-            sse = np.sum((y - mean(axis[:, None])) ** 2, axis=1)
-            head[0] = axis[np.argmin(sse)]
+            sse = np.sum((y[..., None, :] - mean(axis[:, None])) ** 2, axis=-1)
+            head[..., 0] = axis[np.argmin(sse, axis=-1)]
         if not scaled:
             return head
-        resid = y - mean(head)
-        return np.append(head, max(float(np.sqrt(np.mean(resid ** 2))), 1e-8))
+        sigma = np.sqrt(np.mean((y - mean(head)) ** 2, axis=-1, keepdims=True))
+        return np.concatenate([head, np.maximum(sigma, 1e-8)], axis=-1)
 
     return start
 

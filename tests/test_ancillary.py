@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from ancontour import (
     cauchy_inversion_demo,
     compare_exact,
     contour_min_distance,
+    eta_curved,
     exact_label,
     fit_mle,
     make_circle,
     make_location_scale,
+    make_nonlinear_regression,
     partition_check,
     severini_pivot,
     severini_pivot_check,
@@ -192,6 +195,107 @@ def test_contour_min_distance_recovers_offset():
     on_curve = fit.x_hat + np.array([math.cos(-0.7), math.sin(-0.7)])
     dist, _ = contour_min_distance(model, fit, on_curve, np.array([-0.5]))
     assert dist < 1e-10
+
+
+def _loop_min_distance(model, fit, q, t_init, max_iter=60):
+    """Reference: Gauss-Newton for one point, one backtracking scale at a time."""
+    theta, t = fit.theta_hat, np.asarray(t_init, dtype=float).copy()
+
+    def in_domain(tv):
+        return all(lo < theta[j] + tv[j] < hi for j, (lo, hi) in enumerate(model.param_domain))
+
+    for _ in range(60):
+        if in_domain(t):
+            break
+        t *= 0.5
+    r = q - model.quantile(fit.x_hat, theta + t)
+    value = float(r @ r)
+    for _ in range(max_iter):
+        vel = model.dquantile_dtheta(fit.x_hat, theta + t)
+        gram = vel.T @ vel
+        try:
+            step = np.linalg.solve(gram + 1e-14 * np.trace(gram) * np.eye(model.p), vel.T @ r)
+        except np.linalg.LinAlgError:
+            break
+        scale = 1.0
+        for _ in range(40):
+            t_new = t + scale * step
+            if in_domain(t_new):
+                r_new = q - model.quantile(fit.x_hat, theta + t_new)
+                value_new = float(r_new @ r_new)
+                if value_new <= value:
+                    break
+            scale *= 0.5
+        else:
+            break
+        moved = float(np.linalg.norm(t_new - t))
+        t, r, value = t_new, r_new, value_new
+        if moved < 1e-13 * (1.0 + float(np.linalg.norm(t))):
+            break
+    return math.sqrt(value), t
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_batched_contour_min_distance_matches_single_points(family):
+    """Rows solved together agree with one call per point and with the
+    one-point loop, from starts on and off the domain edge and points on and
+    off the contour, also when stopped after two iterations, where each
+    row's path still shows."""
+    for model, theta, y in iter_instances(family, 3, seed=301):
+        fit = fit_mle(model, y)
+        rng = np.random.default_rng(7)
+        offsets = rng.normal(0.0, 0.3, (25, model.p)) * np.abs(fit.theta_hat)
+        points = model.quantile(fit.x_hat, fit.theta_hat + offsets)
+        points[::2] += rng.normal(0.0, 0.05, (13, model.n))
+        t_init = offsets + rng.normal(0.0, 0.1, offsets.shape)
+        t_init[-1, -1] = -2.0 * fit.theta_hat[-1]  # a sigma start outside (0, inf)
+        for max_iter in (2, 60):
+            dist, t = contour_min_distance(model, fit, points, t_init, max_iter)
+            assert dist.shape == (25,) and t.shape == (25, model.p)
+            for k in range(25):
+                one, t_one = contour_min_distance(model, fit, points[k], t_init[k], max_iter)
+                assert isinstance(one, float)
+                assert abs(dist[k] - one) <= 1e-12
+                np.testing.assert_allclose(t[k], t_one, rtol=0, atol=1e-12)
+                # the arithmetic of each row is the loop's, so its bits are too
+                ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], max_iter)
+                assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
+
+
+def test_cauchy_exact_labels_agree_to_rounding(monkeypatch):
+    """An outlier at y = -3355 scales the configuration by about 960; labels
+    from fits stopped at a score norm of 1e-8 spread by 2.3e-6 there, the
+    polished batched fits by rounding only.  The base point and the cloud
+    are labelled in one batched fit."""
+    import ancontour.ancillary as anc
+
+    model = make_location_scale(8, error_law="cauchy")
+    y0 = model.quantile(model.ref_sampler(708, 16)[5], np.array([0.3, 1.1]))
+    assert np.min(y0) < -3000.0
+    cloud = build_contour(model, y0, GridSpec(2.0, 11))
+    calls, fit_many = [], anc._fit_many
+    monkeypatch.setattr(anc, "_fit_many",
+                        lambda m, rows: calls.append(len(rows)) or fit_many(m, rows))
+    report = compare_exact(model, cloud)
+    assert calls == [len(cloud.points) + 1]
+    assert report.label_spread <= 1e-10
+
+
+def test_partition_check_memory_is_bounded():
+    """The nearest-grid-point search and the batched refinement hold bounded
+    blocks: the nonlinreg-unknown example's check peaks well under 4 MiB."""
+    model = make_nonlinear_regression(eta_curved(16), "unknown")
+    y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.25, 0.9]))
+    args = (model, y0, np.array([0.8, -0.5]), GridSpec(2.0, 21))
+    partition_check(*args)  # warm caches outside the traced call
+    tracemalloc.start()
+    try:
+        report = partition_check(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.discrepancy)
+    assert peak < 4 * 2**20
 
 
 def test_severini_pivot_values():

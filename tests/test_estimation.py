@@ -10,6 +10,8 @@ from scipy import optimize, stats
 from ancontour import (
     ConvergenceError,
     FitResult,
+    InvalidDimensionError,
+    InvalidParameterError,
     SingularInformationError,
     closed_form_mle,
     eta_curved,
@@ -23,7 +25,15 @@ from ancontour import (
     score,
     standardize,
 )
-from ancontour.estimation import _from_internal, _newton_system, _to_internal
+from ancontour.estimation import (
+    _SCORE_TOL,
+    _fit_many,
+    _from_internal,
+    _likelihood,
+    _newton,
+    _newton_system,
+    _to_internal,
+)
 from conftest import (
     FAMILY_NAMES,
     central_difference,
@@ -39,6 +49,34 @@ def test_fitted_reference_roundtrip(family):
         x = fitted_reference(model, y, theta)
         np.testing.assert_allclose(model.quantile(x, theta), y,
                                    rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_check_theta_rejects_every_non_positive_scale(family):
+    """b = dquantile_dx is 1 or the last parameter coordinate, so the reference
+    solve y = a + b x needs no guard of its own: check_theta already rejects
+    every theta with b <= 0 (and every non-finite one)."""
+    rng = np.random.default_rng(211)
+    edges = (0.0, -0.0, -5e-324, -1e-300, -1.0, -math.inf, math.inf, math.nan)
+    for model, theta, _ in iter_instances(family, 5, seed=211):
+        zero = np.zeros(model.n)
+        trials = [theta + rng.normal(0.0, 3.0, model.p) for _ in range(200)]
+        for edge in edges:
+            bad = theta.copy()
+            bad[-1] = edge
+            trials.append(bad)
+        for trial in trials:
+            try:
+                checked = model.check_theta(trial)
+            except (InvalidParameterError, InvalidDimensionError):
+                continue
+            assert np.all(model.dquantile_dx(zero, checked) > 0.0), trial
+        if model.param_domain[-1][0] == 0.0:  # scaled: b is theta[-1]
+            for edge in edges[:6]:
+                bad = theta.copy()
+                bad[-1] = edge
+                with pytest.raises(InvalidParameterError):
+                    model.check_theta(bad)
 
 
 def test_loglik_matches_scipy():
@@ -226,6 +264,81 @@ def test_cauchy_quasi_newton_fallback():
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-7
 
 
+def _draws(model, theta, count, seed):
+    return model.quantile(model.ref_sampler(seed, count), np.asarray(theta, dtype=float))
+
+
+def _one_row_likelihood(model, y, theta):
+    """Reference: the one-point likelihood pass, written with 2-D products."""
+    zero = np.zeros(model.n)
+    x = (y - model.quantile(zero, theta)) / model.dquantile_dx(zero, theta)
+    d = model.dquantile_dx(x, theta)
+    dx = -model.dquantile_dtheta(x, theta) / d[:, None]
+    b = model.cross_hessian(x, theta) / d[:, None]
+    g1 = model.ref_score(x)
+    cross = b[:, :, None] * dx[:, None, :]
+    d2x = -(model.d2quantile_dtheta2(x, theta) / d[:, None, None]
+            + cross + cross.transpose(0, 2, 1))
+    hess = ((dx.T * model.ref_score_derivative(x)) @ dx
+            + np.tensordot(g1, d2x, axes=1) + b.T @ b)
+    value = model.ref_log_density(x) - float(np.sum(np.log(d)))
+    return x, value, dx.T @ g1 - b.sum(axis=0), -0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_likelihood_rows_match_one_row_reference(family):
+    """The row pass gives every row the bits of the one-point pass."""
+    for model, theta, _ in iter_instances(family, 3, seed=213):
+        rng = np.random.default_rng(17)
+        thetas = theta * np.exp(rng.normal(0.0, 0.2, (7, model.p)))
+        ys = _draws(model, theta, 7, seed=19)
+        rows = _likelihood(model, ys, thetas)
+        for k in range(7):
+            for got, want in zip(rows, _one_row_likelihood(model, ys[k], thetas[k])):
+                assert np.asarray(got[k]).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_fit_many_rows_agree_with_fit_mle(family):
+    """Each batched row is a stationary point fit_mle accepts, and it differs
+    from fit_mle's estimate by no more than fit_mle's score tolerance allows."""
+    for model, theta, _ in iter_instances(family, 3, seed=212):
+        ys = _draws(model, theta, 12, seed=31)
+        rows = _fit_many(model, ys)
+        assert rows.shape == (12, model.p)
+        for y, row in zip(ys, rows):
+            fit = fit_mle(model, y)
+            assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
+            # one Newton step from fit_mle's estimate: |info (row - theta_hat)| ~ |score|
+            gap = observed_information(model, y, fit.theta_hat) @ (row - fit.theta_hat)
+            assert np.linalg.norm(gap) < 2.0 * _SCORE_TOL
+
+
+def test_fit_many_forced_fallback_row():
+    """A row whose Newton line search fails is finished alone, as fit_mle
+    finishes it (quasi-Newton), while the other rows stay batched."""
+    model = make_location_scale(4, error_law="cauchy")
+    hard = np.array([-0.760033411767359, 2.0551768100006615,
+                     -2.0417065446907747, -0.7852925465289906])
+    ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), hard])
+    converged = _newton(model, ys, model.start(ys))[3]
+    assert converged.tolist() == [True, True, True, False]
+    rows = _fit_many(model, ys)
+    for y, row in zip(ys, rows):
+        assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
+        np.testing.assert_allclose(row, fit_mle(model, y).theta_hat, rtol=0, atol=1e-8)
+
+
+def test_fit_many_guards():
+    model = make_location_scale(4, error_law="cauchy")
+    with pytest.raises(SingularInformationError):  # the flat two-observation ridge
+        _fit_many(make_location_scale(2, error_law="cauchy"), np.array([[-1.0, 2.0]]))
+    with pytest.raises(InvalidDimensionError):
+        _fit_many(model, np.zeros((3, 5)))
+    with pytest.raises(InvalidDimensionError):
+        _fit_many(model, np.array([[0.0, 1.0, math.nan, 2.0]]))
+
+
 def test_convergence_error_carries_trace():
     model = make_nonlinear_regression(eta_curved(10), "unknown")
     y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.0]))
@@ -233,6 +346,15 @@ def test_convergence_error_carries_trace():
         fit_mle(model, y, init=np.array([3.0, 5.0]), method="newton",
                 max_iterations=1)
     assert len(err.value.trace) >= 1
+
+
+def test_overflowing_newton_step_is_a_named_failure():
+    """A trial sigma past math.exp's range counts as out of the domain, so a
+    wild start ends in ConvergenceError, not in an OverflowError."""
+    model = make_location_scale(6, error_law="cauchy")
+    y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.3]))
+    with pytest.raises(ConvergenceError):
+        fit_mle(model, y, init=np.array([1e6, 1.0]), method="newton")
 
 
 def test_circle_fit_at_center_fails_loudly():

@@ -90,6 +90,32 @@ def test_wrapped_callable_fields_change_no_result(family):
     assert called == set(TRACED_FIELDS)
 
 
+DERIVED_FIELDS = ("quantile", "dquantile_dtheta", "d2quantile_dtheta2", "dquantile_dx",
+                  "cross_hessian")
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_callables_on_rows_match_per_row_calls(family):
+    """theta rows (K, p), with x one point or rows (K, n), give each row the
+    bytes of a one-row call; so do start and the reference log density."""
+    for model, theta, y in iter_instances(family, 4, seed=109):
+        rng = np.random.default_rng(5)
+        thetas = theta * np.exp(rng.normal(0.0, 0.2, (6, model.p)))  # same signs, in domain
+        xs = model.ref_sampler(9, 6)
+        for name in DERIVED_FIELDS:
+            fn = getattr(model, name)
+            rows, shared = fn(xs, thetas), fn(xs[0], thetas)
+            assert rows.shape[0] == shared.shape[0] == 6, name
+            for k in range(6):
+                assert rows[k].tobytes() == fn(xs[k], thetas[k]).tobytes(), name
+                assert shared[k].tobytes() == fn(xs[0], thetas[k]).tobytes(), name
+        ys = model.quantile(xs, thetas)
+        starts, densities = model.start(ys), model.ref_log_density(xs)
+        for k in range(6):
+            assert starts[k].tobytes() == model.start(ys[k]).tobytes()
+            assert densities[k] == model.ref_log_density(xs[k])
+
+
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_first_derivative_matches_fd(family):
     for model, theta, _ in iter_instances(family, 8, seed=101):
