@@ -229,35 +229,24 @@ def contour_min_distance(
         grad = vel_t @ residual(rows, t[rows])[..., None]
         step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
         # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
-        # in the domain and does not raise the value (one too small to move t
-        # does, and retires the row); searching rows try 1, 2, 4, ... per call.
-        scale, tried, width = 1.0, 0, 1
-        while rows.size and tried < 40:
-            count = min(width, 40 - tried, max(1, _BLOCK // (rows.size * model.n)))
-            t_new = (t[rows, None] + (scale * 0.5 ** np.arange(count))[:, None]
-                     * step[:, None]).reshape(-1, model.p)
-            # a candidate that leaves t unmoved keeps the row's value unevaluated
-            ok, old = inside(t_new), np.repeat(value[rows], count)
-            ev = np.flatnonzero(ok & np.any(t_new != np.repeat(t[rows], count, axis=0), axis=1))
-            value_new = old.copy()
-            value_new[ev] = sq(residual(np.repeat(rows, count)[ev], t_new[ev]))
-            hit = (ok & (value_new <= old)).reshape(-1, count)
-            first = np.argmax(hit, axis=1)
-            got = hit[np.arange(rows.size), first]
-            acc, pick = rows[got], np.flatnonzero(got) * count + first[got]
-            moved = _norms(t_new[pick] - t[acc])
-            t[acc], value[acc] = t_new[pick], value_new[pick]
+        # in the domain and does not raise the value; only rows still searching
+        # are halved.  A candidate that leaves t unmoved keeps the row's value
+        # unevaluated, is accepted and retires the row.
+        scale = 1.0
+        while rows.size and scale > 0.5 ** 40:
+            t_new = t[rows] + scale * step
+            ok, value_new = inside(t_new), value[rows]
+            ev = np.flatnonzero(ok & np.any(t_new != t[rows], axis=1))
+            value_new[ev] = sq(residual(rows[ev], t_new[ev]))
+            got = ok & (value_new <= value[rows])
+            acc = rows[got]
+            moved = _norms(t_new[got] - t[acc])
+            t[acc], value[acc] = t_new[got], value_new[got]
             active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
-            rows, step = rows[~got], step[~got]
-            scale, tried, width = scale * 0.5 ** count, tried + count, 2 * width
+            rows, step, scale = rows[~got], step[~got], scale * 0.5
         active[rows] = False  # line search failed
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
-
-
-# float64 elements (64 KiB) of the largest temporary (rows, candidates, n)
-# block that partition_check and contour_min_distance hold at once
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -322,9 +311,9 @@ def partition_check(
     points1 = _sweep(model, fit1, standardize(fit1.obs_info, model.n), grid)[2]
 
     # nearest original grid offset as the refinement start for each rebuilt
-    # point, found a bounded block of rebuilt points at a time
+    # point, found in blocks of at most 8 Ki float64 (64 KiB) differences
     offsets0, _, points0, _ = _sweep(model, fit0, rec0, grid)
-    block = max(1, _BLOCK // points0.size)
+    block = max(1, (1 << 13) // points0.size)
     nearest = [np.argmin(np.sum((points0 - points1[i:i + block, None]) ** 2, axis=2), axis=1)
                for i in range(0, len(points1), block)]
     dist, _ = contour_min_distance(model, fit0, points1, offsets0[np.concatenate(nearest)])

@@ -15,7 +15,6 @@ scale, so flat likelihood ridges raise SingularInformationError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from ._jsonio import encode_array
 from .errors import (
     AncontourError,
     ConvergenceError,
-    InvalidDimensionError,
     InvalidParameterError,
     SingularInformationError,
 )
@@ -117,7 +115,8 @@ def _at(model, y, theta):
 
 def fitted_reference(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Solve y = q(x; theta) coordinate-wise for the reference value x."""
-    return _at(model, model.check_point(y), theta)[0]
+    y, theta, zero = model.check_point(y), model.check_theta(theta), np.zeros(model.n)
+    return (y - model.quantile(zero, theta)) / model.dquantile_dx(zero, theta)
 
 
 def loglik(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> float:
@@ -148,17 +147,21 @@ def _log_axes(model) -> np.ndarray:
     return np.array([lo == 0.0 and math.isinf(hi) for lo, hi in model.param_domain])
 
 
-def _on_log_axes(fn, model, values):
-    # math.log or math.exp per element: numpy's vector log and exp can differ
-    # from them in the last bit, and a fit must not depend on its batch
+def _on_log_axes(model, values, fn):
+    # fn (math.log or math.exp) per element: numpy's vector log and exp can
+    # differ from them in the last bit, and a fit must not depend on its batch
     out = np.array(values, dtype=float)
     for j in np.flatnonzero(_log_axes(model)):
         out[..., j] = np.reshape([fn(v) for v in np.ravel(out[..., j])], out.shape[:-1])
     return out
 
 
-_to_internal = functools.partial(_on_log_axes, math.log)  # (model, theta) -> z
-_from_internal = functools.partial(_on_log_axes, math.exp)  # (model, z) -> theta
+def _to_internal(model, theta):
+    return _on_log_axes(model, theta, math.log)
+
+
+def _from_internal(model, z):
+    return _on_log_axes(model, z, math.exp)
 
 
 def _newton_system(model, theta, s, info):
@@ -367,9 +370,7 @@ def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     as fit_mle finishes it.  Each row then takes one undamped Newton step,
     kept where it lowers the score norm: stationary to rounding, not to 1e-8.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] != model.n or not np.all(np.isfinite(y)):
-        raise InvalidDimensionError(f"y must be finite rows (K, {model.n}), got {y.shape}")
+    y = np.reshape([model.check_point(row) for row in y], (-1, model.n))
     z, theta, iterations, converged = _newton(model, y, model.start(y))
     for i in np.flatnonzero(~converged):
         theta[i] = _rescue(model, y[i], z[i], theta[i], iterations[i], "auto", []).theta_hat

@@ -44,11 +44,14 @@ from conftest import (
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_fitted_reference_roundtrip(family):
-    """quantile(fitted_reference(y, theta), theta) reproduces y exactly."""
+    """quantile(fitted_reference(y, theta), theta) reproduces y exactly, and at
+    the estimate it is the fit's x_hat, which the likelihood pass solves."""
     for model, theta, y in iter_instances(family, 10, seed=201):
         x = fitted_reference(model, y, theta)
         np.testing.assert_allclose(model.quantile(x, theta), y,
                                    rtol=1e-10, atol=1e-10)
+        fit = fit_mle(model, y)
+        assert fitted_reference(model, y, fit.theta_hat).tobytes() == fit.x_hat.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -335,7 +338,7 @@ def test_fit_many_guards():
         _fit_many(make_location_scale(2, error_law="cauchy"), np.array([[-1.0, 2.0]]))
     with pytest.raises(InvalidDimensionError):
         _fit_many(model, np.zeros((3, 5)))
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidParameterError):  # fit_mle's check of every row
         _fit_many(model, np.array([[0.0, 1.0, math.nan, 2.0]]))
 
 
