@@ -68,8 +68,12 @@ class GridSpec:
         parts = text.split(",")
         if len(parts) != 2:
             raise InvalidParameterError(f"grid spec {text!r} is not 'half_width,points'")
-        return cls(half_width=float(parts[0]), points_per_axis=int(parts[1]),
-                   standardized=standardized)
+        try:
+            points = int(parts[1])
+        except ValueError:
+            raise InvalidParameterError(
+                f"grid spec {text!r}: the point count must be an integer") from None
+        return cls(half_width=float(parts[0]), points_per_axis=points, standardized=standardized)
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,13 @@ def build_contour(
     )
 
 
+# float64 elements of the largest (rows, scales, n) block of backtracking
+# candidates that contour_min_distance evaluates in one call, unless one scale
+# of the rows still searching is already larger
+_BLOCK = 1 << 11
+_SCALES = 0.5 ** np.arange(40)
+
+
 def contour_min_distance(
     model: QuantileModel,
     fit: FitResult,
@@ -195,11 +206,23 @@ def contour_min_distance(
     t_init (typically the nearest grid offset), with backtracking and domain
     clipping.  Returns (distance, argmin offset): a float and (p,) for one
     point q (n,), or (K,) and (K, p) for rows q (K, n) and t_init (K, p),
-    solved together with each row on the path it would take alone.
+    solved together with each row on the path it would take alone.  Shapes
+    that do not match raise InvalidDimensionError; non-finite inputs, a
+    negative max_iter and a q whose squared distance overflows raise
+    InvalidParameterError.
     """
-    theta, single, (lo, hi) = fit.theta_hat, np.ndim(q) == 1, np.array(model.param_domain).T
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    t = np.array(t_init, dtype=float).reshape(len(q), model.p)
+    theta, (lo, hi) = fit.theta_hat, np.array(model.param_domain).T
+    q, t = np.asarray(q, dtype=float), np.array(t_init, dtype=float)
+    single = q.ndim == 1
+    if q.ndim not in (1, 2) or q.shape[-1] != model.n:
+        raise InvalidDimensionError(f"q has shape {q.shape}, expected rows of {model.n}")
+    if t.shape != q.shape[:-1] + (model.p,):
+        raise InvalidDimensionError(f"t_init has shape {t.shape}, expected {model.p} per q row")
+    for name, v in (("q", q), ("t_init", t)):
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameterError(f"{name} has non-finite entries")
+    config_int(max_iter, "max_iter", 0)
+    q, t = np.atleast_2d(q), np.atleast_2d(t)
 
     def inside(tv):
         return np.all((theta + tv > lo) & (theta + tv < hi), axis=-1)
@@ -210,12 +233,39 @@ def contour_min_distance(
     def sq(r):
         return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
+    def backtrack(rows, step, scales):
+        """Move each row to its first candidate t + scale * step that stays in
+        the domain and does not raise the value, all evaluated in one call;
+        returns the rows (and steps) with none."""
+        cand = t[rows, None] + scales[:, None] * step[:, None]
+        ok, values = inside(cand), np.repeat(value[rows, None], len(scales), axis=1)
+        # an in-domain candidate that leaves t unmoved keeps the row's value and
+        # residual unevaluated and is accepted, so no later one of its row is evaluated
+        still = ok & np.all(cand == t[rows, None], axis=2)
+        ev = ok & ~np.logical_or.accumulate(still, axis=1)
+        res = residual(rows[np.nonzero(ev)[0]], cand[ev])
+        values[ev] = sq(res)
+        hit = ok & (values <= value[rows, None])
+        got = hit.any(axis=1)
+        first, acc = hit.argmax(axis=1)[got], rows[got]
+        # an evaluated first hit passes on its residual, found by its place in res
+        at, fresh = np.cumsum(ev).reshape(ev.shape) - 1, ev[got, first]
+        resid[acc[fresh]] = res[at[got, first][fresh]]
+        moved = _norms(cand[got, first] - t[acc])
+        t[acc], value[acc] = cand[got, first], values[got, first]
+        active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
+        return rows[~got], step[~got]
+
     for _ in range(60):
         out = ~inside(t)
         if not out.any():
             break
         t[out] *= 0.5
-    value = sq(residual(slice(None), t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = residual(slice(None), t)
+        value = sq(resid)
+    if not np.all(np.isfinite(value)):
+        raise InvalidParameterError("q is too far from the contour for a finite squared distance")
     active = np.ones(len(q), dtype=bool)
     for _ in range(max_iter):
         rows = np.flatnonzero(active)
@@ -226,24 +276,18 @@ def contour_min_distance(
         gram = vel_t @ vel
         # tiny changes no nonzero ridge and gives a zero Gram the step 0, which retires the row
         ridge = 1e-14 * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
-        grad = vel_t @ residual(rows, t[rows])[..., None]
+        grad = vel_t @ resid[rows][..., None]
         step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
         # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
-        # in the domain and does not raise the value; only rows still searching
-        # are halved.  A candidate that leaves t unmoved keeps the row's value
-        # unevaluated, is accepted and retires the row.
-        scale = 1.0
-        while rows.size and scale > 0.5 ** 40:
-            t_new = t[rows] + scale * step
-            ok, value_new = inside(t_new), value[rows]
-            ev = np.flatnonzero(ok & np.any(t_new != t[rows], axis=1))
-            value_new[ev] = sq(residual(rows[ev], t_new[ev]))
-            got = ok & (value_new <= value[rows])
-            acc = rows[got]
-            moved = _norms(t_new[got] - t[acc])
-            t[acc], value[acc] = t_new[got], value_new[got]
-            active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
-            rows, step, scale = rows[~got], step[~got], scale * 0.5
+        # in the domain and does not raise the value: scale 1 for every row in
+        # one call, then the smaller scales m at a time for the rows still
+        # searching, with rows * m * n <= _BLOCK float64 elements where m >= 1.
+        rows, step = backtrack(rows, step, _SCALES[:1])
+        k = 1
+        while rows.size and k < 40:
+            m = min(40 - k, max(1, _BLOCK // (rows.size * model.n)))
+            rows, step = backtrack(rows, step, _SCALES[k:k + m])
+            k += m
         active[rows] = False  # line search failed
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
@@ -296,10 +340,11 @@ def partition_check(
     t1_std = np.atleast_1d(np.asarray(t1_std, dtype=float))
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
-    if float(np.linalg.norm(t1_std)) > cap:
-        raise InvalidParameterError(
-            f"|t1| = {float(np.linalg.norm(t1_std)):.3f} exceeds the moderate-deviation cap {cap}"
-        )
+    if not np.all(np.isfinite(t1_std)):
+        raise InvalidParameterError("t1 has non-finite entries")
+    size = float(np.linalg.norm(t1_std))
+    if size > cap:
+        raise InvalidParameterError(f"|t1| = {size:.3f} exceeds the moderate-deviation cap {cap}")
     fit0 = fit_mle(model, y0)
     rec0 = standardize(fit0.obs_info, model.n)
     t1_raw = rec0.map_offsets(t1_std)[0]

@@ -3,6 +3,8 @@
 import json
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ancontour import (
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
+    make_synthetic_curved,
     partition_check,
     severini_pivot,
     severini_pivot_check,
@@ -38,6 +41,8 @@ def test_grid_spec_parse_and_validation():
     assert grid.standardized
     with pytest.raises(InvalidParameterError):
         GridSpec.parse("2.5")
+    with pytest.raises(InvalidParameterError, match="point count must be an integer"):
+        GridSpec.parse("2.5,4.5")
     with pytest.raises(InvalidParameterError):
         GridSpec(half_width=-1.0)
     with pytest.raises(InvalidParameterError):
@@ -197,8 +202,10 @@ def test_contour_min_distance_recovers_offset():
     assert dist < 1e-10
 
 
-def _loop_min_distance(model, fit, q, t_init, max_iter=60):
-    """Reference: Gauss-Newton for one point, one backtracking scale at a time."""
+def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None):
+    """Reference: Gauss-Newton for one point, one backtracking scale at a time.
+
+    halvings, when a list, gets the number of halvings of each accepted step."""
     theta, t = fit.theta_hat, np.asarray(t_init, dtype=float).copy()
 
     def in_domain(tv):
@@ -218,7 +225,7 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60):
         except np.linalg.LinAlgError:
             break
         scale = 1.0
-        for _ in range(40):
+        for halved in range(40):
             t_new = t + scale * step
             if in_domain(t_new):
                 r_new = q - model.quantile(fit.x_hat, theta + t_new)
@@ -228,6 +235,8 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60):
             scale *= 0.5
         else:
             break
+        if halvings is not None:
+            halvings.append(halved)
         moved = float(np.linalg.norm(t_new - t))
         t, r, value = t_new, r_new, value_new
         if moved < 1e-13 * (1.0 + float(np.linalg.norm(t))):
@@ -240,7 +249,9 @@ def test_batched_contour_min_distance_matches_single_points(family):
     """Rows solved together agree with one call per point and with the
     one-point loop, from starts on and off the domain edge and points on and
     off the contour, also when stopped after two iterations, where each
-    row's path still shows."""
+    row's path still shows.  Rows restarted at their own minimizer sit at
+    rounding, where a step needs ten and more halvings."""
+    halvings = []
     for model, theta, y in iter_instances(family, 3, seed=301):
         fit = fit_mle(model, y)
         rng = np.random.default_rng(7)
@@ -249,17 +260,82 @@ def test_batched_contour_min_distance_matches_single_points(family):
         points[::2] += rng.normal(0.0, 0.05, (13, model.n))
         t_init = offsets + rng.normal(0.0, 0.1, offsets.shape)
         t_init[-1, -1] = -2.0 * fit.theta_hat[-1]  # a sigma start outside (0, inf)
+        points = np.vstack([points, points])
+        t_init = np.vstack([t_init, contour_min_distance(model, fit, points[:25], t_init)[1]])
         for max_iter in (2, 60):
             dist, t = contour_min_distance(model, fit, points, t_init, max_iter)
-            assert dist.shape == (25,) and t.shape == (25, model.p)
-            for k in range(25):
+            assert dist.shape == (50,) and t.shape == (50, model.p)
+            for k in range(50):
                 one, t_one = contour_min_distance(model, fit, points[k], t_init[k], max_iter)
                 assert isinstance(one, float)
                 assert abs(dist[k] - one) <= 1e-12
                 np.testing.assert_allclose(t[k], t_one, rtol=0, atol=1e-12)
                 # the arithmetic of each row is the loop's, so its bits are too
-                ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], max_iter)
+                ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], max_iter,
+                                                halvings)
                 assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
+    assert max(halvings) >= 10
+
+
+def test_backtracking_blocks_split_one_rows_scales():
+    """At n = 1024 one halving of 21 rows already fills a block, so each
+    halving is its own call and the halvings of one row span several calls;
+    every row still ends on the one-point loop's bits."""
+    model = make_synthetic_curved(1024)
+    y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.4]))
+    fit = fit_mle(model, y0)
+    rng = np.random.default_rng(11)
+    offsets = np.linspace(-0.3, 0.3, 21)[:, None]
+    points = model.quantile(fit.x_hat, fit.theta_hat + offsets)
+    points[::2] += rng.normal(0.0, 0.01, (11, model.n))
+    t_init = offsets + rng.normal(0.0, 0.05, offsets.shape)
+    calls = {"quantile": 0, "dquantile_dtheta": 0}
+    dist, t = contour_min_distance(_counting(model, calls), fit, points, t_init)
+    halvings = []
+    for k in range(21):
+        ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], halvings=halvings)
+        assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
+    assert max(halvings) >= 10
+    assert calls["quantile"] > 1 + 2 * calls["dquantile_dtheta"]
+
+
+def _counting(model, calls):
+    """model with its quantile and dquantile_dtheta calls tallied in calls."""
+    def tally(key):
+        def counted(x, th):
+            calls[key] += 1
+            return getattr(model, key)(x, th)
+        return counted
+
+    return replace(model, **{key: tally(key) for key in calls})
+
+
+@pytest.mark.parametrize("family", ["circle2d", "synthetic-curved"])
+def test_backtracking_costs_at_most_two_quantile_calls_per_iteration(family, monkeypatch):
+    """With every halving in one block, a Gauss-Newton iteration of
+    partition_check's refinement makes one quantile call at scale 1 and at
+    most one for all smaller scales, after one call for the start."""
+    import ancontour.ancillary as anc
+
+    model, theta = {"circle2d": (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), 0.3),
+                    "synthetic-curved": (make_synthetic_curved(24), 0.4)}[family]
+
+    monkeypatch.setattr(anc, "_BLOCK", 1 << 30)
+    counts, solve = [], anc.contour_min_distance
+
+    def counting(model, fit, q, t_init, max_iter=60):
+        counts.append({"quantile": 0, "dquantile_dtheta": 0})
+        return solve(_counting(model, counts[-1]), fit, q, t_init, max_iter)
+
+    monkeypatch.setattr(anc, "contour_min_distance", counting)
+    draws = model.ref_sampler(101, 4)
+    for x in draws:
+        partition_check(model, model.quantile(x, np.array([theta])), np.array([1.0]),
+                        GridSpec(3.0, 21))
+    assert len(counts) == len(draws)
+    for calls in counts:
+        assert calls["dquantile_dtheta"] >= 3
+        assert calls["quantile"] <= 1 + 2 * calls["dquantile_dtheta"]
 
 
 def test_cauchy_exact_labels_agree_to_rounding(monkeypatch):
@@ -283,19 +359,47 @@ def test_cauchy_exact_labels_agree_to_rounding(monkeypatch):
 
 def test_partition_check_memory_is_bounded():
     """The nearest-grid-point search and the batched refinement hold bounded
-    blocks: the nonlinreg-unknown example's check peaks well under 4 MiB."""
-    model = make_nonlinear_regression(eta_curved(16), "unknown")
-    y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.25, 0.9]))
-    args = (model, y0, np.array([0.8, -0.5]), GridSpec(2.0, 21))
-    partition_check(*args)  # warm caches outside the traced call
-    tracemalloc.start()
-    try:
-        report = partition_check(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(report.discrepancy)
-    assert peak < 4 * 2**20
+    blocks: the nonlinreg-unknown example's check, and a synthetic-curved one
+    at n = 1024 whose backtracking candidates overflow one block, peak well
+    under 4 MiB."""
+    probes = [(make_nonlinear_regression(eta_curved(16), "unknown"), [0.25, 0.9], [0.8, -0.5],
+               GridSpec(2.0, 21)),
+              (make_synthetic_curved(1024), [0.4], [1.0], GridSpec(3.0, 21))]
+    for model, theta, t1, grid in probes:
+        y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array(theta))
+        args = (model, y0, np.array(t1), grid)
+        partition_check(*args)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            report = partition_check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(report.discrepancy)
+        assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("q,t_init,max_iter,error", [
+    (np.zeros((3, 2)), np.zeros((2, 1)), 60, InvalidDimensionError),
+    (np.zeros(3), np.zeros(1), 60, InvalidDimensionError),
+    (np.array([math.nan, 0.0]), np.zeros(1), 60, InvalidParameterError),
+    (np.zeros(2), np.array([math.inf]), 60, InvalidParameterError),
+    (np.array([1e308, -1e308]), np.zeros(1), 60, InvalidParameterError),
+    (np.zeros(2), np.zeros(1), -1, InvalidParameterError),
+], ids=["rows-mismatch", "wrong-n", "nan-q", "inf-t_init", "overflowing-q", "negative-max_iter"])
+def test_contour_min_distance_names_bad_input(q, t_init, max_iter, error):
+    model = make_circle(1.0, n=2, variance_scale=1.0)
+    fit = fit_mle(model, np.array([1.2, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            contour_min_distance(model, fit, q, t_init, max_iter)
+
+
+def test_partition_check_names_non_finite_t1():
+    model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
+    with pytest.raises(InvalidParameterError, match="t1 has non-finite entries"):
+        partition_check(model, np.array([1.2, 0.0]), np.array([math.nan]))
 
 
 def test_severini_pivot_values():

@@ -174,6 +174,17 @@ def test_malformed_grid_is_usage_error_for_contour_and_frame(command, tmp_path, 
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["3.0,x", "3.0,4.5"])
+def test_non_integer_grid_points_name_the_field(grid, tmp_path, capsys):
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    code, _, err = run_cli(["contour", "--config", config, "--grid", grid,
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "point count must be an integer" in err
+    assert "invalid literal" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16],
               "deltas": [1.0], "reps": 200, "batch_size": 100}
 

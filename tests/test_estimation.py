@@ -267,6 +267,24 @@ def test_cauchy_quasi_newton_fallback():
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-7
 
 
+def test_scalar_golden_section_rescue(monkeypatch):
+    """A one-parameter fit cut off after one Newton step from off the mode is
+    finished by the golden-section search and its Newton polish."""
+    import ancontour.estimation as est
+
+    model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
+    y = model.quantile(model.ref_sampler(101, 1)[0], np.array([0.3]))
+    plain = fit_mle(model, y)
+    calls, golden = [], est._golden_section
+    monkeypatch.setattr(est, "_golden_section",
+                        lambda *args, **kw: calls.append(args[2]) or golden(*args, **kw))
+    fit = fit_mle(model, y, init=np.array([1.0]), method="newton", max_iterations=1)
+    assert len(calls) == 1
+    assert fit.iterations == 1
+    np.testing.assert_allclose(fit.theta_hat, plain.theta_hat, rtol=0, atol=1e-10)
+    assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-8
+
+
 def _draws(model, theta, count, seed):
     return model.quantile(model.ref_sampler(seed, count), np.asarray(theta, dtype=float))
 
