@@ -8,9 +8,7 @@ construction, exact-ancillary cross checks, a full-data pivot counterexample,
 a coordinate-inversion counterexample, and simulation and quadrature
 harnesses measuring the order of approximate ancillarity.
 
-Importing the package loads numpy only.  scipy is imported inside the two
-code paths that use it: the BFGS fallback of fit_mle and the raster count
-of cauchy_inversion_demo.
+numpy is the only runtime dependency; no code path imports scipy.
 """
 
 from .ancillary import (

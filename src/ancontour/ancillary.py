@@ -25,7 +25,9 @@ from .errors import (
     SingularInformationError,
     UnsupportedFamilyError,
 )
-from .estimation import FitResult, StandardizationRecord, _fit_many, _norms, fit_mle, standardize
+from .estimation import (
+    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_many, _norms, fit_mle, standardize,
+)
 from .models import QuantileModel, non_invertible_mask
 
 __all__ = [
@@ -69,11 +71,16 @@ class GridSpec:
         if len(parts) != 2:
             raise InvalidParameterError(f"grid spec {text!r} is not 'half_width,points'")
         try:
+            half_width = float(parts[0])
+        except ValueError:
+            raise InvalidParameterError(
+                f"grid spec {text!r}: the half width must be a number") from None
+        try:
             points = int(parts[1])
         except ValueError:
             raise InvalidParameterError(
                 f"grid spec {text!r}: the point count must be an integer") from None
-        return cls(half_width=float(parts[0]), points_per_axis=points, standardized=standardized)
+        return cls(half_width=half_width, points_per_axis=points, standardized=standardized)
 
 
 @dataclass(frozen=True)
@@ -184,13 +191,6 @@ def build_contour(
         points=points,
         dropped_out_of_domain=dropped,
     )
-
-
-# float64 elements of the largest (rows, scales, n) block of backtracking
-# candidates that contour_min_distance evaluates in one call, unless one scale
-# of the rows still searching is already larger
-_BLOCK = 1 << 11
-_SCALES = 0.5 ** np.arange(40)
 
 
 def contour_min_distance(
@@ -604,10 +604,15 @@ def cauchy_inversion_demo(
     so no fit is needed: theta_hat = (mean, half range) of ytilde0 is the
     symmetric ridge point and zhat = (ytilde0 - mean) / half range = +-1.  The
     demo forms that half-plane in the inverted coordinates, rasterizes its
-    back image under y = 1/ytilde over the square window, and counts 8-connected components per sign quadrant (the
-    back-mapped set never touches the axes, so components cannot join across
-    them).  Also samples the line ytilde_2 = ytilde_1 + line_offset on the
-    contour and reports its zero-coordinate points, which have no back image.
+    back image under y = 1/ytilde over the square window, and counts its
+    8-connected components.  The back-mapped set never touches the axes, so
+    components cannot join across them, and within a sign quadrant it is the
+    quadrant cut by the half-plane y_1 > y_2 or y_1 < y_2 (1/y is monotone
+    there) and by one interval per coordinate (tilde_bounds): a staircase
+    on the square grid, connected whenever it is not empty.  So the count is
+    the number of non-empty quadrant pieces.  Also samples the line
+    ytilde_2 = ytilde_1 + line_offset on the contour and reports its
+    zero-coordinate points, which have no back image.
     """
     ytilde0 = np.asarray(ytilde0, dtype=float)
     if ytilde0.shape != (2,):
@@ -629,15 +634,8 @@ def cauchy_inversion_demo(
                        np.where(safe, 1.0 / yy2, np.inf)], axis=-1)
     mask = safe & _halfplane_membership(ytilde, zhat, tilde_bounds)
 
-    from scipy import ndimage
-
-    structure = np.ones((3, 3), dtype=int)
-    count = 0
-    for s1 in (yy1 > 0, yy1 < 0):
-        for s2 in (yy2 > 0, yy2 < 0):
-            quadrant = mask & s1 & s2
-            _, pieces = ndimage.label(quadrant, structure=structure)
-            count += pieces
+    count = sum(int(np.any(mask & s1 & s2))
+                for s1 in (yy1 > 0, yy1 < 0) for s2 in (yy2 > 0, yy2 < 0))
 
     # the marked straight line on the contour, split where a coordinate hits 0
     ts = np.linspace(lo, hi, 4801)
@@ -649,16 +647,12 @@ def cauchy_inversion_demo(
         excluded.append((-line_offset, 0.0))
     on_contour = _halfplane_membership(line, zhat, tilde_bounds)
     ok = on_contour & ~non_invertible_mask(line, tol=1e-9)
+    # a segment starts at each kept point after a dropped one or a sign change
     signs = np.sign(line)
-    segments = 0
-    previous = None
-    for keep, sg in zip(ok, map(tuple, signs)):
-        if keep and sg != previous:
-            segments += 1
-        previous = sg if keep else None
+    starts = ok & np.r_[True, ~ok[:-1] | np.any(signs[1:] != signs[:-1], axis=1)]
     return InversionReport(
         component_count=count,
-        line_segment_count=segments,
+        line_segment_count=int(np.count_nonzero(starts)),
         line_excluded_points=np.array(excluded) if excluded else np.empty((0, 2)),
         zhat=zhat,
         theta_hat=theta_hat,

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._jsonio import encode_array
 from .errors import (
-    AncontourError,
     ConvergenceError,
     InvalidParameterError,
     SingularInformationError,
@@ -49,6 +48,11 @@ _MAX_ITER = 100
 # two-observation Cauchy data the ratio is rounding noise, |ratio| < 1e-15;
 # identifiable fits in seeded runs of every family sit above 1e-3.
 _RANK_TOL = 1e-10
+# Backtracking scales of Newton and of contour_min_distance, and the float64
+# elements of the largest (rows, scales, n) block of candidates either
+# evaluates in one call, unless one scale of the rows still searching is larger
+_SCALES = 0.5 ** np.arange(40)
+_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,7 @@ def _likelihood(model, y, theta):
     matmuls give each row the same bits as a one-row call.
     """
     k, p = theta.shape
-    zero = np.zeros(model.n)
-    d = model.dquantile_dx(zero, theta)  # 1 or a sigma that check_theta keeps positive
-    x = (y - model.quantile(zero, theta)) / d
+    x, d, value = _values(model, y, theta)
     dx = -model.dquantile_dtheta(x, theta) / d[..., None]
     b = model.cross_hessian(x, theta) / d[..., None]
     dx_t, g1 = np.swapaxes(dx, 1, 2), model.ref_score(x)
@@ -101,9 +103,16 @@ def _likelihood(model, y, theta):
     hess = ((dx_t * model.ref_score_derivative(x)[:, None, :]) @ dx
             + (g1[:, None, :] @ d2x.reshape(x.shape + (p * p,))).reshape(k, p, p)
             + np.swapaxes(b, 1, 2) @ b)
-    value = model.ref_log_density(x) - np.sum(np.log(d), axis=-1)
     s = (dx_t @ g1[..., None])[..., 0] - b.sum(axis=1)
     return x, value, s, -0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def _values(model, y, theta):
+    """(x, dquantile_dx, log-likelihood) of rows y (K, n) at unchecked rows theta (K, p)."""
+    zero = np.zeros(model.n)
+    d = model.dquantile_dx(zero, theta)  # 1 or a sigma that check_theta keeps positive
+    x = (y - model.quantile(zero, theta)) / d
+    return x, d, model.ref_log_density(x) - np.sum(np.log(d), axis=-1)
 
 
 def _at(model, y, theta):
@@ -183,44 +192,54 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _polish(model, y, z):
-    """Eight undamped Newton steps from the internal point z; returns theta."""
-    for _ in range(8):
-        theta = _from_internal(model, z)
-        _, _, s, info = _at(model, y, theta)
-        z = z + np.linalg.solve(*_newton_system(model, theta, s, info))
-    return _from_internal(model, z)
+def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
+    """Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
 
+    A row stops at a score norm below 1e-8, a failed line search (none of
+    1, 1/2, ..., 1/2^39 times the step keeps the log-likelihood from
+    falling; a row takes the first that does), a step under 1e-10 or the
+    iteration limit; a singular Hessian raises.  Returns rows (z, theta,
+    iterations, converged); trace gets the first row's iterates.
 
-def _golden_section(model, y, center, half_width=1.6, tol=1e-12):
-    # derivative-free fallback for scalar parameters (circle angle)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = center - half_width, center + half_width
-    f = lambda t: -loglik(model, y, _from_internal(model, np.array([t])))
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return np.array([0.5 * (a + b)])
-
-
-def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
-    """Damped Newton in internal coordinates from rows theta (K, p) for rows y (K, n).
-
-    A row stops at a score norm below 1e-8, a failed line search (the first
-    of 1, 1/2, ..., 1/2^39 times the step that does not lower the
-    log-likelihood; only rows still searching are halved), a step under
-    1e-10 or the iteration limit; a singular Hessian raises.  Returns rows
-    (z, theta, iterations, converged); trace gets the first row's iterates.
+    damped (the rescue) adds lam I to each information H whose smallest
+    eigenvalue is not above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) +
+    1e-3 |tr H|, so every step ascends (Levenberg); where H is safely
+    positive definite the step stays Newton's, which keeps convergence
+    quadratic near the estimate.
     """
     logs, (lo, hi) = _log_axes(model), np.array(model.param_domain).T
+
+    def backtrack(rows, step, scales):
+        """Move each row to its first candidate z + scale * step that is in the
+        domain and does not lower the log-likelihood; returns the rows (and
+        steps) with none.  A single scale is evaluated in full in one call; a
+        block of scales by value in one call, then its accepted candidates in
+        full, so a long search computes no information it discards."""
+        cand = z[rows, None] + scales[:, None] * step[:, None]
+        # past 709 math.exp overflows; such a candidate is out of the domain
+        theta_c = _from_internal(model, np.where(logs & (cand > 709.0), np.nan, cand))
+        ok = np.all((theta_c > lo) & (theta_c < hi), axis=2)
+        of = rows[np.nonzero(ok)[0]]  # the row of each candidate in the domain
+        if len(scales) == 1:
+            evaluated = _likelihood(model, y[of], theta_c[ok])
+            v = evaluated[1]
+        else:
+            v = _values(model, y[of], theta_c[ok])[2]
+        up = np.zeros(ok.shape, dtype=bool)
+        up[ok] = v >= current[of] - 1e-12 * (1.0 + np.abs(current[of]))
+        got = up.any(axis=1)
+        acc, pick = rows[got], (np.flatnonzero(got), up.argmax(axis=1)[got])
+        moved = _norms(cand[pick] - z[acc])
+        z[acc], theta[acc] = cand[pick], theta_c[pick]
+        if len(scales) == 1:
+            _, v, s_c, info_c = evaluated
+            sel = up[ok]
+            current[acc], s[acc], info[acc] = v[sel], s_c[sel], info_c[sel]
+        elif acc.size:
+            _, current[acc], s[acc], info[acc] = _likelihood(model, y[acc], theta[acc])
+        active[acc[moved < _STEP_TOL]] = False
+        return rows[~got], step[~got]
+
     z = _to_internal(model, theta)
     theta = _from_internal(model, z)
     _, current, s, info = _likelihood(model, y, theta)
@@ -232,6 +251,10 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
             break
         iterations[rows] += 1
         hess, grad = _newton_system(model, theta[rows], s[rows], info[rows])
+        if damped:
+            low, size = np.linalg.eigvalsh(hess)[:, 0], np.abs(np.trace(hess, axis1=1, axis2=2))
+            lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
+            hess = hess + lam[:, None, None] * np.eye(model.p)
         try:
             cond = np.linalg.cond(hess)
         except np.linalg.LinAlgError:
@@ -245,21 +268,14 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
         if trace is not None and rows[0] == 0:
             trace.append({"iter": int(iterations[0]), "theta": theta[0].tolist(),
                           "loglik": float(current[0])})
-        scale = 1.0
-        while rows.size and scale > 0.5 ** 40:
-            z_try = z[rows] + scale * step
-            # past 709 math.exp overflows; such a row is out of the domain
-            theta_try = _from_internal(model, np.where(logs & (z_try > 709.0), np.nan, z_try))
-            ok = np.all((theta_try > lo) & (theta_try < hi), axis=1)
-            _, v, s_try, info_try = _likelihood(model, y[rows[ok]], theta_try[ok])
-            up = np.zeros(rows.size, dtype=bool)
-            up[ok] = v >= current[rows[ok]] - 1e-12 * (1.0 + np.abs(current[rows[ok]]))
-            acc, sel = rows[up], up[ok]
-            moved = _norms(z_try[up] - z[acc])
-            z[acc], theta[acc], current[acc] = z_try[up], theta_try[up], v[sel]
-            s[acc], info[acc] = s_try[sel], info_try[sel]
-            active[acc[moved < _STEP_TOL]] = False
-            rows, step, scale = rows[~up], step[~up], scale * 0.5
+        # scale 1 for every row in one call, then the smaller scales m at a
+        # time for the rows still searching, rows * m * n <= _BLOCK elements
+        rows, step = backtrack(rows, step, _SCALES[:1])
+        k = 1
+        while rows.size and k < len(_SCALES):
+            m = min(len(_SCALES) - k, max(1, _BLOCK // (rows.size * model.n)))
+            rows, step = backtrack(rows, step, _SCALES[k:k + m])
+            k += m
         active[rows] = False  # line search failed: the row stays where it is
     return z, theta, iterations, _norms(s) < _SCORE_TOL
 
@@ -277,12 +293,15 @@ def fit_mle(
     ----------
     model, y : family and observed data point.
     init : starting value; model.start(y) when omitted.
-    method : "auto" starts Newton from model.closed_form(y) when one exists;
-        "closed" returns the closed form directly; "newton" forces iteration
-        from the default or given init.
+    method : "auto" starts Newton from model.closed_form(y) when one exists
+        and, where Newton stops short, finishes with the damped rescue (up
+        to 100 more iterations); "closed" returns the closed form directly;
+        "newton" is plain Newton from the default or given init, no rescue.
+    max_iterations : limit on the plain Newton iterations.
 
-    Returns a FitResult; the score norm at the estimate is below 1e-8 and the
-    observed information is positive definite relative to its scale.
+    Returns a FitResult whose iterations count Newton and rescue together;
+    the score norm at the estimate is below 1e-8 and the observed information
+    is positive definite relative to its scale.  ConvergenceError otherwise.
     """
     y = model.check_point(y)
     if method not in ("auto", "newton", "closed"):
@@ -296,44 +315,27 @@ def fit_mle(
         init = model.closed_form(y) if closed else model.start(y)
     init = model.check_theta(np.asarray(init, dtype=float))
     trace = []
-    z, theta, iterations, converged = _newton(model, y[None], init[None], max_iterations, trace)
+    theta, iterations, converged = _fit_rows(model, y[None], init[None], max_iterations,
+                                             trace, rescue=method == "auto")
     if converged[0]:
         return _finalize(model, y, theta[0], int(iterations[0]))
-    return _rescue(model, y, z[0], theta[0], int(iterations[0]), method, trace)
-
-
-def _rescue(model, y, z, theta, iterations, method, trace) -> FitResult:
-    """Finish a fit where Newton stopped short at the internal point z."""
-    if model.p == 1:
-        z = _golden_section(model, y, z[0])
-        bracket = _from_internal(model, z)
-        if float(np.linalg.norm(score(model, y, bracket))) < math.sqrt(_SCORE_TOL):
-            # polish the derivative-free bracket with a couple of Newton steps
-            theta = _polish(model, y, z)
-    elif method == "auto":
-        # Newton stalled away from a stationary point (Cauchy likelihoods are
-        # not concave); quasi-Newton in the unconstrained internal coordinates
-        # is robust there, followed by the usual Newton polish
-        from scipy.optimize import minimize
-
-        def objective(zv):  # negative log-likelihood and its internal gradient
-            theta_v = _from_internal(model, zv)
-            _, value, s_v, info_v = _at(model, y, theta_v)
-            return -value, -_newton_system(model, theta_v, s_v, info_v)[1]
-
-        try:
-            res = minimize(objective, z, jac=True, method="BFGS",
-                           options={"gtol": 1e-12, "maxiter": 500})
-            theta = _polish(model, y, np.asarray(res.x, dtype=float))
-        except (AncontourError, np.linalg.LinAlgError, FloatingPointError):
-            pass
-
-    norm = float(np.linalg.norm(score(model, y, theta)))
-    if norm < _SCORE_TOL:
-        return _finalize(model, y, theta, iterations)
+    norm = float(np.linalg.norm(score(model, y, theta[0])))
     raise ConvergenceError(
-        f"no convergence after {iterations} iterations (score norm {norm:.3e})", trace=trace
+        f"no convergence after {iterations[0]} iterations (score norm {norm:.3e})", trace=trace
     )
+
+
+def _fit_rows(model, y, theta, max_iterations=_MAX_ITER, trace=None, rescue=True):
+    """Rows (theta, iterations, converged): Newton from rows theta, then the
+    damped Newton (the rescue) over the rows it leaves short of a score norm
+    of 1e-8, so rows that converge under plain Newton keep their bits."""
+    _, theta, iterations, converged = _newton(model, y, theta, max_iterations, trace)
+    short = np.flatnonzero(~converged)
+    if rescue and short.size:
+        _, theta[short], extra, converged[short] = _newton(model, y[short], theta[short],
+                                                           trace=trace, damped=True)
+        iterations[short] += extra
+    return theta, iterations, converged
 
 
 def _rank_gate(info):
@@ -365,17 +367,19 @@ def _finalize(model, y, theta, iterations) -> FitResult:
 def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """Maximum likelihood rows (K, p) for data rows y (K, n), fitted together.
 
-    fit_mle's Newton iteration and rank gate from model.start(y), on all rows
-    at once; a row stopping short of a score norm of 1e-8 is finished alone
-    as fit_mle finishes it.  Each row then takes one undamped Newton step,
-    kept where it lowers the score norm: stationary to rounding, not to 1e-8.
+    fit_mle's Newton iteration, damped rescue and rank gate from
+    model.start(y), on all rows at once.  Each row then takes one undamped
+    Newton step, kept where it lowers the score norm: stationary to rounding,
+    not to 1e-8.
     """
     y = np.reshape([model.check_point(row) for row in y], (-1, model.n))
-    z, theta, iterations, converged = _newton(model, y, model.start(y))
-    for i in np.flatnonzero(~converged):
-        theta[i] = _rescue(model, y[i], z[i], theta[i], iterations[i], "auto", []).theta_hat
+    theta, iterations, converged = _fit_rows(model, y, model.start(y))
+    if not np.all(converged):
+        k = int(np.argmin(converged))
+        raise ConvergenceError(f"{np.sum(~converged)} of {len(y)} rows did not converge "
+                               f"(row {k} after {iterations[k]} iterations)")
     _, _, s, info = _likelihood(model, y, theta)
-    _rank_gate(info[converged])
+    _rank_gate(info)
     hess, grad = _newton_system(model, theta, s, info)
     polished = _from_internal(model, _to_internal(model, theta)
                               + np.linalg.solve(hess, grad[..., None])[..., 0])

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.optimize import root
 
 from ancontour import (
@@ -31,6 +32,8 @@ from ancontour import (
     severini_pivot,
     severini_pivot_check,
 )
+from ancontour.ancillary import _halfplane_membership
+from ancontour.models import non_invertible_mask
 from conftest import FAMILY_NAMES, iter_instances
 
 
@@ -43,6 +46,8 @@ def test_grid_spec_parse_and_validation():
         GridSpec.parse("2.5")
     with pytest.raises(InvalidParameterError, match="point count must be an integer"):
         GridSpec.parse("2.5,4.5")
+    with pytest.raises(InvalidParameterError, match="half width must be a number"):
+        GridSpec.parse("x,5")
     with pytest.raises(InvalidParameterError):
         GridSpec(half_width=-1.0)
     with pytest.raises(InvalidParameterError):
@@ -501,6 +506,60 @@ def test_inversion_demo_resolution_stable():
         report = cauchy_inversion_demo(resolution=resolution)
         assert report.component_count == 3
         assert report.line_segment_count == 3
+
+
+def _labelled_component_count(ytilde0, window, resolution, bounds):
+    """The demo's raster, its components counted by scipy.ndimage.label."""
+    ytilde0 = np.asarray(ytilde0, dtype=float)
+    zhat = np.sign(ytilde0 - ytilde0[::-1])
+    axis = np.linspace(window[0], window[1], resolution)
+    yy1, yy2 = np.meshgrid(axis, axis, indexing="ij")
+    safe = (np.abs(yy1) > 1e-300) & (np.abs(yy2) > 1e-300)
+    ytilde = np.stack([np.where(safe, 1.0 / yy1, np.inf),
+                       np.where(safe, 1.0 / yy2, np.inf)], axis=-1)
+    mask = safe & _halfplane_membership(ytilde, zhat, bounds)
+    structure = np.ones((3, 3), dtype=int)
+    return sum(ndimage.label(mask & s1 & s2, structure=structure)[1]
+               for s1 in (yy1 > 0, yy1 < 0) for s2 in (yy2 > 0, yy2 < 0))
+
+
+def _looped_segment_count(ytilde0, window, bounds, line_offset):
+    """The demo's line segments, counted point by point."""
+    ytilde0 = np.asarray(ytilde0, dtype=float)
+    ts = np.linspace(window[0], window[1], 4801)
+    line = np.stack([ts, ts + line_offset], axis=1)
+    ok = (_halfplane_membership(line, np.sign(ytilde0 - ytilde0[::-1]), bounds)
+          & ~non_invertible_mask(line, tol=1e-9))
+    segments, previous = 0, None
+    for keep, sign in zip(ok, map(tuple, np.sign(line))):
+        if keep and sign != previous:
+            segments += 1
+        previous = sign if keep else None
+    return segments
+
+
+def test_inversion_counts_match_labelling_and_loop():
+    """Each sign quadrant holds at most one component, so counting the
+    non-empty quadrant pieces gives ndimage's 8-connected count; the line
+    segments match a point-by-point count."""
+    rng = np.random.default_rng(1203)
+    cases = [((-1.0, 2.0), (-3.0, 3.0), 400, None, 1.0)]
+    while len(cases) < 321:
+        ytilde0 = tuple(rng.normal(0.0, 2.0, 2))
+        window = tuple(sorted(rng.uniform(-4.0, 4.0, 2)))
+        bounds = None if len(cases) % 2 else [tuple(sorted(rng.normal(0.0, 3.0, 2)))
+                                               for _ in range(2)]
+        cases.append((ytilde0, window, int(rng.integers(16, 260)), bounds, rng.normal(0.0, 2.0)))
+    counts, segments = [], []
+    for ytilde0, window, resolution, bounds, offset in cases:
+        report = cauchy_inversion_demo(ytilde0, window, resolution, bounds, offset)
+        want = _labelled_component_count(ytilde0, window, resolution, bounds)
+        assert report.component_count == want, (ytilde0, window, resolution, bounds)
+        assert report.line_segment_count == _looped_segment_count(ytilde0, window, bounds, offset)
+        counts.append(want)
+        segments.append(report.line_segment_count)
+    assert counts[0] == 3 and set(counts) == {0, 1, 2, 3}
+    assert segments[0] == 3 and set(segments) == {0, 1, 2, 3}
 
 
 def test_inversion_demo_guards():

@@ -1,7 +1,9 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -182,6 +184,16 @@ def test_non_integer_grid_points_name_the_field(grid, tmp_path, capsys):
     assert code == 2
     assert "point count must be an integer" in err
     assert "invalid literal" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_malformed_grid_half_width_names_the_field(tmp_path, capsys):
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    code, _, err = run_cli(["contour", "--config", config, "--grid", "x,5",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "half width must be a number" in err
+    assert "could not convert" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -425,21 +437,35 @@ def test_simulated_data_seed_precedence(tmp_path, capsys):
 
 NO_SCIPY_SCRIPT = """
 import sys
-from ancontour import cli
+import numpy as np
+from ancontour import cli, estimation, make_circle, make_location_scale
 out, contour, *studies = sys.argv[1:]
 runs = [["contour", "--config", contour], ["frame", "--config", contour]]
 runs += [["example", name] for name in ("circle2d", "location-scale", "nonlinreg-known",
-                                        "nonlinreg-unknown", "severini")]
+                                        "nonlinreg-unknown", "severini", "cauchy-inversion")]
 runs += [["verify", "--config", study] for study in studies]
 for argv in runs:
     assert cli.main(argv + ["--out", out]) == 0, argv
+# the damped rescue: fits cut off after one Newton step (p = 1 and p = 2) and
+# a batch with a row whose Newton line search fails
+circle = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
+y = circle.quantile(circle.ref_sampler(101, 1)[0], np.array([0.3]))
+assert estimation.fit_mle(circle, y, init=np.array([1.0]), max_iterations=1).iterations > 1
+cauchy = make_location_scale(4, error_law="cauchy")
+y = cauchy.quantile(cauchy.ref_sampler(42, 1)[0], np.array([0.3, 1.1]))
+assert estimation.fit_mle(cauchy, y, max_iterations=1).iterations > 1
+hard = [-0.760033411767359, 2.0551768100006615, -2.0417065446907747, -0.7852925465289906]
+ys = np.array([y, hard])
+assert estimation._newton(cauchy, ys, cauchy.start(ys))[3].tolist() == [True, False]
+estimation._fit_many(cauchy, ys)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_commands_without_scipy_load_no_scipy(tmp_path):
-    """Only the Cauchy BFGS fallback and the inversion raster need scipy; every
-    other command, the order studies included, runs without importing it."""
+    """No command needs scipy: every CLI command, the inversion example and the
+    order studies included, and every fit that ends in the damped rescue run
+    without importing it."""
     configs = [write_config(tmp_path, CIRCLE_CONFIG, "contour-config.json"),
                write_config(tmp_path, {"study": "quadrature"}, "quadrature-config.json"),
                write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64],
@@ -453,3 +479,23 @@ def test_commands_without_scipy_load_no_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_imports_and_declares_numpy_only():
+    """No module of the package imports scipy, and numpy is the only runtime
+    dependency in pyproject.toml (scipy is in the test extra)."""
+    tomllib = pytest.importorskip("tomllib")
+    package = pathlib.Path(ancontour.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+    pyproject = package.parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from scipy import optimize, stats
 from ancontour import (
     ConvergenceError,
     FitResult,
+    GridSpec,
     InvalidDimensionError,
     InvalidParameterError,
     SingularInformationError,
+    build_contour,
     closed_form_mle,
     eta_curved,
     fit_mle,
@@ -255,7 +258,8 @@ def test_standardize_rejects_non_spd():
 
 
 def test_cauchy_quasi_newton_fallback():
-    """A heavy-tailed sample where pure Newton stalls still fits under auto."""
+    """A heavy-tailed sample where plain Newton stalls still fits under auto,
+    in the damped rescue; method="newton" has no rescue and raises."""
     model = make_location_scale(4, error_law="cauchy")
     y = np.array([-0.760033411767359, 2.0551768100006615,
                   -2.0417065446907747, -0.7852925465289906])
@@ -267,22 +271,112 @@ def test_cauchy_quasi_newton_fallback():
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-7
 
 
-def test_scalar_golden_section_rescue(monkeypatch):
-    """A one-parameter fit cut off after one Newton step from off the mode is
-    finished by the golden-section search and its Newton polish."""
+def _count_rescues(monkeypatch):
+    """Record the row count of every damped Newton call (the rescue)."""
     import ancontour.estimation as est
 
+    calls, newton = [], est._newton
+
+    def counted(model, y, theta, *args, **kw):
+        if kw.get("damped"):
+            calls.append(len(y))
+        return newton(model, y, theta, *args, **kw)
+
+    monkeypatch.setattr(est, "_newton", counted)
+    return calls
+
+
+def _same_stationary_point(model, y, theta, reference):
+    """|info (theta - reference)| within what a score norm of 1e-8 allows."""
+    gap = observed_information(model, y, reference) @ (theta - np.asarray(reference))
+    return np.linalg.norm(gap) < 2.0 * _SCORE_TOL
+
+
+def test_scalar_forced_rescue(monkeypatch):
+    """A one-parameter fit cut off after one Newton step from off the mode is
+    finished by the damped rescue at the plain fit."""
     model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
     y = model.quantile(model.ref_sampler(101, 1)[0], np.array([0.3]))
     plain = fit_mle(model, y)
-    calls, golden = [], est._golden_section
-    monkeypatch.setattr(est, "_golden_section",
-                        lambda *args, **kw: calls.append(args[2]) or golden(*args, **kw))
-    fit = fit_mle(model, y, init=np.array([1.0]), method="newton", max_iterations=1)
-    assert len(calls) == 1
-    assert fit.iterations == 1
+    calls = _count_rescues(monkeypatch)
+    fit = fit_mle(model, y, init=np.array([1.0]), max_iterations=1)
+    assert calls == [1]
+    assert fit.iterations > 1  # Newton's one and the rescue's
     np.testing.assert_allclose(fit.theta_hat, plain.theta_hat, rtol=0, atol=1e-10)
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-8
+    with pytest.raises(ConvergenceError):  # no rescue under method="newton"
+        fit_mle(model, y, init=np.array([1.0]), method="newton", max_iterations=1)
+
+
+def test_vector_forced_rescue(monkeypatch):
+    """A two-parameter Cauchy fit cut off after one Newton step is finished by
+    the damped rescue at the plain fit's stationary point."""
+    model = make_location_scale(8, error_law="cauchy")
+    y = _draws(model, (0.3, 1.1), 1, seed=42)[0]
+    plain = fit_mle(model, y)
+    calls = _count_rescues(monkeypatch)
+    fit = fit_mle(model, y, max_iterations=1)
+    assert calls == [1]
+    assert fit.score_norm < 1e-8
+    assert _same_stationary_point(model, y, fit.theta_hat, plain.theta_hat)
+    with pytest.raises(ConvergenceError):
+        fit_mle(model, y, method="newton", max_iterations=1)
+
+
+# Seeded fit outcomes per family, fit_mle under method="auto" on
+# iter_instances(family, 40, seed=2026): every instance converges under plain
+# Newton except the listed ones, finished by the rescue at the estimate the
+# one-row BFGS rescue gave them; plus one input per family that raises.
+RESCUED = {"cauchy-location-scale": {5: [-1.3589187323010794, 0.3503686355308432]}}
+RAISES = {
+    "location-scale": (make_location_scale(4), np.full(4, 1.7)),
+    "cauchy-location-scale": (make_location_scale(2, error_law="cauchy"),
+                              np.array([-1.0, 2.0])),
+    "circle2d": (make_circle(1.0, n=2), np.zeros(2)),
+    "circleN": (make_circle(1.0, n=4), np.zeros(4)),
+    "nonlinreg-known-sigma": None,
+    "nonlinreg-unknown-sigma": (make_nonlinear_regression(eta_curved(8), "unknown"),
+                                np.zeros(8)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_fit_outcome_table(family, monkeypatch):
+    calls, rescued = _count_rescues(monkeypatch), []
+    for i, (model, _, y) in enumerate(iter_instances(family, 40, seed=2026)):
+        before = len(calls)
+        fit = fit_mle(model, y)
+        assert fit.score_norm < _SCORE_TOL
+        if len(calls) > before:
+            rescued.append(i)
+            assert _same_stationary_point(model, y, fit.theta_hat, RESCUED[family][i])
+    assert rescued == sorted(RESCUED.get(family, {}))
+    if RAISES[family] is not None:
+        with pytest.raises(SingularInformationError):
+            fit_mle(*RAISES[family])
+
+
+def test_fit_batch_cauchy_rescues_match_recorded():
+    """The two fit-batch Cauchy datasets whose fits stall: the dataset fit and
+    every stalled contour-point row of compare_exact land on the stationary
+    points recorded from the one-row BFGS rescue."""
+    path = os.path.join(os.path.dirname(__file__), "data", "fit_batch_cauchy_rescues.json")
+    with open(path) as handle:
+        records = json.load(handle)["datasets"]
+    model = make_location_scale(8, error_law="cauchy")
+    for record in records:
+        y = _draws(model, (0.3, 1.1), 16, seed=record["seed"])[record["dataset"]]
+        fit = fit_mle(model, y)
+        assert fit.score_norm < _SCORE_TOL
+        assert _same_stationary_point(model, y, fit.theta_hat, record["theta_hat"])
+        # contour points around the recorded estimate, as compare_exact labels them
+        at = fit_mle(model, y, init=np.array(record["theta_hat"]), method="newton")
+        assert at.theta_hat.tolist() == record["theta_hat"]
+        ys = np.vstack([y, build_contour(model, y, GridSpec(2.0, 11), fit=at).points])
+        stalled = np.flatnonzero(~_newton(model, ys, model.start(ys))[3])
+        assert stalled.tolist() == record["rows"]
+        rows = _fit_many(model, ys)[stalled]
+        np.testing.assert_allclose(rows, record["theta"], rtol=0, atol=1e-12)
 
 
 def _draws(model, theta, count, seed):
@@ -336,8 +430,8 @@ def test_fit_many_rows_agree_with_fit_mle(family):
 
 
 def test_fit_many_forced_fallback_row():
-    """A row whose Newton line search fails is finished alone, as fit_mle
-    finishes it (quasi-Newton), while the other rows stay batched."""
+    """A row whose Newton line search fails is finished by the damped rescue,
+    as fit_mle finishes it, while the other rows keep their Newton bits."""
     model = make_location_scale(4, error_law="cauchy")
     hard = np.array([-0.760033411767359, 2.0551768100006615,
                      -2.0417065446907747, -0.7852925465289906])
@@ -345,6 +439,7 @@ def test_fit_many_forced_fallback_row():
     converged = _newton(model, ys, model.start(ys))[3]
     assert converged.tolist() == [True, True, True, False]
     rows = _fit_many(model, ys)
+    assert rows[:3].tobytes() == _fit_many(model, ys[:3]).tobytes()
     for y, row in zip(ys, rows):
         assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
         np.testing.assert_allclose(row, fit_mle(model, y).theta_hat, rtol=0, atol=1e-8)
