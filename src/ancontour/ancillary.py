@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimation import (
-    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_many, _norms, fit_mle, standardize,
+    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_many, _fit_points, _norms, fit_mle,
+    standardize,
 )
 from .models import QuantileModel, non_invertible_mask
 
@@ -145,20 +147,22 @@ def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _sweep(model, fit, rec, grid):
-    """(offsets, offsets_std, points, dropped) of the grid contour through fit."""
+def _sweep(model, x_hat, theta_hat, rec, grid):
+    """Grid contours through rows x_hat (K, n), theta_hat (K, p) standardized by
+    rec (of one fit or of K): offsets and offsets_std, (G, p) or (K, G, p) as
+    rec and grid give them, the kept points (N, n) in row-major order and
+    keep (K, G), False off the open domain."""
     t_std = _grid_offsets(model.p, grid)
     if grid.standardized:
-        offsets = rec.map_offsets(t_std)
-        offsets_std = t_std
+        offsets, offsets_std = rec.map_offsets(t_std), t_std
     else:
-        offsets = t_std
-        offsets_std = offsets @ rec.chol  # t_std = L' t
-    rows = fit.theta_hat + offsets
+        offsets, offsets_std = t_std, t_std @ rec.chol  # t_std = L' t
+    rows = theta_hat[:, None] + offsets
     lo, hi = np.array(model.param_domain).T
-    keep = np.all((rows > lo) & (rows < hi), axis=1)
-    points = model.quantile(fit.x_hat, rows[keep])
-    return offsets[keep], offsets_std[keep], points, int(len(offsets) - keep.sum())
+    keep = np.all((rows > lo) & (rows < hi), axis=2)
+    x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, keep.sum(axis=1), axis=0)
+    points = model.quantile(x, rows[keep])
+    return offsets, offsets_std, points, keep
 
 
 def build_contour(
@@ -178,7 +182,8 @@ def build_contour(
     if fit is None:
         fit = fit_mle(model, y0)
     rec = standardize(fit.obs_info, model.n)
-    offsets, offsets_std, points, dropped = _sweep(model, fit, rec, grid)
+    offsets, offsets_std, points, keep = _sweep(model, fit.x_hat[None], fit.theta_hat[None], rec,
+                                                grid)
     return ContourCloud(
         family=model.family,
         base_point=y0,
@@ -186,10 +191,10 @@ def build_contour(
         frame=build_frame(model, fit.x_hat, fit.theta_hat),
         standardization=rec,
         grid=grid,
-        offsets=offsets,
-        offsets_std=offsets_std,
+        offsets=offsets[keep[0]],
+        offsets_std=offsets_std[keep[0]],
         points=points,
-        dropped_out_of_domain=dropped,
+        dropped_out_of_domain=int(keep.size - keep.sum()),
     )
 
 
@@ -206,12 +211,13 @@ def contour_min_distance(
     t_init (typically the nearest grid offset), with backtracking and domain
     clipping.  Returns (distance, argmin offset): a float and (p,) for one
     point q (n,), or (K,) and (K, p) for rows q (K, n) and t_init (K, p),
-    solved together with each row on the path it would take alone.  Shapes
-    that do not match raise InvalidDimensionError; non-finite inputs, a
-    negative max_iter and a q whose squared distance overflows raise
+    solved together with each row on the path it would take alone; fit may
+    carry one anchor per row instead, x_hat (K, n) and theta_hat (K, p).
+    Shapes that do not match raise InvalidDimensionError; non-finite inputs,
+    a negative max_iter and a q whose squared distance overflows raise
     InvalidParameterError.
     """
-    theta, (lo, hi) = fit.theta_hat, np.array(model.param_domain).T
+    lo, hi = np.array(model.param_domain).T
     q, t = np.asarray(q, dtype=float), np.array(t_init, dtype=float)
     single = q.ndim == 1
     if q.ndim not in (1, 2) or q.shape[-1] != model.n:
@@ -223,12 +229,20 @@ def contour_min_distance(
             raise InvalidParameterError(f"{name} has non-finite entries")
     config_int(max_iter, "max_iter", 0)
     q, t = np.atleast_2d(q), np.atleast_2d(t)
+    x_hat, theta = fit.x_hat, fit.theta_hat
+    if x_hat.ndim == 2 and (x_hat.shape, theta.shape) != (q.shape, t.shape):
+        raise InvalidDimensionError("a fit with row anchors needs one per row of q")
 
-    def inside(tv):
-        return np.all((theta + tv > lo) & (theta + tv < hi), axis=-1)
+    def at(v, rows):  # the anchor of rows: the one fit's, or each row's own
+        return v if v.ndim == 1 else v[rows]
+
+    def inside(rows, tv):
+        th = at(theta, rows) + tv
+        return np.all((th > lo) & (th < hi), axis=-1)
 
     def residual(rows, tv):
-        return q[rows] - model.quantile(fit.x_hat, theta + tv)
+        r = model.quantile(at(x_hat, rows), at(theta, rows) + tv)
+        return np.subtract(q[rows], r, out=r)  # in place: one (rows, n) array fewer
 
     def sq(r):
         return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
@@ -238,7 +252,7 @@ def contour_min_distance(
         the domain and does not raise the value, all evaluated in one call;
         returns the rows (and steps) with none."""
         cand = t[rows, None] + scales[:, None] * step[:, None]
-        ok, values = inside(cand), np.repeat(value[rows, None], len(scales), axis=1)
+        ok, values = inside(rows[:, None], cand), np.repeat(value[rows, None], len(scales), axis=1)
         # an in-domain candidate that leaves t unmoved keeps the row's value and
         # residual unevaluated and is accepted, so no later one of its row is evaluated
         still = ok & np.all(cand == t[rows, None], axis=2)
@@ -257,7 +271,7 @@ def contour_min_distance(
         return rows[~got], step[~got]
 
     for _ in range(60):
-        out = ~inside(t)
+        out = ~inside(slice(None), t)
         if not out.any():
             break
         t[out] *= 0.5
@@ -271,13 +285,14 @@ def contour_min_distance(
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        vel = model.dquantile_dtheta(fit.x_hat, theta + t[rows])
+        vel = model.dquantile_dtheta(at(x_hat, rows), at(theta, rows) + t[rows])
         vel_t = np.swapaxes(vel, 1, 2)
         gram = vel_t @ vel
         # tiny changes no nonzero ridge and gives a zero Gram the step 0, which retires the row
         ridge = 1e-14 * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
         grad = vel_t @ resid[rows][..., None]
         step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
+        del vel, vel_t  # free before the line search allocates its candidates
         # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
         # in the domain and does not raise the value: scale 1 for every row in
         # one call, then the smaller scales m at a time for the rows still
@@ -329,51 +344,73 @@ def partition_check(
     t1_std: np.ndarray,
     grid: GridSpec = GridSpec(),
     cap: float = 3.0,
+    fit: FitResult | None = None,
 ) -> PartitionReport:
     """Rebuild the contour from a point on it and measure the set discrepancy.
 
     Picks y1 = q(x_hat0; theta_hat0 + t1), refits from scratch at y1, and
     reports the maximum over the rebuilt cloud of the distance to the
     original (continuous) contour.  t1 is given in standardized units and is
-    capped to keep the probe inside moderate deviations.
+    capped to keep the probe inside moderate deviations.  fit, when given,
+    is the fit of y0 (fit_mle's), which is then not repeated.
     """
+    return _partition_pass(model, [y0], t1_std, grid, cap, fit)[0]
+
+
+_PASS_BLOCK = 21 << 10  # float64 (rebuilt points x n) a pass block holds: 21 at n = 1024
+
+
+def _partition_pass(model, y0, t1_std, grid, cap=3.0, fit=None) -> list:
+    """partition_check of each row of y0 at the one offset t1_std: one batched
+    fit of the base points and one of the probe points, then the sweeps,
+    nearest-offset search and refinement over blocks of draws of at most
+    _PASS_BLOCK elements.  Each report has the bits of a one-draw pass."""
     t1_std = np.atleast_1d(np.asarray(t1_std, dtype=float))
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
     if not np.all(np.isfinite(t1_std)):
         raise InvalidParameterError("t1 has non-finite entries")
-    size = float(np.linalg.norm(t1_std))
-    if size > cap:
+    if (size := float(np.linalg.norm(t1_std))) > cap:
         raise InvalidParameterError(f"|t1| = {size:.3f} exceeds the moderate-deviation cap {cap}")
-    fit0 = fit_mle(model, y0)
-    rec0 = standardize(fit0.obs_info, model.n)
-    t1_raw = rec0.map_offsets(t1_std)[0]
-    theta1_expected = fit0.theta_hat + t1_raw
-    model.check_theta(theta1_expected)
-    y1 = model.quantile(fit0.x_hat, theta1_expected)
+    for row in y0:
+        model.check_point(row)
+    y0 = np.asarray(y0, dtype=float)
+    theta0, info0, x0 = ((fit.theta_hat[None], fit.obs_info[None], fit.x_hat[None])
+                         if fit is not None else _fit_points(model, y0)[:3])
+    t1_raw = standardize(info0, model.n).map_offsets(t1_std)[:, 0]
+    theta1 = theta0 + t1_raw
+    y1 = model.quantile(x0, theta1)
+    for row, point in zip(theta1, y1):
+        model.check_theta(row)
+        model.check_point(point)
+    theta_hat1, info1, x1 = _fit_points(model, y1)[:3]
 
-    fit1 = fit_mle(model, y1)
-    points1 = _sweep(model, fit1, standardize(fit1.obs_info, model.n), grid)[2]
-
-    # nearest original grid offset as the refinement start for each rebuilt
-    # point, found in blocks of at most 8 Ki float64 (64 KiB) differences
-    offsets0, _, points0, _ = _sweep(model, fit0, rec0, grid)
-    block = max(1, (1 << 13) // points0.size)
-    nearest = [np.argmin(np.sum((points0 - points1[i:i + block, None]) ** 2, axis=2), axis=1)
-               for i in range(0, len(points1), block)]
-    dist, _ = contour_min_distance(model, fit0, points1, offsets0[np.concatenate(nearest)])
-    worst = float(np.max(dist, initial=0.0))
-
-    theta_gap = float(np.linalg.norm(fit1.theta_hat - theta1_expected))
-    return PartitionReport(
-        discrepancy=worst,
-        theta_gap=theta_gap,
-        t1_std=t1_std,
-        t1_raw=t1_raw,
-        y1=y1,
-        theta_hat0=fit0.theta_hat,
-        theta_hat1=fit1.theta_hat,
-    )
+    worst = np.zeros(len(y0))
+    step = max(1, _PASS_BLOCK // (grid.points_per_axis ** model.p * model.n))
+    for lo in range(0, len(y0), step):
+        b = slice(lo, lo + step)
+        offsets0, _, points0, keep0 = _sweep(model, x0[b], theta0[b],
+                                             standardize(info0[b], model.n), grid)
+        points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b], model.n),
+                                grid)[2:]
+        # start each rebuilt point at its own draw's nearest grid offset, searched in
+        # blocks of 8 Ki float64 differences, with dropped grid points at infinity
+        padded, owner = np.full(keep0.shape + (model.n,), np.inf), np.nonzero(keep1)[0]
+        padded[keep0] = points0
+        block = max(1, (1 << 13) // padded[0].size)
+        nearest = [np.argmin(np.sum((padded[owner[i:i + block]] - points1[i:i + block, None]) ** 2,
+                                    axis=2), axis=1) for i in range(0, len(points1), block)]
+        del padded, points0  # room for the refinement's rows
+        # refine toward each point's own draw's fit; a one-draw block passes that one fit
+        x_a, t_a = (x0[lo], theta0[lo]) if len(keep1) == 1 else (x0[b][owner], theta0[b][owner])
+        offsets0 = np.broadcast_to(offsets0, keep0.shape + (model.p,))  # one grid per draw
+        dist, _ = contour_min_distance(model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1,
+                                       offsets0[owner, np.concatenate(nearest)])
+        np.maximum.at(worst, lo + owner, dist)
+    return [PartitionReport(discrepancy=float(worst[k]),
+                            theta_gap=float(np.linalg.norm(theta_hat1[k] - theta1[k])),
+                            t1_std=t1_std, t1_raw=t1_raw[k], y1=y1[k], theta_hat0=theta0[k],
+                            theta_hat1=theta_hat1[k]) for k in range(len(y0))]
 
 
 @dataclass(frozen=True)

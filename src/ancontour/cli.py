@@ -391,7 +391,7 @@ def _cmd_example(args) -> int:
         grid = GridSpec(half_width=3.0, points_per_axis=41)
         cloud = build_contour(model, y0, grid)
         comp = compare_exact(model, cloud)
-        part = partition_check(model, y0, np.array([1.0]), grid=grid)
+        part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
         doc = {"example": name, "contour": cloud.to_json_dict(),
                "exact_comparison": comp.to_json_dict(),
                "partition": part.to_json_dict()}
@@ -410,7 +410,7 @@ def _cmd_example(args) -> int:
         grid = GridSpec(half_width=2.5, points_per_axis=21)
         cloud = build_contour(model, y0, grid)
         comp = compare_exact(model, cloud)
-        part = partition_check(model, y0, np.array([1.0, 0.5]), grid=grid)
+        part = partition_check(model, y0, np.array([1.0, 0.5]), grid=grid, fit=cloud.fit)
         doc = {"example": name, "contour": cloud.to_json_dict(),
                "exact_comparison": comp.to_json_dict(),
                "partition": part.to_json_dict()}
@@ -427,7 +427,7 @@ def _cmd_example(args) -> int:
         y0 = model.quantile(model.ref_sampler(seed, 1)[0], theta)
         grid = GridSpec(half_width=3.0, points_per_axis=41)
         cloud = build_contour(model, y0, grid)
-        part = partition_check(model, y0, np.array([1.0]), grid=grid)
+        part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
         doc = {"example": name, "contour": cloud.to_json_dict(),
                "partition": part.to_json_dict()}
         summary = {
@@ -442,7 +442,7 @@ def _cmd_example(args) -> int:
         y0 = model.quantile(model.ref_sampler(seed, 1)[0], theta)
         grid = GridSpec(half_width=2.0, points_per_axis=21)
         cloud = build_contour(model, y0, grid)
-        part = partition_check(model, y0, np.array([0.8, -0.5]), grid=grid)
+        part = partition_check(model, y0, np.array([0.8, -0.5]), grid=grid, fit=cloud.fit)
         tangent_gap = float(np.max(np.abs(np.einsum(
             "nk,nab->kab", cloud.frame.velocity, cloud.frame.normal_acceleration))))
         doc = {"example": name, "contour": cloud.to_json_dict(),

@@ -308,21 +308,35 @@ def fit_mle(
         raise InvalidParameterError(f"unknown method {method!r}")
 
     if method == "closed":
-        return _finalize(model, y, closed_form_mle(model, y), iterations=0)
+        theta = model.check_theta(closed_form_mle(model, y))[None]
+        iterations, (x_hat, value, s, info) = [0], _likelihood(model, y[None], theta)
+        _rank_gate(info)
+    else:
+        init = model.start(y) if init is None and method == "newton" else init
+        theta, info, x_hat, iterations, value, s = _fit_points(
+            model, y[None], init if init is None else model.check_theta(init)[None],
+            max_iterations, [], method == "auto")
+    return FitResult(theta_hat=theta[0], y_fit=model.quantile(np.zeros(model.n), theta[0]),
+                     x_hat=x_hat[0], obs_info=info[0], loglik=float(value[0]), converged=True,
+                     iterations=int(iterations[0]), score_norm=float(np.linalg.norm(s[0])))
 
+
+def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescue=True):
+    """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
+    fit_mle on each row of y (K, n) at once: Newton and the rescue from rows
+    init (by default each row's checked closed form or Newton start), the
+    convergence check and the rank gate; each row has a one-row fit's bits."""
     if init is None:
-        closed = method == "auto" and model.closed_form is not None
-        init = model.closed_form(y) if closed else model.start(y)
-    init = model.check_theta(np.asarray(init, dtype=float))
-    trace = []
-    theta, iterations, converged = _fit_rows(model, y[None], init[None], max_iterations,
-                                             trace, rescue=method == "auto")
-    if converged[0]:
-        return _finalize(model, y, theta[0], int(iterations[0]))
-    norm = float(np.linalg.norm(score(model, y, theta[0])))
-    raise ConvergenceError(
-        f"no convergence after {iterations[0]} iterations (score norm {norm:.3e})", trace=trace
-    )
+        init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
+    theta, iterations, converged = _fit_rows(model, y, init, max_iterations, trace, rescue)
+    if not np.all(converged):
+        k = int(np.argmin(converged))
+        norm = float(np.linalg.norm(score(model, y[k], theta[k])))
+        raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
+                               f"(score norm {norm:.3e})", trace=trace)
+    x_hat, value, s, info = _likelihood(model, y, theta)
+    _rank_gate(info)
+    return theta, info, x_hat, iterations, value, s
 
 
 def _fit_rows(model, y, theta, max_iterations=_MAX_ITER, trace=None, rescue=True):
@@ -349,21 +363,6 @@ def _rank_gate(info):
         )
 
 
-def _finalize(model, y, theta, iterations) -> FitResult:
-    x_hat, value, s, info = _at(model, y, theta)
-    _rank_gate(info)
-    return FitResult(
-        theta_hat=theta,
-        y_fit=model.quantile(np.zeros(model.n), theta),
-        x_hat=x_hat,
-        obs_info=info,
-        loglik=value,
-        converged=True,
-        iterations=iterations,
-        score_norm=float(np.linalg.norm(s)),
-    )
-
-
 def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """Maximum likelihood rows (K, p) for data rows y (K, n), fitted together.
 
@@ -373,13 +372,7 @@ def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     not to 1e-8.
     """
     y = np.reshape([model.check_point(row) for row in y], (-1, model.n))
-    theta, iterations, converged = _fit_rows(model, y, model.start(y))
-    if not np.all(converged):
-        k = int(np.argmin(converged))
-        raise ConvergenceError(f"{np.sum(~converged)} of {len(y)} rows did not converge "
-                               f"(row {k} after {iterations[k]} iterations)")
-    _, _, s, info = _likelihood(model, y, theta)
-    _rank_gate(info)
+    theta, info, _, _, _, s = _fit_points(model, y, model.start(y))
     hess, grad = _newton_system(model, theta, s, info)
     polished = _from_internal(model, _to_internal(model, theta)
                               + np.linalg.solve(hess, grad[..., None])[..., 0])
@@ -404,15 +397,16 @@ class StandardizationRecord:
     def map_offsets(self, t_std: np.ndarray) -> np.ndarray:
         """Map standardized offsets (rows) to raw parameter offsets."""
         t_std = np.atleast_2d(np.asarray(t_std, dtype=float))
-        return t_std @ self.scales.T
+        return t_std @ self.scales.swapaxes(-1, -2)
 
 
 def standardize(obs_info: np.ndarray, n: int) -> StandardizationRecord:
-    """Cholesky-standardize an observed information matrix (must be SPD)."""
+    """Cholesky-standardize an observed information matrix (must be SPD), or
+    a stack of them (K, p, p) one by one; map_offsets then gives (K, rows, p)."""
     obs_info = np.asarray(obs_info, dtype=float)
     try:
         chol = np.linalg.cholesky(obs_info)
     except np.linalg.LinAlgError as exc:
         raise SingularInformationError(f"information not SPD: {exc}") from exc
-    scales = np.linalg.inv(chol).T
+    scales = np.linalg.inv(chol).swapaxes(-1, -2)
     return StandardizationRecord(chol=chol, scales=scales, sqrt_n=math.sqrt(n))

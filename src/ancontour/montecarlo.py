@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ._jsonio import config_int, csv_lines, dumps
-from .ancillary import GridSpec, build_contour, partition_check
+from .ancillary import GridSpec, _partition_pass, build_contour
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -294,14 +294,16 @@ class _StudyContext:
             [*c.fit.x_hat, *c.fit.theta_hat, *c.base_point, *c.frame.velocity[:, 0]]
             for c in clouds]).T[:, :, None]
         t_axis = np.array([c.offsets[:, 0] for c in clouds])
-        # an arc longer than 2 pi overlaps itself: try every turn it covers
-        most = 1 + int(np.max(np.abs(t_axis)) // (2.0 * math.pi))
+        # phi + 2 pi m, phi in [-pi, pi), can land inside the arc only where
+        # 2 pi |m| - pi < max |t|; any other turn snaps to an end node
+        most = math.ceil((np.max(np.abs(t_axis)) + math.pi) / (2.0 * math.pi)) - 1
         node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
 
         def arc(y):  # cell c: x_hat_c + rho u(theta_hat_c + t_k)
             d1, d2 = y[:, 0] - x1, y[:, 1] - x2
             phi = (np.arctan2(d2, d1) - theta_hat + math.pi) % (2.0 * math.pi) - math.pi
-            along = -np.inf
+            along = np.maximum(d1 * node_cos[:, :1] + d2 * node_sin[:, :1],
+                               d1 * node_cos[:, -1:] + d2 * node_sin[:, -1:])
             for m in range(-most, most + 1):
                 k = _snap(phi + 2.0 * math.pi * m, t_axis)
                 along = np.maximum(along, d1 * node_cos.take(k) + d2 * node_sin.take(k))
@@ -591,29 +593,26 @@ def partition_order_study(
     the per-n means is the order estimate (1/n for this second-order
     construction), so n_grid needs at least two distinct sample sizes.
     """
+    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
     if draws <= 0:
         raise EmptyStudyError("draws must be positive")
     if not n_grid:
         raise EmptyStudyError("n_grid must be nonempty")
+    n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
     if len(set(n_grid)) < 2:
         raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
     per_draw = []
-    means = []
     for n_idx, n in enumerate(n_grid):
-        model = make_synthetic_curved(int(n))
-        row = []
-        for d in range(draws):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(n_idx, d))
-            rng = np.random.default_rng(seq)
-            x0 = rng.standard_normal(n)
-            y0 = model.quantile(x0, np.zeros(1))
-            report = partition_check(model, y0, np.array([t1_std]), grid=grid)
-            row.append(report.discrepancy)
-        per_draw.append(row)
-        means.append(float(np.mean(row)))
+        model = make_synthetic_curved(n)
+        rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n_idx, d)))
+                for d in range(draws))
+        y0 = model.quantile(np.array([rng.standard_normal(n) for rng in rngs]), np.zeros(1))
+        reports = _partition_pass(model, y0, np.array([t1_std]), grid)
+        per_draw.append([report.discrepancy for report in reports])
+    means = [float(np.mean(row)) for row in per_draw]
     slope, slope_se, band = _slope_fit(n_grid, means)
     return PartitionOrderReport(
-        n_grid=tuple(int(n) for n in n_grid),
+        n_grid=n_grid,
         t1_std=float(t1_std),
         draws=draws,
         seed=seed,

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ def test_batched_contour_min_distance_matches_single_points(family):
                 ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], max_iter,
                                                 halvings)
                 assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
+        # rows anchored on three fits of the model at once, as a partition
+        # pass refines several draws: each fit's rows keep their one-fit bits
+        fits = [fit] + [fit_mle(model, model.quantile(x, theta)) for x in model.ref_sampler(302, 2)]
+        owner = np.arange(50) % 3
+        anchor = SimpleNamespace(x_hat=np.array([fits[k].x_hat for k in owner]),
+                                 theta_hat=np.array([fits[k].theta_hat for k in owner]))
+        dist, t = contour_min_distance(model, anchor, points, t_init)
+        for k, one_fit in enumerate(fits):
+            one, t_one = contour_min_distance(model, one_fit, points[owner == k],
+                                              t_init[owner == k])
+            assert (one.tobytes(), t_one.tobytes()) == (dist[owner == k].tobytes(),
+                                                        t[owner == k].tobytes())
+        with pytest.raises(InvalidDimensionError, match="one per row"):
+            contour_min_distance(model, anchor, points[:49], t_init[:49])
     assert max(halvings) >= 10
 
 
@@ -399,6 +414,53 @@ def test_contour_min_distance_names_bad_input(q, t_init, max_iter, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             contour_min_distance(model, fit, q, t_init, max_iter)
+
+
+@pytest.mark.parametrize("example", ["circle2d", "location-scale", "nonlinreg-unknown"])
+def test_partition_check_reuses_a_given_fit(example, monkeypatch):
+    """With the fit of y0 given, the report is the same to the bit and the
+    base point is not fitted again: one Newton fit (at y1) instead of two."""
+    import ancontour.estimation as est
+
+    model, theta, t1 = {
+        "circle2d": (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), [0.3], [1.0]),
+        "location-scale": (make_location_scale(8), [0.3, 1.1], [1.0, 0.5]),
+        "nonlinreg-unknown": (make_nonlinear_regression(eta_curved(16), "unknown"),
+                              [0.25, 0.9], [0.8, -0.5]),
+    }[example]
+    y0 = model.quantile(model.ref_sampler(3, 1)[0], np.array(theta))
+    grid = GridSpec(2.0, 21)
+    fit = fit_mle(model, y0)
+    newtons, newton = [], est._newton
+    monkeypatch.setattr(est, "_newton",
+                        lambda *a, **k: newtons.append(k.get("damped", False)) or newton(*a, **k))
+    fresh = partition_check(model, y0, np.array(t1), grid)
+    assert newtons == [False, False]
+    reused = partition_check(model, y0, np.array(t1), grid, fit=fit)
+    assert newtons == [False, False, False]
+    assert json.dumps(reused.to_json_dict()) == json.dumps(fresh.to_json_dict())
+
+
+def test_partition_pass_with_ragged_drops_matches_one_draw_checks():
+    """Draws whose raw-unit grids drop different numbers of points (sigma
+    offsets that leave (0, inf)), checked in one pass, each keep the report
+    of their own partition_check, bit for bit, and its discrepancy is the
+    largest refined distance of the draw's rebuilt cloud from the nearest
+    point of its own cloud."""
+    from ancontour.ancillary import _partition_pass
+
+    model = make_location_scale(4)
+    y0 = model.quantile(model.ref_sampler(11, 6), np.array([0.3, 1.1]))
+    grid = GridSpec(1.0, 9, standardized=False)
+    assert len({build_contour(model, y, grid).dropped_out_of_domain for y in y0}) > 2
+    for y, report in zip(y0, _partition_pass(model, y0, np.array([1.0, 0.5]), grid)):
+        one = partition_check(model, y, np.array([1.0, 0.5]), grid)
+        assert json.dumps(report.to_json_dict()) == json.dumps(one.to_json_dict())
+        cloud0, cloud1 = build_contour(model, y, grid), build_contour(model, report.y1, grid)
+        gaps = np.sum((cloud1.points[:, None] - cloud0.points) ** 2, axis=2)
+        dist, _ = contour_min_distance(model, cloud0.fit, cloud1.points,
+                                       cloud0.offsets[np.argmin(gaps, axis=1)])
+        assert report.discrepancy == np.max(dist)
 
 
 def test_partition_check_names_non_finite_t1():

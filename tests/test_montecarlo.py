@@ -206,6 +206,40 @@ def test_closed_form_labels_match_kd_tree(spec):
                                               tree.query(y)[1] // len(blocks[0]))
 
 
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["reach-below-pi", "reach-above-pi"])
+def test_arc_labels_match_kd_tree_near_half_turn(side):
+    """Arcs whose largest offset max |t| sits just below pi snap one turn of
+    a point's angle, just above pi three; either way the labels are a
+    KD-tree's over every node, for the draws and for points all around."""
+    from dataclasses import replace
+
+    from scipy.spatial import cKDTree
+
+    def reach(spec):
+        ctx = mc._StudyContext(spec, 16)
+        u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
+        grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=spec.lattice_points)
+        centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
+        return ctx, max(float(np.max(np.abs(build_contour(ctx.model, (spec.rho + tau) * u,
+                                                          grid).offsets))) for tau in centers)
+
+    unit = OrderStudySpec(n_grid=(16,), theta_star=2.5, lattice_half_width=1.0)
+    spec = replace(unit, lattice_half_width=math.pi * (1.0 + 1e-3 * side) / reach(unit)[1])
+    ctx, max_t = reach(spec)
+    assert side * (max_t - math.pi) > 0.0
+    arcs = _explicit_lattice(spec, ctx)["second_order"]
+    tree = cKDTree(np.vstack(arcs))
+    ring = np.random.default_rng(5).uniform(-3.0, 3.0, (2000, 2))
+    for y in [base + ctx.draw(np.random.default_rng(16), 1000) for base in ctx.bases] + [ring]:
+        np.testing.assert_array_equal(ctx.labels("second_order", y),
+                                      tree.query(y)[1] // len(arcs[0]))
+    # each cell's score is its squared distance to the nearest node, less rho^2
+    nearest = np.array([np.min(np.sum((ring[:, None] - arc) ** 2, axis=2), axis=1)
+                        for arc in arcs])
+    np.testing.assert_allclose(ctx.scores["second_order"](ring), nearest - spec.rho**2,
+                               rtol=0, atol=1e-12)
+
+
 def test_order_study_partial_results_error(monkeypatch):
     spec = OrderStudySpec(family="circle", n_grid=(8, 16), deltas=(1.0,),
                           reps=300, batch_size=100)
@@ -307,6 +341,51 @@ def test_partition_order_study_guards():
     for n_grid in ((16,), (16, 16)):
         with pytest.raises(InvalidParameterError, match="n_grid"):
             partition_order_study(n_grid=n_grid, draws=2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"draws": True}, {"draws": 2.5}, {"n_grid": (16.0, 64)}, {"n_grid": (1, 64)},
+    {"seed": -1}, {"seed": 1.0},
+], ids=["bool-draws", "float-draws", "float-n", "n-below-2", "negative-seed", "float-seed"])
+def test_partition_order_study_names_bad_config(kwargs, monkeypatch):
+    """Each bad setting is named before any partition pass runs."""
+    monkeypatch.setattr(mc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
+    key = next(iter(kwargs))
+    with pytest.raises(InvalidParameterError, match=key):
+        partition_order_study(**kwargs)
+
+
+def test_partition_order_study_matches_one_draw_checks():
+    """Draws refined together, in blocks that split n = 256 into 4 + 1 draws
+    and n = 1024 into one draw each, give each draw's one-draw
+    partition_check discrepancy, bit for bit."""
+    from ancontour import make_synthetic_curved, partition_check
+
+    n_grid, draws, seed = (16, 256, 1024), 5, 20260816
+    report = partition_order_study(n_grid=n_grid, draws=draws, seed=seed)
+    for n_idx, n in enumerate(n_grid):
+        model = make_synthetic_curved(n)
+        for d in range(draws):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n_idx, d)))
+            y0 = model.quantile(rng.standard_normal(n), np.zeros(1))
+            one = partition_check(model, y0, np.array([1.0]), GridSpec(3.0, 21))
+            assert report.per_draw[n_idx][d] == one.discrepancy
+
+
+def test_partition_order_study_memory_is_bounded():
+    """At the defaults the study holds one block of 21 x 1024 float64 rebuilt
+    points at a time beside the fits' rows: its traced peak stays within
+    1.1 times the 1.42 MiB of one partition_check per draw."""
+    import tracemalloc
+
+    partition_order_study(n_grid=(16, 64), draws=2)  # warm caches outside the traced call
+    tracemalloc.start()
+    try:
+        partition_order_study()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 1.42 * 2**20
 
 
 def test_partition_order_study_rerun_identical():
