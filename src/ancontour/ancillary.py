@@ -296,11 +296,13 @@ def contour_min_distance(
         # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
         # in the domain and does not raise the value: scale 1 for every row in
         # one call, then the smaller scales m at a time for the rows still
-        # searching, with rows * m * n <= _BLOCK float64 elements where m >= 1.
+        # searching, with rows * m * n <= max(_BLOCK, q.size) float64 elements
+        # where m >= 1: no more candidates than the points refined, so the
+        # block of a partition pass bounds its line search too.
         rows, step = backtrack(rows, step, _SCALES[:1])
         k = 1
         while rows.size and k < 40:
-            m = min(40 - k, max(1, _BLOCK // (rows.size * model.n)))
+            m = min(40 - k, max(1, max(_BLOCK, q.size) // (rows.size * model.n)))
             rows, step = backtrack(rows, step, _SCALES[k:k + m])
             k += m
         active[rows] = False  # line search failed

@@ -48,6 +48,7 @@ from .models import (
     model_from_config,
 )
 from .montecarlo import (
+    _partition_order_args,
     order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
@@ -353,19 +354,15 @@ def _cmd_verify(args) -> int:
         bad = set(config) - _PARTITION_KEYS
         if bad:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
-        try:
-            n_grid = tuple(config_int(n, "n_grid", 2)
-                           for n in config.get("n_grid", (16, 64, 256, 1024)))
+        try:  # the study's own checks, run here so that a bad value is a usage error
+            n_grid, draws, seed = _partition_order_args(
+                config.get("n_grid", (16, 64, 256, 1024)), config.get("draws", 12),
+                args.seed if args.seed is not None else config.get("seed", _DEFAULT_SEED))
             t1_std = float(config.get("t1_std", 1.0))
-            draws = config_int(config.get("draws", 12), "draws", 1)
-            seed = args.seed if args.seed is not None else config_int(
-                config.get("seed", _DEFAULT_SEED), "seed", 0)
             grid = GridSpec(half_width=float(config.get("grid_half_width", 3.0)),
                             points_per_axis=config.get("grid_points", 21))
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        if len(set(n_grid)) < 2:
-            raise _UsageError("'n_grid' needs two distinct sample sizes to fit a slope")
         if not math.isfinite(t1_std):
             raise _UsageError("'t1_std' must be finite")
         report = partition_order_study(n_grid=n_grid, t1_std=t1_std, draws=draws,

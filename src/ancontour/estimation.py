@@ -199,7 +199,9 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     1, 1/2, ..., 1/2^39 times the step keeps the log-likelihood from
     falling; a row takes the first that does), a step under 1e-10 or the
     iteration limit; a singular Hessian raises.  Returns rows (z, theta,
-    iterations, converged); trace gets the first row's iterates.
+    iterations, converged, log-likelihood, score, information), the last
+    three _likelihood's at the final theta; trace gets the first row's
+    iterates.
 
     damped (the rescue) adds lam I to each information H whose smallest
     eigenvalue is not above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) +
@@ -277,7 +279,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
             rows, step = backtrack(rows, step, _SCALES[k:k + m])
             k += m
         active[rows] = False  # line search failed: the row stays where it is
-    return z, theta, iterations, _norms(s) < _SCORE_TOL
+    return z, theta, iterations, _norms(s) < _SCORE_TOL, current, s, info
 
 
 def fit_mle(
@@ -328,28 +330,29 @@ def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescu
     convergence check and the rank gate; each row has a one-row fit's bits."""
     if init is None:
         init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
-    theta, iterations, converged = _fit_rows(model, y, init, max_iterations, trace, rescue)
+    theta, iterations, converged, value, s, info = _fit_rows(model, y, init, max_iterations,
+                                                              trace, rescue)
     if not np.all(converged):
         k = int(np.argmin(converged))
-        norm = float(np.linalg.norm(score(model, y[k], theta[k])))
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
-                               f"(score norm {norm:.3e})", trace=trace)
-    x_hat, value, s, info = _likelihood(model, y, theta)
+                               f"(score norm {float(np.linalg.norm(s[k])):.3e})", trace=trace)
     _rank_gate(info)
-    return theta, info, x_hat, iterations, value, s
+    return theta, info, _values(model, y, theta)[0], iterations, value, s
 
 
 def _fit_rows(model, y, theta, max_iterations=_MAX_ITER, trace=None, rescue=True):
-    """Rows (theta, iterations, converged): Newton from rows theta, then the
-    damped Newton (the rescue) over the rows it leaves short of a score norm
-    of 1e-8, so rows that converge under plain Newton keep their bits."""
-    _, theta, iterations, converged = _newton(model, y, theta, max_iterations, trace)
+    """Rows (theta, iterations, converged, log-likelihood, score, information):
+    Newton from rows theta, then the damped Newton (the rescue) over the rows
+    it leaves short of a score norm of 1e-8, so rows that converge under
+    plain Newton keep their bits."""
+    _, theta, iterations, converged, value, s, info = _newton(model, y, theta, max_iterations,
+                                                              trace)
     short = np.flatnonzero(~converged)
     if rescue and short.size:
-        _, theta[short], extra, converged[short] = _newton(model, y[short], theta[short],
-                                                           trace=trace, damped=True)
+        _, theta[short], extra, converged[short], value[short], s[short], info[short] = _newton(
+            model, y[short], theta[short], trace=trace, damped=True)
         iterations[short] += extra
-    return theta, iterations, converged
+    return theta, iterations, converged, value, s, info
 
 
 def _rank_gate(info):

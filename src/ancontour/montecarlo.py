@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from statistics import NormalDist
 
 import numpy as np
 
@@ -239,20 +238,56 @@ def order_spec_from_config(config: dict) -> OrderStudySpec:
     return spec
 
 
-def _snap(coord, axis):
-    """Flat index into axis (rows, K) of the node of each row's uniform grid
-    nearest coord (rows, count), clipped to the row's ends."""
-    rows, last = axis.shape[0], axis.shape[1] - 1
-    step = (axis[:, -1:] - axis[:, :1]) / last
-    k = np.clip(np.rint((coord - axis[:, :1]) / step), 0, last).astype(np.intp)
-    return k + (last + 1) * np.arange(rows)[:, None]
+_TWO_PI = 2.0 * math.pi
+
+
+def _wrap(a):
+    """np.remainder(a, 2 pi) in place, bit for bit, for a in [-2 pi, 4 pi).
+
+    fmod is exact, so np.remainder returns a - 2 pi (exact there) on
+    [2 pi, 4 pi), a itself on [0, 2 pi) and a + 2 pi, rounded, on [-2 pi, 0):
+    one conditional subtract and one conditional add.  Adding +0.0 gives -0.0
+    the +0.0 np.remainder returns for it.
+    """
+    np.subtract(a, _TWO_PI, out=a, where=a >= _TWO_PI)
+    np.add(a, _TWO_PI, out=a, where=a < 0.0)
+    a += 0.0
+    return a
+
+
+class _Snap:
+    """Nearest node of each row's uniform grid in axis (rows, K), clipped to
+    the row's ends, with the grid's start, step and flat row offsets computed
+    once."""
+
+    def __init__(self, axis):
+        self.last = axis.shape[1] - 1
+        self.start = axis[:, :1]
+        self.step = (axis[:, -1:] - axis[:, :1]) / self.last
+        self.offset = (self.last + 1) * np.arange(axis.shape[0])[:, None]
+
+    def __call__(self, coord, rows=None):
+        """Flat index into axis of the node nearest coord (rows, count), or
+        of each entry of coord (m,) on its row in rows; overwrites coord."""
+        start, step, offset = ((self.start, self.step, self.offset) if rows is None else
+                               (self.start[rows, 0], self.step[rows, 0], self.offset[rows, 0]))
+        coord -= start
+        coord /= step
+        np.rint(coord, out=coord)
+        np.maximum(coord, 0.0, out=coord)  # np.clip's values, without its overhead
+        np.minimum(coord, self.last, out=coord)
+        k = coord.astype(np.intp)
+        k += offset
+        return k
 
 
 class _StudyContext:
     """Per-n immutable pieces: model, offset thetas, lattice scores, draws.
 
     scores[arm](y) is, per cell and draw, the part of the squared distance to
-    the cell's nearest lattice node that differs between cells."""
+    the cell's nearest lattice node that differs between cells, for rows y
+    (count, n); the transposed view of contiguous coordinate rows that
+    _run_batch passes reads fastest."""
 
     def __init__(self, spec: OrderStudySpec, n: int):
         self.n = n
@@ -293,27 +328,79 @@ class _StudyContext:
         x1, x2, theta_hat, a1, a2, v1, v2 = np.array([
             [*c.fit.x_hat, *c.fit.theta_hat, *c.base_point, *c.frame.velocity[:, 0]]
             for c in clouds]).T[:, :, None]
+        # arctan2 is in [-pi, pi] and each step rounds monotonically, so these
+        # bound the angles arc passes to _wrap: inside its range for theta_hat
+        # in (-2 pi, 2 pi], bar the one float just above -2 pi
+        ok = (((-math.pi - theta_hat) + math.pi >= -_TWO_PI)
+              & ((math.pi - theta_hat) + math.pi < 2.0 * _TWO_PI))
+        if not ok.all():
+            raise NumericalFailureError("the arc labelling needs each cell's theta_hat in "
+                                        f"(-2 pi, 2 pi], got {theta_hat[~ok][0]!r}")
         t_axis = np.array([c.offsets[:, 0] for c in clouds])
-        # phi + 2 pi m, phi in [-pi, pi), can land inside the arc only where
-        # 2 pi |m| - pi < max |t|; any other turn snaps to an end node
-        most = math.ceil((np.max(np.abs(t_axis)) + math.pi) / (2.0 * math.pi)) - 1
+        snap, vv, two_rho = _Snap(t_axis), v1 * v1 + v2 * v2, 2.0 * spec.rho
         node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
+        ends = node_cos[:, :1], node_sin[:, :1], node_cos[:, -1:], node_sin[:, -1:]
+        # phi + 2 pi m, phi in [-pi, pi], can land inside the arc only where
+        # 2 pi |m| - pi < max |t|; any other turn snaps to an end node.  A turn
+        # m > 0 (m < 0) snaps a draw to the last (first) node, which along
+        # holds already, unless its phi is below (above) t_last - 2 pi m
+        # (t_first - 2 pi m) or within a node spacing of it.
+        most = math.ceil((np.max(np.abs(t_axis)) + math.pi) / _TWO_PI) - 1
+        turns = []
+        for m in range(1, most + 1):
+            turns.append((_TWO_PI * m, np.less, t_axis[:, -1:] - _TWO_PI * m + snap.step))
+            turns.append((-_TWO_PI * m, np.greater, t_axis[:, :1] + _TWO_PI * m - snap.step))
 
         def arc(y):  # cell c: x_hat_c + rho u(theta_hat_c + t_k)
-            d1, d2 = y[:, 0] - x1, y[:, 1] - x2
-            phi = (np.arctan2(d2, d1) - theta_hat + math.pi) % (2.0 * math.pi) - math.pi
-            along = np.maximum(d1 * node_cos[:, :1] + d2 * node_sin[:, :1],
-                               d1 * node_cos[:, -1:] + d2 * node_sin[:, -1:])
-            for m in range(-most, most + 1):
-                k = _snap(phi + 2.0 * math.pi * m, t_axis)
-                along = np.maximum(along, d1 * node_cos.take(k) + d2 * node_sin.take(k))
-            return d1 * d1 + d2 * d2 - 2.0 * spec.rho * along
+            d1, d2 = np.subtract(y[:, 0], x1), np.subtract(y[:, 1], x2)
+            phi = np.arctan2(d2, d1)
+            phi -= theta_hat
+            phi += math.pi
+            _wrap(phi)
+            phi -= math.pi
+            # the end nodes, then the turns that can land inside, each row's own
+            along, near = d1 * ends[0], d2 * ends[1]
+            along += near
+            np.multiply(d1, ends[2], out=near)
+            far = d2 * ends[3]
+            near += far
+            np.maximum(along, near, out=along)
+            for shift, inside, bound in turns:
+                rows, cols = np.nonzero(inside(phi, bound))
+                if rows.size:
+                    k = snap(phi[rows, cols] + shift, rows)
+                    hit = d1[rows, cols] * node_cos.take(k) + d2[rows, cols] * node_sin.take(k)
+                    along[rows, cols] = np.maximum(along[rows, cols], hit)
+            k = snap(phi)
+            node_cos.take(k, out=near, mode="clip")  # k is in range: clip only skips a check
+            near *= d1
+            node_sin.take(k, out=far, mode="clip")
+            far *= d2
+            near += far
+            np.maximum(along, near, out=along)
+            d1 *= d1
+            d2 *= d2
+            d1 += d2
+            along *= two_rho
+            d1 -= along
+            return d1
 
         def line(y):  # cell c: anchor_c + t_k v_c
-            d1, d2 = y[:, 0] - a1, y[:, 1] - a2
-            dv, vv = d1 * v1 + d2 * v2, v1 * v1 + v2 * v2
-            t = t_axis.take(_snap(dv / vv, t_axis))
-            return d1 * d1 + d2 * d2 - 2.0 * t * dv + t * t * vv
+            d1, d2 = np.subtract(y[:, 0], a1), np.subtract(y[:, 1], a2)
+            dv, tmp = d1 * v1, d2 * v2
+            dv += tmp
+            np.divide(dv, vv, out=tmp)
+            t = t_axis.take(snap(tmp))
+            d1 *= d1
+            d2 *= d2
+            d1 += d2
+            np.multiply(t, 2.0, out=tmp)
+            tmp *= dv
+            d1 -= tmp
+            t *= t
+            t *= vv
+            d1 += t
+            return d1
 
         return {"second_order": arc, "tangent_only": line}
 
@@ -324,6 +411,8 @@ class _StudyContext:
             return (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
 
         # deterministic base configuration (normal scores) and a transverse pattern
+        from statistics import NormalDist  # only here: statistics costs ~4 ms to import
+
         inv_cdf = NormalDist().inv_cdf
         base = unit(np.sort([inv_cdf((i + 0.5) / n) for i in range(n)]))
         direction = np.sin(2.0 * math.pi * (np.arange(n) + 0.25) / n)
@@ -334,12 +423,13 @@ class _StudyContext:
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * 0.5
         z = np.array([unit(base + tau * direction) for tau in centers])
         s_axis = 1.0 + np.linspace(-3.0, 3.0, 41)[None, :] / math.sqrt(2.0 * n)
+        snap = _Snap(s_axis)
 
         # cell c: the plane m 1 + s z_c on a 41 x 41 grid; 1.z_c = 0 and
         # |z_c|^2 = n, so the m coordinate and its snap are common to all cells
         def plane(y):
             yz = z @ y.T
-            s = s_axis.take(_snap(yz / n, s_axis))
+            s = s_axis.take(snap(yz / n))
             return n * s * s - 2.0 * s * yz
 
         return {"second_order": plane}
@@ -356,10 +446,13 @@ def _run_batch(spec: OrderStudySpec, ctx: _StudyContext, n_idx: int, batch_idx: 
     """Counts of cell labels for one batch, all offsets, common random numbers."""
     seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(n_idx, batch_idx))
     rng = np.random.default_rng(seq)
-    x = ctx.draw(rng, count)
-    return {arm: np.array([np.bincount(ctx.labels(arm, base + x), minlength=spec.cells)
-                           for base in ctx.bases])
-            for arm in ctx.arms}
+    xt = ctx.draw(rng, count).T.copy()  # one row per coordinate, transposed once
+    counts = {arm: [] for arm in ctx.arms}
+    for base in ctx.bases:
+        y = (base[:, None] + xt).T  # rows base + x, each coordinate contiguous
+        for arm in ctx.arms:
+            counts[arm].append(np.bincount(ctx.labels(arm, y), minlength=spec.cells))
+    return {arm: np.array(rows) for arm, rows in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -578,6 +671,19 @@ class PartitionOrderReport:
         return csv_lines(["n", "mean_discrepancy"], rows)
 
 
+def _partition_order_args(n_grid, draws, seed) -> tuple:
+    """partition_order_study's (n_grid, draws, seed), checked before any work."""
+    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
+    if draws <= 0:
+        raise EmptyStudyError("draws must be positive")
+    if not n_grid:
+        raise EmptyStudyError("n_grid must be nonempty")
+    n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
+    if len(set(n_grid)) < 2:
+        raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
+    return n_grid, draws, seed
+
+
 def partition_order_study(
     n_grid=(16, 64, 256, 1024),
     t1_std: float = 1.0,
@@ -593,14 +699,7 @@ def partition_order_study(
     the per-n means is the order estimate (1/n for this second-order
     construction), so n_grid needs at least two distinct sample sizes.
     """
-    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
-    if draws <= 0:
-        raise EmptyStudyError("draws must be positive")
-    if not n_grid:
-        raise EmptyStudyError("n_grid must be nonempty")
-    n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
-    if len(set(n_grid)) < 2:
-        raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
+    n_grid, draws, seed = _partition_order_args(n_grid, draws, seed)
     per_draw = []
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)

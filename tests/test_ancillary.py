@@ -298,9 +298,12 @@ def test_batched_contour_min_distance_matches_single_points(family):
 
 
 def test_backtracking_blocks_split_one_rows_scales():
-    """At n = 1024 one halving of 21 rows already fills a block, so each
-    halving is its own call and the halvings of one row span several calls;
-    every row still ends on the one-point loop's bits."""
+    """At n = 1024 one halving of 21 rows fills a block, so while more than
+    ten rows search each halving is its own call and the halvings of one row
+    span several calls: rows restarted at their own minimizer, where a step
+    needs ten and more halvings, take more than two quantile calls per
+    iteration.  Every row, from its start and restarted, still ends on the
+    one-point loop's bits."""
     model = make_synthetic_curved(1024)
     y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.4]))
     fit = fit_mle(model, y0)
@@ -309,12 +312,15 @@ def test_backtracking_blocks_split_one_rows_scales():
     points = model.quantile(fit.x_hat, fit.theta_hat + offsets)
     points[::2] += rng.normal(0.0, 0.01, (11, model.n))
     t_init = offsets + rng.normal(0.0, 0.05, offsets.shape)
+    dist, t = contour_min_distance(model, fit, points, t_init)
     calls = {"quantile": 0, "dquantile_dtheta": 0}
-    dist, t = contour_min_distance(_counting(model, calls), fit, points, t_init)
+    again, t_again = contour_min_distance(_counting(model, calls), fit, points, t)
     halvings = []
     for k in range(21):
-        ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k], halvings=halvings)
+        ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k])
         assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
+        ref, t_ref = _loop_min_distance(model, fit, points[k], t[k], halvings=halvings)
+        assert (again[k], t_again[k].tobytes()) == (ref, t_ref.tobytes())
     assert max(halvings) >= 10
     assert calls["quantile"] > 1 + 2 * calls["dquantile_dtheta"]
 

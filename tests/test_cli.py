@@ -230,6 +230,21 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("payload", [
+    {"draws": 0}, {"draws": 2.5}, {"n_grid": [16.0, 64]}, {"seed": -1},
+], ids=["draws-0", "draws-float", "n_grid-float", "seed-negative"])
+def test_partition_order_config_error_carries_the_study_message(payload, tmp_path, capsys):
+    """A bad n_grid, draws or seed is checked by the study's own rules: exit 2
+    with the message partition_order_study raises, before any output."""
+    with pytest.raises(ancontour.AncontourError) as expected:
+        ancontour.partition_order_study(**payload)
+    config = write_config(tmp_path, {"study": "partition-order", **payload})
+    code, _, err = run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: {expected.value}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("argv,flag,payload", [
     (["example", "circle2d", "--grid", "1,5"], "--grid", CIRCLE_CONFIG),
     (["example", "circle2d", "--reps", "3"], "--reps", CIRCLE_CONFIG),
@@ -479,6 +494,17 @@ def test_commands_without_scipy_load_no_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_statistics():
+    """statistics (with fractions and decimal, about 4 ms) is imported by the
+    location-scale order study only, not by every CLI process."""
+    src = os.path.dirname(os.path.dirname(ancontour.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ancontour.cli; print('statistics' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_package_imports_and_declares_numpy_only():

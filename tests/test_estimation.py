@@ -31,6 +31,7 @@ from ancontour import (
 from ancontour.estimation import (
     _SCORE_TOL,
     _fit_many,
+    _fit_points,
     _from_internal,
     _likelihood,
     _newton,
@@ -443,6 +444,22 @@ def test_fit_many_forced_fallback_row():
     for y, row in zip(ys, rows):
         assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
         np.testing.assert_allclose(row, fit_mle(model, y).theta_hat, rtol=0, atol=1e-8)
+
+
+def test_fit_points_reuse_newtons_values_at_the_estimate():
+    """The log-likelihood, score and information a batched fit returns come
+    from its Newton and rescue iterations, rescued rows included, and its
+    reference values from the closed-form solve: all of them _likelihood's
+    at the estimate, bit for bit."""
+    model = make_location_scale(4, error_law="cauchy")
+    hard = np.array([-0.760033411767359, 2.0551768100006615,
+                     -2.0417065446907747, -0.7852925465289906])
+    ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), hard])
+    theta, info, x_hat, iterations, value, s = _fit_points(model, ys, model.start(ys))
+    assert iterations[3] > _newton(model, ys[3:], model.start(ys[3:]))[2][0]  # rescued
+    x_ref, value_ref, s_ref, info_ref = _likelihood(model, ys, theta)
+    for got, want in ((x_hat, x_ref), (value, value_ref), (s, s_ref), (info, info_ref)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_many_guards():

@@ -6,6 +6,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ancontour.montecarlo as mc
 from ancontour import (
@@ -238,6 +240,132 @@ def test_arc_labels_match_kd_tree_near_half_turn(side):
                         for arc in arcs])
     np.testing.assert_allclose(ctx.scores["second_order"](ring), nearest - spec.rho**2,
                                rtol=0, atol=1e-12)
+
+
+TWO_PI = 2.0 * math.pi
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True))
+@example(-TWO_PI)
+@example(-0.0)
+@example(0.0)
+@example(-1e-300)
+@example(float(np.nextafter(TWO_PI, 0.0)))
+@example(TWO_PI)
+@example(float(np.nextafter(2.0 * TWO_PI, 0.0)))
+def test_wrap_is_remainder_bit_for_bit(a):
+    """On [-2 pi, 4 pi) the two conditional shifts give np.remainder's bits,
+    +0.0 for -0.0 and 2 pi for a tiny negative a included."""
+    got = mc._wrap(np.array([a]))
+    assert got.tobytes() == np.remainder(np.array([a]), TWO_PI).tobytes()
+
+
+def _every_turn_arc(spec, ctx, y):
+    """The arc score as (arctan2 - theta_hat + pi) % 2 pi - pi, with seven
+    turns of every point's angle snapped, each step on a fresh array."""
+    u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
+    centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
+    grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=spec.lattice_points)
+    clouds = [build_contour(ctx.model, (spec.rho + tau) * u, grid) for tau in centers]
+    x1, x2 = (np.array([[c.fit.x_hat[i]] for c in clouds]) for i in (0, 1))
+    theta_hat = np.array([c.fit.theta_hat for c in clouds])
+    t_axis = np.array([c.offsets[:, 0] for c in clouds])
+    last = t_axis.shape[1] - 1
+    d1, d2 = y[:, 0] - x1, y[:, 1] - x2
+    phi = (np.arctan2(d2, d1) - theta_hat + math.pi) % TWO_PI - math.pi
+    node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
+    along = np.maximum(d1 * node_cos[:, :1] + d2 * node_sin[:, :1],
+                       d1 * node_cos[:, -1:] + d2 * node_sin[:, -1:])
+    step = (t_axis[:, -1:] - t_axis[:, :1]) / last
+    for m in range(-3, 4):
+        k = np.clip(np.rint((phi + TWO_PI * m - t_axis[:, :1]) / step), 0, last).astype(np.intp)
+        along = np.maximum(along, d1 * np.take_along_axis(node_cos, k, axis=1)
+                           + d2 * np.take_along_axis(node_sin, k, axis=1))
+    return d1 * d1 + d2 * d2 - 2.0 * spec.rho * along
+
+
+@pytest.mark.parametrize("theta_star", [0.0, 2.5, -3.0])
+def test_arc_scores_match_every_turn_bit_for_bit(theta_star):
+    """Turns are snapped only for the points that can land inside an arc, in
+    place, on the draws as rows or as contiguous coordinate rows: every
+    score still has the bits of snapping every turn of every point, for
+    draws and for points all around (arcs reaching past pi at n = 2 and 16)."""
+    spec = OrderStudySpec(n_grid=(2, 16), theta_star=theta_star)
+    ring = np.random.default_rng(5).uniform(-3.0, 3.0, (2000, 2))
+    for n in spec.n_grid:
+        ctx = mc._StudyContext(spec, n)
+        x = ctx.draw(np.random.default_rng(n), 1000)
+        for y in [base + x for base in ctx.bases] + [ring]:
+            want = _every_turn_arc(spec, ctx, y).tobytes()
+            assert ctx.scores["second_order"](y).tobytes() == want
+            assert ctx.scores["second_order"](np.ascontiguousarray(y.T).T).tobytes() == want
+
+
+@pytest.mark.parametrize("theta_star,turn", [(2.5, 1), (-2.5, -1)], ids=["above", "below"])
+def test_arc_labelling_names_a_theta_hat_outside_its_range(theta_star, turn, monkeypatch):
+    """A cell fit a turn away from its arctan2 angle, past 2 pi or -2 pi,
+    raises before any draw is labelled instead of reducing angles wrongly."""
+    from dataclasses import replace
+
+    build = mc.build_contour
+
+    def turned(*args):
+        cloud = build(*args)
+        theta_hat = cloud.fit.theta_hat + turn * TWO_PI
+        return replace(cloud, fit=replace(cloud.fit, theta_hat=theta_hat))
+
+    monkeypatch.setattr(mc, "build_contour", turned)
+    spec = OrderStudySpec(n_grid=(16,), theta_star=theta_star, reps=100, batch_size=100)
+    with pytest.raises(NumericalFailureError, match=r"theta_hat in \(-2 pi, 2 pi\]"):
+        run_replicated(spec)
+
+
+# sha256 of each report's JSON and CSV and of one batch's label counts, as
+# the labelling computed them with np.remainder and one snap call per turn
+FROZEN_REPORTS = [
+    (OrderStudySpec(n_grid=(16, 32), deltas=(1.0, 2.0), reps=400, batch_size=100, cells=6),
+     "2dfcc770c1ee4324cbc93d88ff4bebb48f91876d009c49bc25e812047430ebb7",
+     "0be277738342a1f3ba30c42fef266dc549a085848665921ec3c996fce931f5de",
+     "f859affeb876788b20e224eedc9122998a46bff10f770fcc49b03ed72863a891"),
+    (OrderStudySpec(n_grid=(16, 32), deltas=(1.0, 2.0), reps=400, batch_size=100, cells=6,
+                    theta_star=2.5),
+     "fb313ce5b3d4ae04043fddc4984faa9222c4ac9195017252966e149a145376ab",
+     "85d4e409b179fee62e984debe2c5e80af1e6d0ac52590be6c92034525a058165",
+     "cca06442378ccdb5afda9ae925a8257b8f3f38c408004d1bda66a65731dd3b1b"),
+    (OrderStudySpec(family="location-scale", n_grid=(8, 16), deltas=(1.0,), reps=600,
+                    batch_size=200),
+     "c19edd27bb6bf2c8898ae60baeeec5b607cc153b97c958fc1015645171969ca8",
+     "154025213013e54d2e9b42b028581c0b60e8410a598cc861fba62cde0e00865e",
+     "24fd5f8ea031ddd09f28f99e7b06cc5f9f94119bc4e1462c763be805266de822"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("spec,json_digest,csv_digest,counts_digest", FROZEN_REPORTS,
+                         ids=["circle", "circle-theta-2.5", "location-scale"])
+def test_order_study_reports_are_frozen(spec, json_digest, csv_digest, counts_digest):
+    """The reports, and the label counts behind them, keep every byte."""
+    report = run_replicated(spec)
+    assert _sha256(report.to_json().encode()) == json_digest
+    assert _sha256(report.to_csv().encode()) == csv_digest
+    ctx = mc._StudyContext(spec, spec.n_grid[0])
+    counts = mc._run_batch(spec, ctx, 0, 0, spec.batch_size)
+    assert _sha256(b"".join(counts[arm].tobytes() for arm in ctx.arms)) == counts_digest
+
+
+def test_partition_order_report_is_frozen():
+    """Draws at n = 16, 64 and 1024, whose refinements backtrack in blocks of
+    the pass's size, keep every byte of the report."""
+    report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
+    assert (_sha256(report.to_json().encode()), _sha256(report.to_csv().encode())) == (
+        "8db6b988834b7a7b83871cf2a1c8fda7c0c7df9462f4fecadbb5c803d4fef03a",
+        "ad554f7ede4523cf0065289796d24be1b2a7e4857b0679d504623d5b0cfe6630")
 
 
 def test_order_study_partial_results_error(monkeypatch):
