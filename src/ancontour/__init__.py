@@ -28,16 +28,11 @@ from .ancillary import (
     severini_pivot_check,
 )
 from .diffgeo import (
-    ReexpressionRecord,
     TaylorFrame,
     build_frame,
-    expansion_residual,
     orthogonalize,
     quadratic_point,
-    reexpress_scalar,
     reparameterize,
-    rescale_frame,
-    scalar_expansion_arrays,
 )
 from .errors import (
     AncontourError,
@@ -101,9 +96,8 @@ __all__ = [
     "score", "observed_information", "closed_form_mle", "fit_mle",
     "standardize",
     # differential geometry
-    "TaylorFrame", "ReexpressionRecord", "build_frame", "orthogonalize",
-    "quadratic_point", "expansion_residual", "reparameterize",
-    "rescale_frame", "scalar_expansion_arrays", "reexpress_scalar",
+    "TaylorFrame", "build_frame", "orthogonalize", "quadratic_point",
+    "reparameterize",
     # contours and checks
     "GridSpec", "ContourCloud", "PartitionReport", "ExactComparisonReport",
     "SeveriniReport", "InversionReport", "build_contour",

@@ -27,8 +27,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimation import (
-    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_many, _fit_points, _norms, fit_mle,
-    standardize,
+    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_points, _norms, fit_mle, standardize,
 )
 from .models import QuantileModel, non_invertible_mask
 
@@ -181,7 +180,7 @@ def build_contour(
     y0 = model.check_point(y0)
     if fit is None:
         fit = fit_mle(model, y0)
-    rec = standardize(fit.obs_info, model.n)
+    rec = standardize(fit.obs_info)
     offsets, offsets_std, points, keep = _sweep(model, fit.x_hat[None], fit.theta_hat[None], rec,
                                                 grid)
     return ContourCloud(
@@ -379,7 +378,7 @@ def _partition_pass(model, y0, t1_std, grid, cap=3.0, fit=None) -> list:
     y0 = np.asarray(y0, dtype=float)
     theta0, info0, x0 = ((fit.theta_hat[None], fit.obs_info[None], fit.x_hat[None])
                          if fit is not None else _fit_points(model, y0)[:3])
-    t1_raw = standardize(info0, model.n).map_offsets(t1_std)[:, 0]
+    t1_raw = standardize(info0).map_offsets(t1_std)[:, 0]
     theta1 = theta0 + t1_raw
     y1 = model.quantile(x0, theta1)
     for row, point in zip(theta1, y1):
@@ -391,10 +390,8 @@ def _partition_pass(model, y0, t1_std, grid, cap=3.0, fit=None) -> list:
     step = max(1, _PASS_BLOCK // (grid.points_per_axis ** model.p * model.n))
     for lo in range(0, len(y0), step):
         b = slice(lo, lo + step)
-        offsets0, _, points0, keep0 = _sweep(model, x0[b], theta0[b],
-                                             standardize(info0[b], model.n), grid)
-        points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b], model.n),
-                                grid)[2:]
+        offsets0, _, points0, keep0 = _sweep(model, x0[b], theta0[b], standardize(info0[b]), grid)
+        points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b]), grid)[2:]
         # start each rebuilt point at its own draw's nearest grid offset, searched in
         # blocks of 8 Ki float64 differences, with dropped grid points at infinity
         padded, owner = np.full(keep0.shape + (model.n,), np.inf), np.nonzero(keep1)[0]
@@ -443,26 +440,12 @@ class ExactComparisonReport:
         return out
 
 
-_CIRCLES = ("circle2d", "circleN")
-
-
 def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    """Exact ancillary statistic where one exists, for a point or rows of points.
-
-    Location-scale: the configuration (y - mu_hat 1) / sigma_hat, in closed
-    form for Normal errors and from one batched fit of all rows otherwise.
-    Circle: the radius together with the untouched coordinates y_3..y_n.
-    """
-    y = np.asarray(y, dtype=float)
-    if model.family in _CIRCLES:
-        return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
-    if model.family == "location-scale":
-        theta = model.closed_form(y)
-    elif model.family in ("cauchy-location-scale", "inverted-cauchy"):
-        theta = _fit_many(model, y.reshape(-1, model.n)).reshape(y.shape[:-1] + (2,))
-    else:
-        raise UnsupportedFamilyError(f"no exact ancillary registered for {model.family!r}")
-    return (y - theta[..., :1]) / theta[..., 1:]
+    """The model's exact ancillary statistic (model.exact_label) of a point or
+    of rows of points; UnsupportedFamilyError where the model declares none."""
+    if model.exact_label is None:
+        raise UnsupportedFamilyError(f"no exact ancillary declared for {model.family!r}")
+    return model.exact_label(np.asarray(y, dtype=float))
 
 
 def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonReport:
@@ -471,7 +454,7 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     base = labels[0]
     spread = float(np.max(np.abs(labels[1:] - base), initial=0.0))
     radius_contour = radius_exact = None
-    if model.family in _CIRCLES:
+    if "rho" in model.meta:  # a circle family
         vel = cloud.frame.velocity[:, 0]
         normal = cloud.frame.normal_acceleration[:, 0, 0]
         bend = float(np.linalg.norm(normal))
@@ -523,7 +506,7 @@ class SeveriniReport:
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """The full-data pivot for the circle family."""
-    if model.family not in _CIRCLES:
+    if "rho" not in model.meta:
         raise UnsupportedFamilyError("pivot defined for circle families only")
     rho = model.meta["rho"]
     r = math.hypot(y[0], y[1])
@@ -541,7 +524,7 @@ def severini_pivot_check(model: QuantileModel, y0: np.ndarray) -> SeveriniReport
     arg o + pi.  The two lie 2 rho apart: the one through y0 is the only
     solution within rho of y0, the other is the antipodal candidate.
     """
-    if model.family != "circleN" or model.n < 3:
+    if "rho" not in model.meta or model.n < 3:
         raise UnsupportedFamilyError("pivot check needs the circleN family with n >= 3")
     y0 = model.check_point(y0)
     rho = model.meta["rho"]

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -354,19 +355,19 @@ def _cmd_verify(args) -> int:
         bad = set(config) - _PARTITION_KEYS
         if bad:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
-        try:  # the study's own checks, run here so that a bad value is a usage error
-            n_grid, draws, seed = _partition_order_args(
-                config.get("n_grid", (16, 64, 256, 1024)), config.get("draws", 12),
-                args.seed if args.seed is not None else config.get("seed", _DEFAULT_SEED))
-            t1_std = float(config.get("t1_std", 1.0))
-            grid = GridSpec(half_width=float(config.get("grid_half_width", 3.0)),
-                            points_per_axis=config.get("grid_points", 21))
+        given = {key: config[key] for key in ("n_grid", "t1_std", "draws", "seed")
+                 if key in config}
+        if args.seed is not None:
+            given["seed"] = args.seed
+        try:  # the study's own defaults and checks, so that a bad value is a usage error
+            grid = _partition_order_args()["grid"]  # the study's default grid
+            given["grid"] = replace(
+                grid, half_width=float(config.get("grid_half_width", grid.half_width)),
+                points_per_axis=config.get("grid_points", grid.points_per_axis))
+            study_args = _partition_order_args(**given)
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        if not math.isfinite(t1_std):
-            raise _UsageError("'t1_std' must be finite")
-        report = partition_order_study(n_grid=n_grid, t1_std=t1_std, draws=draws,
-                                       seed=seed, grid=grid)
+        report = partition_order_study(**study_args)
         summary = {"study": study, "slope": report.slope,
                    "mean_discrepancy": report.mean_discrepancy}
         text = report.to_csv() if args.format == "csv" else report.to_json()

@@ -19,15 +19,10 @@ from .models import QuantileModel
 
 __all__ = [
     "TaylorFrame",
-    "ReexpressionRecord",
     "build_frame",
     "orthogonalize",
     "quadratic_point",
-    "expansion_residual",
     "reparameterize",
-    "rescale_frame",
-    "scalar_expansion_arrays",
-    "reexpress_scalar",
 ]
 
 _RANK_TOL = 1e-10
@@ -150,114 +145,14 @@ def quadratic_point(frame: TaylorFrame, t: np.ndarray) -> np.ndarray:
     return frame.base_point + frame.velocity @ t + quad
 
 
-def expansion_residual(model: QuantileModel, frame: TaylorFrame, t: np.ndarray) -> float:
-    """Distance between the exact trajectory point and the quadratic prediction."""
-    exact = model.quantile(frame.x_ref, frame.theta + np.asarray(t, dtype=float))
-    return float(np.linalg.norm(exact - quadratic_point(frame, t)))
+def reparameterize(frame: TaylorFrame, t: np.ndarray) -> np.ndarray:
+    """Tilted coordinate t~ = t + t' mixing t / 2.
 
-
-def reparameterize(frame: TaylorFrame, t: np.ndarray, n_scale: float = 1.0) -> np.ndarray:
-    """Tilted coordinate t~ = t + t' mixing t / (2 n_scale).
-
-    With n_scale = 1 the substitution absorbs the tangential part exactly:
-    y0 + V t~ + t' normal t / 2 reproduces the full quadratic prediction.
-    Pass the moderate-deviation factor n^{1/2} as n_scale for standardized
-    bookkeeping.
+    The substitution absorbs the tangential part exactly: y0 + V t~ +
+    t' normal t / 2 reproduces the full quadratic prediction.
     """
-    if n_scale <= 0.0:
-        raise InvalidParameterError("n_scale must be positive")
     t = np.asarray(t, dtype=float)
     if t.shape != (frame.p,):
         raise InvalidDimensionError(f"t has shape {t.shape}, expected ({frame.p},)")
     bend = np.einsum("kab,a,b->k", frame.mixing, t, t)
-    return t + 0.5 * bend / n_scale
-
-
-def rescale_frame(frame: TaylorFrame, scales: np.ndarray) -> TaylorFrame:
-    """Frame of the reparameterized trajectory theta(t) = theta + scales @ t.
-
-    Composes with information standardization: passing the Cholesky-based
-    scales matrix yields a frame whose gram is the identity metric up to the
-    accuracy of the observed information.
-    """
-    scales = np.asarray(scales, dtype=float)
-    if scales.shape != (frame.p, frame.p):
-        raise InvalidDimensionError("scales must be p x p")
-    velocity = frame.velocity @ scales
-    acceleration = np.einsum("nab,aA,bB->nAB", frame.acceleration, scales, scales)
-    gram, projector, mixing, normal = orthogonalize(velocity, acceleration)
-    return TaylorFrame(
-        base_point=frame.base_point,
-        x_ref=frame.x_ref,
-        theta=frame.theta,
-        velocity=velocity,
-        acceleration=acceleration,
-        gram=gram,
-        projector=projector,
-        mixing=mixing,
-        normal_acceleration=normal,
-    )
-
-
-def scalar_expansion_arrays(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray):
-    """Per-coordinate (v, b, w) arrays of a scalar-parameter expansion.
-
-    v is the velocity, b the cross derivative d2 y / dx dtheta, w the
-    acceleration, all evaluated at (x_ref, theta).
-    """
-    if model.p != 1:
-        raise InvalidDimensionError("scalar expansion needs p = 1")
-    x_ref = model.check_point(x_ref, name="x_ref")
-    theta = model.check_theta(theta)
-    v = np.asarray(model.dquantile_dtheta(x_ref, theta), dtype=float)[:, 0]
-    b = np.asarray(model.cross_hessian(x_ref, theta), dtype=float)[:, 0]
-    w = np.asarray(model.d2quantile_dtheta2(x_ref, theta), dtype=float)[:, 0, 0]
-    return v, b, w
-
-
-@dataclass(frozen=True)
-class ReexpressionRecord:
-    """Coordinate re-expressions removing the cross term of a scalar expansion.
-
-    For each coordinate with velocity v != 0, the response re-expression
-    coefficient c solves c v = b, the reference re-expression coefficient is
-    a = -c (new x = x + a x^2 / (2 n^{1/2})), and the curvature is updated to
-    w - b v.  Coordinates with |v| below the drop tolerance are left alone
-    and recorded in dropped.  residual_cross_norm is the largest remaining
-    second-order cross coefficient |b - c v| over the kept coordinates.
-    """
-
-    a: np.ndarray
-    c: np.ndarray
-    w_new: np.ndarray
-    dropped: np.ndarray
-    residual_cross_norm: float
-
-
-def reexpress_scalar(v: np.ndarray, b: np.ndarray, w: np.ndarray,
-                     drop_tol: float = 1e-12) -> ReexpressionRecord:
-    """Absorb the cross-derivative term of a scalar-parameter expansion.
-
-    Inputs are the per-coordinate arrays from scalar_expansion_arrays.
-    Coordinates where the velocity vanishes cannot carry the re-expression
-    and are flagged rather than transformed.
-    """
-    v = np.asarray(v, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if not (v.shape == b.shape == w.shape) or v.ndim != 1:
-        raise InvalidDimensionError("v, b, w must be equal-length vectors")
-    scale = np.max(np.abs(v)) if v.size else 0.0
-    keep = np.abs(v) > drop_tol * max(scale, 1.0)
-    c = np.zeros_like(v)
-    c[keep] = b[keep] / v[keep]
-    w_new = w.copy()
-    w_new[keep] = w[keep] - b[keep] * v[keep]
-    residual = np.abs(b - c * v)
-    return ReexpressionRecord(
-        a=-c,
-        c=c,
-        w_new=w_new,
-        dropped=np.flatnonzero(~keep),
-        residual_cross_norm=float(np.max(residual[keep])) if keep.any() else 0.0,
-    )
+    return t + 0.5 * bend

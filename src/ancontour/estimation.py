@@ -366,36 +366,17 @@ def _rank_gate(info):
         )
 
 
-def _fit_many(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    """Maximum likelihood rows (K, p) for data rows y (K, n), fitted together.
-
-    fit_mle's Newton iteration, damped rescue and rank gate from
-    model.start(y), on all rows at once.  Each row then takes one undamped
-    Newton step, kept where it lowers the score norm: stationary to rounding,
-    not to 1e-8.
-    """
-    y = np.reshape([model.check_point(row) for row in y], (-1, model.n))
-    theta, info, _, _, _, s = _fit_points(model, y, model.start(y))
-    hess, grad = _newton_system(model, theta, s, info)
-    polished = _from_internal(model, _to_internal(model, theta)
-                              + np.linalg.solve(hess, grad[..., None])[..., 0])
-    better = _norms(_likelihood(model, y, polished)[2]) < _norms(s)
-    return np.where(better[:, None], polished, theta)
-
-
 @dataclass(frozen=True)
 class StandardizationRecord:
     """Information standardization at the fit.
 
     chol is the lower Cholesky factor L of the observed information; scales
     is L^{-T}, so theta = theta_hat + scales @ t has identity observed
-    information in t.  sqrt_n carries the moderate-deviation bookkeeping
-    factor n^{1/2} for callers that track it explicitly.
+    information in t.
     """
 
     chol: np.ndarray
     scales: np.ndarray
-    sqrt_n: float
 
     def map_offsets(self, t_std: np.ndarray) -> np.ndarray:
         """Map standardized offsets (rows) to raw parameter offsets."""
@@ -403,7 +384,7 @@ class StandardizationRecord:
         return t_std @ self.scales.swapaxes(-1, -2)
 
 
-def standardize(obs_info: np.ndarray, n: int) -> StandardizationRecord:
+def standardize(obs_info: np.ndarray) -> StandardizationRecord:
     """Cholesky-standardize an observed information matrix (must be SPD), or
     a stack of them (K, p, p) one by one; map_offsets then gives (K, rows, p)."""
     obs_info = np.asarray(obs_info, dtype=float)
@@ -412,4 +393,4 @@ def standardize(obs_info: np.ndarray, n: int) -> StandardizationRecord:
     except np.linalg.LinAlgError as exc:
         raise SingularInformationError(f"information not SPD: {exc}") from exc
     scales = np.linalg.inv(chol).swapaxes(-1, -2)
-    return StandardizationRecord(chol=chol, scales=scales, sqrt_n=math.sqrt(n))
+    return StandardizationRecord(chol=chol, scales=scales)

@@ -9,8 +9,8 @@ coordinate, and the law is independent Normal(0, var) or standard Cauchy
 coordinates.  One constructor derives from this the quantile map (vectorized
 over a batch of parameter rows, so a contour sweep is one call), its first
 and second parameter derivatives, the x-derivative and the cross derivative;
-each family adds its own Newton start and closed-form estimate, where one
-exists.
+each family adds its own Newton start and, where one exists, its closed-form
+estimate and exact ancillary.
 
 Instances are frozen; samplers take explicit seeds, so models are safe to
 share.
@@ -67,7 +67,8 @@ class QuantileModel:
     reference log density; ref_sampler(seed, count) returns (count, n) draws.
     param_domain holds one open interval per parameter coordinate.  start(y)
     is the Newton start for data y, (..., n) -> (..., p); closed_form(y), when
-    not None, is the exact MLE.
+    not None, is the exact MLE; exact_label(y), when not None, is an exact
+    ancillary statistic of a point or of rows of points, (..., n) -> (..., m).
     """
 
     family: str
@@ -85,6 +86,7 @@ class QuantileModel:
     param_domain: tuple
     start: Callable[[np.ndarray], np.ndarray]
     closed_form: Callable[[np.ndarray], np.ndarray] | None = None
+    exact_label: Callable[[np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ def _cauchy_law(n: int):
 
 
 def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
-                  closed_form, meta) -> QuantileModel:
+                  closed_form, exact_label, meta) -> QuantileModel:
     """The model q(x; theta) = a(theta[:r]) + b(theta) * x, all callables derived here.
 
     p = len(domain).  With scaled, b is the last coordinate theta[r] (r = p - 1)
@@ -200,13 +202,31 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         d2quantile_dtheta2=d2quantile_dtheta2, dquantile_dx=dquantile_dx,
         cross_hessian=cross_hessian, ref_log_density=ref_log_density, ref_score=ref_score,
         ref_score_derivative=ref_score_derivative, ref_sampler=ref_sampler,
-        param_domain=tuple(domain), start=start, closed_form=closed_form, meta=meta,
+        param_domain=tuple(domain), start=start, closed_form=closed_form,
+        exact_label=exact_label, meta=meta,
     )
 
 
 def _moments(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.mean(y, axis=-1, keepdims=True)
     return mu[..., 0], np.sqrt(np.mean((y - mu) ** 2, axis=-1))
+
+
+def _moment_fit(y: np.ndarray) -> np.ndarray:
+    """Rows (mean, rms) of points (..., n) whose rms deviation is positive:
+    the Normal location-scale MLE."""
+    mu, rms = _moments(y)
+    if np.any(rms <= 0.0):
+        raise SingularInformationError("degenerate sample, sigma_hat = 0")
+    return np.stack([mu, rms], axis=-1)
+
+
+def _configuration(y: np.ndarray) -> np.ndarray:
+    """(y - mean) / rms: the maximal invariant of y -> m + s y (s > 0), so an
+    exact ancillary of every location-scale law, and a one-to-one function
+    of any equivariant fit's configuration (y - mu_hat) / sigma_hat."""
+    theta = _moment_fit(y)
+    return (y - theta[..., :1]) / theta[..., 1:]
 
 
 def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
@@ -216,7 +236,8 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     ----------
     n : sample size (>= 2 so that sigma is identifiable).
     error_law : "normal" or "cauchy".  Normal errors have a closed-form MLE,
-        which also takes rows of points (..., n) -> (..., 2).
+        which also takes rows of points (..., n) -> (..., 2).  Either law has
+        the exact ancillary (y - mean) / rms.
     """
     if n < 2:
         raise InvalidDimensionError("location-scale needs n >= 2")
@@ -224,30 +245,23 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
         raise UnsupportedFamilyError(f"unknown error law {error_law!r}")
 
     if error_law == "normal":
-        def closed_form(y):
-            mu, sigma = _moments(y)
-            if np.any(sigma <= 0.0):
-                raise SingularInformationError("degenerate sample, sigma_hat = 0")
-            return np.stack([mu, sigma], axis=-1)
-
         def start(y):
             mu, sigma = _moments(y)
             return np.stack([mu, np.maximum(sigma, 1e-8)], axis=-1)
 
-        family, law = "location-scale", _normal_law(n, 1.0)
+        closed_form, family, law = _moment_fit, "location-scale", _normal_law(n, 1.0)
     else:
         def start(y):
             q75, q25 = np.percentile(y, [75.0, 25.0], axis=-1)
             return np.stack([np.median(y, axis=-1), np.maximum(0.5 * (q75 - q25), 1e-8)],
                             axis=-1)
 
-        closed_form = None
-        family, law = "cauchy-location-scale", _cauchy_law(n)
+        closed_form, family, law = None, "cauchy-location-scale", _cauchy_law(n)
 
     # a(mu) = mu broadcasts over the n coordinates
     return _affine_model(family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0,
                          True, law, (_UNBOUNDED, _POSITIVE), start, closed_form,
-                         {"error_law": error_law})
+                         _configuration, {"error_law": error_law})
 
 
 def _circle_mean(rho: float, n: int):
@@ -275,7 +289,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 
     The reference coordinates are independent mean-0 Normals with variance
     variance_scale; p = 1.  n = 2 gives the planar family, n > 2 embeds the
-    same circle in higher dimension (rotation taken as the identity).
+    same circle in higher dimension (rotation taken as the identity).  The
+    radius |(y_1, y_2)| with y_3..y_n is an exact ancillary.
     """
     a, da, d2a = _circle_mean(rho, n)
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
@@ -291,9 +306,12 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
             raise SingularInformationError("data at the circle center, angle undefined")
         return start(y)
 
+    def exact_label(y):
+        return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
+
     return _affine_model("circle2d" if n == 2 else "circleN", n, a, da, d2a, False,
                          _normal_law(n, variance_scale), (_UNBOUNDED,), start, closed_form,
-                         {"rho": float(rho), "variance_scale": float(variance_scale)})
+                         exact_label, {"rho": float(rho), "variance_scale": float(variance_scale)})
 
 
 @dataclass(frozen=True)
@@ -392,7 +410,7 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
     return _affine_model(f"nonlinreg-{meta['sigma_mode']}-sigma", n, eta.value, eta.jac,
                          eta.hess, scaled, _normal_law(n, var),
                          (_UNBOUNDED,) * r + (_POSITIVE,) * scaled,
-                         _regression_start(eta.value, r, scaled), None, meta)
+                         _regression_start(eta.value, r, scaled), None, None, meta)
 
 
 def make_synthetic_curved(n: int) -> QuantileModel:

@@ -14,6 +14,7 @@ so results are a function of the configuration alone.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, fields
 
@@ -671,9 +672,13 @@ class PartitionOrderReport:
         return csv_lines(["n", "mean_discrepancy"], rows)
 
 
-def _partition_order_args(n_grid, draws, seed) -> tuple:
-    """partition_order_study's (n_grid, draws, seed), checked before any work."""
-    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
+def _partition_order_args(**given) -> dict:
+    """partition_order_study's keyword arguments, checked before any work:
+    the given ones, and the study's own defaults for the rest."""
+    bound = inspect.signature(partition_order_study).bind(**given)
+    bound.apply_defaults()
+    n_grid, t1_std, draws, seed, grid = bound.arguments.values()
+    draws, seed, t1_std = config_int(draws, "draws"), config_int(seed, "seed", 0), float(t1_std)
     if draws <= 0:
         raise EmptyStudyError("draws must be positive")
     if not n_grid:
@@ -681,7 +686,9 @@ def _partition_order_args(n_grid, draws, seed) -> tuple:
     n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
     if len(set(n_grid)) < 2:
         raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
-    return n_grid, draws, seed
+    if not math.isfinite(t1_std):
+        raise InvalidParameterError("'t1_std' must be finite")
+    return {"n_grid": n_grid, "t1_std": t1_std, "draws": draws, "seed": seed, "grid": grid}
 
 
 def partition_order_study(
@@ -699,7 +706,8 @@ def partition_order_study(
     the per-n means is the order estimate (1/n for this second-order
     construction), so n_grid needs at least two distinct sample sizes.
     """
-    n_grid, draws, seed = _partition_order_args(n_grid, draws, seed)
+    n_grid, t1_std, draws, seed, grid = _partition_order_args(
+        n_grid=n_grid, t1_std=t1_std, draws=draws, seed=seed, grid=grid).values()
     per_draw = []
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)
@@ -712,7 +720,7 @@ def partition_order_study(
     slope, slope_se, band = _slope_fit(n_grid, means)
     return PartitionOrderReport(
         n_grid=n_grid,
-        t1_std=float(t1_std),
+        t1_std=t1_std,
         draws=draws,
         seed=seed,
         mean_discrepancy=means,

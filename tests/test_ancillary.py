@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.optimize import root
 
@@ -25,6 +27,7 @@ from ancontour import (
     eta_curved,
     exact_label,
     fit_mle,
+    invert_coordinates,
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
@@ -364,23 +367,51 @@ def test_backtracking_costs_at_most_two_quantile_calls_per_iteration(family, mon
         assert calls["quantile"] <= 1 + 2 * calls["dquantile_dtheta"]
 
 
-def test_cauchy_exact_labels_agree_to_rounding(monkeypatch):
-    """An outlier at y = -3355 scales the configuration by about 960; labels
-    from fits stopped at a score norm of 1e-8 spread by 2.3e-6 there, the
-    polished batched fits by rounding only.  The base point and the cloud
-    are labelled in one batched fit."""
-    import ancontour.ancillary as anc
-
+def test_cauchy_exact_labels_agree_to_rounding():
+    """An outlier at y = -3355 scales the configuration by about 960; the
+    label (y - mean) / rms, in closed form, spreads over the cloud by
+    rounding only, and the data and the fit's configuration x_hat share it."""
     model = make_location_scale(8, error_law="cauchy")
     y0 = model.quantile(model.ref_sampler(708, 16)[5], np.array([0.3, 1.1]))
     assert np.min(y0) < -3000.0
     cloud = build_contour(model, y0, GridSpec(2.0, 11))
-    calls, fit_many = [], anc._fit_many
-    monkeypatch.setattr(anc, "_fit_many",
-                        lambda m, rows: calls.append(len(rows)) or fit_many(m, rows))
-    report = compare_exact(model, cloud)
-    assert calls == [len(cloud.points) + 1]
-    assert report.label_spread <= 1e-10
+    assert compare_exact(model, cloud).label_spread <= 1e-12
+    np.testing.assert_allclose(exact_label(model, y0), exact_label(model, cloud.fit.x_hat),
+                               rtol=0, atol=1e-12)
+
+
+LOCATION_SCALE = {
+    "location-scale": make_location_scale(6),
+    "cauchy-location-scale": make_location_scale(6, error_law="cauchy"),
+    "inverted-cauchy": invert_coordinates(make_location_scale(6, error_law="cauchy")).model,
+}
+
+
+@pytest.mark.parametrize("family", sorted(LOCATION_SCALE))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-10.0, 10.0), scale=st.floats(0.1, 10.0))
+def test_location_scale_label_is_an_exact_ancillary(family, seed, shift, scale):
+    """The declared label is unchanged by y -> shift + scale y, and constant
+    to rounding along the family's own contour cloud."""
+    model = LOCATION_SCALE[family]
+    y = model.quantile(model.ref_sampler(seed, 1)[0], np.array([0.3, 1.1]))
+    np.testing.assert_allclose(model.exact_label(shift + scale * y), model.exact_label(y),
+                               rtol=0, atol=1e-12)
+    assert compare_exact(model, build_contour(model, y, GridSpec(2.0, 5))).label_spread <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), angle=st.floats(-math.pi, math.pi))
+def test_circle_label_is_rotation_invariant(n, seed, angle):
+    """The radius with y_3..y_n is unchanged by a rotation of (y_1, y_2)."""
+    model = make_circle(1.3, n=n, variance_scale=0.2)
+    y = model.quantile(model.ref_sampler(seed, 1)[0], np.array([0.4]))
+    turned = y.copy()
+    turned[:2] = [math.cos(angle) * y[0] - math.sin(angle) * y[1],
+                  math.sin(angle) * y[0] + math.cos(angle) * y[1]]
+    np.testing.assert_allclose(model.exact_label(turned), model.exact_label(y),
+                               rtol=0, atol=1e-12)
 
 
 def test_partition_check_memory_is_bounded():

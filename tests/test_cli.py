@@ -406,6 +406,15 @@ def test_verify_partition_order(tmp_path, capsys):
     assert means[0] > means[1] > 0
 
 
+def test_verify_partition_order_is_the_study_at_its_defaults(tmp_path, capsys):
+    """The config's keys go to partition_order_study and the study's own
+    defaults fill the rest, so the file is the library report's JSON."""
+    config = write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64], "draws": 2})
+    assert run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
+    expected = ancontour.partition_order_study(n_grid=(16, 64), draws=2).to_json()
+    assert (tmp_path / "partition-order.json").read_text() == expected
+
+
 def test_verify_config_errors(tmp_path, capsys):
     unknown_study = write_config(tmp_path, {"study": "bootstrap"})
     assert run_cli(["verify", "--config", unknown_study,
@@ -472,7 +481,7 @@ assert estimation.fit_mle(cauchy, y, max_iterations=1).iterations > 1
 hard = [-0.760033411767359, 2.0551768100006615, -2.0417065446907747, -0.7852925465289906]
 ys = np.array([y, hard])
 assert estimation._newton(cauchy, ys, cauchy.start(ys))[3].tolist() == [True, False]
-estimation._fit_many(cauchy, ys)
+estimation._fit_points(cauchy, ys, cauchy.start(ys))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -505,6 +514,20 @@ def test_cli_import_loads_no_statistics():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_ancillary_and_estimation_never_compare_a_family_name():
+    """Exact ancillaries, circles and fits are found through what each model
+    declares: no comparison in ancillary.py or estimation.py has a .family
+    attribute as an operand, so none tests a family name."""
+    package = pathlib.Path(ancontour.__file__).parent
+    for name in ("ancillary.py", "estimation.py"):
+        path = package / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert not any(isinstance(op, ast.Attribute) and op.attr == "family"
+                               for op in operands), f"{name}:{node.lineno}"
 
 
 def test_package_imports_and_declares_numpy_only():

@@ -12,18 +12,12 @@ from ancontour import (
     build_frame,
     eta_circle,
     eta_curved,
-    expansion_residual,
-    fit_mle,
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
     orthogonalize,
     quadratic_point,
-    reexpress_scalar,
     reparameterize,
-    rescale_frame,
-    scalar_expansion_arrays,
-    standardize,
 )
 from conftest import FAMILY_NAMES, five_point_derivative, iter_instances
 
@@ -127,8 +121,8 @@ def test_expansion_residual_is_third_order():
         frame = build_frame(model, x, theta)
         hs = np.array([0.2, 0.1, 0.05, 0.025])
         direction = np.ones(model.p) / math.sqrt(model.p)
-        res = np.array([expansion_residual(model, frame, h * direction)
-                        for h in hs])
+        res = np.array([np.linalg.norm(model.quantile(x, theta + h * direction)
+                                       - quadratic_point(frame, h * direction)) for h in hs])
         assert np.all(res > 0)
         slopes = np.diff(np.log(res)) / np.diff(np.log(hs))
         assert slopes.mean() >= 2.7
@@ -140,7 +134,9 @@ def test_expansion_exact_for_theta_linear_family():
     x = rng.normal(size=5)
     frame = build_frame(model, x, np.array([0.4, 1.3]))
     for t in ([0.5, 0.2], [-1.0, 0.6], [2.0, -0.5]):
-        assert expansion_residual(model, frame, np.array(t)) < 1e-12
+        t = np.array(t)
+        exact = model.quantile(x, frame.theta + t)
+        assert np.linalg.norm(exact - quadratic_point(frame, t)) < 1e-12
 
 
 def test_expansion_exact_for_quadratic_mean_family():
@@ -149,11 +145,13 @@ def test_expansion_exact_for_quadratic_mean_family():
     x = model.ref_sampler(29, 1)[0]
     frame = build_frame(model, x, np.array([0.2]))
     for t in (0.5, -1.0, 2.0):
-        assert expansion_residual(model, frame, np.array([t])) < 1e-12
+        t = np.array([t])
+        exact = model.quantile(x, frame.theta + t)
+        assert np.linalg.norm(exact - quadratic_point(frame, t)) < 1e-12
 
 
 def test_reparameterize_absorbs_tangential_part():
-    """At n_scale 1 the tilted coordinate plus the normal term is exact."""
+    """The tilted coordinate plus the normal term is exact."""
     for model, theta, _ in iter_instances("circleN", 5, seed=304):
         x = model.ref_sampler(19, 1)[0]
         frame = build_frame(model, x, theta)
@@ -175,65 +173,8 @@ def test_reparameterize_scalar_formula_and_scaling():
     t = np.array([0.25])
     expected = t + 0.5 * m * t ** 2
     np.testing.assert_allclose(reparameterize(frame, t), expected, atol=1e-14)
-    for n_scale in (4.0, 25.0):
-        shifted = reparameterize(frame, t, n_scale=n_scale)
-        np.testing.assert_allclose(shifted - t, (expected - t) / n_scale,
-                                   atol=1e-14)
-    with pytest.raises(InvalidParameterError):
-        reparameterize(frame, t, n_scale=0.0)
     with pytest.raises(InvalidDimensionError):
         reparameterize(frame, np.array([0.1, 0.2]))
-
-
-@pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_rescale_frame_whitens_metric(family):
-    """Standardization scales turn the fitted frame metric into the identity."""
-    for model, _, y in iter_instances(family, 3, seed=305):
-        fit = fit_mle(model, y)
-        frame = build_frame(model, fit.x_hat, fit.theta_hat)
-        record = standardize(fit.obs_info, model.n)
-        scaled = rescale_frame(frame, record.scales)
-        gram_expected = record.scales.T @ frame.gram @ record.scales
-        np.testing.assert_allclose(scaled.gram, gram_expected,
-                                   rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(scaled.velocity,
-                                   frame.velocity @ record.scales, atol=1e-12)
-
-
-def test_rescale_frame_rejects_bad_shape():
-    model = make_circle(1.0, n=2)
-    frame = build_frame(model, np.zeros(2), np.array([0.0]))
-    with pytest.raises(InvalidDimensionError):
-        rescale_frame(frame, np.eye(2))
-
-
-def test_scalar_expansion_arrays_circle():
-    rho = 1.7
-    model = make_circle(rho, n=2, variance_scale=0.5)
-    theta = np.array([0.45])
-    x = np.array([0.02, -0.07])
-    v, b, w = scalar_expansion_arrays(model, x, theta)
-    u = np.array([math.cos(0.45), math.sin(0.45)])
-    uperp = np.array([-math.sin(0.45), math.cos(0.45)])
-    np.testing.assert_allclose(v, rho * uperp, atol=1e-14)
-    np.testing.assert_allclose(b, np.zeros(2), atol=1e-14)
-    np.testing.assert_allclose(w, -rho * u, atol=1e-14)
-    with pytest.raises(InvalidDimensionError):
-        scalar_expansion_arrays(make_location_scale(4), np.zeros(4),
-                                np.array([0.0, 1.0]))
-
-
-def test_reexpress_scalar_values():
-    record = reexpress_scalar(np.array([2.0, 1.0, 0.0]),
-                              np.array([3.0, 0.0, 0.5]),
-                              np.array([1.0, 4.0, 2.0]))
-    np.testing.assert_allclose(record.c, [1.5, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(record.a, [-1.5, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(record.w_new, [-5.0, 4.0, 2.0], atol=1e-15)
-    np.testing.assert_array_equal(record.dropped, [2])
-    assert record.residual_cross_norm < 1e-12
-    with pytest.raises(InvalidDimensionError):
-        reexpress_scalar(np.ones(3), np.ones(2), np.ones(3))
 
 
 def test_frame_json_payload():

@@ -30,7 +30,6 @@ from ancontour import (
 )
 from ancontour.estimation import (
     _SCORE_TOL,
-    _fit_many,
     _fit_points,
     _from_internal,
     _likelihood,
@@ -236,26 +235,25 @@ def test_fit_first_order_conditions(family):
 
 
 def test_standardize_diagonal():
-    record = standardize(np.diag([4.0, 9.0]), n=1)
+    record = standardize(np.diag([4.0, 9.0]))
     np.testing.assert_allclose(record.scales, np.diag([0.5, 1.0 / 3.0]),
                                atol=1e-14)
-    assert record.sqrt_n == 1.0
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_standardize_whitens(family):
     for model, _, y in iter_instances(family, 4, seed=205):
         fit = fit_mle(model, y)
-        record = standardize(fit.obs_info, model.n)
+        record = standardize(fit.obs_info)
         ident = record.scales.T @ fit.obs_info @ record.scales
         np.testing.assert_allclose(ident, np.eye(model.p), atol=1e-10)
 
 
 def test_standardize_rejects_non_spd():
     with pytest.raises(SingularInformationError):
-        standardize(np.array([[1.0, 2.0], [2.0, 1.0]]), n=4)
+        standardize(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(SingularInformationError):
-        standardize(np.zeros((2, 2)), n=4)
+        standardize(np.zeros((2, 2)))
 
 
 def test_cauchy_quasi_newton_fallback():
@@ -359,8 +357,8 @@ def test_fit_outcome_table(family, monkeypatch):
 
 def test_fit_batch_cauchy_rescues_match_recorded():
     """The two fit-batch Cauchy datasets whose fits stall: the dataset fit and
-    every stalled contour-point row of compare_exact land on the stationary
-    points recorded from the one-row BFGS rescue."""
+    every stalled row of a batched fit of its contour points from the Newton
+    start land on the stationary points recorded from the one-row BFGS rescue."""
     path = os.path.join(os.path.dirname(__file__), "data", "fit_batch_cauchy_rescues.json")
     with open(path) as handle:
         records = json.load(handle)["datasets"]
@@ -370,14 +368,15 @@ def test_fit_batch_cauchy_rescues_match_recorded():
         fit = fit_mle(model, y)
         assert fit.score_norm < _SCORE_TOL
         assert _same_stationary_point(model, y, fit.theta_hat, record["theta_hat"])
-        # contour points around the recorded estimate, as compare_exact labels them
+        # the dataset and the contour points around the recorded estimate
         at = fit_mle(model, y, init=np.array(record["theta_hat"]), method="newton")
         assert at.theta_hat.tolist() == record["theta_hat"]
         ys = np.vstack([y, build_contour(model, y, GridSpec(2.0, 11), fit=at).points])
         stalled = np.flatnonzero(~_newton(model, ys, model.start(ys))[3])
         assert stalled.tolist() == record["rows"]
-        rows = _fit_many(model, ys)[stalled]
-        np.testing.assert_allclose(rows, record["theta"], rtol=0, atol=1e-12)
+        rows = _fit_points(model, ys, model.start(ys))[0]
+        for k, theta in zip(stalled, record["theta"]):
+            assert _same_stationary_point(model, ys[k], rows[k], theta)
 
 
 def _draws(model, theta, count, seed):
@@ -416,11 +415,12 @@ def test_likelihood_rows_match_one_row_reference(family):
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_fit_many_rows_agree_with_fit_mle(family):
-    """Each batched row is a stationary point fit_mle accepts, and it differs
-    from fit_mle's estimate by no more than fit_mle's score tolerance allows."""
+    """Each row of one batched fit from the Newton start is a stationary point
+    fit_mle accepts, and it differs from fit_mle's estimate by no more than
+    fit_mle's score tolerance allows."""
     for model, theta, _ in iter_instances(family, 3, seed=212):
         ys = _draws(model, theta, 12, seed=31)
-        rows = _fit_many(model, ys)
+        rows = _fit_points(model, ys, model.start(ys))[0]
         assert rows.shape == (12, model.p)
         for y, row in zip(ys, rows):
             fit = fit_mle(model, y)
@@ -431,16 +431,17 @@ def test_fit_many_rows_agree_with_fit_mle(family):
 
 
 def test_fit_many_forced_fallback_row():
-    """A row whose Newton line search fails is finished by the damped rescue,
-    as fit_mle finishes it, while the other rows keep their Newton bits."""
+    """In a batched fit, a row whose Newton line search fails is finished by
+    the damped rescue, as fit_mle finishes it, while the other rows keep
+    their Newton bits."""
     model = make_location_scale(4, error_law="cauchy")
     hard = np.array([-0.760033411767359, 2.0551768100006615,
                      -2.0417065446907747, -0.7852925465289906])
     ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), hard])
     converged = _newton(model, ys, model.start(ys))[3]
     assert converged.tolist() == [True, True, True, False]
-    rows = _fit_many(model, ys)
-    assert rows[:3].tobytes() == _fit_many(model, ys[:3]).tobytes()
+    rows = _fit_points(model, ys, model.start(ys))[0]
+    assert rows[:3].tobytes() == _fit_points(model, ys[:3], model.start(ys[:3]))[0].tobytes()
     for y, row in zip(ys, rows):
         assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
         np.testing.assert_allclose(row, fit_mle(model, y).theta_hat, rtol=0, atol=1e-8)
@@ -463,13 +464,18 @@ def test_fit_points_reuse_newtons_values_at_the_estimate():
 
 
 def test_fit_many_guards():
-    model = make_location_scale(4, error_law="cauchy")
-    with pytest.raises(SingularInformationError):  # the flat two-observation ridge
-        _fit_many(make_location_scale(2, error_law="cauchy"), np.array([[-1.0, 2.0]]))
+    """A batched fit raises on the flat two-observation ridge, and the batched
+    partition pass checks every row before it fits any."""
+    from ancontour.ancillary import _partition_pass
+
+    ridge = make_location_scale(2, error_law="cauchy")
+    with pytest.raises(SingularInformationError):
+        _fit_points(ridge, np.array([[-1.0, 2.0]]), ridge.start(np.array([[-1.0, 2.0]])))
+    model, t1 = make_location_scale(4, error_law="cauchy"), np.array([1.0, 0.5])
     with pytest.raises(InvalidDimensionError):
-        _fit_many(model, np.zeros((3, 5)))
-    with pytest.raises(InvalidParameterError):  # fit_mle's check of every row
-        _fit_many(model, np.array([[0.0, 1.0, math.nan, 2.0]]))
+        _partition_pass(model, np.zeros((3, 5)), t1, GridSpec(2.0, 5))
+    with pytest.raises(InvalidParameterError):
+        _partition_pass(model, np.array([[0.0, 1.0, math.nan, 2.0]]), t1, GridSpec(2.0, 5))
 
 
 def test_convergence_error_carries_trace():
