@@ -27,7 +27,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimation import (
-    _BLOCK, _SCALES, FitResult, StandardizationRecord, _fit_points, _norms, fit_mle, standardize,
+    _BLOCK, FitResult, StandardizationRecord, _fit_points, _line_search, _norms, fit_mle,
+    standardize,
 )
 from .models import QuantileModel, non_invertible_mask
 
@@ -207,11 +208,12 @@ def contour_min_distance(
     """Distance from q to the continuous contour through fit, by Gauss-Newton.
 
     Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t starting from
-    t_init (typically the nearest grid offset), with backtracking and domain
-    clipping.  Returns (distance, argmin offset): a float and (p,) for one
-    point q (n,), or (K,) and (K, p) for rows q (K, n) and t_init (K, p),
-    solved together with each row on the path it would take alone; fit may
-    carry one anchor per row instead, x_hat (K, n) and theta_hat (K, p).
+    t_init (typically the nearest grid offset), with domain clipping and the
+    line search of the Newton fit, estimation._line_search.  Returns
+    (distance, argmin offset): a float and (p,) for one point q (n,), or (K,)
+    and (K, p) for rows q (K, n) and t_init (K, p), solved together with each
+    row on the path it would take alone; fit may carry one anchor per row
+    instead, x_hat (K, n) and theta_hat (K, p).
     Shapes that do not match raise InvalidDimensionError; non-finite inputs,
     a negative max_iter and a q whose squared distance overflows raise
     InvalidParameterError.
@@ -243,31 +245,18 @@ def contour_min_distance(
         r = model.quantile(at(x_hat, rows), at(theta, rows) + tv)
         return np.subtract(q[rows], r, out=r)  # in place: one (rows, n) array fewer
 
-    def sq(r):
-        return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    def evaluate(rows, cand):  # in the domain, and not raising the squared distance
+        ok = inside(rows[:, None], cand)
+        of = rows[np.nonzero(ok)[0]]
+        res = residual(of, cand[ok])
+        values, hit = (res[:, None, :] @ res[:, :, None])[:, 0, 0], np.zeros(ok.shape, dtype=bool)
+        hit[ok] = values <= value[of]
 
-    def backtrack(rows, step, scales):
-        """Move each row to its first candidate t + scale * step that stays in
-        the domain and does not raise the value, all evaluated in one call;
-        returns the rows (and steps) with none."""
-        cand = t[rows, None] + scales[:, None] * step[:, None]
-        ok, values = inside(rows[:, None], cand), np.repeat(value[rows, None], len(scales), axis=1)
-        # an in-domain candidate that leaves t unmoved keeps the row's value and
-        # residual unevaluated and is accepted, so no later one of its row is evaluated
-        still = ok & np.all(cand == t[rows, None], axis=2)
-        ev = ok & ~np.logical_or.accumulate(still, axis=1)
-        res = residual(rows[np.nonzero(ev)[0]], cand[ev])
-        values[ev] = sq(res)
-        hit = ok & (values <= value[rows, None])
-        got = hit.any(axis=1)
-        first, acc = hit.argmax(axis=1)[got], rows[got]
-        # an evaluated first hit passes on its residual, found by its place in res
-        at, fresh = np.cumsum(ev).reshape(ev.shape) - 1, ev[got, first]
-        resid[acc[fresh]] = res[at[got, first][fresh]]
-        moved = _norms(cand[got, first] - t[acc])
-        t[acc], value[acc] = cand[got, first], values[got, first]
-        active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
-        return rows[~got], step[~got]
+        def keep(acc, pick, moved):
+            place = (np.cumsum(ok) - 1).reshape(ok.shape)[pick]  # each accepted one's row in res
+            resid[acc], value[acc] = res[place], values[place]
+            active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
+        return hit, keep
 
     for _ in range(60):
         out = ~inside(slice(None), t)
@@ -276,7 +265,7 @@ def contour_min_distance(
         t[out] *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         resid = residual(slice(None), t)
-        value = sq(resid)
+        value = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
     if not np.all(np.isfinite(value)):
         raise InvalidParameterError("q is too far from the contour for a finite squared distance")
     active = np.ones(len(q), dtype=bool)
@@ -292,18 +281,8 @@ def contour_min_distance(
         grad = vel_t @ resid[rows][..., None]
         step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
         del vel, vel_t  # free before the line search allocates its candidates
-        # A row takes the first of 1, 1/2, ..., 1/2^39 times the step that stays
-        # in the domain and does not raise the value: scale 1 for every row in
-        # one call, then the smaller scales m at a time for the rows still
-        # searching, with rows * m * n <= max(_BLOCK, q.size) float64 elements
-        # where m >= 1: no more candidates than the points refined, so the
-        # block of a partition pass bounds its line search too.
-        rows, step = backtrack(rows, step, _SCALES[:1])
-        k = 1
-        while rows.size and k < 40:
-            m = min(40 - k, max(1, max(_BLOCK, q.size) // (rows.size * model.n)))
-            rows, step = backtrack(rows, step, _SCALES[k:k + m])
-            k += m
+        # a block holds at least the points refined: a partition pass's block bounds it
+        rows = _line_search(rows, t, step, model.n, max(_BLOCK, q.size), evaluate)
         active[rows] = False  # line search failed
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
@@ -339,12 +318,15 @@ class PartitionReport:
         }
 
 
+_T1_CAP = 3.0  # the largest standardized |t1|, to keep the probe in moderate deviations
+
+
 def partition_check(
     model: QuantileModel,
     y0: np.ndarray,
     t1_std: np.ndarray,
     grid: GridSpec = GridSpec(),
-    cap: float = 3.0,
+    cap: float = _T1_CAP,
     fit: FitResult | None = None,
 ) -> PartitionReport:
     """Rebuild the contour from a point on it and measure the set discrepancy.
@@ -361,7 +343,7 @@ def partition_check(
 _PASS_BLOCK = 21 << 10  # float64 (rebuilt points x n) a pass block holds: 21 at n = 1024
 
 
-def _partition_pass(model, y0, t1_std, grid, cap=3.0, fit=None) -> list:
+def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
     """partition_check of each row of y0 at the one offset t1_std: one batched
     fit of the base points and one of the probe points, then the sweeps,
     nearest-offset search and refinement over blocks of draws of at most
@@ -505,12 +487,11 @@ class SeveriniReport:
 
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
-    """The full-data pivot for the circle family."""
+    """The full-data pivot of a point of a circle family, checked by model.check_point."""
     if "rho" not in model.meta:
         raise UnsupportedFamilyError("pivot defined for circle families only")
-    rho = model.meta["rho"]
-    r = math.hypot(y[0], y[1])
-    angle = math.atan2(y[1], y[0])
+    y, rho = model.check_point(y), model.meta["rho"]
+    r, angle = math.hypot(y[0], y[1]), math.atan2(y[1], y[0])
     head = [(r - rho) * math.cos(angle), (r - rho) * math.sin(angle)]
     return np.concatenate([head, y[2:]])
 

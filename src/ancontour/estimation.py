@@ -48,9 +48,8 @@ _MAX_ITER = 100
 # two-observation Cauchy data the ratio is rounding noise, |ratio| < 1e-15;
 # identifiable fits in seeded runs of every family sit above 1e-3.
 _RANK_TOL = 1e-10
-# Backtracking scales of Newton and of contour_min_distance, and the float64
-# elements of the largest (rows, scales, n) block of candidates either
-# evaluates in one call, unless one scale of the rows still searching is larger
+# Backtracking scales of _line_search, and the float64 elements of the largest
+# (rows, scales, n) block of Newton candidates, unless one scale is larger
 _SCALES = 0.5 ** np.arange(40)
 _BLOCK = 1 << 11
 
@@ -192,12 +191,34 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def _line_search(rows, x, step, width, block, evaluate):
+    """Move each listed row of x (K, p) to its first candidate x + scale * step,
+    scale 1, 1/2, ..., 1/2^39, that evaluate accepts; returns the rows with
+    none.  Scale 1 goes for every row in one call, then m scales a call with
+    rows * m * width <= block (m >= 1).  evaluate(rows, cand (rows, m, p))
+    returns the acceptance (rows, m) and keep(acc, pick, moved), called once
+    x[acc] is cand[pick] to carry the solver's state and apply its stop rule."""
+    k = 0
+    while rows.size and k < len(_SCALES):
+        m = 1 if k == 0 else min(len(_SCALES) - k, max(1, block // (rows.size * width)))
+        cand = x[rows, None] + _SCALES[k:k + m, None] * step[:, None]
+        hit, keep = evaluate(rows, cand)
+        got = hit.any(axis=1)
+        acc, pick = rows[got], (np.flatnonzero(got), hit.argmax(axis=1)[got])
+        moved = _norms(cand[pick] - x[acc])
+        x[acc] = cand[pick]
+        keep(acc, pick, moved)
+        rows, step, k = rows[~got], step[~got], k + m
+        del cand, hit, keep  # free this block before the next one is built
+    return rows
+
+
 def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
     """Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
 
-    A row stops at a score norm below 1e-8, a failed line search (none of
-    1, 1/2, ..., 1/2^39 times the step keeps the log-likelihood from
-    falling; a row takes the first that does), a step under 1e-10 or the
+    A row stops at a score norm below 1e-8, a failed line search
+    (_line_search finds no scale of the step that stays in the domain and
+    keeps the log-likelihood from falling), a step under 1e-10 or the
     iteration limit; a singular Hessian raises.  Returns rows (z, theta,
     iterations, converged, log-likelihood, score, information), the last
     three _likelihood's at the final theta; trace gets the first row's
@@ -211,36 +232,26 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     """
     logs, (lo, hi) = _log_axes(model), np.array(model.param_domain).T
 
-    def backtrack(rows, step, scales):
-        """Move each row to its first candidate z + scale * step that is in the
-        domain and does not lower the log-likelihood; returns the rows (and
-        steps) with none.  A single scale is evaluated in full in one call; a
-        block of scales by value in one call, then its accepted candidates in
-        full, so a long search computes no information it discards."""
-        cand = z[rows, None] + scales[:, None] * step[:, None]
+    def evaluate(rows, cand):  # in the domain, and not lowering the log-likelihood
         # past 709 math.exp overflows; such a candidate is out of the domain
         theta_c = _from_internal(model, np.where(logs & (cand > 709.0), np.nan, cand))
         ok = np.all((theta_c > lo) & (theta_c < hi), axis=2)
         of = rows[np.nonzero(ok)[0]]  # the row of each candidate in the domain
-        if len(scales) == 1:
-            evaluated = _likelihood(model, y[of], theta_c[ok])
-            v = evaluated[1]
-        else:
-            v = _values(model, y[of], theta_c[ok])[2]
+        # one scale is evaluated in full; a block of scales by value, then only
+        # its accepted candidates in full, so no information is discarded
+        full = _likelihood(model, y[of], theta_c[ok]) if cand.shape[1] == 1 else None
+        v = _values(model, y[of], theta_c[ok])[2] if full is None else full[1]
         up = np.zeros(ok.shape, dtype=bool)
         up[ok] = v >= current[of] - 1e-12 * (1.0 + np.abs(current[of]))
-        got = up.any(axis=1)
-        acc, pick = rows[got], (np.flatnonzero(got), up.argmax(axis=1)[got])
-        moved = _norms(cand[pick] - z[acc])
-        z[acc], theta[acc] = cand[pick], theta_c[pick]
-        if len(scales) == 1:
-            _, v, s_c, info_c = evaluated
-            sel = up[ok]
-            current[acc], s[acc], info[acc] = v[sel], s_c[sel], info_c[sel]
-        elif acc.size:
-            _, current[acc], s[acc], info[acc] = _likelihood(model, y[acc], theta[acc])
-        active[acc[moved < _STEP_TOL]] = False
-        return rows[~got], step[~got]
+
+        def keep(acc, pick, moved):
+            theta[acc] = theta_c[pick]
+            if full is not None:
+                current[acc], s[acc], info[acc] = (part[up[ok]] for part in full[1:])
+            elif acc.size:
+                _, current[acc], s[acc], info[acc] = _likelihood(model, y[acc], theta[acc])
+            active[acc[moved < _STEP_TOL]] = False
+        return up, keep
 
     z = _to_internal(model, theta)
     theta = _from_internal(model, z)
@@ -270,14 +281,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
         if trace is not None and rows[0] == 0:
             trace.append({"iter": int(iterations[0]), "theta": theta[0].tolist(),
                           "loglik": float(current[0])})
-        # scale 1 for every row in one call, then the smaller scales m at a
-        # time for the rows still searching, rows * m * n <= _BLOCK elements
-        rows, step = backtrack(rows, step, _SCALES[:1])
-        k = 1
-        while rows.size and k < len(_SCALES):
-            m = min(len(_SCALES) - k, max(1, _BLOCK // (rows.size * model.n)))
-            rows, step = backtrack(rows, step, _SCALES[k:k + m])
-            k += m
+        rows = _line_search(rows, z, step, model.n, _BLOCK, evaluate)
         active[rows] = False  # line search failed: the row stays where it is
     return z, theta, iterations, _norms(s) < _SCORE_TOL, current, s, info
 
@@ -325,34 +329,25 @@ def fit_mle(
 
 def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescue=True):
     """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
-    fit_mle on each row of y (K, n) at once: Newton and the rescue from rows
-    init (by default each row's checked closed form or Newton start), the
-    convergence check and the rank gate; each row has a one-row fit's bits."""
+    fit_mle on each row of y (K, n) at once: Newton from rows init (by default
+    each row's checked closed form or Newton start), then the damped Newton
+    (the rescue) over the rows it leaves short of a score norm of 1e-8, so
+    rows that converge under plain Newton keep their bits; then the
+    convergence check and the rank gate.  Each row has a one-row fit's bits."""
     if init is None:
         init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
-    theta, iterations, converged, value, s, info = _fit_rows(model, y, init, max_iterations,
-                                                              trace, rescue)
+    _, theta, iterations, converged, value, s, info = _newton(model, y, init, max_iterations, trace)
+    short = np.flatnonzero(~converged)
+    if rescue and short.size:
+        _, theta[short], extra, converged[short], value[short], s[short], info[short] = _newton(
+            model, y[short], theta[short], trace=trace, damped=True)
+        iterations[short] += extra
     if not np.all(converged):
         k = int(np.argmin(converged))
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
                                f"(score norm {float(np.linalg.norm(s[k])):.3e})", trace=trace)
     _rank_gate(info)
     return theta, info, _values(model, y, theta)[0], iterations, value, s
-
-
-def _fit_rows(model, y, theta, max_iterations=_MAX_ITER, trace=None, rescue=True):
-    """Rows (theta, iterations, converged, log-likelihood, score, information):
-    Newton from rows theta, then the damped Newton (the rescue) over the rows
-    it leaves short of a score norm of 1e-8, so rows that converge under
-    plain Newton keep their bits."""
-    _, theta, iterations, converged, value, s, info = _newton(model, y, theta, max_iterations,
-                                                              trace)
-    short = np.flatnonzero(~converged)
-    if rescue and short.size:
-        _, theta[short], extra, converged[short], value[short], s[short], info[short] = _newton(
-            model, y[short], theta[short], trace=trace, damped=True)
-        iterations[short] += extra
-    return theta, iterations, converged, value, s, info
 
 
 def _rank_gate(info):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._jsonio import config_int, csv_lines, dumps
-from .ancillary import GridSpec, _partition_pass, build_contour
+from .ancillary import _T1_CAP, GridSpec, _partition_pass, build_contour
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -688,6 +688,9 @@ def _partition_order_args(**given) -> dict:
         raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
     if not math.isfinite(t1_std):
         raise InvalidParameterError("'t1_std' must be finite")
+    if abs(t1_std) > _T1_CAP:
+        raise InvalidParameterError(
+            f"|t1| = {abs(t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")
     return {"n_grid": n_grid, "t1_std": t1_std, "draws": draws, "seed": seed, "grid": grid}
 
 

@@ -515,6 +515,20 @@ def test_severini_pivot_values():
         severini_pivot(make_location_scale(3), y)
 
 
+@pytest.mark.parametrize("y", [[1.0, 0.0], [1.25, 0.0, 0.15, 0.2], [1.25, math.nan, 0.15],
+                               [math.inf, 0.0, 0.15]],
+                         ids=["short", "long", "nan", "inf"])
+def test_severini_pivot_checks_its_point(y):
+    """A point of the wrong length or with non-finite entries raises, with
+    the error severini_pivot_check gives for it."""
+    model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
+    with pytest.raises((InvalidDimensionError, InvalidParameterError)) as expected:
+        severini_pivot_check(model, y)
+    with pytest.raises(type(expected.value)) as got:
+        severini_pivot(model, y)
+    assert str(got.value) == str(expected.value)
+
+
 def test_severini_unique_pre_image():
     model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
     y0 = np.array([1.25, 0.0, 0.15])

@@ -231,10 +231,10 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
 
 
 @pytest.mark.parametrize("payload", [
-    {"draws": 0}, {"draws": 2.5}, {"n_grid": [16.0, 64]}, {"seed": -1},
-], ids=["draws-0", "draws-float", "n_grid-float", "seed-negative"])
+    {"draws": 0}, {"draws": 2.5}, {"n_grid": [16.0, 64]}, {"seed": -1}, {"t1_std": 5},
+], ids=["draws-0", "draws-float", "n_grid-float", "seed-negative", "t1_std-over-cap"])
 def test_partition_order_config_error_carries_the_study_message(payload, tmp_path, capsys):
-    """A bad n_grid, draws or seed is checked by the study's own rules: exit 2
+    """A bad n_grid, draws, seed or t1_std is checked by the study's own rules: exit 2
     with the message partition_order_study raises, before any output."""
     with pytest.raises(ancontour.AncontourError) as expected:
         ancontour.partition_order_study(**payload)
@@ -528,6 +528,62 @@ def test_ancillary_and_estimation_never_compare_a_family_name():
                 operands = [node.left, *node.comparators]
                 assert not any(isinstance(op, ast.Attribute) and op.attr == "family"
                                for op in operands), f"{name}:{node.lineno}"
+
+
+def test_one_line_search_holds_the_halving_scales():
+    """The Newton fit and the Gauss-Newton distance share one line search:
+    _SCALES is read (or imported) only inside estimation._line_search, and no
+    function defines a nested backtrack of its own."""
+    readers, nested = set(), []
+
+    def visit(node, name, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if scope is not None and child.name == "backtrack":
+                    nested.append(f"{name}:{child.lineno}")
+                visit(child, name, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "_SCALES"
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == "_SCALES")
+                    or (isinstance(child, ast.alias) and child.name == "_SCALES")):
+                readers.add((name, scope))
+            visit(child, name, scope)
+
+    for path in sorted(pathlib.Path(ancontour.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert readers == {("estimation.py", "_line_search")}
+    assert nested == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_property_fails(x):
+    assert x != x
+
+
+def test_plain():
+    pass
+"""
+
+
+def test_failing_property_fails_alone(tmp_path):
+    """Under the package's pytest settings (every warning an error) a failing
+    hypothesis property fails by itself: its report raises no INTERNALERROR
+    that ends the test run, so the plain test after it still runs and passes."""
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    pyproject = pathlib.Path(ancontour.__file__).parents[2] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", str(tmp_path / "test_two.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "PASSED test_two.py::test_plain" in result.stdout
+    assert "1 failed, 1 passed" in result.stdout
 
 
 def test_package_imports_and_declares_numpy_only():

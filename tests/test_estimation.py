@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from ancontour import (
@@ -20,6 +22,7 @@ from ancontour import (
     eta_curved,
     fit_mle,
     fitted_reference,
+    invert_coordinates,
     loglik,
     make_circle,
     make_location_scale,
@@ -29,6 +32,7 @@ from ancontour import (
     standardize,
 )
 from ancontour.estimation import (
+    _RANK_TOL,
     _SCORE_TOL,
     _fit_points,
     _from_internal,
@@ -41,6 +45,7 @@ from conftest import (
     FAMILY_NAMES,
     central_difference,
     iter_instances,
+    make_instance,
     second_difference,
 )
 
@@ -194,6 +199,43 @@ def test_location_scale_equivariance():
     assert abs(shifted.theta_hat[0] - (2.5 + 0.75 * base.theta_hat[0])) < 1e-10
     assert abs(shifted.theta_hat[1] - 0.75 * base.theta_hat[1]) < 1e-10
     np.testing.assert_allclose(shifted.x_hat, base.x_hat, atol=1e-10)
+
+
+EQUIVARIANT = {  # model, and the bound on the fit's gap relative to its scale
+    "location-scale": (make_location_scale(8), 1e-12),
+    # Newton stops at a score norm of 1e-8, which is not scale-free
+    "cauchy-location-scale": (make_location_scale(8, error_law="cauchy"), 1e-6),
+    "inverted-cauchy": (invert_coordinates(make_location_scale(8, error_law="cauchy")).model,
+                        1e-6),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EQUIVARIANT))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-10.0, 10.0), scale=st.floats(0.1, 10.0))
+def test_fit_is_location_scale_equivariant(family, seed, shift, scale):
+    """fit_mle(shift + scale y) is (shift + scale mu_hat, scale sigma_hat): to
+    rounding of the data's size for the closed-form Normal fit, and relative
+    to scale sigma_hat for the Newton fits of the Cauchy laws."""
+    model, tol = EQUIVARIANT[family]
+    y = model.quantile(model.ref_sampler(seed, 1)[0], np.array([0.3, 1.1]))
+    (mu, sigma), moved = fit_mle(model, y).theta_hat, fit_mle(model, shift + scale * y)
+    gap = np.abs(moved.theta_hat - [shift + scale * mu, scale * sigma])
+    size = abs(shift) + scale * (abs(mu) + sigma) if family == "location-scale" else scale * sigma
+    assert np.all(gap <= tol * size)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_accepted_fit_has_well_ranked_information(family, seed):
+    """Every fit fit_mle accepts has an information matrix whose smallest
+    eigenvalue exceeds _RANK_TOL times its largest, so it standardizes."""
+    model, _, y = make_instance(family, np.random.default_rng(seed))
+    fit = fit_mle(model, y)
+    eigs = np.linalg.eigvalsh(fit.obs_info)
+    assert eigs[0] > _RANK_TOL * eigs[-1]
+    assert np.all(np.isfinite(standardize(fit.obs_info).scales))
 
 
 def test_newton_agrees_with_closed_form():

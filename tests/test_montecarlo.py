@@ -483,6 +483,19 @@ def test_partition_order_study_names_bad_config(kwargs, monkeypatch):
         partition_order_study(**kwargs)
 
 
+def test_partition_order_study_caps_t1_before_any_fit(monkeypatch):
+    """A t1_std beyond the moderate-deviation cap 3.0 is a configuration
+    error, named before any partition pass (so before any fit) runs; the cap
+    itself is allowed through to the pass."""
+    monkeypatch.setattr(mc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
+    for t1 in (5, -5.0, 3.0 + 1e-12):
+        with pytest.raises(InvalidParameterError,
+                           match=r"exceeds the moderate-deviation cap 3\.0"):
+            partition_order_study(t1_std=t1)
+    with pytest.raises(pytest.fail.Exception, match="pass ran"):
+        partition_order_study(t1_std=3.0)
+
+
 def test_partition_order_study_matches_one_draw_checks():
     """Draws refined together, in blocks that split n = 256 into 4 + 1 draws
     and n = 1024 into one draw each, give each draw's one-draw
