@@ -1,18 +1,21 @@
-"""JSON helpers: config integer checks, canonical JSON, row-major matrix blocks,
-atomic writes."""
+"""JSON helpers: config number checks, the one JSON encoding of reports,
+canonical JSON, atomic writes."""
 
 from __future__ import annotations
 
 import json
 import numbers
 import os
+import sys
 import tempfile
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["config_int", "encode_array", "dumps", "atomic_write_text", "csv_lines"]
+__all__ = ["config_int", "config_float", "encode_array", "record", "dumps",
+           "atomic_write_text", "csv_lines"]
 
 
 def config_int(value, key: str, minimum: int | None = None) -> int:
@@ -25,26 +28,46 @@ def config_int(value, key: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def config_float(value, key: str) -> float:
+    """value as a float if it is a number a float holds finitely (not a bool,
+    a string, NaN or an infinity); otherwise InvalidParameterError naming key."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise InvalidParameterError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def encode_array(arr: np.ndarray) -> dict:
     """Row-major flat encoding with explicit dims, stable across numpy versions."""
     arr = np.asarray(arr, dtype=float)
     return {"dims": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
+def record(obj, skip=(), **extra) -> dict:
+    """The fields of dataclass obj, less those named in skip and plus extra,
+    as plain JSON values."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+    out.update(extra)
+    return {key: _plain(value) for key, value in out.items()}
+
+
 def _plain(obj):
+    """The one JSON rule: a vector is a list of floats, a larger array an
+    encode_array block, a report its to_json_dict (a dataclass its record),
+    numpy scalars Python ones; None and Python scalars stay as they are."""
+    if obj is None or isinstance(obj, (str, int, float)):  # first: lists hold many floats
+        return obj
+    if isinstance(obj, np.ndarray):
+        return [float(v) for v in obj] if obj.ndim == 1 else encode_array(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return encode_array(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if is_dataclass(obj):
+        return record(obj)
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def dumps(obj) -> str:

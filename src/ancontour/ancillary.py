@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._jsonio import config_int, csv_lines, dumps, encode_array
+from ._jsonio import config_int, csv_lines, dumps, record
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
@@ -118,25 +118,11 @@ class ContourCloud:
         return csv_lines(header, rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "base_point": [float(v) for v in self.base_point],
-            "theta_hat": [float(v) for v in self.fit.theta_hat],
-            "x_hat": [float(v) for v in self.fit.x_hat],
-            "grid": {
-                "half_width": self.grid.half_width,
-                "points_per_axis": self.grid.points_per_axis,
-                "standardized": self.grid.standardized,
-            },
-            "dropped_out_of_domain": self.dropped_out_of_domain,
-            "offsets": encode_array(self.offsets),
-            "offsets_std": encode_array(self.offsets_std),
-            "points": encode_array(self.points),
-            "frame": self.frame.to_json_dict(),
-        }
+        return record(self, skip=("fit", "standardization", "meta"),
+                      theta_hat=self.fit.theta_hat, x_hat=self.fit.x_hat)
 
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        return dumps(self)
 
 
 def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:
@@ -307,15 +293,7 @@ class PartitionReport:
     theta_hat1: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "discrepancy": float(self.discrepancy),
-            "theta_gap": float(self.theta_gap),
-            "t1_std": [float(v) for v in self.t1_std],
-            "t1_raw": [float(v) for v in self.t1_raw],
-            "y1": [float(v) for v in self.y1],
-            "theta_hat0": [float(v) for v in self.theta_hat0],
-            "theta_hat1": [float(v) for v in self.theta_hat1],
-        }
+        return record(self)
 
 
 _T1_CAP = 3.0  # the largest standardized |t1|, to keep the probe in moderate deviations
@@ -410,16 +388,9 @@ class ExactComparisonReport:
     radius_contour: float | None = None
     radius_exact: float | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "label_spread": float(self.label_spread),
-            "base_label": [float(v) for v in self.base_label],
-        }
-        if self.radius_contour is not None:
-            out["radius_contour"] = float(self.radius_contour)
-            out["radius_exact"] = float(self.radius_exact)
-        return out
+    def to_json_dict(self) -> dict:  # both radii, or neither
+        return record(self, skip=() if self.radius_contour is not None
+                      else ("radius_contour", "radius_exact"))
 
 
 def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
@@ -474,16 +445,7 @@ class SeveriniReport:
     antipodal_candidate: np.ndarray | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "observed": [float(v) for v in self.observed],
-            "solutions": encode_array(self.solutions),
-            "unique_in_neighborhood": bool(self.unique_in_neighborhood),
-            "max_gap_to_y0": float(self.max_gap_to_y0),
-            "degenerate": bool(self.degenerate),
-            "solution_set_dim": int(self.solution_set_dim),
-            "antipodal_candidate": None if self.antipodal_candidate is None
-            else [float(v) for v in self.antipodal_candidate],
-        }
+        return record(self)
 
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
@@ -569,15 +531,7 @@ class InversionReport:
     window: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "component_count": int(self.component_count),
-            "line_segment_count": int(self.line_segment_count),
-            "line_excluded_points": encode_array(self.line_excluded_points),
-            "zhat": [float(v) for v in self.zhat],
-            "theta_hat": [float(v) for v in self.theta_hat],
-            "resolution": int(self.resolution),
-            "window": [float(v) for v in self.window],
-        }
+        return record(self)
 
 
 def _halfplane_membership(ytilde: np.ndarray, zhat: np.ndarray, bounds=None) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -22,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, config_int, dumps
+from ._jsonio import atomic_write_text, config_float, config_int, dumps
 from .ancillary import (
     GridSpec,
     build_contour,
@@ -50,6 +49,7 @@ from .models import (
 )
 from .montecarlo import (
     _partition_order_args,
+    _quadrature_args,
     order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
@@ -275,8 +275,7 @@ def _cmd_frame(args) -> int:
     fit = fit_mle(model, y0)
     frame = build_frame(model, fit.x_hat, fit.theta_hat)
     tilt = reparameterize(frame, np.full(model.p, 0.1))
-    doc = {"frame": frame.to_json_dict(), "fit": fit.to_json_dict(),
-           "tilt_at_0.1": [float(v) for v in tilt]}
+    doc = {"frame": frame, "fit": fit, "tilt_at_0.1": tilt}
     summary = {
         "family": model.family,
         "theta_hat": fit.theta_hat,
@@ -311,29 +310,21 @@ def _cmd_verify(args) -> int:
         bad = set(config) - _QUAD_KEYS
         if bad:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
-        try:
-            c_values = tuple(float(c) for c in config.get("c_values", (0.5, 1.0, 2.0)))
-            a_points = config_int(config.get("a_points", 61), "a_points", 1)
-            eps = float(config.get("eps", 1e-4))
-            probe = float(config.get("theta_probe", 0.5))
+        given = {key: config[key] for key in ("c_values", "eps", "theta_probe") if key in config}
+        try:  # the study's own defaults and checks, as for partition-order
+            given["a_grid"] = np.linspace(
+                -3.0, 3.0, config_int(config.get("a_points", 61), "a_points", 1))
+            study_args = _quadrature_args(**given)
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
-        if not c_values or not all(math.isfinite(c) for c in c_values):
-            raise _UsageError("'c_values' must be a nonempty list of finite numbers")
-        if not 0.0 < eps < math.inf:
-            raise _UsageError("'eps' must be positive and finite")
-        if probe == 0.0 or not math.isfinite(probe):
-            raise _UsageError("'theta_probe' must be nonzero and finite")
-        report = quadrature_first_derivative(
-            c_values=c_values, a_grid=np.linspace(-3.0, 3.0, a_points),
-            eps=eps, theta_probe=probe)
+        report = quadrature_first_derivative(**study_args)
         summary = {
             "study": study,
             "max_abs_derivative": report.max_abs_derivative,
             "symmetry_gap": max(c.symmetry_gap for c in report.cases),
             "flip_gap": max(c.flip_gap for c in report.cases),
         }
-        text = report.to_csv() if args.format == "csv" else dumps(report.to_json_dict())
+        text = report.to_csv() if args.format == "csv" else dumps(report)
     elif study == "ancillarity-order":
         merged = dict(config)
         if args.reps is not None:
@@ -362,7 +353,8 @@ def _cmd_verify(args) -> int:
         try:  # the study's own defaults and checks, so that a bad value is a usage error
             grid = _partition_order_args()["grid"]  # the study's default grid
             given["grid"] = replace(
-                grid, half_width=float(config.get("grid_half_width", grid.half_width)),
+                grid, half_width=config_float(config.get("grid_half_width", grid.half_width),
+                                              "grid_half_width"),
                 points_per_axis=config.get("grid_points", grid.points_per_axis))
             study_args = _partition_order_args(**given)
         except _CONFIG_ERRORS as exc:
@@ -390,9 +382,7 @@ def _cmd_example(args) -> int:
         cloud = build_contour(model, y0, grid)
         comp = compare_exact(model, cloud)
         part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud.to_json_dict(),
-               "exact_comparison": comp.to_json_dict(),
-               "partition": part.to_json_dict()}
+        doc = {"example": name, "contour": cloud, "exact_comparison": comp, "partition": part}
         summary = {
             "example": name,
             "theta_hat": cloud.fit.theta_hat,
@@ -409,9 +399,7 @@ def _cmd_example(args) -> int:
         cloud = build_contour(model, y0, grid)
         comp = compare_exact(model, cloud)
         part = partition_check(model, y0, np.array([1.0, 0.5]), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud.to_json_dict(),
-               "exact_comparison": comp.to_json_dict(),
-               "partition": part.to_json_dict()}
+        doc = {"example": name, "contour": cloud, "exact_comparison": comp, "partition": part}
         summary = {
             "example": name,
             "theta_hat": cloud.fit.theta_hat,
@@ -426,8 +414,7 @@ def _cmd_example(args) -> int:
         grid = GridSpec(half_width=3.0, points_per_axis=41)
         cloud = build_contour(model, y0, grid)
         part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud.to_json_dict(),
-               "partition": part.to_json_dict()}
+        doc = {"example": name, "contour": cloud, "partition": part}
         summary = {
             "example": name,
             "theta_hat": cloud.fit.theta_hat,
@@ -443,8 +430,7 @@ def _cmd_example(args) -> int:
         part = partition_check(model, y0, np.array([0.8, -0.5]), grid=grid, fit=cloud.fit)
         tangent_gap = float(np.max(np.abs(np.einsum(
             "nk,nab->kab", cloud.frame.velocity, cloud.frame.normal_acceleration))))
-        doc = {"example": name, "contour": cloud.to_json_dict(),
-               "partition": part.to_json_dict()}
+        doc = {"example": name, "contour": cloud, "partition": part}
         summary = {
             "example": name,
             "theta_hat": cloud.fit.theta_hat,
@@ -457,7 +443,7 @@ def _cmd_example(args) -> int:
         model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
         y0 = np.array([1.25, 0.0, 0.15])
         report = severini_pivot_check(model, y0)
-        doc = {"example": name, "pivot_check": report.to_json_dict()}
+        doc = {"example": name, "pivot_check": report}
         summary = {
             "example": name,
             "unique_in_neighborhood": report.unique_in_neighborhood,
@@ -467,7 +453,7 @@ def _cmd_example(args) -> int:
         }
     else:
         report = cauchy_inversion_demo()
-        doc = {"example": name, "inversion": report.to_json_dict()}
+        doc = {"example": name, "inversion": report}
         summary = {
             "example": name,
             "component_count": report.component_count,

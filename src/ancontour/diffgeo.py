@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import encode_array
+from ._jsonio import record
 from .errors import DegenerateTangentError, InvalidDimensionError, InvalidParameterError
 from .models import QuantileModel
 
@@ -59,19 +59,7 @@ class TaylorFrame:
         return self.velocity.shape[1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "base_point": [float(v) for v in self.base_point],
-            "x_ref": [float(v) for v in self.x_ref],
-            "theta": [float(v) for v in self.theta],
-            "velocity": encode_array(self.velocity),
-            "acceleration": encode_array(self.acceleration),
-            "gram": encode_array(self.gram),
-            "projector": encode_array(self.projector),
-            "mixing": encode_array(self.mixing),
-            "normal_acceleration": encode_array(self.normal_acceleration),
-        }
+        return record(self, n=self.n, p=self.p)
 
 
 def _check_arrays(velocity: np.ndarray, acceleration: np.ndarray):

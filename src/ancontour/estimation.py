@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import encode_array
+from ._jsonio import record
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -68,16 +68,7 @@ class FitResult:
     score_norm: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": [float(v) for v in self.theta_hat],
-            "y_fit": [float(v) for v in self.y_fit],
-            "x_hat": [float(v) for v in self.x_hat],
-            "obs_info": encode_array(self.obs_info),
-            "loglik": float(self.loglik),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "score_norm": float(self.score_norm),
-        }
+        return record(self)
 
 
 def _likelihood(model, y, theta):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._jsonio import config_int
+from ._jsonio import config_float, config_int
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -482,7 +482,7 @@ def _build_eta(config: dict) -> EtaHandle:
     if tag == "circle":
         if "rho" not in config:
             raise InvalidParameterError("eta 'circle' needs key 'rho'")
-        return eta_circle(float(config["rho"]), config_int(config.get("n", 2), "n"))
+        return eta_circle(config_float(config["rho"], "rho"), config_int(config.get("n", 2), "n"))
     if tag == "curved":
         if "n" not in config:
             raise InvalidParameterError("eta 'curved' needs key 'n'")
@@ -491,8 +491,8 @@ def _build_eta(config: dict) -> EtaHandle:
 
 
 def _circle_from_config(config: dict, n: int) -> QuantileModel:
-    return make_circle(float(config["rho"]), n=n,
-                       variance_scale=float(config.get("variance_scale", 1.0)))
+    return make_circle(config_float(config["rho"], "rho"), n=n, variance_scale=config_float(
+        config.get("variance_scale", 1.0), "variance_scale"))
 
 
 def _circle2d_from_config(config: dict) -> QuantileModel:
@@ -505,7 +505,8 @@ def _regression_from_config(config: dict, mode: str) -> QuantileModel:
     eta = _build_eta(config)
     if config.get("sigma_mode", mode) != mode:
         raise InvalidParameterError(f"sigma_mode must be '{mode}' for this family")
-    sigma_mode = ("known", float(config.get("sigma0", 1.0))) if mode == "known" else mode
+    sigma_mode = (("known", config_float(config.get("sigma0", 1.0), "sigma0"))
+                  if mode == "known" else mode)
     return make_nonlinear_regression(eta, sigma_mode)
 
 

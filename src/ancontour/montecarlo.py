@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._jsonio import config_int, csv_lines, dumps
+from ._jsonio import config_float, config_int, csv_lines, dumps, record
 from .ancillary import _T1_CAP, GridSpec, _partition_pass, build_contour
 from .errors import (
     EmptyStudyError,
@@ -106,23 +106,7 @@ class QuadratureReport:
         return max(case.max_abs_derivative for case in self.cases)
 
     def to_json_dict(self) -> dict:
-        return {
-            "study": "quadrature",
-            "eps": float(self.eps),
-            "theta_probe": float(self.theta_probe),
-            "a_grid": [float(a) for a in self.a_grid],
-            "cases": [
-                {
-                    "c": float(case.c),
-                    "max_abs_derivative": float(case.max_abs_derivative),
-                    "symmetry_gap": float(case.symmetry_gap),
-                    "flip_gap": float(case.flip_gap),
-                    "second_order_scale": float(case.second_order_scale),
-                    "derivatives": [float(v) for v in case.derivatives],
-                }
-                for case in self.cases
-            ],
-        }
+        return record(self, study="quadrature")
 
     def to_csv(self) -> str:
         rows = [
@@ -137,6 +121,23 @@ class QuadratureReport:
         )
 
 
+def _quadrature_args(**given) -> dict:
+    """quadrature_first_derivative's keyword arguments, checked before any work:
+    the given ones, and the study's own defaults for the rest."""
+    bound = inspect.signature(quadrature_first_derivative).bind(**given)
+    bound.apply_defaults()
+    c_values, a_grid, eps, theta_probe = bound.arguments.values()
+    c_values = tuple(config_float(c, "c_values") for c in c_values)
+    if not c_values:
+        raise EmptyStudyError("'c_values' must be nonempty")
+    if not (eps := config_float(eps, "eps")) > 0.0:
+        raise InvalidParameterError("'eps' must be positive and finite")
+    if (theta_probe := config_float(theta_probe, "theta_probe")) == 0.0:
+        raise InvalidParameterError("'theta_probe' must be nonzero and finite")
+    a_grid = np.linspace(-3.0, 3.0, 61) if a_grid is None else np.asarray(a_grid, dtype=float)
+    return {"c_values": c_values, "a_grid": a_grid, "eps": eps, "theta_probe": theta_probe}
+
+
 def quadrature_first_derivative(
     c_values=(0.5, 1.0, 2.0),
     a_grid=None,
@@ -147,11 +148,12 @@ def quadrature_first_derivative(
 
     The statistic density is symmetric in theta, so the central difference
     with step eps measures quadrature noise only; the report also evaluates
-    the symmetry directly at theta_probe and the (a, c) sign flip.
+    the symmetry directly at theta_probe and the (a, c) sign flip.  c_values
+    must be nonempty and finite, eps positive and finite, theta_probe
+    nonzero and finite.
     """
-    if a_grid is None:
-        a_grid = np.linspace(-3.0, 3.0, 61)
-    a_grid = np.asarray(a_grid, dtype=float)
+    c_values, a_grid, eps, theta_probe = _quadrature_args(
+        c_values=c_values, a_grid=a_grid, eps=eps, theta_probe=theta_probe).values()
     cases = []
     for c in c_values:
         derivs = (_density_integral(a_grid, eps, c)
@@ -210,7 +212,7 @@ class OrderStudySpec:
         for key, minimum in (("reps", 1), ("batch_size", 1), ("cells", 2),
                              ("lattice_points", 3), ("seed", 0)):
             config_int(getattr(self, key), key, minimum)
-        if not self.deltas or not all(0.0 <= d < math.inf for d in self.deltas):
+        if not self.deltas or min(config_float(d, "deltas") for d in self.deltas) < 0.0:
             raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
         if not self.n_grid:
             raise InvalidParameterError("n_grid must be nonempty")
@@ -219,10 +221,9 @@ class OrderStudySpec:
         if len(set(self.n_grid)) < len(self.n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
-            if not 0.0 < getattr(self, key) < math.inf:
+            if not config_float(getattr(self, key), key) > 0.0:
                 raise InvalidParameterError(f"{key!r} must be positive and finite")
-        if not math.isfinite(self.theta_star):
-            raise InvalidParameterError("'theta_star' must be finite")
+        config_float(self.theta_star, "theta_star")
 
 
 def order_spec_from_config(config: dict) -> OrderStudySpec:
@@ -487,40 +488,15 @@ class OrderStudyReport:
     inconclusive: bool
     required_reps_estimate: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "study": "ancillarity-order",
-            "family": self.spec.family,
-            "n_grid": list(self.spec.n_grid),
-            "deltas": [float(d) for d in self.spec.deltas],
-            "reps": self.spec.reps,
-            "batch_size": self.spec.batch_size,
-            "cells": self.spec.cells,
-            "seed": self.spec.seed,
-            "inconclusive": bool(self.inconclusive),
-            "required_reps_estimate": self.required_reps_estimate,
-            "arms": {
-                name: {
-                    "slope": arm.slope,
-                    "slope_se": arm.slope_se,
-                    "slope_band": list(arm.slope_band) if arm.slope_band else None,
-                    "per_n": [
-                        {
-                            "n": row.n,
-                            "sensitivity": row.sensitivity,
-                            "se": row.se,
-                            "per_delta": row.per_delta,
-                            "per_cell_z": row.per_cell_z,
-                        }
-                        for row in arm.per_n
-                    ],
-                }
-                for name, arm in self.arms.items()
-            },
-        }
+    def to_json_dict(self) -> dict:  # the spec keys that name the run, deltas as floats
+        return record(self, skip=("spec",), study="ancillarity-order",
+                      deltas=np.asarray(self.spec.deltas, dtype=float),
+                      arms={name: record(arm, skip=("name",)) for name, arm in self.arms.items()},
+                      **{key: getattr(self.spec, key)
+                         for key in ("family", "n_grid", "reps", "batch_size", "cells", "seed")})
 
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        return dumps(self)
 
     def to_csv(self) -> str:
         names, rows = [], []
@@ -650,22 +626,10 @@ class PartitionOrderReport:
     slope_band: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "study": "partition-order",
-            "n_grid": list(self.n_grid),
-            "t1_std": float(self.t1_std),
-            "draws": self.draws,
-            "seed": self.seed,
-            "mean_discrepancy": [float(v) for v in self.mean_discrepancy],
-            "per_draw": [[float(v) for v in row] for row in self.per_draw],
-            "slope": float(self.slope),
-            "slope_se": None if self.slope_se is None else float(self.slope_se),
-            "slope_band": None if self.slope_band is None
-            else [float(v) for v in self.slope_band],
-        }
+        return record(self, study="partition-order")
 
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        return dumps(self)
 
     def to_csv(self) -> str:
         rows = [[n, m] for n, m in zip(self.n_grid, self.mean_discrepancy)]
@@ -678,7 +642,8 @@ def _partition_order_args(**given) -> dict:
     bound = inspect.signature(partition_order_study).bind(**given)
     bound.apply_defaults()
     n_grid, t1_std, draws, seed, grid = bound.arguments.values()
-    draws, seed, t1_std = config_int(draws, "draws"), config_int(seed, "seed", 0), float(t1_std)
+    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
+    t1_std = config_float(t1_std, "t1_std")
     if draws <= 0:
         raise EmptyStudyError("draws must be positive")
     if not n_grid:
@@ -686,8 +651,6 @@ def _partition_order_args(**given) -> dict:
     n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
     if len(set(n_grid)) < 2:
         raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
-    if not math.isfinite(t1_std):
-        raise InvalidParameterError("'t1_std' must be finite")
     if abs(t1_std) > _T1_CAP:
         raise InvalidParameterError(
             f"|t1| = {abs(t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")

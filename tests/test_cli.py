@@ -1,7 +1,9 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
 import ast
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,10 +13,31 @@ import numpy as np
 import pytest
 
 import ancontour
+from ancontour._jsonio import config_float
 from ancontour.cli import main
 
 EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
             "nonlinreg-unknown", "severini", "cauchy-inversion")
+
+# sha256 of each output file at the default seed, frozen so that a change of
+# encoder or of numerics cannot alter a byte unnoticed
+EXAMPLE_DIGESTS = {
+    "circle2d": "526d82930aa7987a40cf87736d3be8a3fdae1fefaa720c09a9ead855f5863535",
+    "location-scale": "c75f7f19e4af5b11e70a2a1e9ae73f105641db63ff9f53fe77a924fffc273728",
+    "nonlinreg-known": "fed19de3d6402a4ba5c8bbbf763e44c1179a042e19c66a08f9de2d56dffed093",
+    "nonlinreg-unknown": "6c8a38f43b86a656ed4515d58a1385595c623607caecfb54856ded45e7f6fb4d",
+    "severini": "72d7539ea7529f2e31b0b2c2c4983cc1f509a34a34ec6ecd32418a6cea104743",
+    "cauchy-inversion": "51ceb5e0e0a55d124d15b7d7ef36898cfb033054b410c0e99d3409e53fe45c42",
+}
+POINT_DIGESTS = {
+    "contour": "ee34cbc488b30311b6c2bc0da303029c10a922fc95ba92b1f8520621d9e5ce58",
+    "frame": "1d5602ff87c0e10a1d7b2ae6b8ad637e9ddb95dbb1b8a829aa9ff007ff12788d",
+}
+QUADRATURE_DIGEST = "efbaf65a96c0e663658753f8c690b390a4b4514f0fff6d5fed2c50b3ae6d1c86"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_cli(argv, capsys):
@@ -68,6 +91,7 @@ def test_examples_run_and_write(name, tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["example"] == name
     assert values["wrote"] == str(path)
+    assert sha256(path) == EXAMPLE_DIGESTS[name]
 
 
 def test_example_circle2d_summary_values(tmp_path, capsys):
@@ -164,6 +188,7 @@ def test_readme_config_runs_for_contour_and_frame(command, tmp_path, capsys):
                                "--out", str(tmp_path)], capsys)
     assert code == 0
     assert values["wrote"] == str(tmp_path / f"{command}.json")
+    assert sha256(tmp_path / f"{command}.json") == POINT_DIGESTS[command]
 
 
 @pytest.mark.parametrize("command", ["contour", "frame"])
@@ -216,12 +241,35 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {"study": "partition-order", "n_grid": [16, 16]}, "n_grid"),
     ("verify", {**ORDER_BASE, "n_grid": [16, 16]}, "n_grid"),
     ("verify", {**ORDER_BASE, "family": "location-scale", "n_grid": [2, 8]}, "n_grid"),
+    ("verify", {"study": "partition-order", "t1_std": True}, "t1_std"),
+    ("verify", {"study": "partition-order", "t1_std": "2"}, "t1_std"),
+    ("verify", {"study": "partition-order", "t1_std": [1]}, "t1_std"),
+    ("verify", {"study": "partition-order", "grid_half_width": "2"}, "grid_half_width"),
+    ("verify", {"study": "quadrature", "eps": True}, "eps"),
+    ("verify", {"study": "quadrature", "theta_probe": "0.5"}, "theta_probe"),
+    ("verify", {"study": "quadrature", "c_values": [1.0, "2"]}, "c_values"),
+    ("verify", {**ORDER_BASE, "rho": True}, "rho"),
+    ("verify", {**ORDER_BASE, "deltas": ["1"]}, "deltas"),
+    ("verify", {**ORDER_BASE, "theta_star": "0"}, "theta_star"),
+    ("contour", {**CIRCLE_CONFIG, "model": {"family": "circle2d", "rho": True}}, "rho"),
+    ("contour", {**CIRCLE_CONFIG, "model": {"family": "circle2d", "rho": 1.0,
+                                            "variance_scale": "1"}}, "variance_scale"),
+    ("contour", {"model": {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8,
+                           "sigma0": False},
+                 "data": {"simulate": {"theta": [0.2]}}}, "sigma0"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
-        "partition-repeated-n", "order-repeated-n", "order-ls-n-2"])
+        "partition-repeated-n", "order-repeated-n", "order-ls-n-2",
+        "partition-t1_std-bool", "partition-t1_std-string", "partition-t1_std-list",
+        "partition-grid_half_width-string", "quadrature-eps-bool",
+        "quadrature-theta_probe-string", "quadrature-c_values-string", "order-rho-bool",
+        "order-deltas-string", "order-theta_star-string", "model-rho-bool",
+        "model-variance_scale-string", "model-sigma0-bool"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
-    """Non-integer or out-of-range numbers are rejected before any work, naming the key."""
+    """Non-integer or out-of-range integers, and reals that are not finite JSON
+    numbers (booleans and strings included), are rejected before any work,
+    naming the key."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -374,6 +422,7 @@ def test_verify_quadrature(tmp_path, capsys):
     payload = json.loads((tmp_path / "quadrature.json").read_text())
     assert payload["study"] == "quadrature"
     assert len(payload["cases"]) == 1
+    assert sha256(tmp_path / "quadrature.json") == QUADRATURE_DIGEST
 
 
 def test_verify_order_study_with_overrides(tmp_path, capsys):
@@ -528,6 +577,36 @@ def test_ancillary_and_estimation_never_compare_a_family_name():
                 operands = [node.left, *node.comparators]
                 assert not any(isinstance(op, ast.Attribute) and op.attr == "family"
                                for op in operands), f"{name}:{node.lineno}"
+
+
+def test_one_module_decides_the_json_format():
+    """The output format is decided in _jsonio alone: no other module names
+    encode_array, and no to_json_dict elsewhere converts values with a
+    comprehension over float(...)."""
+    package = pathlib.Path(ancontour.__file__).parent
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_jsonio.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Name) and node.id == "encode_array"
+                        or isinstance(node, ast.Attribute) and node.attr == "encode_array"
+                        or isinstance(node, ast.alias) and node.name == "encode_array"), (
+                f"{path.name}:{getattr(node, 'lineno', '')}")
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json_dict":
+                for comp in filter(lambda n: isinstance(n, comprehensions), ast.walk(node)):
+                    assert not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                                   and call.func.id == "float" for call in ast.walk(comp)), (
+                        f"{path.name}:{comp.lineno}")
+
+
+def test_config_float_accepts_finite_numbers_only():
+    assert config_float(2, "k") == 2.0 and type(config_float(2, "k")) is float
+    assert config_float(np.float64(-0.5), "k") == -0.5
+    for bad in (True, "1.0", [1.0], None, math.nan, math.inf, -math.inf, 10 ** 400):
+        with pytest.raises(ancontour.InvalidParameterError, match="'k' must be a finite number"):
+            config_float(bad, "k")
 
 
 def test_one_line_search_holds_the_halving_scales():

@@ -110,6 +110,21 @@ def test_quadrature_report_formats():
     assert len(lines) == 1 + len(report.cases)
 
 
+@pytest.mark.parametrize("kwargs,error,key", [
+    ({"theta_probe": 0.0}, InvalidParameterError, "theta_probe"),
+    ({"eps": 0.0}, InvalidParameterError, "eps"),
+    ({"c_values": ()}, EmptyStudyError, "c_values"),
+    ({"c_values": (1.0, math.nan)}, InvalidParameterError, "c_values"),
+    ({"eps": True}, InvalidParameterError, "eps"),
+], ids=["probe-0", "eps-0", "c_values-empty", "c_values-nan", "eps-bool"])
+def test_quadrature_rejects_bad_arguments(kwargs, error, key, monkeypatch):
+    """A zero probe, a zero step or no curvature is named before any integral
+    is taken, instead of a ZeroDivisionError, a NaN derivative or a failing max()."""
+    monkeypatch.setattr(mc, "_density_integral", lambda *a: pytest.fail("integral taken"))
+    with pytest.raises(error, match=key):
+        quadrature_first_derivative(**kwargs)
+
+
 def test_order_spec_validation():
     with pytest.raises(EmptyStudyError):
         OrderStudySpec(reps=0).validate()
