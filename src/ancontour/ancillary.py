@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._jsonio import config_int, csv_lines, dumps, record
+from ._jsonio import config_float, config_int, csv_lines, dumps, record
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
@@ -62,7 +62,7 @@ class GridSpec:
     standardized: bool = True
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
+        if not config_float(self.half_width, "half_width") > 0.0:
             raise InvalidParameterError("half_width must be positive and finite")
         config_int(self.points_per_axis, "points_per_axis", 3)
 

@@ -6,7 +6,9 @@ fit), verify (quadrature and simulation studies).  contour and frame read
 the same config (model, data, optional grid).  Configs are JSON files
 parsed and validated completely before any output is created; writes are
 atomic, so interrupted runs never leave partial files.  Exit codes: 0 on
-success, 2 for usage or configuration errors, 1 for runtime failures.
+success, 2 for usage or configuration errors, 1 for runtime failures.  Each
+command imports the package modules it runs inside its handler, so a process
+loads no model, fit or study code that its command does not use.
 """
 
 from __future__ import annotations
@@ -22,38 +24,12 @@ import numpy as np
 
 from . import __version__
 from ._jsonio import atomic_write_text, config_float, config_int, dumps
-from .ancillary import (
-    GridSpec,
-    build_contour,
-    cauchy_inversion_demo,
-    compare_exact,
-    partition_check,
-    severini_pivot_check,
-)
-from .diffgeo import build_frame, reparameterize
 from .errors import (
     AncontourError,
     EmptyStudyError,
     InvalidDimensionError,
     InvalidParameterError,
     UnsupportedFamilyError,
-)
-from .estimation import fit_mle
-from .models import (
-    eta_curved,
-    make_circle,
-    make_location_scale,
-    make_nonlinear_regression,
-    make_synthetic_curved,
-    model_from_config,
-)
-from .montecarlo import (
-    _partition_order_args,
-    _quadrature_args,
-    order_spec_from_config,
-    partition_order_study,
-    quadrature_first_derivative,
-    run_replicated,
 )
 
 _DEFAULT_SEED = 20260816
@@ -197,7 +173,9 @@ def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
     return model.check_point(y)
 
 
-def _resolve_grid(args, config: dict) -> GridSpec:
+def _resolve_grid(args, config: dict):
+    from .ancillary import GridSpec
+
     if args.grid is not None:
         return GridSpec.parse(args.grid)
     block = config.get("grid")
@@ -239,6 +217,8 @@ def _kv_csv(summary: dict) -> str:
 
 def _load_point_config(args):
     """(model, y0, grid) from a contour/frame config: model, data, optional grid."""
+    from .models import model_from_config
+
     config = _load_json(args.config)
     bad = set(config) - {"model", "data", "grid"}
     if bad:
@@ -255,6 +235,8 @@ def _load_point_config(args):
 
 
 def _cmd_contour(args) -> int:
+    from .ancillary import build_contour
+
     model, y0, grid = _load_point_config(args)
     cloud = build_contour(model, y0, grid)
     ext = args.format
@@ -271,6 +253,9 @@ def _cmd_contour(args) -> int:
 
 
 def _cmd_frame(args) -> int:
+    from .diffgeo import build_frame, reparameterize
+    from .estimation import fit_mle
+
     model, y0, _ = _load_point_config(args)
     fit = fit_mle(model, y0)
     frame = build_frame(model, fit.x_hat, fit.theta_hat)
@@ -297,6 +282,15 @@ _PARTITION_KEYS = {"study", "n_grid", "t1_std", "draws", "seed",
 
 
 def _cmd_verify(args) -> int:
+    from .montecarlo import (
+        _partition_order_args,
+        _quadrature_args,
+        order_spec_from_config,
+        partition_order_study,
+        quadrature_first_derivative,
+        run_replicated,
+    )
+
     config = _load_json(args.config)
     study = config.get("study")
     if study not in _VERIFY_STUDIES:
@@ -355,7 +349,8 @@ def _cmd_verify(args) -> int:
             given["grid"] = replace(
                 grid, half_width=config_float(config.get("grid_half_width", grid.half_width),
                                               "grid_half_width"),
-                points_per_axis=config.get("grid_points", grid.points_per_axis))
+                points_per_axis=config_int(config.get("grid_points", grid.points_per_axis),
+                                           "grid_points", 3))
             study_args = _partition_order_args(**given)
         except _CONFIG_ERRORS as exc:
             raise _UsageError(str(exc)) from exc
@@ -372,6 +367,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .ancillary import (
+        GridSpec,
+        build_contour,
+        cauchy_inversion_demo,
+        compare_exact,
+        partition_check,
+        severini_pivot_check,
+    )
+    from .models import (
+        eta_curved,
+        make_circle,
+        make_location_scale,
+        make_nonlinear_regression,
+        make_synthetic_curved,
+    )
+
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     name = args.name
     cloud = None

@@ -8,7 +8,9 @@ contour's uniform grid) and tracks how fast cell-probability sensitivity
 decays with n (second-order contours decay like 1/n, tangent-only contours
 like 1/sqrt(n)); and a deterministic partition-discrepancy study on a
 synthetic curved family.  All randomness is counter-seeded per (n, batch),
-so results are a function of the configuration alone.
+so results are a function of the configuration alone.  Model and contour
+code is imported by the studies that run it: the quadrature check loads
+neither, the location-scale order study the models only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._jsonio import config_float, config_int, csv_lines, dumps, record
-from .ancillary import _T1_CAP, GridSpec, _partition_pass, build_contour
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -29,7 +30,6 @@ from .errors import (
     PartialResultsError,
     UnsupportedFamilyError,
 )
-from .models import make_circle, make_location_scale, make_synthetic_curved
 
 __all__ = [
     "QuadratureReport",
@@ -121,13 +121,24 @@ class QuadratureReport:
         )
 
 
+def _config_tuple(value, key: str) -> tuple:
+    """value as a tuple if it is a list of entries (not a string or a scalar);
+    otherwise InvalidParameterError naming key."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{key!r} must be a list, got {value!r}")
+
+
 def _quadrature_args(**given) -> dict:
     """quadrature_first_derivative's keyword arguments, checked before any work:
     the given ones, and the study's own defaults for the rest."""
     bound = inspect.signature(quadrature_first_derivative).bind(**given)
     bound.apply_defaults()
     c_values, a_grid, eps, theta_probe = bound.arguments.values()
-    c_values = tuple(config_float(c, "c_values") for c in c_values)
+    c_values = tuple(config_float(c, "c_values") for c in _config_tuple(c_values, "c_values"))
     if not c_values:
         raise EmptyStudyError("'c_values' must be nonempty")
     if not (eps := config_float(eps, "eps")) > 0.0:
@@ -205,20 +216,21 @@ class OrderStudySpec:
 
     def validate(self):
         """Reject every value the study cannot run with, before any work."""
-        if self.reps <= 0:
+        if config_int(self.reps, "reps") <= 0:
             raise EmptyStudyError("reps must be positive")
         if self.family not in ("circle", "location-scale"):
             raise UnsupportedFamilyError(f"no order study for family {self.family!r}")
-        for key, minimum in (("reps", 1), ("batch_size", 1), ("cells", 2),
-                             ("lattice_points", 3), ("seed", 0)):
+        for key, minimum in (("batch_size", 1), ("cells", 2), ("lattice_points", 3),
+                             ("seed", 0)):
             config_int(getattr(self, key), key, minimum)
-        if not self.deltas or min(config_float(d, "deltas") for d in self.deltas) < 0.0:
+        deltas = _config_tuple(self.deltas, "deltas")
+        if not deltas or min(config_float(d, "deltas") for d in deltas) < 0.0:
             raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
-        if not self.n_grid:
+        if not (n_grid := _config_tuple(self.n_grid, "n_grid")):
             raise InvalidParameterError("n_grid must be nonempty")
-        for n in self.n_grid:  # location-scale needs a direction normal to 1 and the scores
+        for n in n_grid:  # location-scale needs a direction normal to 1 and the scores
             config_int(n, "n_grid", 3 if self.family == "location-scale" else 2)
-        if len(set(self.n_grid)) < len(self.n_grid):
+        if len(set(n_grid)) < len(n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
             if not config_float(getattr(self, key), key) > 0.0:
@@ -234,7 +246,7 @@ def order_spec_from_config(config: dict) -> OrderStudySpec:
         raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
     for key in ("n_grid", "deltas"):
         if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+            kwargs[key] = _config_tuple(kwargs[key], key)
     spec = OrderStudySpec(**kwargs)
     spec.validate()
     return spec
@@ -292,6 +304,8 @@ class _StudyContext:
     _run_batch passes reads fastest."""
 
     def __init__(self, spec: OrderStudySpec, n: int):
+        from .models import make_circle, make_location_scale
+
         self.n = n
         if spec.family == "circle":
             variance = 1.0 / n
@@ -321,6 +335,8 @@ class _StudyContext:
         self.arms = tuple(self.scores)
 
     def _circle_scores(self, spec):
+        from .ancillary import GridSpec, build_contour
+
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * self.sd
         grid = GridSpec(half_width=spec.lattice_half_width,
@@ -638,7 +654,9 @@ class PartitionOrderReport:
 
 def _partition_order_args(**given) -> dict:
     """partition_order_study's keyword arguments, checked before any work:
-    the given ones, and the study's own defaults for the rest."""
+    the given ones, and the study's own defaults for the rest, grid included."""
+    from .ancillary import _T1_CAP, GridSpec
+
     bound = inspect.signature(partition_order_study).bind(**given)
     bound.apply_defaults()
     n_grid, t1_std, draws, seed, grid = bound.arguments.values()
@@ -646,7 +664,7 @@ def _partition_order_args(**given) -> dict:
     t1_std = config_float(t1_std, "t1_std")
     if draws <= 0:
         raise EmptyStudyError("draws must be positive")
-    if not n_grid:
+    if not (n_grid := _config_tuple(n_grid, "n_grid")):
         raise EmptyStudyError("n_grid must be nonempty")
     n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
     if len(set(n_grid)) < 2:
@@ -654,6 +672,8 @@ def _partition_order_args(**given) -> dict:
     if abs(t1_std) > _T1_CAP:
         raise InvalidParameterError(
             f"|t1| = {abs(t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")
+    if grid is None:
+        grid = GridSpec(half_width=3.0, points_per_axis=21)
     return {"n_grid": n_grid, "t1_std": t1_std, "draws": draws, "seed": seed, "grid": grid}
 
 
@@ -662,7 +682,7 @@ def partition_order_study(
     t1_std: float = 1.0,
     draws: int = 12,
     seed: int = 20260816,
-    grid: GridSpec = GridSpec(half_width=3.0, points_per_axis=21),
+    grid=None,
 ) -> PartitionOrderReport:
     """Measure how the partition discrepancy of a curved family decays with n.
 
@@ -670,8 +690,12 @@ def partition_order_study(
     observed points; the contour is rebuilt from its own point at offset
     t1_std and the one-sided set discrepancy recorded.  The log-log slope of
     the per-n means is the order estimate (1/n for this second-order
-    construction), so n_grid needs at least two distinct sample sizes.
+    construction), so n_grid needs at least two distinct sample sizes.  grid
+    is the contour's GridSpec, by default 21 points per axis of half width 3.
     """
+    from .ancillary import _partition_pass
+    from .models import make_synthetic_curved
+
     n_grid, t1_std, draws, seed, grid = _partition_order_args(
         n_grid=n_grid, t1_std=t1_std, draws=draws, seed=seed, grid=grid).values()
     per_draw = []

@@ -257,6 +257,15 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("contour", {"model": {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8,
                            "sigma0": False},
                  "data": {"simulate": {"theta": [0.2]}}}, "sigma0"),
+    ("verify", {"study": "quadrature", "c_values": 5}, "c_values"),
+    ("verify", {**ORDER_BASE, "deltas": 5}, "deltas"),
+    ("verify", {"study": "partition-order", "n_grid": 5}, "n_grid"),
+    ("verify", {**ORDER_BASE, "reps": "5"}, "reps"),
+    ("contour", {**CIRCLE_CONFIG, "grid": {"half_width": "3", "points_per_axis": 5}},
+     "half_width"),
+    ("contour", {**CIRCLE_CONFIG, "grid": {"half_width": True, "points_per_axis": 5}},
+     "half_width"),
+    ("verify", {"study": "partition-order", "grid_points": "21"}, "grid_points"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -265,7 +274,9 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
         "partition-grid_half_width-string", "quadrature-eps-bool",
         "quadrature-theta_probe-string", "quadrature-c_values-string", "order-rho-bool",
         "order-deltas-string", "order-theta_star-string", "model-rho-bool",
-        "model-variance_scale-string", "model-sigma0-bool"])
+        "model-variance_scale-string", "model-sigma0-bool", "quadrature-c_values-scalar",
+        "order-deltas-scalar", "partition-n_grid-scalar", "order-reps-string",
+        "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range integers, and reals that are not finite JSON
     numbers (booleans and strings included), are rejected before any work,
@@ -563,6 +574,88 @@ def test_cli_import_loads_no_statistics():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+MODULES_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("ancontour.") or name == "numpy")
+
+import ancontour
+seen = [loaded()]
+from ancontour.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+POINT_MODULES = {"ancontour." + name for name in (
+    "cli", "_jsonio", "errors", "models", "estimation", "diffgeo", "ancillary")} | {"numpy"}
+STUDY_MODULES = {"ancontour." + name for name in (
+    "cli", "_jsonio", "errors", "montecarlo")} | {"numpy"}
+
+
+def loaded_modules(runs):
+    """The ancontour submodules (and numpy) in sys.modules after a bare
+    `import ancontour`, then after each CLI run in turn, in one fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(ancontour.__file__))
+    result = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, json.dumps(runs)],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return [set(names) for names in json.loads(result.stdout.splitlines()[-1])]
+
+
+def test_point_commands_load_no_study_code(tmp_path):
+    """`import ancontour` loads no submodule and no numpy; every example,
+    contour and frame command loads the model, fit, frame and contour code
+    it runs, and never montecarlo."""
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    out = ["--out", str(tmp_path / "out")]
+    runs = [["example", name, *out] for name in EXAMPLES]
+    runs += [[command, "--config", config, *out] for command in ("contour", "frame")]
+    bare, *after = loaded_modules(runs)
+    assert bare == set()
+    for argv, names in zip(runs, after):
+        assert names == POINT_MODULES, argv
+
+
+@pytest.mark.parametrize("payload,extra", [
+    ({"study": "quadrature"}, set()),
+    ({**ORDER_BASE, "family": "location-scale"}, {"ancontour.models"}),
+], ids=["quadrature", "order-location-scale"])
+def test_verify_studies_load_only_what_they_run(payload, extra, tmp_path):
+    """The quadrature study loads no model, fit, frame or contour code; the
+    location-scale order study adds the models only."""
+    config = write_config(tmp_path, payload)
+    bare, after = loaded_modules([["verify", "--config", config, "--out", str(tmp_path)]])
+    assert bare == set()
+    assert after == STUDY_MODULES | extra
+
+
+def test_package_namespace_loads_names_on_first_use():
+    """Each public name is the object its module defines, dir() and
+    `import *` cover them, a submodule is reachable from a bare import, and
+    an unknown name is an AttributeError naming it."""
+    for name in ancontour.__all__[1:]:
+        value = getattr(ancontour, name)
+        assert value.__module__.startswith("ancontour."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert ancontour.__all__[0] == "__version__"
+    assert len(set(ancontour.__all__)) == len(ancontour.__all__)
+    assert set(ancontour.__all__) <= set(dir(ancontour))
+    namespace = {}
+    exec("from ancontour import *", namespace)
+    assert set(ancontour.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ancontour.no_such_name
+    src = os.path.dirname(os.path.dirname(ancontour.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", "import ancontour; print(ancontour.montecarlo.__name__)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ancontour.montecarlo"
 
 
 def test_ancillary_and_estimation_never_compare_a_family_name():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ancontour.ancillary as anc
 import ancontour.montecarlo as mc
 from ancontour import (
     EmptyStudyError,
@@ -116,7 +117,8 @@ def test_quadrature_report_formats():
     ({"c_values": ()}, EmptyStudyError, "c_values"),
     ({"c_values": (1.0, math.nan)}, InvalidParameterError, "c_values"),
     ({"eps": True}, InvalidParameterError, "eps"),
-], ids=["probe-0", "eps-0", "c_values-empty", "c_values-nan", "eps-bool"])
+    ({"c_values": 5}, InvalidParameterError, "c_values"),
+], ids=["probe-0", "eps-0", "c_values-empty", "c_values-nan", "eps-bool", "c_values-scalar"])
 def test_quadrature_rejects_bad_arguments(kwargs, error, key, monkeypatch):
     """A zero probe, a zero step or no curvature is named before any integral
     is taken, instead of a ZeroDivisionError, a NaN derivative or a failing max()."""
@@ -145,6 +147,20 @@ def test_order_spec_validation():
                 {"family": "location-scale", "n_grid": (2, 8)}):
         with pytest.raises(InvalidParameterError):
             OrderStudySpec(**bad).validate()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"reps": "5"}, {"reps": 5.0}, {"n_grid": 16}, {"deltas": 1.0}, {"deltas": "1"},
+], ids=["reps-string", "reps-float", "n_grid-scalar", "deltas-scalar", "deltas-string"])
+def test_order_spec_names_a_mistyped_key(kwargs):
+    """A non-integer reps and a scalar where a list belongs raise
+    InvalidParameterError naming the key, from the spec and from run_replicated,
+    instead of a TypeError from a comparison or an iteration."""
+    key = next(iter(kwargs))
+    with pytest.raises(InvalidParameterError, match=key):
+        OrderStudySpec(**kwargs).validate()
+    with pytest.raises(InvalidParameterError, match=key):
+        run_replicated(OrderStudySpec(**kwargs))
 
 
 def test_order_spec_from_config():
@@ -323,14 +339,14 @@ def test_arc_labelling_names_a_theta_hat_outside_its_range(theta_star, turn, mon
     raises before any draw is labelled instead of reducing angles wrongly."""
     from dataclasses import replace
 
-    build = mc.build_contour
+    build = anc.build_contour
 
     def turned(*args):
         cloud = build(*args)
         theta_hat = cloud.fit.theta_hat + turn * TWO_PI
         return replace(cloud, fit=replace(cloud.fit, theta_hat=theta_hat))
 
-    monkeypatch.setattr(mc, "build_contour", turned)
+    monkeypatch.setattr(anc, "build_contour", turned)
     spec = OrderStudySpec(n_grid=(16,), theta_star=theta_star, reps=100, batch_size=100)
     with pytest.raises(NumericalFailureError, match=r"theta_hat in \(-2 pi, 2 pi\]"):
         run_replicated(spec)
@@ -488,11 +504,12 @@ def test_partition_order_study_guards():
 
 @pytest.mark.parametrize("kwargs", [
     {"draws": True}, {"draws": 2.5}, {"n_grid": (16.0, 64)}, {"n_grid": (1, 64)},
-    {"seed": -1}, {"seed": 1.0},
-], ids=["bool-draws", "float-draws", "float-n", "n-below-2", "negative-seed", "float-seed"])
+    {"seed": -1}, {"seed": 1.0}, {"n_grid": 64},
+], ids=["bool-draws", "float-draws", "float-n", "n-below-2", "negative-seed", "float-seed",
+        "scalar-n"])
 def test_partition_order_study_names_bad_config(kwargs, monkeypatch):
     """Each bad setting is named before any partition pass runs."""
-    monkeypatch.setattr(mc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
+    monkeypatch.setattr(anc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
     key = next(iter(kwargs))
     with pytest.raises(InvalidParameterError, match=key):
         partition_order_study(**kwargs)
@@ -502,7 +519,7 @@ def test_partition_order_study_caps_t1_before_any_fit(monkeypatch):
     """A t1_std beyond the moderate-deviation cap 3.0 is a configuration
     error, named before any partition pass (so before any fit) runs; the cap
     itself is allowed through to the pass."""
-    monkeypatch.setattr(mc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
+    monkeypatch.setattr(anc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
     for t1 in (5, -5.0, 3.0 + 1e-12):
         with pytest.raises(InvalidParameterError,
                            match=r"exceeds the moderate-deviation cap 3\.0"):
