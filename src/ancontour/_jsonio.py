@@ -40,7 +40,7 @@ def config_float(value, key: str) -> float:
 def encode_array(arr: np.ndarray) -> dict:
     """Row-major flat encoding with explicit dims, stable across numpy versions."""
     arr = np.asarray(arr, dtype=float)
-    return {"dims": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+    return {"dims": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
 def record(obj, skip=(), **extra) -> dict:
@@ -58,7 +58,7 @@ def _plain(obj):
     if obj is None or isinstance(obj, (str, int, float)):  # first: lists hold many floats
         return obj
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj] if obj.ndim == 1 else encode_array(obj)
+        return np.asarray(obj, dtype=float).tolist() if obj.ndim == 1 else encode_array(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

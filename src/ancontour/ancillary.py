@@ -151,6 +151,18 @@ def _sweep(model, x_hat, theta_hat, rec, grid):
     return offsets, offsets_std, points, keep
 
 
+def _check_fit(model, y0, fit):
+    """fit, if it is a fit of y0 under model (one quantile call); else an error naming fit."""
+    theta, x = np.asarray(fit.theta_hat), model.check_point(fit.x_hat, "fit.x_hat")
+    if theta.shape != (model.p,):
+        raise InvalidDimensionError(f"fit.theta_hat has shape {theta.shape}, expected ({model.p},)")
+    gap = np.abs(model.quantile(x, theta) - y0)  # a + b (y0 - a) / b: ulps of |y0| + |a|
+    if not np.all(gap <= 1e-13 * (np.abs(y0) + np.abs(fit.y_fit))):
+        raise InvalidParameterError(f"fit is not a fit of this point: it misses it by "
+                                    f"{float(np.max(gap)):.3e}")
+    return fit
+
+
 def build_contour(
     model: QuantileModel,
     y0: np.ndarray,
@@ -159,14 +171,14 @@ def build_contour(
 ) -> ContourCloud:
     """Build the observed contour cloud through y0.
 
-    Fits the model (unless a fit is supplied), solves the fitted reference
-    value, and evaluates the quantile map on the offset grid in one call.
+    Fits the model (unless a fit of y0 is supplied; one of another point
+    raises), solves the fitted reference value, and evaluates the quantile
+    map on the offset grid in one call.
     Grid points whose parameter leaves the open domain (a negative sigma,
     say) are dropped, which is how positive-ray constraints are enforced.
     """
     y0 = model.check_point(y0)
-    if fit is None:
-        fit = fit_mle(model, y0)
+    fit = fit_mle(model, y0) if fit is None else _check_fit(model, y0, fit)
     rec = standardize(fit.obs_info)
     offsets, offsets_std, points, keep = _sweep(model, fit.x_hat[None], fit.theta_hat[None], rec,
                                                 grid)
@@ -194,7 +206,7 @@ def contour_min_distance(
     """Distance from q to the continuous contour through fit, by Gauss-Newton.
 
     Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t starting from
-    t_init (typically the nearest grid offset), with domain clipping and the
+    t_init (a parameter offset near the argmin), with domain clipping and the
     line search of the Newton fit, estimation._line_search.  Returns
     (distance, argmin offset): a float and (p,) for one point q (n,), or (K,)
     and (K, p) for rows q (K, n) and t_init (K, p), solved together with each
@@ -311,9 +323,11 @@ def partition_check(
 
     Picks y1 = q(x_hat0; theta_hat0 + t1), refits from scratch at y1, and
     reports the maximum over the rebuilt cloud of the distance to the
-    original (continuous) contour.  t1 is given in standardized units and is
-    capped to keep the probe inside moderate deviations.  fit, when given,
-    is the fit of y0 (fit_mle's), which is then not repeated.
+    original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
+    is refined from t = (theta_hat1 - theta_hat0) + s, its minimiser where
+    x_hat1 = x_hat0.  t1 is given in standardized units and is capped to keep
+    the probe inside moderate deviations.  fit, when given, is the fit of y0
+    (fit_mle's), which is then not repeated; a fit of another point raises.
     """
     return _partition_pass(model, [y0], t1_std, grid, cap, fit)[0]
 
@@ -323,9 +337,10 @@ _PASS_BLOCK = 21 << 10  # float64 (rebuilt points x n) a pass block holds: 21 at
 
 def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
     """partition_check of each row of y0 at the one offset t1_std: one batched
-    fit of the base points and one of the probe points, then the sweeps,
-    nearest-offset search and refinement over blocks of draws of at most
-    _PASS_BLOCK elements.  Each report has the bits of a one-draw pass."""
+    fit of the base points and one of the probe points, then, over blocks of
+    draws of at most _PASS_BLOCK elements, the sweep of the rebuilt clouds and
+    one refinement of all their points, each started from its own parameter
+    offset.  Each report has the bits of a one-draw pass."""
     t1_std = np.atleast_1d(np.asarray(t1_std, dtype=float))
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
@@ -336,6 +351,8 @@ def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
     for row in y0:
         model.check_point(row)
     y0 = np.asarray(y0, dtype=float)
+    if fit is not None:
+        fit = _check_fit(model, y0[0], fit)
     theta0, info0, x0 = ((fit.theta_hat[None], fit.obs_info[None], fit.x_hat[None])
                          if fit is not None else _fit_points(model, y0)[:3])
     t1_raw = standardize(info0).map_offsets(t1_std)[:, 0]
@@ -350,21 +367,15 @@ def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
     step = max(1, _PASS_BLOCK // (grid.points_per_axis ** model.p * model.n))
     for lo in range(0, len(y0), step):
         b = slice(lo, lo + step)
-        offsets0, _, points0, keep0 = _sweep(model, x0[b], theta0[b], standardize(info0[b]), grid)
-        points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b]), grid)[2:]
-        # start each rebuilt point at its own draw's nearest grid offset, searched in
-        # blocks of 8 Ki float64 differences, with dropped grid points at infinity
-        padded, owner = np.full(keep0.shape + (model.n,), np.inf), np.nonzero(keep1)[0]
-        padded[keep0] = points0
-        block = max(1, (1 << 13) // padded[0].size)
-        nearest = [np.argmin(np.sum((padded[owner[i:i + block]] - points1[i:i + block, None]) ** 2,
-                                    axis=2), axis=1) for i in range(0, len(points1), block)]
-        del padded, points0  # room for the refinement's rows
+        s, _, points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b]), grid)
+        # rebuilt point q(x_hat1; theta_hat1 + s) starts at t = (theta_hat1 - theta_hat0) + s on
+        # the original contour t -> q(x_hat0; theta_hat0 + t): its minimiser if x_hat1 = x_hat0
+        owner = np.nonzero(keep1)[0]
+        start = ((theta_hat1[b] - theta0[b])[:, None] + s)[keep1]  # s: (G, p) or one per draw
         # refine toward each point's own draw's fit; a one-draw block passes that one fit
         x_a, t_a = (x0[lo], theta0[lo]) if len(keep1) == 1 else (x0[b][owner], theta0[b][owner])
-        offsets0 = np.broadcast_to(offsets0, keep0.shape + (model.p,))  # one grid per draw
         dist, _ = contour_min_distance(model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1,
-                                       offsets0[owner, np.concatenate(nearest)])
+                                       start)
         np.maximum.at(worst, lo + owner, dist)
     return [PartitionReport(discrepancy=float(worst[k]),
                             theta_gap=float(np.linalg.norm(theta_hat1[k] - theta1[k])),

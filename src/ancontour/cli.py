@@ -386,70 +386,39 @@ def _cmd_example(args) -> int:
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     name = args.name
     cloud = None
-    if name == "circle2d":
-        model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
-        y0 = np.array([1.2, 0.0])
-        grid = GridSpec(half_width=3.0, points_per_axis=41)
+    if name in ("circle2d", "location-scale", "nonlinreg-known", "nonlinreg-unknown"):
+        model, theta, t1, grid = {  # model, true theta (None: a fixed y0), t1 and grid
+            "circle2d": lambda: (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), None, [1.0],
+                                 GridSpec(half_width=3.0, points_per_axis=41)),
+            "location-scale": lambda: (make_location_scale(8), [0.3, 1.1], [1.0, 0.5],
+                                       GridSpec(half_width=2.5, points_per_axis=21)),
+            "nonlinreg-known": lambda: (make_synthetic_curved(24), [0.4], [1.0],
+                                        GridSpec(half_width=3.0, points_per_axis=41)),
+            "nonlinreg-unknown": lambda: (make_nonlinear_regression(eta_curved(16), "unknown"),
+                                          [0.25, 0.9], [0.8, -0.5],
+                                          GridSpec(half_width=2.0, points_per_axis=21)),
+        }[name]()
+        y0 = (np.array([1.2, 0.0]) if theta is None
+              else model.quantile(model.ref_sampler(seed, 1)[0], np.array(theta)))
         cloud = build_contour(model, y0, grid)
-        comp = compare_exact(model, cloud)
-        part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud, "exact_comparison": comp, "partition": part}
-        summary = {
-            "example": name,
-            "theta_hat": cloud.fit.theta_hat,
-            "radius_contour": comp.radius_contour,
-            "radius_exact": comp.radius_exact,
-            "label_spread": comp.label_spread,
-            "partition_discrepancy": part.discrepancy,
-        }
-    elif name == "location-scale":
-        model = make_location_scale(8)
-        theta = np.array([0.3, 1.1])
-        y0 = model.quantile(model.ref_sampler(seed, 1)[0], theta)
-        grid = GridSpec(half_width=2.5, points_per_axis=21)
-        cloud = build_contour(model, y0, grid)
-        comp = compare_exact(model, cloud)
-        part = partition_check(model, y0, np.array([1.0, 0.5]), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud, "exact_comparison": comp, "partition": part}
-        summary = {
-            "example": name,
-            "theta_hat": cloud.fit.theta_hat,
-            "label_spread": comp.label_spread,
-            "partition_discrepancy": part.discrepancy,
-            "dropped_out_of_domain": cloud.dropped_out_of_domain,
-        }
-    elif name == "nonlinreg-known":
-        model = make_synthetic_curved(24)
-        theta = np.array([0.4])
-        y0 = model.quantile(model.ref_sampler(seed, 1)[0], theta)
-        grid = GridSpec(half_width=3.0, points_per_axis=41)
-        cloud = build_contour(model, y0, grid)
-        part = partition_check(model, y0, np.array([1.0]), grid=grid, fit=cloud.fit)
+        part = partition_check(model, y0, np.array(t1), grid=grid, fit=cloud.fit)
         doc = {"example": name, "contour": cloud, "partition": part}
-        summary = {
-            "example": name,
-            "theta_hat": cloud.fit.theta_hat,
-            "partition_discrepancy": part.discrepancy,
-            "theta_gap": part.theta_gap,
-        }
+        summary = {"example": name, "theta_hat": cloud.fit.theta_hat}
+        if model.exact_label is not None:
+            doc["exact_comparison"] = comp = compare_exact(model, cloud)
+    if name == "circle2d":
+        summary.update(radius_contour=comp.radius_contour, radius_exact=comp.radius_exact,
+                       label_spread=comp.label_spread, partition_discrepancy=part.discrepancy)
+    elif name == "location-scale":
+        summary.update(label_spread=comp.label_spread, partition_discrepancy=part.discrepancy,
+                       dropped_out_of_domain=cloud.dropped_out_of_domain)
+    elif name == "nonlinreg-known":
+        summary.update(partition_discrepancy=part.discrepancy, theta_gap=part.theta_gap)
     elif name == "nonlinreg-unknown":
-        model = make_nonlinear_regression(eta_curved(16), sigma_mode="unknown")
-        theta = np.array([0.25, 0.9])
-        y0 = model.quantile(model.ref_sampler(seed, 1)[0], theta)
-        grid = GridSpec(half_width=2.0, points_per_axis=21)
-        cloud = build_contour(model, y0, grid)
-        part = partition_check(model, y0, np.array([0.8, -0.5]), grid=grid, fit=cloud.fit)
         tangent_gap = float(np.max(np.abs(np.einsum(
             "nk,nab->kab", cloud.frame.velocity, cloud.frame.normal_acceleration))))
-        doc = {"example": name, "contour": cloud, "partition": part}
-        summary = {
-            "example": name,
-            "theta_hat": cloud.fit.theta_hat,
-            "points": len(cloud.points),
-            "dropped_out_of_domain": cloud.dropped_out_of_domain,
-            "partition_discrepancy": part.discrepancy,
-            "tangent_normal_gap": tangent_gap,
-        }
+        summary.update(points=len(cloud.points), dropped_out_of_domain=cloud.dropped_out_of_domain,
+                       partition_discrepancy=part.discrepancy, tangent_normal_gap=tangent_gap)
     elif name == "severini":
         model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
         y0 = np.array([1.25, 0.0, 0.15])

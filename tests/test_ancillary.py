@@ -415,10 +415,10 @@ def test_circle_label_is_rotation_invariant(n, seed, angle):
 
 
 def test_partition_check_memory_is_bounded():
-    """The nearest-grid-point search and the batched refinement hold bounded
-    blocks: the nonlinreg-unknown example's check, and a synthetic-curved one
-    at n = 1024 whose backtracking candidates overflow one block, peak well
-    under 4 MiB."""
+    """The rebuilt cloud's sweep and the batched refinement hold bounded
+    blocks: the nonlinreg-unknown example's check (peak 0.47 MiB), and a
+    synthetic-curved one at n = 1024 whose backtracking candidates overflow
+    one block (1.11 MiB), peak well under 4 MiB."""
     probes = [(make_nonlinear_regression(eta_curved(16), "unknown"), [0.25, 0.9], [0.8, -0.5],
                GridSpec(2.0, 21)),
               (make_synthetic_curved(1024), [0.4], [1.0], GridSpec(3.0, 21))]
@@ -482,8 +482,8 @@ def test_partition_pass_with_ragged_drops_matches_one_draw_checks():
     """Draws whose raw-unit grids drop different numbers of points (sigma
     offsets that leave (0, inf)), checked in one pass, each keep the report
     of their own partition_check, bit for bit, and its discrepancy is the
-    largest refined distance of the draw's rebuilt cloud from the nearest
-    point of its own cloud."""
+    largest refined distance of the draw's rebuilt cloud, each point started
+    at t = (theta_hat1 - theta_hat0) + its own raw grid offset."""
     from ancontour.ancillary import _partition_pass
 
     model = make_location_scale(4)
@@ -494,10 +494,85 @@ def test_partition_pass_with_ragged_drops_matches_one_draw_checks():
         one = partition_check(model, y, np.array([1.0, 0.5]), grid)
         assert json.dumps(report.to_json_dict()) == json.dumps(one.to_json_dict())
         cloud0, cloud1 = build_contour(model, y, grid), build_contour(model, report.y1, grid)
+        start = (cloud1.fit.theta_hat - cloud0.fit.theta_hat) + cloud1.offsets
+        dist, _ = contour_min_distance(model, cloud0.fit, cloud1.points, start)
+        assert report.discrepancy == np.max(dist)
+
+
+# (model, true theta, standardized t1) per family the partition check serves
+PARTITION_FAMILIES = {
+    "circle2d": (lambda: make_circle(1.0, n=2, variance_scale=1.0 / 64.0), [0.3], [1.0]),
+    "circleN": (lambda: make_circle(1.3, n=4, variance_scale=0.1), [0.3], [1.0]),
+    "synthetic-curved": (lambda: make_synthetic_curved(24), [0.4], [1.0]),
+    "nonlinreg-known": (lambda: make_nonlinear_regression(eta_curved(16), ("known", 0.9)),
+                        [0.25], [0.8]),
+    "nonlinreg-unknown": (lambda: make_nonlinear_regression(eta_curved(16), "unknown"),
+                          [0.25, 0.9], [0.8, -0.5]),
+    "location-scale": (lambda: make_location_scale(8), [0.3, 1.1], [1.0, 0.5]),
+    "cauchy-location-scale": (lambda: make_location_scale(8, error_law="cauchy"),
+                              [0.3, 1.1], [1.0, 0.5]),
+}
+EXACT_FAMILIES = ("location-scale", "cauchy-location-scale")
+
+
+def _partition_draws(family, seeds=range(1, 6)):
+    make, theta, t1 = PARTITION_FAMILIES[family]
+    model = make()
+    grid = GridSpec(3.0, 21) if model.p == 1 else GridSpec(2.0, 11)
+    for seed in seeds:
+        yield model, model.quantile(model.ref_sampler(seed, 1)[0], np.array(theta)), \
+            np.array(t1), grid
+
+
+@pytest.mark.parametrize("family", list(PARTITION_FAMILIES))
+def test_partition_check_agrees_with_nearest_grid_refinement(family):
+    """The discrepancy equals the one refined from each rebuilt point's nearest
+    node of the original grid, found by brute force: within 1e-14 on curved
+    families, and both at most 1e-10 where the contour is an exact ancillary."""
+    for model, y0, t1, grid in _partition_draws(family):
+        report = partition_check(model, y0, t1, grid)
+        cloud0, cloud1 = build_contour(model, y0, grid), build_contour(model, report.y1, grid)
         gaps = np.sum((cloud1.points[:, None] - cloud0.points) ** 2, axis=2)
         dist, _ = contour_min_distance(model, cloud0.fit, cloud1.points,
                                        cloud0.offsets[np.argmin(gaps, axis=1)])
-        assert report.discrepancy == np.max(dist)
+        if family in EXACT_FAMILIES:
+            assert max(report.discrepancy, np.max(dist)) <= 1e-10
+        else:
+            assert abs(report.discrepancy - np.max(dist)) <= 1e-14
+
+
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_exact_partition_check_takes_one_line_search(family, monkeypatch):
+    """Where x_hat1 = x_hat0 each rebuilt point starts at its minimiser, so the
+    refinement retires every point after its first line search."""
+    import ancontour.ancillary as anc
+
+    calls, line_search = [], anc._line_search
+    monkeypatch.setattr(anc, "_line_search", lambda *a: calls.append(1) or line_search(*a))
+    for model, y0, t1, grid in _partition_draws(family):
+        calls.clear()
+        partition_check(model, y0, t1, grid)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check", ["build_contour", "partition_check"])
+def test_a_fit_of_another_point_is_refused(check):
+    """fit= must be the fit of y0 under the same model: another point's fit, or
+    one of another p or n, raises an error naming fit."""
+    model = make_nonlinear_regression(eta_curved(5), "unknown")
+    y, y_other = model.quantile(model.ref_sampler(3, 2), np.array([0.25, 0.9]))
+    run = {"build_contour": lambda m, f: build_contour(m, y, GridSpec(2.0, 5), fit=f),
+           "partition_check": lambda m, f: partition_check(m, y, np.array([0.8, -0.5]),
+                                                           GridSpec(2.0, 5), fit=f)}[check]
+    run(model, fit_mle(model, y))
+    with pytest.raises(InvalidParameterError, match="fit is not a fit of this point"):
+        run(model, fit_mle(model, y_other))
+    known = make_nonlinear_regression(eta_curved(5), ("known", 0.9))
+    with pytest.raises(InvalidDimensionError, match="fit.theta_hat has shape"):
+        run(model, fit_mle(known, y))
+    longer = make_nonlinear_regression(eta_curved(6), "unknown")
+    with pytest.raises(InvalidDimensionError, match="fit.x_hat has shape"):
+        run(model, fit_mle(longer, np.append(y, 0.1)))
 
 
 def test_partition_check_names_non_finite_t1():

