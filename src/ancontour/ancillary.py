@@ -65,9 +65,12 @@ class GridSpec:
         if not config_float(self.half_width, "half_width") > 0.0:
             raise InvalidParameterError("half_width must be positive and finite")
         config_int(self.points_per_axis, "points_per_axis", 3)
+        if not isinstance(self.standardized, bool):
+            raise InvalidParameterError(
+                f"'standardized' must be true or false, got {self.standardized!r}")
 
     @classmethod
-    def parse(cls, text: str, standardized: bool = True) -> "GridSpec":
+    def parse(cls, text: str) -> "GridSpec":
         """Parse the CLI form 'half_width,points'."""
         parts = text.split(",")
         if len(parts) != 2:
@@ -82,7 +85,7 @@ class GridSpec:
         except ValueError:
             raise InvalidParameterError(
                 f"grid spec {text!r}: the point count must be an integer") from None
-        return cls(half_width=half_width, points_per_axis=points, standardized=standardized)
+        return cls(half_width=half_width, points_per_axis=points)
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,6 @@ def partition_check(
     y0: np.ndarray,
     t1_std: np.ndarray,
     grid: GridSpec = GridSpec(),
-    cap: float = _T1_CAP,
     fit: FitResult | None = None,
 ) -> PartitionReport:
     """Rebuild the contour from a point on it and measure the set discrepancy.
@@ -325,17 +327,18 @@ def partition_check(
     reports the maximum over the rebuilt cloud of the distance to the
     original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
     is refined from t = (theta_hat1 - theta_hat0) + s, its minimiser where
-    x_hat1 = x_hat0.  t1 is given in standardized units and is capped to keep
-    the probe inside moderate deviations.  fit, when given, is the fit of y0
-    (fit_mle's), which is then not repeated; a fit of another point raises.
+    x_hat1 = x_hat0.  t1 is given in standardized units, with |t1| <= _T1_CAP
+    to keep the probe inside moderate deviations.  fit, when given, is the
+    fit of y0 (fit_mle's), which is then not repeated; a fit of another
+    point raises.
     """
-    return _partition_pass(model, [y0], t1_std, grid, cap, fit)[0]
+    return _partition_pass(model, [y0], t1_std, grid, fit)[0]
 
 
 _PASS_BLOCK = 21 << 10  # float64 (rebuilt points x n) a pass block holds: 21 at n = 1024
 
 
-def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
+def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     """partition_check of each row of y0 at the one offset t1_std: one batched
     fit of the base points and one of the probe points, then, over blocks of
     draws of at most _PASS_BLOCK elements, the sweep of the rebuilt clouds and
@@ -346,8 +349,9 @@ def _partition_pass(model, y0, t1_std, grid, cap=_T1_CAP, fit=None) -> list:
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
     if not np.all(np.isfinite(t1_std)):
         raise InvalidParameterError("t1 has non-finite entries")
-    if (size := float(np.linalg.norm(t1_std))) > cap:
-        raise InvalidParameterError(f"|t1| = {size:.3f} exceeds the moderate-deviation cap {cap}")
+    if (size := float(np.linalg.norm(t1_std))) > _T1_CAP:
+        raise InvalidParameterError(
+            f"|t1| = {size:.3f} exceeds the moderate-deviation cap {_T1_CAP}")
     for row in y0:
         model.check_point(row)
     y0 = np.asarray(y0, dtype=float)

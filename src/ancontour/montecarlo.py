@@ -312,23 +312,20 @@ class _StudyContext:
             self.model = make_circle(spec.rho, n=2, variance_scale=variance)
             self.sd = math.sqrt(variance)
             info = spec.rho**2 / variance
+            tail, scores = (), self._circle_scores
         else:
             self.model = make_location_scale(n)
             self.sd = 1.0
             info = float(n)
+            tail, scores = (1.0,), self._location_scale_scores  # the scale held at 1
 
         self.offsets = [(0.0, 0, 0)]
         for d in spec.deltas:
             raw = d / math.sqrt(info)
             self.offsets.append((d, +1, raw))
             self.offsets.append((d, -1, -raw))
-
-        if spec.family == "circle":
-            thetas = [np.array([spec.theta_star + off]) for (_, _, off) in self.offsets]
-            self.scores = self._circle_scores(spec)
-        else:
-            thetas = [np.array([spec.theta_star + off, 1.0]) for (_, _, off) in self.offsets]
-            self.scores = self._location_scale_scores(spec)
+        thetas = [np.array([spec.theta_star + off, *tail]) for (_, _, off) in self.offsets]
+        self.scores = scores(spec)
         # both models have dquantile_dx = 1 on these rows, so y = base + x
         zero = np.zeros(self.model.n)
         self.bases = [self.model.quantile(zero, th) for th in thetas]
@@ -542,6 +539,16 @@ def _slope_fit(ns, values):
     return float(slope), float(se), (float(slope - 2 * se), float(slope + 2 * se))
 
 
+def _batch_se(values):
+    """Standard error of the mean over axis 1 (the batches) of values, 0 for
+    one batch.  The batches are moved to a contiguous last axis, so each
+    standard deviation sums in numpy's pairwise order for a 1-D array."""
+    if values.shape[1] == 1:
+        return np.zeros(values.shape[:1] + values.shape[2:])
+    spread = np.std(np.ascontiguousarray(np.moveaxis(values, 1, -1)), axis=-1, ddof=1)
+    return spread / math.sqrt(values.shape[1])
+
+
 def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
     """Run the order study with counter-based per-batch seeds.
 
@@ -549,70 +556,49 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
     SeedSequence(seed, spawn_key=(n_index, batch_index)) and counts cell
     labels at every parameter offset with the same draws, so the output
     depends on the spec alone.  A failed batch raises PartialResultsError
-    carrying the finished ones.
+    carrying the finished ones.  One batch gives no standard error, so a
+    positive sensitivity then makes the report inconclusive.
     """
     spec.validate()
     contexts = [_StudyContext(spec, n) for n in spec.n_grid]
     n_batches = math.ceil(spec.reps / spec.batch_size)
-    sizes = [min(spec.batch_size, spec.reps - b * spec.batch_size)
-             for b in range(n_batches)]
-
-    results: dict = {}
+    sizes = np.minimum(spec.batch_size, spec.reps - spec.batch_size * np.arange(n_batches))
+    offsets = contexts[0].offsets[1:]  # past the null; each (delta, sign) alike for every n
+    shape = (len(spec.n_grid), n_batches, 1 + len(offsets), spec.cells)
+    counts = {arm: np.empty(shape, dtype=np.intp) for arm in contexts[0].arms}
+    done = []
     try:
-        for n_idx in range(len(spec.n_grid)):
-            for b in range(n_batches):
-                results[(n_idx, b)] = _run_batch(spec, contexts[n_idx], n_idx, b, sizes[b])
+        for n_idx, b in np.ndindex(shape[:2]):
+            for arm, batch in _run_batch(spec, contexts[n_idx], n_idx, b, int(sizes[b])).items():
+                counts[arm][n_idx, b] = batch
+            done.append((n_idx, b))
     except Exception as exc:
         raise PartialResultsError(
-            f"replicated study failed mid-run: {exc}", completed=list(results)
+            f"replicated study failed mid-run: {exc}", completed=done
         ) from exc
 
-    arm_names = contexts[0].arms
+    deltas = np.array([delta for delta, _, _ in offsets])
+    per = np.where(deltas > 0, deltas, 1.0)  # TV per unit offset; a zero offset's as it is
+    rows = np.arange(len(spec.n_grid))
     arms = {}
-    flagged_ratio = 0.0
-    inconclusive = False
-    for arm in arm_names:
-        per_n = []
-        for n_idx, n in enumerate(spec.n_grid):
-            ctx = contexts[n_idx]
-            batch_counts = [results[(n_idx, b)][arm] for b in range(n_batches)]
-            pooled = np.sum(batch_counts, axis=0)
-            p_pool = pooled / spec.reps
-            per_delta = []
-            best = (0.0, 0.0, None)
-            for t_idx, (delta, sign, _raw) in enumerate(ctx.offsets):
-                if t_idx == 0:
-                    continue
-                tv = 0.5 * float(np.sum(np.abs(p_pool[t_idx] - p_pool[0])))
-                tv_per = tv / delta if delta > 0 else tv
-                batch_vals = []
-                for b in range(n_batches):
-                    pb = batch_counts[b] / sizes[b]
-                    tvb = 0.5 * float(np.sum(np.abs(pb[t_idx] - pb[0])))
-                    batch_vals.append(tvb / delta if delta > 0 else tvb)
-                se = (float(np.std(batch_vals, ddof=1)) / math.sqrt(n_batches)
-                      if n_batches > 1 else 0.0)
-                per_delta.append({"delta": float(delta), "sign": int(sign),
-                                  "tv_per_std": tv_per, "se": se})
-                if tv_per >= best[0]:
-                    best = (tv_per, se, t_idx)
-            # per-cell z at the probe with the strongest pooled signal
-            t_star = best[2] if best[2] is not None else 1
-            cell_z = []
-            dps = np.stack([batch_counts[b][t_star] / sizes[b]
-                            - batch_counts[b][0] / sizes[b]
-                            for b in range(n_batches)])
-            for j in range(spec.cells):
-                spread = float(np.std(dps[:, j], ddof=1)) if n_batches > 1 else 0.0
-                se_j = spread / math.sqrt(n_batches)
-                dp = float(p_pool[t_star, j] - p_pool[0, j])
-                cell_z.append(dp / se_j if se_j > 0 else 0.0)
-            sens, sens_se = best[0], best[1]
-            per_n.append(ArmPerN(n=n, sensitivity=sens, se=sens_se,
-                                 per_delta=per_delta, per_cell_z=cell_z))
-            if sens > 0 and sens < 3.0 * sens_se:
-                inconclusive = True
-                flagged_ratio = max(flagged_ratio, (3.0 * sens_se / sens) ** 2)
+    for arm, count in counts.items():
+        # each offset's shift of the cell probabilities from the null, pooled
+        # (n, offset, cell) and per batch (n, batch, offset, cell)
+        shift = count.sum(axis=1) / spec.reps
+        shift = shift[:, 1:] - shift[:, :1]
+        batch_shift = count / sizes[:, None, None]
+        batch_shift = batch_shift[:, :, 1:] - batch_shift[:, :, :1]
+        tv = 0.5 * np.abs(shift).sum(axis=-1) / per
+        tv_se = _batch_se(0.5 * np.abs(batch_shift).sum(axis=-1) / per)
+        best = tv.shape[1] - 1 - np.argmax(tv[:, ::-1], axis=1)  # the last strongest offset
+        dp, cell_se = shift[rows, best], _batch_se(batch_shift[rows, :, best])
+        z = np.divide(dp, cell_se, out=np.zeros_like(dp), where=cell_se > 0)
+        per_n = [
+            ArmPerN(n=n, sensitivity=tv_n[k], se=se_n[k], per_cell_z=z_n,
+                    per_delta=[{"delta": float(delta), "sign": int(sign), "tv_per_std": v,
+                                "se": e} for (delta, sign, _), v, e in zip(offsets, tv_n, se_n)])
+            for n, tv_n, se_n, k, z_n in zip(spec.n_grid, tv.tolist(), tv_se.tolist(),
+                                             best.tolist(), z.tolist())]
         values = [row.sensitivity for row in per_n]
         if all(v > 0 for v in values) and len(values) >= 2:
             slope, slope_se, band = _slope_fit(spec.n_grid, values)
@@ -621,9 +607,14 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
         arms[arm] = ArmSummary(name=arm, per_n=per_n, slope=slope,
                                slope_se=slope_se, slope_band=band)
 
-    required = math.ceil(spec.reps * flagged_ratio) if inconclusive else None
+    every_n = [row for arm in arms.values() for row in arm.per_n]
+    ratios = [(3.0 * row.se / row.sensitivity) ** 2 for row in every_n
+              if 0 < row.sensitivity < 3.0 * row.se]
+    required = math.ceil(spec.reps * max(ratios)) if ratios else None
+    if n_batches == 1 and any(row.sensitivity > 0 for row in every_n):
+        required = 2 * spec.batch_size  # one batch has no spread: two give the first se
     return OrderStudyReport(spec=spec, arms=arms,
-                            inconclusive=inconclusive,
+                            inconclusive=required is not None,
                             required_reps_estimate=required)
 
 

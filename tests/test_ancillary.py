@@ -36,7 +36,7 @@ from ancontour import (
     severini_pivot,
     severini_pivot_check,
 )
-from ancontour.ancillary import _halfplane_membership
+from ancontour.ancillary import _T1_CAP, _halfplane_membership
 from ancontour.models import non_invertible_mask
 from conftest import FAMILY_NAMES, iter_instances
 
@@ -56,6 +56,8 @@ def test_grid_spec_parse_and_validation():
         GridSpec(half_width=-1.0)
     with pytest.raises(InvalidParameterError):
         GridSpec(points_per_axis=2)
+    with pytest.raises(InvalidParameterError, match="'standardized' must be true or false"):
+        GridSpec(standardized="false")
 
 
 def test_grid_is_row_major_with_exact_center():
@@ -192,7 +194,8 @@ def test_partition_circle_positive_off_circle():
 def test_partition_guards():
     model = make_location_scale(4)
     y0 = np.array([0.1, -0.4, 1.2, 0.6])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError,
+                       match=rf"\|t1\| = 4\.000 exceeds the moderate-deviation cap {_T1_CAP}"):
         partition_check(model, y0, np.array([4.0, 0.0]))
     with pytest.raises(InvalidDimensionError):
         partition_check(model, y0, np.array([1.0]))

@@ -266,6 +266,8 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("contour", {**CIRCLE_CONFIG, "grid": {"half_width": True, "points_per_axis": 5}},
      "half_width"),
     ("verify", {"study": "partition-order", "grid_points": "21"}, "grid_points"),
+    ("contour", {**CIRCLE_CONFIG, "grid": {"standardized": "false"}}, "'standardized'"),
+    ("frame", {**CIRCLE_CONFIG, "grid": {"standardized": 0}}, "'standardized'"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -276,11 +278,12 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
         "order-deltas-string", "order-theta_star-string", "model-rho-bool",
         "model-variance_scale-string", "model-sigma0-bool", "quadrature-c_values-scalar",
         "order-deltas-scalar", "partition-n_grid-scalar", "order-reps-string",
-        "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string"])
+        "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string",
+        "grid-standardized-string", "grid-standardized-int"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range integers, and reals that are not finite JSON
     numbers (booleans and strings included), are rejected before any work,
-    naming the key."""
+    naming the key; so is a grid's 'standardized' that is not a JSON boolean."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2

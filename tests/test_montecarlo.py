@@ -369,6 +369,18 @@ FROZEN_REPORTS = [
      "c19edd27bb6bf2c8898ae60baeeec5b607cc153b97c958fc1015645171969ca8",
      "154025213013e54d2e9b42b028581c0b60e8410a598cc861fba62cde0e00865e",
      "24fd5f8ea031ddd09f28f99e7b06cc5f9f94119bc4e1462c763be805266de822"),
+    # eleven and nine batches: from eight terms on, numpy sums a contiguous
+    # axis pairwise and a strided one in order, so a reduction over the
+    # batches shows its axis; sample sizes not powers of two, rho and
+    # theta_star moved
+    (OrderStudySpec(n_grid=(5, 24, 40), reps=1100, batch_size=100, rho=0.7, theta_star=1.3),
+     "6db5cddc1d977b9e5878d3afdddba6b085c17470c8f20192da0bda3f6c94bc54",
+     "3e2f2fbc21a29cecef1dd25afebffffccfa1bbab6ee13f988284617063e414d8",
+     "045fe5063eff79c43d307bb5719c249d6a5db904c2696a7fa42582d197b8c9c2"),
+    (OrderStudySpec(family="location-scale", n_grid=(8, 16), reps=900, batch_size=100),
+     "502a7672f030fab49d3a5bf3a1ac8cb8c436a7d7634cf73c254078d815dc9b89",
+     "8098b9b4c01cdca0e3603eb89c5e9db465368564037030bc9d2769825c8fa316",
+     "0a16c458f5885ccdad30a50e8d1cf2f0ef6a29c1099b34b335ec9e6d98bfea12"),
 ]
 
 
@@ -379,7 +391,8 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("spec,json_digest,csv_digest,counts_digest", FROZEN_REPORTS,
-                         ids=["circle", "circle-theta-2.5", "location-scale"])
+                         ids=["circle", "circle-theta-2.5", "location-scale",
+                              "circle-11-batches", "location-scale-9-batches"])
 def test_order_study_reports_are_frozen(spec, json_digest, csv_digest, counts_digest):
     """The reports, and the label counts behind them, keep every byte."""
     report = run_replicated(spec)
@@ -428,6 +441,20 @@ def test_order_study_zero_delta_probe_is_null():
                 assert entry["tv_per_std"] == 0.0
     assert not report.inconclusive
     json.dumps(report.to_json_dict())  # None slope serializes
+
+
+def test_one_batch_study_with_a_signal_is_inconclusive():
+    """One batch has no spread to give a standard error, so a positive
+    sensitivity is not claimed: the report asks for two full batches.  The
+    exact location-scale arm has no signal and stays conclusive."""
+    spec = OrderStudySpec(n_grid=(16, 32), reps=500)
+    report = run_replicated(spec)
+    rows = [row for arm in report.arms.values() for row in arm.per_n]
+    assert all(row.sensitivity > 0 and row.se == 0.0 for row in rows)
+    assert report.inconclusive and report.required_reps_estimate == 2 * spec.batch_size
+    exact = run_replicated(OrderStudySpec(family="location-scale", n_grid=(8, 16), reps=300))
+    assert all(row.sensitivity == 0.0 for row in exact.arms["second_order"].per_n)
+    assert not exact.inconclusive and exact.required_reps_estimate is None
 
 
 def test_order_study_se_scaling_with_reps():
