@@ -8,7 +8,6 @@ import numbers
 import os
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -44,16 +43,16 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def record(obj, skip=(), **extra) -> dict:
-    """The fields of dataclass obj, less those named in skip and plus extra,
-    as plain JSON values."""
-    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+    """The fields of record (NamedTuple) obj, less those named in skip and
+    plus extra, as plain JSON values."""
+    out = {name: value for name, value in zip(obj._fields, obj) if name not in skip}
     out.update(extra)
     return {key: _plain(value) for key, value in out.items()}
 
 
 def _plain(obj):
     """The one JSON rule: a vector is a list of floats, a larger array an
-    encode_array block, a report its to_json_dict (a dataclass its record),
+    encode_array block, a report its to_json_dict (a record its fields),
     numpy scalars Python ones; None and Python scalars stay as they are."""
     if obj is None or isinstance(obj, (str, int, float)):  # first: lists hold many floats
         return obj
@@ -61,12 +60,12 @@ def _plain(obj):
         return np.asarray(obj, dtype=float).tolist() if obj.ndim == 1 else encode_array(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
-    if is_dataclass(obj):
+    if hasattr(obj, "_fields"):  # a record is a tuple, but encodes as an object
         return record(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     return obj.item() if isinstance(obj, np.generic) else obj
 
 

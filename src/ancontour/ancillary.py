@@ -13,8 +13,8 @@ inversion that breaks global invertibility).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,26 +48,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("half_width", float), ("points_per_axis", int),
+                                        ("standardized", bool)])):
     """Parameter-offset grid: box of half_width per axis, points_per_axis each.
 
     Offsets are in information-standardized units when standardized is set,
     otherwise raw parameter units.  Odd points_per_axis keeps t = 0 on the
-    grid.
+    grid.  _replace and _make skip the checks, so build a grid by calling it.
     """
 
-    half_width: float = 3.0
-    points_per_axis: int = 41
-    standardized: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not config_float(self.half_width, "half_width") > 0.0:
+    def __new__(cls, half_width: float = 3.0, points_per_axis: int = 41,
+                standardized: bool = True):
+        if not config_float(half_width, "half_width") > 0.0:
             raise InvalidParameterError("half_width must be positive and finite")
-        config_int(self.points_per_axis, "points_per_axis", 3)
-        if not isinstance(self.standardized, bool):
+        config_int(points_per_axis, "points_per_axis", 3)
+        if not isinstance(standardized, bool):
             raise InvalidParameterError(
-                f"'standardized' must be true or false, got {self.standardized!r}")
+                f"'standardized' must be true or false, got {standardized!r}")
+        return super().__new__(cls, half_width, points_per_axis, standardized)
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -88,8 +88,7 @@ class GridSpec:
         return cls(half_width=half_width, points_per_axis=points)
 
 
-@dataclass(frozen=True)
-class ContourCloud:
+class ContourCloud(NamedTuple):
     """Grid sample of one contour: offsets, points, and the frame at its base.
 
     offsets (K, p) are raw parameter offsets from theta_hat; offsets_std the
@@ -108,7 +107,6 @@ class ContourCloud:
     offsets_std: np.ndarray
     points: np.ndarray
     dropped_out_of_domain: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def center_index(self) -> int:
@@ -121,7 +119,7 @@ class ContourCloud:
         return csv_lines(header, rows)
 
     def to_json_dict(self) -> dict:
-        return record(self, skip=("fit", "standardization", "meta"),
+        return record(self, skip=("fit", "standardization"),
                       theta_hat=self.fit.theta_hat, x_hat=self.fit.x_hat)
 
     def to_json(self) -> str:
@@ -289,8 +287,7 @@ def contour_min_distance(
     return (float(dist[0]), t[0]) if single else (dist, t)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """One-sided distance from the rebuilt contour to the original one.
 
     discrepancy is the max over the rebuilt grid of the continuous distance
@@ -387,8 +384,7 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
                             theta_hat1=theta_hat1[k]) for k in range(len(y0))]
 
 
-@dataclass(frozen=True)
-class ExactComparisonReport:
+class ExactComparisonReport(NamedTuple):
     """Spread of an exact ancillary label over a contour cloud.
 
     label_spread is the max-infinity-norm deviation of the per-point exact
@@ -438,8 +434,7 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     )
 
 
-@dataclass(frozen=True)
-class SeveriniReport:
+class SeveriniReport(NamedTuple):
     """Back-solve of the full-data pivot statistic.
 
     The pivot ((r - rho) cos theta_hat, (r - rho) sin theta_hat, y_3..y_n)
@@ -527,8 +522,7 @@ def severini_pivot_check(model: QuantileModel, y0: np.ndarray) -> SeveriniReport
     )
 
 
-@dataclass(frozen=True)
-class InversionReport:
+class InversionReport(NamedTuple):
     """Back-mapping of a contour through the coordinate inversion y -> 1/y.
 
     component_count is the number of 8-connected raster components of the

@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -337,6 +336,8 @@ def _cmd_verify(args) -> int:
             summary[f"sensitivity_{name}"] = [row.sensitivity for row in arm.per_n]
         text = report.to_csv() if args.format == "csv" else report.to_json()
     else:
+        from .ancillary import GridSpec
+
         bad = set(config) - _PARTITION_KEYS
         if bad:
             raise _UsageError(f"unknown study keys: {sorted(bad)}")
@@ -346,9 +347,9 @@ def _cmd_verify(args) -> int:
             given["seed"] = args.seed
         try:  # the study's own defaults and checks, so that a bad value is a usage error
             grid = _partition_order_args()["grid"]  # the study's default grid
-            given["grid"] = replace(
-                grid, half_width=config_float(config.get("grid_half_width", grid.half_width),
-                                              "grid_half_width"),
+            given["grid"] = GridSpec(
+                half_width=config_float(config.get("grid_half_width", grid.half_width),
+                                        "grid_half_width"),
                 points_per_axis=config_int(config.get("grid_points", grid.points_per_axis),
                                            "grid_points", 3))
             study_args = _partition_order_args(**given)

@@ -9,7 +9,7 @@ component (the second fundamental form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ __all__ = [
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TaylorFrame:
+class TaylorFrame(NamedTuple):
     """Second-order expansion of a parameter trajectory at a base point.
 
     velocity is n x p, acceleration n x p x p (symmetric trailing axes).

@@ -16,7 +16,7 @@ scale, so flat likelihood ridges raise SingularInformationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _SCALES = 0.5 ** np.arange(40)
 _BLOCK = 1 << 11
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """MLE output: estimate, fitted point, reference value, curvature, diagnostics."""
 
     theta_hat: np.ndarray
@@ -352,8 +351,7 @@ def _rank_gate(info):
         )
 
 
-@dataclass(frozen=True)
-class StandardizationRecord:
+class StandardizationRecord(NamedTuple):
     """Information standardization at the fit.
 
     chol is the lower Cholesky factor L of the observed information; scales

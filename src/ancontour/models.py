@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,9 @@ _UNBOUNDED = (-math.inf, math.inf)
 _POSITIVE = (0.0, math.inf)
 
 
+# A dataclass, unlike the package's NamedTuple records: dataclasses.replace
+# rebuilds a model with some callables swapped (invert_coordinates here,
+# span tracers outside the package).
 @dataclass(frozen=True)
 class QuantileModel:
     """Bundle of quantile-map callables defining one parametric family.
@@ -314,8 +317,7 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
                          exact_label, {"rho": float(rho), "variance_scale": float(variance_scale)})
 
 
-@dataclass(frozen=True)
-class EtaHandle:
+class EtaHandle(NamedTuple):
     """Mean-curve handle for regression families.
 
     Each callable takes one row theta (r,) or rows (..., r): value gives
@@ -424,8 +426,7 @@ def non_invertible_mask(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.any(np.abs(points) <= tol, axis=1)
 
 
-@dataclass(frozen=True)
-class InvertedCauchyMap:
+class InvertedCauchyMap(NamedTuple):
     """Cauchy model re-expressed through the coordinate inversion y -> 1/y.
 
     model acts on the inverted coordinates and is again Cauchy location-scale;

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def _density_integral(a, theta: float, c: float):
     return value
 
 
-@dataclass(frozen=True)
-class QuadratureCase:
+class QuadratureCase(NamedTuple):
     c: float
     max_abs_derivative: float
     symmetry_gap: float
@@ -86,8 +85,7 @@ class QuadratureCase:
     derivatives: np.ndarray
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(NamedTuple):
     """First-derivative ancillarity of the curved scalar statistic.
 
     For each curvature c: the largest central-difference theta-derivative of
@@ -188,8 +186,7 @@ def quadrature_first_derivative(
                             theta_probe=theta_probe)
 
 
-@dataclass(frozen=True)
-class OrderStudySpec:
+class OrderStudySpec(NamedTuple):
     """Configuration of the replicated cell-sensitivity study.
 
     family "circle" scales the coordinate variance like 1/n on the planar
@@ -241,7 +238,7 @@ class OrderStudySpec:
 def order_spec_from_config(config: dict) -> OrderStudySpec:
     """Build an OrderStudySpec from a JSON mapping: "study" plus spec fields."""
     kwargs = {k: v for k, v in config.items() if k != "study"}
-    unknown = set(kwargs) - {f.name for f in fields(OrderStudySpec)}
+    unknown = set(kwargs) - set(OrderStudySpec._fields)
     if unknown:
         raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
     for key in ("n_grid", "deltas"):
@@ -470,8 +467,7 @@ def _run_batch(spec: OrderStudySpec, ctx: _StudyContext, n_idx: int, batch_idx: 
     return {arm: np.array(rows) for arm, rows in counts.items()}
 
 
-@dataclass(frozen=True)
-class ArmPerN:
+class ArmPerN(NamedTuple):
     n: int
     sensitivity: float
     se: float
@@ -479,8 +475,7 @@ class ArmPerN:
     per_cell_z: list
 
 
-@dataclass(frozen=True)
-class ArmSummary:
+class ArmSummary(NamedTuple):
     name: str
     per_n: list
     slope: float | None
@@ -488,8 +483,7 @@ class ArmSummary:
     slope_band: tuple | None
 
 
-@dataclass(frozen=True)
-class OrderStudyReport:
+class OrderStudyReport(NamedTuple):
     """Replicated study output: per-n sensitivities, slopes, diagnostics.
 
     The JSON payload is a pure function of the spec, so reruns are
@@ -618,8 +612,7 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
                             required_reps_estimate=required)
 
 
-@dataclass(frozen=True)
-class PartitionOrderReport:
+class PartitionOrderReport(NamedTuple):
     """Partition discrepancy of the synthetic curved family versus n."""
 
     n_grid: tuple

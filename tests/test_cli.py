@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import ancontour
-from ancontour._jsonio import config_float
+from ancontour._jsonio import config_float, dumps
 from ancontour.cli import main
 
 EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
@@ -268,6 +269,8 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {"study": "partition-order", "grid_points": "21"}, "grid_points"),
     ("contour", {**CIRCLE_CONFIG, "grid": {"standardized": "false"}}, "'standardized'"),
     ("frame", {**CIRCLE_CONFIG, "grid": {"standardized": 0}}, "'standardized'"),
+    ("verify", {"study": "partition-order", "grid_half_width": 0}, "half_width"),
+    ("verify", {"study": "partition-order", "grid_half_width": -1.5}, "half_width"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -279,11 +282,14 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
         "model-variance_scale-string", "model-sigma0-bool", "quadrature-c_values-scalar",
         "order-deltas-scalar", "partition-n_grid-scalar", "order-reps-string",
         "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string",
-        "grid-standardized-string", "grid-standardized-int"])
+        "grid-standardized-string", "grid-standardized-int", "partition-grid_half_width-0",
+        "partition-grid_half_width-negative"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range integers, and reals that are not finite JSON
     numbers (booleans and strings included), are rejected before any work,
-    naming the key; so is a grid's 'standardized' that is not a JSON boolean."""
+    naming the key; so is a grid's 'standardized' that is not a JSON boolean,
+    and a partition-order grid half width that is not positive (its grid is
+    built through GridSpec's checks)."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -695,6 +701,55 @@ def test_one_module_decides_the_json_format():
                     assert not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                                    and call.func.id == "float" for call in ast.walk(comp)), (
                         f"{path.name}:{comp.lineno}")
+
+
+RECORD_TYPES = [value for module in ("ancillary", "diffgeo", "estimation", "models", "montecarlo")
+                for value in vars(importlib.import_module(f"ancontour.{module}")).values()
+                if isinstance(value, type) and issubclass(value, tuple)
+                and value.__module__ == f"ancontour.{module}"]
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_records_refuse_attribute_assignment(cls):
+    """Every result and spec type of the package is an immutable NamedTuple:
+    neither a field nor a new attribute can be set on an instance."""
+    obj = cls._make([None] * len(cls._fields))
+    with pytest.raises(AttributeError):
+        setattr(obj, cls._fields[0], 1.0)
+    with pytest.raises(AttributeError):
+        obj.extra = 1.0
+
+
+def test_nested_records_encode_as_json_objects():
+    """A record is a tuple, but inside a list or a dict it is still written
+    as a JSON object of its fields, not as a JSON list."""
+    from ancontour.ancillary import GridSpec
+
+    grid = {"half_width": 2.0, "points_per_axis": 5, "standardized": False}
+    text = dumps({"grids": [GridSpec(**grid)], "by_name": {"g": GridSpec(**grid)}})
+    assert json.loads(text) == {"grids": [grid], "by_name": {"g": grid}}
+
+
+DATACLASSES_SCRIPT = """
+import dataclasses, sys
+import ancontour.cli, ancontour.ancillary, ancontour.montecarlo
+print(sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
+             if name.startswith("ancontour") for attr, value in vars(module).items()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)
+             and value.__module__ == name))
+"""
+
+
+def test_quantile_model_is_the_only_dataclass():
+    """Defining a dataclass costs 0.5-1.3 ms of start-up each, so the 18
+    other types the CLI modules load are NamedTuples."""
+    src = os.path.dirname(os.path.dirname(ancontour.__file__))
+    result = subprocess.run([sys.executable, "-c", DATACLASSES_SCRIPT],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['ancontour.models.QuantileModel']"
+    assert len(RECORD_TYPES) == 18
 
 
 def test_config_float_accepts_finite_numbers_only():

@@ -244,8 +244,6 @@ def test_arc_labels_match_kd_tree_near_half_turn(side):
     """Arcs whose largest offset max |t| sits just below pi snap one turn of
     a point's angle, just above pi three; either way the labels are a
     KD-tree's over every node, for the draws and for points all around."""
-    from dataclasses import replace
-
     from scipy.spatial import cKDTree
 
     def reach(spec):
@@ -257,7 +255,7 @@ def test_arc_labels_match_kd_tree_near_half_turn(side):
                                                           grid).offsets))) for tau in centers)
 
     unit = OrderStudySpec(n_grid=(16,), theta_star=2.5, lattice_half_width=1.0)
-    spec = replace(unit, lattice_half_width=math.pi * (1.0 + 1e-3 * side) / reach(unit)[1])
+    spec = unit._replace(lattice_half_width=math.pi * (1.0 + 1e-3 * side) / reach(unit)[1])
     ctx, max_t = reach(spec)
     assert side * (max_t - math.pi) > 0.0
     arcs = _explicit_lattice(spec, ctx)["second_order"]
@@ -337,14 +335,12 @@ def test_arc_scores_match_every_turn_bit_for_bit(theta_star):
 def test_arc_labelling_names_a_theta_hat_outside_its_range(theta_star, turn, monkeypatch):
     """A cell fit a turn away from its arctan2 angle, past 2 pi or -2 pi,
     raises before any draw is labelled instead of reducing angles wrongly."""
-    from dataclasses import replace
-
     build = anc.build_contour
 
     def turned(*args):
         cloud = build(*args)
         theta_hat = cloud.fit.theta_hat + turn * TWO_PI
-        return replace(cloud, fit=replace(cloud.fit, theta_hat=theta_hat))
+        return cloud._replace(fit=cloud.fit._replace(theta_hat=theta_hat))
 
     monkeypatch.setattr(anc, "build_contour", turned)
     spec = OrderStudySpec(n_grid=(16,), theta_star=theta_star, reps=100, batch_size=100)
