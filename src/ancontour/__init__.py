@@ -33,9 +33,9 @@ _EXPORTS = {
         "partition_check", "compare_exact", "exact_label", "severini_pivot",
         "severini_pivot_check", "cauchy_inversion_demo"),
     "montecarlo": (  # simulation and quadrature
-        "QuadratureReport", "OrderStudySpec", "OrderStudyReport", "PartitionOrderReport",
-        "quadrature_first_derivative", "run_replicated", "partition_order_study",
-        "order_spec_from_config"),
+        "QuadratureSpec", "QuadratureReport", "OrderStudySpec", "OrderStudyReport",
+        "PartitionOrderSpec", "PartitionOrderReport", "quadrature_first_derivative",
+        "run_replicated", "partition_order_study", "spec_from_config"),
     "errors": (
         "AncontourError", "InvalidDimensionError", "InvalidParameterError",
         "UnsupportedFamilyError", "DegenerateTangentError", "ConvergenceError",

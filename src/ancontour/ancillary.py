@@ -61,7 +61,7 @@ class GridSpec(NamedTuple("GridSpec", [("half_width", float), ("points_per_axis"
 
     def __new__(cls, half_width: float = 3.0, points_per_axis: int = 41,
                 standardized: bool = True):
-        if not config_float(half_width, "half_width") > 0.0:
+        if not (half_width := config_float(half_width, "half_width")) > 0.0:
             raise InvalidParameterError("half_width must be positive and finite")
         config_int(points_per_axis, "points_per_axis", 3)
         if not isinstance(standardized, bool):

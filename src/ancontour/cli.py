@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, config_float, config_int, dumps
+from ._jsonio import atomic_write_text, config_int, dumps
 from .errors import (
     AncontourError,
     EmptyStudyError,
@@ -274,96 +274,18 @@ def _cmd_frame(args) -> int:
     return 0
 
 
-_VERIFY_STUDIES = ("quadrature", "ancillarity-order", "partition-order")
-_QUAD_KEYS = {"study", "c_values", "a_points", "eps", "theta_probe"}
-_PARTITION_KEYS = {"study", "n_grid", "t1_std", "draws", "seed",
-                   "grid_half_width", "grid_points"}
-
-
 def _cmd_verify(args) -> int:
-    from .montecarlo import (
-        _partition_order_args,
-        _quadrature_args,
-        order_spec_from_config,
-        partition_order_study,
-        quadrature_first_derivative,
-        run_replicated,
-    )
+    from .montecarlo import spec_from_config
 
     config = _load_json(args.config)
-    study = config.get("study")
-    if study not in _VERIFY_STUDIES:
-        raise _UsageError(
-            f"config key 'study' must be one of {list(_VERIFY_STUDIES)}, got {study!r}"
-        )
-    if args.reps is not None and study != "ancillarity-order":
-        raise _UsageError(f"--reps is read by the ancillarity-order study only, not {study!r}")
-
-    if study == "quadrature":
-        bad = set(config) - _QUAD_KEYS
-        if bad:
-            raise _UsageError(f"unknown study keys: {sorted(bad)}")
-        given = {key: config[key] for key in ("c_values", "eps", "theta_probe") if key in config}
-        try:  # the study's own defaults and checks, as for partition-order
-            given["a_grid"] = np.linspace(
-                -3.0, 3.0, config_int(config.get("a_points", 61), "a_points", 1))
-            study_args = _quadrature_args(**given)
-        except _CONFIG_ERRORS as exc:
-            raise _UsageError(str(exc)) from exc
-        report = quadrature_first_derivative(**study_args)
-        summary = {
-            "study": study,
-            "max_abs_derivative": report.max_abs_derivative,
-            "symmetry_gap": max(c.symmetry_gap for c in report.cases),
-            "flip_gap": max(c.flip_gap for c in report.cases),
-        }
-        text = report.to_csv() if args.format == "csv" else dumps(report)
-    elif study == "ancillarity-order":
-        merged = dict(config)
-        if args.reps is not None:
-            merged["reps"] = args.reps
-        if args.seed is not None:
-            merged["seed"] = args.seed
-        try:
-            spec = order_spec_from_config(merged)
-        except _CONFIG_ERRORS as exc:
-            raise _UsageError(str(exc)) from exc
-        report = run_replicated(spec)
-        summary = {"study": study, "family": spec.family,
-                   "inconclusive": report.inconclusive}
-        for name, arm in report.arms.items():
-            summary[f"slope_{name}"] = arm.slope if arm.slope is not None else "none"
-            summary[f"sensitivity_{name}"] = [row.sensitivity for row in arm.per_n]
-        text = report.to_csv() if args.format == "csv" else report.to_json()
-    else:
-        from .ancillary import GridSpec
-
-        bad = set(config) - _PARTITION_KEYS
-        if bad:
-            raise _UsageError(f"unknown study keys: {sorted(bad)}")
-        given = {key: config[key] for key in ("n_grid", "t1_std", "draws", "seed")
-                 if key in config}
-        if args.seed is not None:
-            given["seed"] = args.seed
-        try:  # the study's own defaults and checks, so that a bad value is a usage error
-            grid = _partition_order_args()["grid"]  # the study's default grid
-            given["grid"] = GridSpec(
-                half_width=config_float(config.get("grid_half_width", grid.half_width),
-                                        "grid_half_width"),
-                points_per_axis=config_int(config.get("grid_points", grid.points_per_axis),
-                                           "grid_points", 3))
-            study_args = _partition_order_args(**given)
-        except _CONFIG_ERRORS as exc:
-            raise _UsageError(str(exc)) from exc
-        report = partition_order_study(**study_args)
-        summary = {"study": study, "slope": report.slope,
-                   "mean_discrepancy": report.mean_discrepancy}
-        text = report.to_csv() if args.format == "csv" else report.to_json()
-
-    path = os.path.join(args.out, f"{study}.{args.format}")
-    _write(path, text)
-    summary["wrote"] = path
-    _emit(summary)
+    try:
+        spec = spec_from_config(config, reps=args.reps, seed=args.seed)
+    except _CONFIG_ERRORS as exc:
+        raise _UsageError(str(exc)) from exc
+    report = spec.run()
+    path = os.path.join(args.out, f"{config['study']}.{args.format}")
+    _write(path, report.to_csv() if args.format == "csv" else dumps(report))
+    _emit({**report.summary(), "wrote": path})
     return 0
 
 

@@ -1,22 +1,24 @@
 """Simulation and quadrature checks of approximate ancillarity.
 
-Three harnesses live here: a quadrature check that the candidate scalar
+Three studies live here: a quadrature check that the candidate scalar
 statistic has a vanishing parameter derivative of its density at the
 expansion point, by a fixed Gauss-Legendre rule; a replicated order study
 that bins draws by nearest lattice contour (a projection snapped to each
 contour's uniform grid) and tracks how fast cell-probability sensitivity
 decays with n (second-order contours decay like 1/n, tangent-only contours
 like 1/sqrt(n)); and a deterministic partition-discrepancy study on a
-synthetic curved family.  All randomness is counter-seeded per (n, batch),
-so results are a function of the configuration alone.  Model and contour
-code is imported by the studies that run it: the quadrature check loads
-neither, the location-scale order study the models only.
+synthetic curved family.  Each study is a spec NamedTuple whose fields are
+its config keys: spec_from_config checks a JSON mapping into one, spec.run()
+runs the study and report.summary() gives the values the CLI prints.  All
+randomness is counter-seeded per (n, batch), so results are a function of
+the configuration alone.  Model and contour code is imported by the studies
+that run it: the quadrature check loads neither, the location-scale order
+study the models only.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from typing import NamedTuple
 
@@ -32,14 +34,16 @@ from .errors import (
 )
 
 __all__ = [
+    "QuadratureSpec",
     "QuadratureReport",
     "OrderStudySpec",
     "OrderStudyReport",
+    "PartitionOrderSpec",
     "PartitionOrderReport",
     "quadrature_first_derivative",
     "run_replicated",
     "partition_order_study",
-    "order_spec_from_config",
+    "spec_from_config",
 ]
 
 
@@ -103,6 +107,11 @@ class QuadratureReport(NamedTuple):
     def max_abs_derivative(self) -> float:
         return max(case.max_abs_derivative for case in self.cases)
 
+    def summary(self) -> dict:
+        return {"study": "quadrature", "max_abs_derivative": self.max_abs_derivative,
+                "symmetry_gap": max(case.symmetry_gap for case in self.cases),
+                "flip_gap": max(case.flip_gap for case in self.cases)}
+
     def to_json_dict(self) -> dict:
         return record(self, study="quadrature")
 
@@ -130,28 +139,56 @@ def _config_tuple(value, key: str) -> tuple:
     raise InvalidParameterError(f"{key!r} must be a list, got {value!r}")
 
 
-def _quadrature_args(**given) -> dict:
-    """quadrature_first_derivative's keyword arguments, checked before any work:
-    the given ones, and the study's own defaults for the rest."""
-    bound = inspect.signature(quadrature_first_derivative).bind(**given)
-    bound.apply_defaults()
-    c_values, a_grid, eps, theta_probe = bound.arguments.values()
-    c_values = tuple(config_float(c, "c_values") for c in _config_tuple(c_values, "c_values"))
-    if not c_values:
-        raise EmptyStudyError("'c_values' must be nonempty")
-    if not (eps := config_float(eps, "eps")) > 0.0:
-        raise InvalidParameterError("'eps' must be positive and finite")
-    if (theta_probe := config_float(theta_probe, "theta_probe")) == 0.0:
-        raise InvalidParameterError("'theta_probe' must be nonzero and finite")
-    a_grid = np.linspace(-3.0, 3.0, 61) if a_grid is None else np.asarray(a_grid, dtype=float)
-    return {"c_values": c_values, "a_grid": a_grid, "eps": eps, "theta_probe": theta_probe}
+def _checked(spec, **minimum):
+    """spec with each field checked by its default's type (config_int, at
+    least minimum[field] if given; config_float; _config_tuple of either),
+    other fields kept as they are; each error names its field."""
+    def check(value, key, default):
+        if isinstance(default, tuple):
+            return tuple(check(entry, key, default[0]) for entry in _config_tuple(value, key))
+        if isinstance(default, int):
+            return config_int(value, key, minimum.get(key))
+        return config_float(value, key) if isinstance(default, float) else value
+
+    return spec._make(check(value, key, spec._field_defaults[key])
+                      for key, value in zip(spec._fields, spec))
+
+
+class QuadratureSpec(NamedTuple):
+    """Configuration of the quadrature check: the curvatures c_values, the
+    a_points values of a spaced evenly over [-3, 3], the central-difference
+    step eps and the symmetry probe theta_probe."""
+
+    c_values: tuple = (0.5, 1.0, 2.0)
+    a_points: int = 61
+    eps: float = 1e-4
+    theta_probe: float = 0.5
+
+    def validate(self) -> QuadratureSpec:
+        """The spec with typed fields; a value the study cannot run with raises."""
+        spec = _checked(self, a_points=1)
+        if not spec.c_values:
+            raise EmptyStudyError("'c_values' must be nonempty")
+        if not spec.eps > 0.0:
+            raise InvalidParameterError("'eps' must be positive and finite")
+        if spec.theta_probe == 0.0:
+            raise InvalidParameterError("'theta_probe' must be nonzero and finite")
+        return spec
+
+    @property
+    def a_grid(self) -> np.ndarray:
+        return np.linspace(-3.0, 3.0, self.a_points)
+
+    def run(self) -> QuadratureReport:
+        spec = self.validate()
+        return quadrature_first_derivative(spec.c_values, spec.a_grid, spec.eps, spec.theta_probe)
 
 
 def quadrature_first_derivative(
-    c_values=(0.5, 1.0, 2.0),
+    c_values=QuadratureSpec._field_defaults["c_values"],
     a_grid=None,
-    eps: float = 1e-4,
-    theta_probe: float = 0.5,
+    eps: float = QuadratureSpec._field_defaults["eps"],
+    theta_probe: float = QuadratureSpec._field_defaults["theta_probe"],
 ) -> QuadratureReport:
     """Check d f(a; theta) / d theta = 0 at theta = 0 by tight quadrature.
 
@@ -159,10 +196,11 @@ def quadrature_first_derivative(
     with step eps measures quadrature noise only; the report also evaluates
     the symmetry directly at theta_probe and the (a, c) sign flip.  c_values
     must be nonempty and finite, eps positive and finite, theta_probe
-    nonzero and finite.
+    nonzero and finite; a_grid is QuadratureSpec's unless given.
     """
-    c_values, a_grid, eps, theta_probe = _quadrature_args(
-        c_values=c_values, a_grid=a_grid, eps=eps, theta_probe=theta_probe).values()
+    spec = QuadratureSpec(c_values, eps=eps, theta_probe=theta_probe).validate()
+    c_values, _, eps, theta_probe = spec
+    a_grid = spec.a_grid if a_grid is None else np.asarray(a_grid, dtype=float)
     cases = []
     for c in c_values:
         derivs = (_density_integral(a_grid, eps, c)
@@ -211,42 +249,28 @@ class OrderStudySpec(NamedTuple):
     lattice_half_width: float = 6.0
     lattice_points: int = 337
 
-    def validate(self):
-        """Reject every value the study cannot run with, before any work."""
-        if config_int(self.reps, "reps") <= 0:
+    def validate(self) -> OrderStudySpec:
+        """The spec with typed fields; a value the study cannot run with raises."""
+        # location-scale needs a direction normal to 1 and the scores
+        spec = _checked(self, batch_size=1, cells=2, lattice_points=3, seed=0,
+                        n_grid=3 if self.family == "location-scale" else 2)
+        if spec.reps <= 0:
             raise EmptyStudyError("reps must be positive")
-        if self.family not in ("circle", "location-scale"):
-            raise UnsupportedFamilyError(f"no order study for family {self.family!r}")
-        for key, minimum in (("batch_size", 1), ("cells", 2), ("lattice_points", 3),
-                             ("seed", 0)):
-            config_int(getattr(self, key), key, minimum)
-        deltas = _config_tuple(self.deltas, "deltas")
-        if not deltas or min(config_float(d, "deltas") for d in deltas) < 0.0:
+        if spec.family not in ("circle", "location-scale"):
+            raise UnsupportedFamilyError(f"no order study for family {spec.family!r}")
+        if not spec.deltas or min(spec.deltas) < 0.0:
             raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
-        if not (n_grid := _config_tuple(self.n_grid, "n_grid")):
+        if not spec.n_grid:
             raise InvalidParameterError("n_grid must be nonempty")
-        for n in n_grid:  # location-scale needs a direction normal to 1 and the scores
-            config_int(n, "n_grid", 3 if self.family == "location-scale" else 2)
-        if len(set(n_grid)) < len(n_grid):
+        if len(set(spec.n_grid)) < len(spec.n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
-            if not config_float(getattr(self, key), key) > 0.0:
+            if not getattr(spec, key) > 0.0:
                 raise InvalidParameterError(f"{key!r} must be positive and finite")
-        config_float(self.theta_star, "theta_star")
+        return spec
 
-
-def order_spec_from_config(config: dict) -> OrderStudySpec:
-    """Build an OrderStudySpec from a JSON mapping: "study" plus spec fields."""
-    kwargs = {k: v for k, v in config.items() if k != "study"}
-    unknown = set(kwargs) - set(OrderStudySpec._fields)
-    if unknown:
-        raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
-    for key in ("n_grid", "deltas"):
-        if key in kwargs:
-            kwargs[key] = _config_tuple(kwargs[key], key)
-    spec = OrderStudySpec(**kwargs)
-    spec.validate()
-    return spec
+    def run(self) -> OrderStudyReport:
+        return run_replicated(self)
 
 
 _TWO_PI = 2.0 * math.pi
@@ -495,12 +519,19 @@ class OrderStudyReport(NamedTuple):
     inconclusive: bool
     required_reps_estimate: int | None
 
-    def to_json_dict(self) -> dict:  # the spec keys that name the run, deltas as floats
+    def to_json_dict(self) -> dict:  # the spec keys that name the run
         return record(self, skip=("spec",), study="ancillarity-order",
-                      deltas=np.asarray(self.spec.deltas, dtype=float),
                       arms={name: record(arm, skip=("name",)) for name, arm in self.arms.items()},
-                      **{key: getattr(self.spec, key)
-                         for key in ("family", "n_grid", "reps", "batch_size", "cells", "seed")})
+                      **{key: getattr(self.spec, key) for key in
+                         ("family", "n_grid", "deltas", "reps", "batch_size", "cells", "seed")})
+
+    def summary(self) -> dict:
+        out = {"study": "ancillarity-order", "family": self.spec.family,
+               "inconclusive": self.inconclusive}
+        for name, arm in self.arms.items():
+            out[f"slope_{name}"] = arm.slope if arm.slope is not None else "none"
+            out[f"sensitivity_{name}"] = [row.sensitivity for row in arm.per_n]
+        return out
 
     def to_json(self) -> str:
         return dumps(self)
@@ -553,7 +584,7 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
     carrying the finished ones.  One batch gives no standard error, so a
     positive sensitivity then makes the report inconclusive.
     """
-    spec.validate()
+    spec = spec.validate()
     contexts = [_StudyContext(spec, n) for n in spec.n_grid]
     n_batches = math.ceil(spec.reps / spec.batch_size)
     sizes = np.minimum(spec.batch_size, spec.reps - spec.batch_size * np.arange(n_batches))
@@ -625,6 +656,10 @@ class PartitionOrderReport(NamedTuple):
     slope_se: float
     slope_band: tuple
 
+    def summary(self) -> dict:
+        return {"study": "partition-order", "slope": self.slope,
+                "mean_discrepancy": self.mean_discrepancy}
+
     def to_json_dict(self) -> dict:
         return record(self, study="partition-order")
 
@@ -636,36 +671,52 @@ class PartitionOrderReport(NamedTuple):
         return csv_lines(["n", "mean_discrepancy"], rows)
 
 
-def _partition_order_args(**given) -> dict:
-    """partition_order_study's keyword arguments, checked before any work:
-    the given ones, and the study's own defaults for the rest, grid included."""
-    from .ancillary import _T1_CAP, GridSpec
+class PartitionOrderSpec(NamedTuple):
+    """Configuration of the partition-order study: the sample sizes n_grid,
+    the standardized offset t1_std, draws per n, the seed, and the contour
+    grid's half width and points per axis."""
 
-    bound = inspect.signature(partition_order_study).bind(**given)
-    bound.apply_defaults()
-    n_grid, t1_std, draws, seed, grid = bound.arguments.values()
-    draws, seed = config_int(draws, "draws"), config_int(seed, "seed", 0)
-    t1_std = config_float(t1_std, "t1_std")
-    if draws <= 0:
-        raise EmptyStudyError("draws must be positive")
-    if not (n_grid := _config_tuple(n_grid, "n_grid")):
-        raise EmptyStudyError("n_grid must be nonempty")
-    n_grid = tuple(config_int(n, "n_grid", 2) for n in n_grid)
-    if len(set(n_grid)) < 2:
-        raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
-    if abs(t1_std) > _T1_CAP:
-        raise InvalidParameterError(
-            f"|t1| = {abs(t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")
-    if grid is None:
-        grid = GridSpec(half_width=3.0, points_per_axis=21)
-    return {"n_grid": n_grid, "t1_std": t1_std, "draws": draws, "seed": seed, "grid": grid}
+    n_grid: tuple = (16, 64, 256, 1024)
+    t1_std: float = 1.0
+    draws: int = 12
+    seed: int = 20260816
+    grid_half_width: float = 3.0
+    grid_points: int = 21
+
+    def validate(self) -> PartitionOrderSpec:
+        """The spec with typed fields; a value the study cannot run with raises."""
+        from .ancillary import _T1_CAP
+
+        spec = _checked(self, n_grid=2, seed=0, grid_points=3)
+        spec.grid  # GridSpec's own checks of the half width
+        if spec.draws <= 0:
+            raise EmptyStudyError("draws must be positive")
+        if not spec.n_grid:
+            raise EmptyStudyError("n_grid must be nonempty")
+        if len(set(spec.n_grid)) < 2:
+            raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
+        if abs(spec.t1_std) > _T1_CAP:
+            raise InvalidParameterError(
+                f"|t1| = {abs(spec.t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")
+        return spec
+
+    @property
+    def grid(self):
+        from .ancillary import GridSpec
+
+        return GridSpec(half_width=self.grid_half_width, points_per_axis=self.grid_points)
+
+    def run(self) -> PartitionOrderReport:
+        spec = self.validate()
+        return partition_order_study(spec.n_grid, spec.t1_std, spec.draws, spec.seed,
+                                     grid=spec.grid)
 
 
 def partition_order_study(
-    n_grid=(16, 64, 256, 1024),
-    t1_std: float = 1.0,
-    draws: int = 12,
-    seed: int = 20260816,
+    n_grid=PartitionOrderSpec._field_defaults["n_grid"],
+    t1_std: float = PartitionOrderSpec._field_defaults["t1_std"],
+    draws: int = PartitionOrderSpec._field_defaults["draws"],
+    seed: int = PartitionOrderSpec._field_defaults["seed"],
     grid=None,
 ) -> PartitionOrderReport:
     """Measure how the partition discrepancy of a curved family decays with n.
@@ -675,13 +726,14 @@ def partition_order_study(
     t1_std and the one-sided set discrepancy recorded.  The log-log slope of
     the per-n means is the order estimate (1/n for this second-order
     construction), so n_grid needs at least two distinct sample sizes.  grid
-    is the contour's GridSpec, by default 21 points per axis of half width 3.
+    is the contour's GridSpec, by default PartitionOrderSpec's.
     """
     from .ancillary import _partition_pass
     from .models import make_synthetic_curved
 
-    n_grid, t1_std, draws, seed, grid = _partition_order_args(
-        n_grid=n_grid, t1_std=t1_std, draws=draws, seed=seed, grid=grid).values()
+    spec = PartitionOrderSpec(n_grid, t1_std, draws, seed).validate()
+    n_grid, t1_std, draws, seed, *_ = spec
+    grid = spec.grid if grid is None else grid
     per_draw = []
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)
@@ -703,3 +755,28 @@ def partition_order_study(
         slope_se=slope_se,
         slope_band=band,
     )
+
+
+_STUDIES = {"quadrature": QuadratureSpec, "ancillarity-order": OrderStudySpec,
+            "partition-order": PartitionOrderSpec}
+
+
+def spec_from_config(config: dict, reps=None, seed=None):
+    """The checked spec of the study config["study"] names, from the other
+    keys; reps and seed (--reps and --seed), if given, replace their values."""
+    study = config.get("study")
+    spec_type = _STUDIES.get(study) if isinstance(study, str) else None
+    if spec_type is None:
+        raise InvalidParameterError(
+            f"config key 'study' must be one of {list(_STUDIES)}, got {study!r}")
+    if reps is not None and "reps" not in spec_type._fields:
+        readers = " and ".join(name for name, cls in _STUDIES.items() if "reps" in cls._fields)
+        raise InvalidParameterError(f"--reps is read by the {readers} study only, not {study!r}")
+    fields = {key: value for key, value in config.items() if key != "study"}
+    if unknown := set(fields) - set(spec_type._fields):
+        raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
+    # every command accepts --seed (the benchmark passes it to each one), so a
+    # flag sets its field where the spec has one and is ignored elsewhere
+    fields.update((key, value) for key, value in (("reps", reps), ("seed", seed))
+                  if value is not None and key in spec_type._fields)
+    return spec_type(**fields).validate()

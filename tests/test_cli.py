@@ -335,6 +335,19 @@ def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, payload, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_integer_grid_half_width_writes_the_float_grid(tmp_path, capsys):
+    """GridSpec stores its half width as a float, so a grid object with an
+    integer half width writes the bytes the 'half_width,points' string does."""
+    written = []
+    for name, grid in (("object", {"half_width": 3, "points_per_axis": 5}), ("string", "3,5")):
+        config = write_config(tmp_path, {**CIRCLE_CONFIG, "grid": grid}, f"{name}.json")
+        out = tmp_path / name
+        assert run_cli(["contour", "--config", config, "--out", str(out)], capsys)[0] == 0
+        written.append((out / "contour.json").read_bytes())
+    assert written[0] == written[1]
+    assert b'"half_width":3.0,' in written[0]
+
+
 def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     config = write_config(tmp_path, CIRCLE_CONFIG)
     code, values, _ = run_cli(["contour", "--config", config,
@@ -475,13 +488,37 @@ def test_verify_partition_order(tmp_path, capsys):
     assert means[0] > means[1] > 0
 
 
-def test_verify_partition_order_is_the_study_at_its_defaults(tmp_path, capsys):
-    """The config's keys go to partition_order_study and the study's own
+@pytest.mark.parametrize("payload,report", [
+    ({"study": "quadrature", "c_values": [1.0], "a_points": 21},
+     lambda: ancontour.quadrature_first_derivative(c_values=(1.0,),
+                                                   a_grid=np.linspace(-3.0, 3.0, 21))),
+    (ORDER_BASE, lambda: ancontour.run_replicated(ancontour.OrderStudySpec(
+        family="circle", n_grid=(8, 16), deltas=(1.0,), reps=200, batch_size=100))),
+    ({"study": "partition-order", "n_grid": [16, 64], "draws": 2},
+     lambda: ancontour.partition_order_study(n_grid=(16, 64), draws=2)),
+], ids=["quadrature", "ancillarity-order", "partition-order"])
+def test_verify_is_the_study_at_its_defaults(payload, report, tmp_path, capsys):
+    """The config's keys go to the public study function and the study's own
     defaults fill the rest, so the file is the library report's JSON."""
-    config = write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64], "draws": 2})
+    config = write_config(tmp_path, payload)
     assert run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
-    expected = ancontour.partition_order_study(n_grid=(16, 64), draws=2).to_json()
-    assert (tmp_path / "partition-order.json").read_text() == expected
+    assert (tmp_path / f"{payload['study']}.json").read_text() == dumps(report())
+
+
+@pytest.mark.parametrize("payload", [
+    {**ORDER_BASE, "seed": 3},
+    {"study": "partition-order", "n_grid": [16, 64], "draws": 2, "seed": 3},
+], ids=["ancillarity-order", "partition-order"])
+def test_verify_seed_flag_is_the_config_seed(payload, tmp_path, capsys):
+    """--seed S takes the place of the config's seed: the file is the one a
+    config with "seed": S writes."""
+    name = f"{payload['study']}.json"
+    flagged = write_config(tmp_path, payload, "flagged.json")
+    keyed = write_config(tmp_path, {**payload, "seed": 7}, "keyed.json")
+    assert run_cli(["verify", "--config", flagged, "--seed", "7",
+                    "--out", str(tmp_path / "flag")], capsys)[0] == 0
+    assert run_cli(["verify", "--config", keyed, "--out", str(tmp_path / "key")], capsys)[0] == 0
+    assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
 
 
 def test_verify_config_errors(tmp_path, capsys):
@@ -489,9 +526,17 @@ def test_verify_config_errors(tmp_path, capsys):
     assert run_cli(["verify", "--config", unknown_study,
                     "--out", str(tmp_path)], capsys)[0] == 2
 
-    bad_key = write_config(tmp_path, {"study": "quadrature", "bogus": 1})
-    assert run_cli(["verify", "--config", bad_key,
-                    "--out", str(tmp_path)], capsys)[0] == 2
+    listed = write_config(tmp_path, {"study": ["quadrature"]})
+    code, _, err = run_cli(["verify", "--config", listed, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == ("error: config key 'study' must be one of ['quadrature', "
+                   "'ancillarity-order', 'partition-order'], got ['quadrature']\n")
+
+    for study in ("quadrature", "partition-order", "ancillarity-order"):
+        bad_key = write_config(tmp_path, {"study": study, "bogus": 1})
+        code, _, err = run_cli(["verify", "--config", bad_key, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == "error: unknown study keys: ['bogus']\n"
 
     bad_reps = write_config(tmp_path, {
         "study": "ancillarity-order", "family": "circle", "reps": 0})
@@ -741,7 +786,7 @@ print(sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
 
 
 def test_quantile_model_is_the_only_dataclass():
-    """Defining a dataclass costs 0.5-1.3 ms of start-up each, so the 18
+    """Defining a dataclass costs 0.5-1.3 ms of start-up each, so the 20
     other types the CLI modules load are NamedTuples."""
     src = os.path.dirname(os.path.dirname(ancontour.__file__))
     result = subprocess.run([sys.executable, "-c", DATACLASSES_SCRIPT],
@@ -749,7 +794,7 @@ def test_quantile_model_is_the_only_dataclass():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['ancontour.models.QuantileModel']"
-    assert len(RECORD_TYPES) == 18
+    assert len(RECORD_TYPES) == 20
 
 
 def test_config_float_accepts_finite_numbers_only():

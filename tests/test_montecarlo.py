@@ -19,10 +19,10 @@ from ancontour import (
     PartialResultsError,
     UnsupportedFamilyError,
     build_contour,
-    order_spec_from_config,
     partition_order_study,
     quadrature_first_derivative,
     run_replicated,
+    spec_from_config,
 )
 from ancontour.montecarlo import OrderStudySpec, _density_integral
 
@@ -164,7 +164,7 @@ def test_order_spec_names_a_mistyped_key(kwargs):
 
 
 def test_order_spec_from_config():
-    spec = order_spec_from_config({
+    spec = spec_from_config({
         "study": "ancillarity-order",
         "family": "circle",
         "n_grid": [8, 16],
@@ -175,7 +175,7 @@ def test_order_spec_from_config():
     assert spec.n_grid == (8, 16)
     assert spec.deltas == (1.0,)
     with pytest.raises(InvalidParameterError):
-        order_spec_from_config({"family": "circle", "bogus": 3})
+        spec_from_config({"study": "ancillarity-order", "family": "circle", "bogus": 3})
 
 
 def test_order_study_rerun_identity():
