@@ -304,9 +304,6 @@ class PartitionReport(NamedTuple):
     theta_hat0: np.ndarray
     theta_hat1: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return record(self)
-
 
 _T1_CAP = 3.0  # the largest standardized |t1|, to keep the probe in moderate deviations
 
@@ -454,9 +451,6 @@ class SeveriniReport(NamedTuple):
     solution_set_dim: int
     antipodal_candidate: np.ndarray | None
 
-    def to_json_dict(self) -> dict:
-        return record(self)
-
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """The full-data pivot of a point of a circle family, checked by model.check_point."""
@@ -538,9 +532,6 @@ class InversionReport(NamedTuple):
     theta_hat: np.ndarray
     resolution: int
     window: tuple
-
-    def to_json_dict(self) -> dict:
-        return record(self)
 
 
 def _halfplane_membership(ytilde: np.ndarray, zhat: np.ndarray, bounds=None) -> np.ndarray:

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import record
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -65,9 +64,6 @@ class FitResult(NamedTuple):
     converged: bool
     iterations: int
     score_norm: float
-
-    def to_json_dict(self) -> dict:
-        return record(self)
 
 
 def _likelihood(model, y, theta):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import config_float, config_int, csv_lines, dumps, record
+from ._jsonio import config_float, config_int, csv_lines, record
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -533,9 +533,6 @@ class OrderStudyReport(NamedTuple):
             out[f"sensitivity_{name}"] = [row.sensitivity for row in arm.per_n]
         return out
 
-    def to_json(self) -> str:
-        return dumps(self)
-
     def to_csv(self) -> str:
         names, rows = [], []
         for name, arm in self.arms.items():
@@ -662,9 +659,6 @@ class PartitionOrderReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return record(self, study="partition-order")
-
-    def to_json(self) -> str:
-        return dumps(self)
 
     def to_csv(self) -> str:
         rows = [[n, m] for n, m in zip(self.n_grid, self.mean_discrepancy)]

@@ -31,6 +31,7 @@ from ancontour import (
     run_replicated,
     severini_pivot_check,
 )
+from ancontour._jsonio import dumps
 
 
 @contextmanager
@@ -224,7 +225,7 @@ def test_criterion_8_property_suites():
         spec = OrderStudySpec(n_grid=(8, 16), reps=400, batch_size=100)
         first = run_replicated(spec)
         again = run_replicated(spec)
-        assert first.to_json() == again.to_json(), \
+        assert dumps(first) == dumps(again), \
             "replicated study must be bit-identical across reruns"
 
         ls_model = make_location_scale(5)

@@ -36,6 +36,7 @@ from ancontour import (
     severini_pivot,
     severini_pivot_check,
 )
+from ancontour._jsonio import dumps
 from ancontour.ancillary import _T1_CAP, _halfplane_membership
 from ancontour.models import non_invertible_mask
 from conftest import FAMILY_NAMES, iter_instances
@@ -478,7 +479,7 @@ def test_partition_check_reuses_a_given_fit(example, monkeypatch):
     assert newtons == [False, False]
     reused = partition_check(model, y0, np.array(t1), grid, fit=fit)
     assert newtons == [False, False, False]
-    assert json.dumps(reused.to_json_dict()) == json.dumps(fresh.to_json_dict())
+    assert dumps(reused) == dumps(fresh)
 
 
 def test_partition_pass_with_ragged_drops_matches_one_draw_checks():
@@ -495,7 +496,7 @@ def test_partition_pass_with_ragged_drops_matches_one_draw_checks():
     assert len({build_contour(model, y, grid).dropped_out_of_domain for y in y0}) > 2
     for y, report in zip(y0, _partition_pass(model, y0, np.array([1.0, 0.5]), grid)):
         one = partition_check(model, y, np.array([1.0, 0.5]), grid)
-        assert json.dumps(report.to_json_dict()) == json.dumps(one.to_json_dict())
+        assert dumps(report) == dumps(one)
         cloud0, cloud1 = build_contour(model, y, grid), build_contour(model, report.y1, grid)
         start = (cloud1.fit.theta_hat - cloud0.fit.theta_hat) + cloud1.offsets
         dist, _ = contour_min_distance(model, cloud0.fit, cloud1.points, start)
@@ -802,7 +803,6 @@ def test_cloud_points_match_row_by_row_quantile(family):
 def test_report_json_dicts_are_serializable():
     model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
     report = severini_pivot_check(model, np.array([1.25, 0.0, 0.15]))
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert json.loads(text)["unique_in_neighborhood"] is True
+    assert json.loads(dumps(report))["unique_in_neighborhood"] is True
     demo = cauchy_inversion_demo(resolution=200)
-    assert json.loads(json.dumps(demo.to_json_dict()))["component_count"] == 3
+    assert json.loads(dumps(demo))["component_count"] == 3

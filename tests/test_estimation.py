@@ -31,6 +31,7 @@ from ancontour import (
     score,
     standardize,
 )
+from ancontour._jsonio import dumps
 from ancontour.estimation import (
     _RANK_TOL,
     _SCORE_TOL,
@@ -554,7 +555,7 @@ def test_fit_result_json_roundtrip():
     rng = np.random.default_rng(47)
     model = make_location_scale(5)
     fit = fit_mle(model, rng.normal(0, 1, 5))
-    payload = json.loads(json.dumps(fit.to_json_dict()))
+    payload = json.loads(dumps(fit))
     np.testing.assert_array_equal(np.array(payload["theta_hat"]), fit.theta_hat)
     np.testing.assert_array_equal(np.array(payload["x_hat"]), fit.x_hat)
     data = np.array(payload["obs_info"]["data"]).reshape(payload["obs_info"]["dims"])

@@ -24,6 +24,7 @@ from ancontour import (
     run_replicated,
     spec_from_config,
 )
+from ancontour._jsonio import dumps
 from ancontour.montecarlo import OrderStudySpec, _density_integral
 
 # reference values computed with 30-digit arbitrary-precision quadrature
@@ -184,7 +185,7 @@ def test_order_study_rerun_identity():
                           reps=400, batch_size=100, cells=6)
     first = run_replicated(spec)
     again = run_replicated(spec)
-    assert first.to_json() == again.to_json()
+    assert dumps(first) == dumps(again)
     assert first.to_csv() == again.to_csv()
 
 
@@ -392,7 +393,7 @@ def _sha256(data: bytes) -> str:
 def test_order_study_reports_are_frozen(spec, json_digest, csv_digest, counts_digest):
     """The reports, and the label counts behind them, keep every byte."""
     report = run_replicated(spec)
-    assert _sha256(report.to_json().encode()) == json_digest
+    assert _sha256(dumps(report).encode()) == json_digest
     assert _sha256(report.to_csv().encode()) == csv_digest
     ctx = mc._StudyContext(spec, spec.n_grid[0])
     counts = mc._run_batch(spec, ctx, 0, 0, spec.batch_size)
@@ -403,7 +404,7 @@ def test_partition_order_report_is_frozen():
     """Draws at n = 16, 64 and 1024, whose refinements backtrack in blocks of
     the pass's size, keep every byte of the report."""
     report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
-    assert (_sha256(report.to_json().encode()), _sha256(report.to_csv().encode())) == (
+    assert (_sha256(dumps(report).encode()), _sha256(report.to_csv().encode())) == (
         "9c0f368c6427f6afe7c2e75971eff2ad854b53540d29fbca9b52391516b14ffa",
         "8beb7fbc6ea494b54c911bec6017c77b5c5da6445d99416048e2343cb6d05f56")
 
@@ -510,7 +511,7 @@ def test_partition_order_study_decay():
     assert len(means) == 3
     assert means[0] > means[1] > means[2]
     assert -1.3 < report.slope < -0.7
-    payload = json.loads(report.to_json())
+    payload = json.loads(dumps(report))
     assert payload["study"] == "partition-order"
     np.testing.assert_allclose(payload["mean_discrepancy"], means)
 
@@ -587,4 +588,4 @@ def test_partition_order_study_memory_is_bounded():
 def test_partition_order_study_rerun_identical():
     a = partition_order_study(n_grid=(16, 64), draws=4)
     b = partition_order_study(n_grid=(16, 64), draws=4)
-    assert a.to_json() == b.to_json()
+    assert dumps(a) == dumps(b)
