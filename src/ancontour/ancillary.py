@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import config_float, config_int, csv_lines, dumps, record
+from ._jsonio import config_float, config_int, csv_lines, record
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
@@ -121,9 +121,6 @@ class ContourCloud(NamedTuple):
     def to_json_dict(self) -> dict:
         return record(self, skip=("fit", "standardization"),
                       theta_hat=self.fit.theta_hat, x_hat=self.fit.x_hat)
-
-    def to_json(self) -> str:
-        return dumps(self)
 
 
 def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:

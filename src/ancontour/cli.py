@@ -240,7 +240,7 @@ def _cmd_contour(args) -> int:
     cloud = build_contour(model, y0, grid)
     ext = args.format
     path = os.path.join(args.out, f"contour.{ext}")
-    _write(path, cloud.to_csv() if ext == "csv" else cloud.to_json())
+    _write(path, cloud.to_csv() if ext == "csv" else dumps(cloud))
     _emit({
         "family": cloud.family,
         "theta_hat": cloud.fit.theta_hat,
