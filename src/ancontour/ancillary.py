@@ -201,11 +201,16 @@ def contour_min_distance(
     t_init: np.ndarray,
     max_iter: int = 60,
 ) -> tuple:
-    """Distance from q to the continuous contour through fit, by Gauss-Newton.
+    """Distance from q to the continuous contour through fit, by Newton steps.
 
     Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t starting from
     t_init (a parameter offset near the argmin), with domain clipping and the
-    line search of the Newton fit, estimation._line_search.  Returns
+    line search of the Newton fit, estimation._line_search.  A row takes
+    Newton's step where the Hessian V'V - sum r_i d2q_i/dtheta2 of |r|^2 / 2
+    is positive definite relative to tr(V'V), and Gauss-Newton's elsewhere.
+    It stops before a step whose predicted decrease g's is within 4 ulps of
+    sum |r_i| |q_i|, the rounding of its squared distance, or after one that
+    moves t by less than 1e-13 (1 + |t|).  Returns
     (distance, argmin offset): a float and (p,) for one point q (n,), or (K,)
     and (K, p) for rows q (K, n) and t_init (K, p), solved together with each
     row on the path it would take alone; fit may carry one anchor per row
@@ -264,22 +269,37 @@ def contour_min_distance(
         value = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
     if not np.all(np.isfinite(value)):
         raise InvalidParameterError("q is too far from the contour for a finite squared distance")
-    active = np.ones(len(q), dtype=bool)
+    active, p = np.ones(len(q), dtype=bool), model.p
     for _ in range(max_iter):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        vel = model.dquantile_dtheta(at(x_hat, rows), at(theta, rows) + t[rows])
-        vel_t = np.swapaxes(vel, 1, 2)
-        gram = vel_t @ vel
-        # tiny changes no nonzero ridge and gives a zero Gram the step 0, which retires the row
-        ridge = 1e-14 * np.trace(gram, axis1=1, axis2=2) + np.finfo(float).tiny
-        grad = vel_t @ resid[rows][..., None]
-        step = np.linalg.solve(gram + ridge[:, None, None] * np.eye(model.p), grad)[..., 0]
-        del vel, vel_t  # free before the line search allocates its candidates
-        # a block holds at least the points refined: a partition pass's block bounds it
-        rows = _line_search(rows, t, step, model.n, max(_BLOCK, q.size), evaluate)
-        active[rows] = False  # line search failed
+        x, th = at(x_hat, rows), at(theta, rows) + t[rows]
+        vel = model.dquantile_dtheta(x, th)
+        vel_t, r = np.swapaxes(vel, 1, 2), resid[rows]
+        gram, grad = vel_t @ vel, vel_t @ r[..., None]
+        del vel, vel_t  # before the second derivatives exist
+        bend = r[:, None] @ model.d2quantile_dtheta2(x, th).reshape(-1, model.n, p * p)
+        # the rounding floor of |r|^2, in place in r and in q's row copy
+        q_rows = q[rows]
+        floor = 4 * np.finfo(float).eps * (np.abs(r, out=r)[:, None]
+                                           @ np.abs(q_rows, out=q_rows)[..., None])[:, 0, 0]
+        del x, r, q_rows  # free before the line search allocates its candidates
+        # Newton where the Hessian of |r|^2 / 2 is positive definite relative to the Gram
+        # matrix, Gauss-Newton elsewhere (beyond the centre of curvature, say); tiny changes no
+        # nonzero ridge and gives a zero Gram the step 0, which retires the row
+        hess, size = gram - bend.reshape(-1, p, p), np.trace(gram, axis1=1, axis2=2)
+        newton = np.linalg.eigvalsh(hess)[:, 0] > 1e-8 * size
+        ridge = 1e-14 * size + np.finfo(float).tiny
+        step = np.linalg.solve(np.where(newton[:, None, None], hess, gram)
+                               + ridge[:, None, None] * np.eye(p), grad)[..., 0]
+        # a predicted decrease below that rounding is one no line search can see: the row is done
+        go = (step[:, None] @ grad)[:, 0, 0] > floor
+        active[rows[~go]] = False
+        if go.any():
+            # a block holds at least the points refined: a partition pass's block bounds it
+            failed = _line_search(rows[go], t, step[go], model.n, max(_BLOCK, q.size), evaluate)
+            active[failed] = False
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
 
@@ -317,8 +337,10 @@ def partition_check(
     Picks y1 = q(x_hat0; theta_hat0 + t1), refits from scratch at y1, and
     reports the maximum over the rebuilt cloud of the distance to the
     original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
-    is refined from t = (theta_hat1 - theta_hat0) + s, its minimiser where
-    x_hat1 = x_hat0.  t1 is given in standardized units, with |t1| <= _T1_CAP
+    is refined by Newton steps, Gauss-Newton's where the Hessian is not
+    positive definite, from t = (theta_hat1 - theta_hat0) + s, its minimiser
+    where x_hat1 = x_hat0 (where it mostly stops before a line search, its
+    predicted decrease being rounding).  t1 is given in standardized units, with |t1| <= _T1_CAP
     to keep the probe inside moderate deviations.  fit, when given, is the
     fit of y0 (fit_mle's), which is then not repeated; a fit of another
     point raises.

@@ -215,10 +215,11 @@ def test_contour_min_distance_recovers_offset():
     assert dist < 1e-10
 
 
-def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None):
-    """Reference: Gauss-Newton for one point, one backtracking scale at a time.
-
-    halvings, when a list, gets the number of halvings of each accepted step."""
+def _one_point(model, fit, q, t_init, max_iter, direction, halvings=None):
+    """Refine one point, one backtracking scale at a time: direction(theta, r)
+    gives each step, or None to stop; a step moving t by less than
+    1e-13 (1 + |t|) stops too.  halvings, when a list, gets the number of
+    halvings of each accepted step."""
     theta, t = fit.theta_hat, np.asarray(t_init, dtype=float).copy()
 
     def in_domain(tv):
@@ -231,11 +232,8 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None):
     r = q - model.quantile(fit.x_hat, theta + t)
     value = float(r @ r)
     for _ in range(max_iter):
-        vel = model.dquantile_dtheta(fit.x_hat, theta + t)
-        gram = vel.T @ vel
-        try:
-            step = np.linalg.solve(gram + 1e-14 * np.trace(gram) * np.eye(model.p), vel.T @ r)
-        except np.linalg.LinAlgError:
+        step = direction(theta + t, r)
+        if step is None:
             break
         scale = 1.0
         for halved in range(40):
@@ -257,28 +255,102 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None):
     return math.sqrt(value), t
 
 
+def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None, steps=None):
+    """Reference: one point's refinement.  Each step is Newton's where the
+    Hessian of |r|^2 / 2 has its smallest eigenvalue above 1e-8 tr(V'V) and
+    Gauss-Newton's elsewhere; the point stops before a step whose predicted
+    decrease g's is within 4 ulps of sum |r_i| |q_i|.  steps, when a list,
+    gets True for each Newton step taken and False for each Gauss-Newton one."""
+    def direction(th, r):
+        vel = model.dquantile_dtheta(fit.x_hat, th)
+        gram, grad = vel.T @ vel, vel.T @ r
+        bend = model.d2quantile_dtheta2(fit.x_hat, th).reshape(model.n, -1)
+        hess = gram - (r @ bend).reshape(model.p, model.p)
+        newton = np.linalg.eigvalsh(hess)[0] > 1e-8 * np.trace(gram)
+        ridge = 1e-14 * np.trace(gram) + np.finfo(float).tiny
+        step = np.linalg.solve((hess if newton else gram) + ridge * np.eye(model.p), grad)
+        if not step @ grad > 4 * np.finfo(float).eps * (np.abs(r) @ np.abs(q)):
+            return None
+        if steps is not None:
+            steps.append(bool(newton))
+        return step
+
+    return _one_point(model, fit, q, t_init, max_iter, direction, halvings)
+
+
+def _gauss_newton_loop(model, fit, q, t_init):
+    """Oracle: plain Gauss-Newton for one point, stopped only by a short step."""
+    def direction(th, r):
+        vel = model.dquantile_dtheta(fit.x_hat, th)
+        gram = vel.T @ vel
+        ridge = 1e-14 * np.trace(gram) + np.finfo(float).tiny
+        return np.linalg.solve(gram + ridge * np.eye(model.p), vel.T @ r)
+
+    return _one_point(model, fit, q, t_init, 60, direction)
+
+
+def _refinement_rows(model, fit):
+    """25 points near the contour through fit, every other one off it, and
+    starts near their offsets; the last start's sigma, if any, is outside (0, inf)."""
+    rng = np.random.default_rng(7)
+    offsets = rng.normal(0.0, 0.3, (25, model.p)) * np.abs(fit.theta_hat)
+    points = model.quantile(fit.x_hat, fit.theta_hat + offsets)
+    points[::2] += rng.normal(0.0, 0.05, (13, model.n))
+    t_init = offsets + rng.normal(0.0, 0.1, offsets.shape)
+    t_init[-1, -1] = -2.0 * fit.theta_hat[-1]
+    return points, t_init
+
+
+def _overshooting_rows(model, fit, offsets):
+    """Points and starts at the given offsets whose first step overshoots
+    2^10-fold and more, or None on a circle, whose distance is periodic in
+    the angle, so no step overshoots by more than a turn.
+
+    With a sigma axis (the last coordinate, on (0, inf)) each point has a zero
+    residual at its own parameter with sigma negated, and its start has 2^-12
+    of that sigma: the step heads for the negated sigma, and only a scale
+    under 2^-12 stays in the domain.  Otherwise each point lies 2^30 |V|
+    off the contour along n + V / |V| (n the unit normal of the curvature),
+    far beyond the centre of curvature, where the Hessian is indefinite:
+    the Gauss-Newton step 2^30 is cut back until its quadratic term is
+    within reach."""
+    if "rho" in model.meta:
+        return None
+    theta = fit.theta_hat + offsets
+    if model.param_domain[-1][0] == 0.0:
+        start = offsets.copy()
+        start[:, -1] = 2.0**-12 * theta[:, -1] - fit.theta_hat[-1]
+        return model.quantile(fit.x_hat, theta * np.r_[np.ones(model.p - 1), -1.0]), start
+    vel = model.dquantile_dtheta(fit.x_hat, theta)[..., 0]
+    bend = model.d2quantile_dtheta2(fit.x_hat, theta)[..., 0, 0]
+    speed = np.linalg.norm(vel, axis=1, keepdims=True)
+    along = vel / speed
+    normal = bend - np.sum(bend * along, axis=1, keepdims=True) * along
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return model.quantile(fit.x_hat, theta) + 2.0**30 * speed * (normal + along), offsets
+
+
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_batched_contour_min_distance_matches_single_points(family):
     """Rows solved together agree with one call per point and with the
     one-point loop, from starts on and off the domain edge and points on and
     off the contour, also when stopped after two iterations, where each
-    row's path still shows.  Rows restarted at their own minimizer sit at
-    rounding, where a step needs ten and more halvings."""
+    row's path still shows, and restarted at their own minimizer.  Rows
+    whose first step overshoots, on every family but the circles, need ten
+    and more halvings."""
     halvings = []
     for model, theta, y in iter_instances(family, 3, seed=301):
         fit = fit_mle(model, y)
-        rng = np.random.default_rng(7)
-        offsets = rng.normal(0.0, 0.3, (25, model.p)) * np.abs(fit.theta_hat)
-        points = model.quantile(fit.x_hat, fit.theta_hat + offsets)
-        points[::2] += rng.normal(0.0, 0.05, (13, model.n))
-        t_init = offsets + rng.normal(0.0, 0.1, offsets.shape)
-        t_init[-1, -1] = -2.0 * fit.theta_hat[-1]  # a sigma start outside (0, inf)
-        points = np.vstack([points, points])
-        t_init = np.vstack([t_init, contour_min_distance(model, fit, points[:25], t_init)[1]])
+        points, t_init = _refinement_rows(model, fit)
+        restart = contour_min_distance(model, fit, points, t_init)[1]
+        over = _overshooting_rows(model, fit, t_init[:4])
+        points = np.vstack([points, points] + ([] if over is None else [over[0]]))
+        t_init = np.vstack([t_init, restart] + ([] if over is None else [over[1]]))
+        rows = len(points)
         for max_iter in (2, 60):
             dist, t = contour_min_distance(model, fit, points, t_init, max_iter)
-            assert dist.shape == (50,) and t.shape == (50, model.p)
-            for k in range(50):
+            assert dist.shape == (rows,) and t.shape == (rows, model.p)
+            for k in range(rows):
                 one, t_one = contour_min_distance(model, fit, points[k], t_init[k], max_iter)
                 assert isinstance(one, float)
                 assert abs(dist[k] - one) <= 1e-12
@@ -290,7 +362,7 @@ def test_batched_contour_min_distance_matches_single_points(family):
         # rows anchored on three fits of the model at once, as a partition
         # pass refines several draws: each fit's rows keep their one-fit bits
         fits = [fit] + [fit_mle(model, model.quantile(x, theta)) for x in model.ref_sampler(302, 2)]
-        owner = np.arange(50) % 3
+        owner = np.arange(rows) % 3
         anchor = SimpleNamespace(x_hat=np.array([fits[k].x_hat for k in owner]),
                                  theta_hat=np.array([fits[k].theta_hat for k in owner]))
         dist, t = contour_min_distance(model, anchor, points, t_init)
@@ -300,17 +372,51 @@ def test_batched_contour_min_distance_matches_single_points(family):
             assert (one.tobytes(), t_one.tobytes()) == (dist[owner == k].tobytes(),
                                                         t[owner == k].tobytes())
         with pytest.raises(InvalidDimensionError, match="one per row"):
-            contour_min_distance(model, anchor, points[:49], t_init[:49])
-    assert max(halvings) >= 10
+            contour_min_distance(model, anchor, points[:-1], t_init[:-1])
+    assert over is None or max(halvings) >= 10
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_newton_refinement_agrees_with_gauss_newton(family):
+    """Newton steps and the rounding-floor stop move a refined distance by
+    rounding only: within 1e-14 of plain Gauss-Newton's from the same start."""
+    for model, theta, y in iter_instances(family, 3, seed=301):
+        fit = fit_mle(model, y)
+        points, t_init = _refinement_rows(model, fit)
+        dist, _ = contour_min_distance(model, fit, points, t_init)
+        for k in range(len(points)):
+            oracle, _ = _gauss_newton_loop(model, fit, points[k], t_init[k])
+            assert abs(dist[k] - oracle) <= 1e-14
+
+
+def test_gauss_newton_step_where_the_hessian_is_indefinite():
+    """A point near the centre of a circle2d contour, seen from an angle more
+    than a right angle off its own: the Hessian rho d cos(phi - t) is negative
+    there, so the first step is Gauss-Newton's, (d / rho) sin(phi - t), and
+    the refinement still ends at the distance |rho - d| from the centre."""
+    model = make_circle(1.5, n=2, variance_scale=0.25)
+    fit = fit_mle(model, np.array([1.2, 0.4]))
+    d, phi = 0.05, 0.7
+    q = fit.x_hat + d * np.array([math.cos(phi), math.sin(phi)])
+    start = phi + 2.5 - fit.theta_hat
+    _, t_one = contour_min_distance(model, fit, q, start, max_iter=1)
+    assert t_one[0] - start[0] == pytest.approx(d / 1.5 * math.sin(-2.5), rel=1e-12)
+    steps = []
+    dist, t = contour_min_distance(model, fit, q, start)
+    ref, t_ref = _loop_min_distance(model, fit, q, start, steps=steps)
+    assert (dist, t.tobytes()) == (ref, t_ref.tobytes())
+    assert steps[0] is False and True in steps  # Newton once past the right angle
+    assert abs(dist - (1.5 - d)) <= 1e-12
+    assert math.cos(fit.theta_hat[0] + t[0] - phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_backtracking_blocks_split_one_rows_scales():
     """At n = 1024 one halving of 21 rows fills a block, so while more than
     ten rows search each halving is its own call and the halvings of one row
-    span several calls: rows restarted at their own minimizer, where a step
-    needs ten and more halvings, take more than two quantile calls per
-    iteration.  Every row, from its start and restarted, still ends on the
-    one-point loop's bits."""
+    span several calls: rows whose first step overshoots 2^10-fold and more
+    take more than two quantile calls per iteration.  Every row, from its
+    start, restarted at its own minimizer and overshooting, ends on the
+    one-point loop's bits; the restarted rows retire without a step."""
     model = make_synthetic_curved(1024)
     y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.4]))
     fit = fit_mle(model, y0)
@@ -320,14 +426,18 @@ def test_backtracking_blocks_split_one_rows_scales():
     points[::2] += rng.normal(0.0, 0.01, (11, model.n))
     t_init = offsets + rng.normal(0.0, 0.05, offsets.shape)
     dist, t = contour_min_distance(model, fit, points, t_init)
+    again, t_again = contour_min_distance(model, fit, points, t)
+    far, far_start = _overshooting_rows(model, fit, offsets)
     calls = {"quantile": 0, "dquantile_dtheta": 0}
-    again, t_again = contour_min_distance(_counting(model, calls), fit, points, t)
+    far_dist, t_far = contour_min_distance(_counting(model, calls), fit, far, far_start)
     halvings = []
     for k in range(21):
         ref, t_ref = _loop_min_distance(model, fit, points[k], t_init[k])
         assert (dist[k], t[k].tobytes()) == (ref, t_ref.tobytes())
-        ref, t_ref = _loop_min_distance(model, fit, points[k], t[k], halvings=halvings)
-        assert (again[k], t_again[k].tobytes()) == (ref, t_ref.tobytes())
+        ref, t_ref = _loop_min_distance(model, fit, points[k], t[k])
+        assert (again[k], t_again[k].tobytes()) == (ref, t_ref.tobytes()) == (ref, t[k].tobytes())
+        ref, t_ref = _loop_min_distance(model, fit, far[k], far_start[k], halvings=halvings)
+        assert (far_dist[k], t_far[k].tobytes()) == (ref, t_ref.tobytes())
     assert max(halvings) >= 10
     assert calls["quantile"] > 1 + 2 * calls["dquantile_dtheta"]
 
@@ -345,9 +455,9 @@ def _counting(model, calls):
 
 @pytest.mark.parametrize("family", ["circle2d", "synthetic-curved"])
 def test_backtracking_costs_at_most_two_quantile_calls_per_iteration(family, monkeypatch):
-    """With every halving in one block, a Gauss-Newton iteration of
-    partition_check's refinement makes one quantile call at scale 1 and at
-    most one for all smaller scales, after one call for the start."""
+    """With every halving in one block, an iteration of partition_check's
+    refinement makes one quantile call at scale 1 and at most one for all
+    smaller scales, after one call for the start."""
     import ancontour.ancillary as anc
 
     model, theta = {"circle2d": (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), 0.3),
@@ -545,18 +655,52 @@ def test_partition_check_agrees_with_nearest_grid_refinement(family):
             assert abs(report.discrepancy - np.max(dist)) <= 1e-14
 
 
-@pytest.mark.parametrize("family", EXACT_FAMILIES)
-def test_exact_partition_check_takes_one_line_search(family, monkeypatch):
-    """Where x_hat1 = x_hat0 each rebuilt point starts at its minimiser, so the
-    refinement retires every point after its first line search."""
+@pytest.mark.parametrize("family", list(PARTITION_FAMILIES))
+def test_partition_check_agrees_with_gauss_newton(family):
+    """The discrepancy is the largest distance plain Gauss-Newton refines from
+    the same starts: within 1e-14 on curved families, and within 1e-14 of the
+    data's scale where the contour is an exact ancillary and both are
+    rounding of the data (ulps of a coordinate near 440 on one Cauchy draw)."""
+    for model, y0, t1, grid in _partition_draws(family):
+        report = partition_check(model, y0, t1, grid)
+        cloud0, cloud1 = build_contour(model, y0, grid), build_contour(model, report.y1, grid)
+        start = (cloud1.fit.theta_hat - cloud0.fit.theta_hat) + cloud1.offsets
+        oracle = max(_gauss_newton_loop(model, cloud0.fit, q, t)[0]
+                     for q, t in zip(cloud1.points, start))
+        scale = np.max(np.abs(cloud1.points)) if family in EXACT_FAMILIES else 1.0
+        assert abs(report.discrepancy - oracle) <= 1e-14 * scale
+
+
+def _counting_line_searches(monkeypatch):
     import ancontour.ancillary as anc
 
     calls, line_search = [], anc._line_search
     monkeypatch.setattr(anc, "_line_search", lambda *a: calls.append(1) or line_search(*a))
+    return calls
+
+
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_exact_partition_check_takes_no_line_search(family, monkeypatch):
+    """Where x_hat1 = x_hat0 each rebuilt point starts at its minimiser, where
+    its predicted decrease is rounding: on these draws the refinement
+    retires every point before a line search."""
+    calls = _counting_line_searches(monkeypatch)
     for model, y0, t1, grid in _partition_draws(family):
         calls.clear()
         partition_check(model, y0, t1, grid)
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+
+@pytest.mark.parametrize("family", ["circle2d", "synthetic-curved", "nonlinreg-unknown"])
+def test_curved_partition_check_takes_at_most_five_line_searches(family, monkeypatch):
+    """Newton steps converge quadratically and the rounding-floor stop retires
+    each point once its predicted decrease is rounding: a curved family's
+    check takes at most five line searches (Gauss-Newton took seven to ten)."""
+    calls = _counting_line_searches(monkeypatch)
+    for model, y0, t1, grid in _partition_draws(family):
+        calls.clear()
+        partition_check(model, y0, t1, grid)
+        assert 1 <= len(calls) <= 5
 
 
 @pytest.mark.parametrize("check", ["build_contour", "partition_check"])

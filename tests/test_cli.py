@@ -23,10 +23,10 @@ EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
 # sha256 of each output file at the default seed, frozen so that a change of
 # encoder or of numerics cannot alter a byte unnoticed
 EXAMPLE_DIGESTS = {
-    "circle2d": "31d883c837d0b8ae38b51d376e34f54faf80cea5481b2ead19fcd8f8b2aaf1c3",
-    "location-scale": "25de3565a1be650d606fd9948b0e9624b875a5a0fca1369c76919c1396a48abc",
-    "nonlinreg-known": "d660588f1bfade09aa8c4d572c1f65cafa497fea590188d9898ecb8686253be2",
-    "nonlinreg-unknown": "dc69512d6ca32b38faed0385c4867720df261c2085c55d937c800a4872f2448b",
+    "circle2d": "a22a273e8d8683f42dc57e7c38292479ff727595ce9dea3d873be3056e9d2e48",
+    "location-scale": "a62adfce38203b20de800d92a2e13bf536c9519ee1d6248b41d5897162449bd5",
+    "nonlinreg-known": "e257e95559229f92e276631e5939a08c821df2201f4e337994c9d2ece475e05a",
+    "nonlinreg-unknown": "d2b08c56b4c3dbff9ac9beb75916bd1ab8dc9f155f656a11e367c245f70c8b90",
     "severini": "72d7539ea7529f2e31b0b2c2c4983cc1f509a34a34ec6ecd32418a6cea104743",
     "cauchy-inversion": "51ceb5e0e0a55d124d15b7d7ef36898cfb033054b410c0e99d3409e53fe45c42",
 }
