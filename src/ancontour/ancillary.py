@@ -337,13 +337,12 @@ def partition_check(
     Picks y1 = q(x_hat0; theta_hat0 + t1), refits from scratch at y1, and
     reports the maximum over the rebuilt cloud of the distance to the
     original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
-    is refined by Newton steps, Gauss-Newton's where the Hessian is not
-    positive definite, from t = (theta_hat1 - theta_hat0) + s, its minimiser
-    where x_hat1 = x_hat0 (where it mostly stops before a line search, its
-    predicted decrease being rounding).  t1 is given in standardized units, with |t1| <= _T1_CAP
-    to keep the probe inside moderate deviations.  fit, when given, is the
-    fit of y0 (fit_mle's), which is then not repeated; a fit of another
-    point raises.
+    is refined by Newton steps (Gauss-Newton's where the Hessian is not
+    positive definite) from t = (theta_hat1 - theta_hat0) + s, its minimiser
+    where x_hat1 = x_hat0, where it mostly stops before a line search.  t1
+    is given in standardized units, with |t1| <= _T1_CAP to keep the probe
+    inside moderate deviations.  fit, when given, is the fit of y0
+    (fit_mle's), which is then not repeated; a fit of another point raises.
     """
     return _partition_pass(model, [y0], t1_std, grid, fit)[0]
 

@@ -695,7 +695,7 @@ def test_exact_partition_check_takes_no_line_search(family, monkeypatch):
 def test_curved_partition_check_takes_at_most_five_line_searches(family, monkeypatch):
     """Newton steps converge quadratically and the rounding-floor stop retires
     each point once its predicted decrease is rounding: a curved family's
-    check takes at most five line searches (Gauss-Newton took seven to ten)."""
+    check takes at most five line searches (Gauss-Newton took about seven)."""
     calls = _counting_line_searches(monkeypatch)
     for model, y0, t1, grid in _partition_draws(family):
         calls.clear()
