@@ -3,10 +3,10 @@
 Three studies live here: a quadrature check that the candidate scalar
 statistic has a vanishing parameter derivative of its density at the
 expansion point, by a fixed Gauss-Legendre rule; a replicated order study
-that bins draws by nearest lattice contour (a projection snapped to each
-contour's uniform grid) and tracks how fast cell-probability sensitivity
-decays with n (second-order contours decay like 1/n, tangent-only contours
-like 1/sqrt(n)); and a deterministic partition-discrepancy study on a
+that bins draws by nearest contour (the exact projection onto each cell's
+clipped contour, in closed form) and tracks how fast cell-probability
+sensitivity decays with n (second-order contours decay like 1/n,
+tangent-only contours like 1/sqrt(n)); and a deterministic partition-discrepancy study on a
 synthetic curved family.  Each study is a spec NamedTuple whose fields are
 its config keys: spec_from_config checks a JSON mapping into one, spec.run()
 runs the study and report.summary() gives the values the CLI prints.  All
@@ -231,7 +231,10 @@ class OrderStudySpec(NamedTuple):
     circle model and runs both arms; family "location-scale" uses n >= 3 as
     the sample size with Normal errors and runs the exact (second-order) arm
     only.  deltas are standardized parameter offsets; cells is the number of
-    lattice contours per transverse direction.  The default n_grid keeps the
+    contours per transverse direction, and each draw's label is the cell
+    whose contour holds its nearest point.  lattice_half_width is each circle
+    contour's clip half-width in standardized units (the location-scale
+    plane is clipped at 3 in both coordinates).  The default n_grid keeps the
     second-order signal several standard errors above the replication noise
     floor at the default reps; larger n needs more reps and is flagged
     inconclusive otherwise.
@@ -247,12 +250,11 @@ class OrderStudySpec(NamedTuple):
     theta_star: float = 0.0
     seed: int = 20260816
     lattice_half_width: float = 6.0
-    lattice_points: int = 337
 
     def validate(self) -> OrderStudySpec:
         """The spec with typed fields; a value the study cannot run with raises."""
         # location-scale needs a direction normal to 1 and the scores
-        spec = _checked(self, batch_size=1, cells=2, lattice_points=3, seed=0,
+        spec = _checked(self, batch_size=1, cells=2, seed=0,
                         n_grid=3 if self.family == "location-scale" else 2)
         if spec.reps <= 0:
             raise EmptyStudyError("reps must be positive")
@@ -273,56 +275,13 @@ class OrderStudySpec(NamedTuple):
         return run_replicated(self)
 
 
-_TWO_PI = 2.0 * math.pi
-
-
-def _wrap(a):
-    """np.remainder(a, 2 pi) in place, bit for bit, for a in [-2 pi, 4 pi).
-
-    fmod is exact, so np.remainder returns a - 2 pi (exact there) on
-    [2 pi, 4 pi), a itself on [0, 2 pi) and a + 2 pi, rounded, on [-2 pi, 0):
-    one conditional subtract and one conditional add.  Adding +0.0 gives -0.0
-    the +0.0 np.remainder returns for it.
-    """
-    np.subtract(a, _TWO_PI, out=a, where=a >= _TWO_PI)
-    np.add(a, _TWO_PI, out=a, where=a < 0.0)
-    a += 0.0
-    return a
-
-
-class _Snap:
-    """Nearest node of each row's uniform grid in axis (rows, K), clipped to
-    the row's ends, with the grid's start, step and flat row offsets computed
-    once."""
-
-    def __init__(self, axis):
-        self.last = axis.shape[1] - 1
-        self.start = axis[:, :1]
-        self.step = (axis[:, -1:] - axis[:, :1]) / self.last
-        self.offset = (self.last + 1) * np.arange(axis.shape[0])[:, None]
-
-    def __call__(self, coord, rows=None):
-        """Flat index into axis of the node nearest coord (rows, count), or
-        of each entry of coord (m,) on its row in rows; overwrites coord."""
-        start, step, offset = ((self.start, self.step, self.offset) if rows is None else
-                               (self.start[rows, 0], self.step[rows, 0], self.offset[rows, 0]))
-        coord -= start
-        coord /= step
-        np.rint(coord, out=coord)
-        np.maximum(coord, 0.0, out=coord)  # np.clip's values, without its overhead
-        np.minimum(coord, self.last, out=coord)
-        k = coord.astype(np.intp)
-        k += offset
-        return k
-
-
 class _StudyContext:
-    """Per-n immutable pieces: model, offset thetas, lattice scores, draws.
+    """Per-n immutable pieces: model, offset thetas, contour scores, draws.
 
     scores[arm](y) is, per cell and draw, the part of the squared distance to
-    the cell's nearest lattice node that differs between cells, for rows y
-    (count, n); the transposed view of contiguous coordinate rows that
-    _run_batch passes reads fastest."""
+    the nearest point of the cell's clipped contour that differs between
+    cells, for rows y (count, n); the transposed view of contiguous
+    coordinate rows that _run_batch passes reads fastest."""
 
     def __init__(self, spec: OrderStudySpec, n: int):
         from .models import make_circle, make_location_scale
@@ -357,85 +316,63 @@ class _StudyContext:
 
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * self.sd
-        grid = GridSpec(half_width=spec.lattice_half_width,
-                        points_per_axis=spec.lattice_points)
+        grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=3)  # its ends only
         clouds = [build_contour(self.model, (spec.rho + tau) * u, grid) for tau in centers]
-        # (cells, 1) columns: the fit, the anchor (the data point) and the velocity
-        x1, x2, theta_hat, a1, a2, v1, v2 = np.array([
-            [*c.fit.x_hat, *c.fit.theta_hat, *c.base_point, *c.frame.velocity[:, 0]]
-            for c in clouds]).T[:, :, None]
-        # arctan2 is in [-pi, pi] and each step rounds monotonically, so these
-        # bound the angles arc passes to _wrap: inside its range for theta_hat
-        # in (-2 pi, 2 pi], bar the one float just above -2 pi
-        ok = (((-math.pi - theta_hat) + math.pi >= -_TWO_PI)
-              & ((math.pi - theta_hat) + math.pi < 2.0 * _TWO_PI))
-        if not ok.all():
-            raise NumericalFailureError("the arc labelling needs each cell's theta_hat in "
-                                        f"(-2 pi, 2 pi], got {theta_hat[~ok][0]!r}")
-        t_axis = np.array([c.offsets[:, 0] for c in clouds])
-        snap, vv, two_rho = _Snap(t_axis), v1 * v1 + v2 * v2, 2.0 * spec.rho
-        node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
-        ends = node_cos[:, :1], node_sin[:, :1], node_cos[:, -1:], node_sin[:, -1:]
-        # phi + 2 pi m, phi in [-pi, pi], can land inside the arc only where
-        # 2 pi |m| - pi < max |t|; any other turn snaps to an end node.  A turn
-        # m > 0 (m < 0) snaps a draw to the last (first) node, which along
-        # holds already, unless its phi is below (above) t_last - 2 pi m
-        # (t_first - 2 pi m) or within a node spacing of it.
-        most = math.ceil((np.max(np.abs(t_axis)) + math.pi) / _TWO_PI) - 1
-        turns = []
-        for m in range(1, most + 1):
-            turns.append((_TWO_PI * m, np.less, t_axis[:, -1:] - _TWO_PI * m + snap.step))
-            turns.append((-_TWO_PI * m, np.greater, t_axis[:, :1] + _TWO_PI * m - snap.step))
+        # (cells, 1) columns: the fit, the anchor (the data point), the
+        # velocity and the offset range [t_lo, t_hi]
+        x1, x2, theta_hat, a1, a2, v1, v2, t_lo, t_hi = np.array([
+            [*c.fit.x_hat, *c.fit.theta_hat, *c.base_point, *c.frame.velocity[:, 0],
+             c.offsets[0, 0], c.offsets[-1, 0]] for c in clouds]).T[:, :, None]
+        vv, two_rho = v1 * v1 + v2 * v2, 2.0 * spec.rho
+        lo1, lo2 = np.cos(theta_hat + t_lo), np.sin(theta_hat + t_lo)
+        hi1, hi2 = np.cos(theta_hat + t_hi), np.sin(theta_hat + t_hi)
+        mid, half = theta_hat + 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+        m1, m2 = np.cos(mid), np.sin(mid)
+        # d's angle is within the half span h of the arc's middle m where
+        # d.m >= |d| cos h; an arc of a turn or more holds every angle, which
+        # a bound below -1 passes
+        cos_half = np.where(half < math.pi, np.cos(half), -2.0)
 
-        def arc(y):  # cell c: x_hat_c + rho u(theta_hat_c + t_k)
+        def arc(y):  # cell c: x_hat_c + rho u(theta_hat_c + t), t in [t_lo, t_hi]
             d1, d2 = np.subtract(y[:, 0], x1), np.subtract(y[:, 1], x2)
-            phi = np.arctan2(d2, d1)
-            phi -= theta_hat
-            phi += math.pi
-            _wrap(phi)
-            phi -= math.pi
-            # the end nodes, then the turns that can land inside, each row's own
-            along, near = d1 * ends[0], d2 * ends[1]
-            along += near
-            np.multiply(d1, ends[2], out=near)
-            far = d2 * ends[3]
-            near += far
-            np.maximum(along, near, out=along)
-            for shift, inside, bound in turns:
-                rows, cols = np.nonzero(inside(phi, bound))
-                if rows.size:
-                    k = snap(phi[rows, cols] + shift, rows)
-                    hit = d1[rows, cols] * node_cos.take(k) + d2[rows, cols] * node_sin.take(k)
-                    along[rows, cols] = np.maximum(along[rows, cols], hit)
-            k = snap(phi)
-            node_cos.take(k, out=near, mode="clip")  # k is in range: clip only skips a check
-            near *= d1
-            node_sin.take(k, out=far, mode="clip")
-            far *= d2
-            near += far
-            np.maximum(along, near, out=along)
-            d1 *= d1
-            d2 *= d2
+            # |d - rho u|^2 = |d|^2 - 2 rho d.u + rho^2; over the arc d.u is
+            # at most |d|, reached where the arc holds d's direction, and is
+            # largest at an end otherwise
+            rr, tmp = d1 * d1, d2 * d2
+            rr += tmp
+            r = np.sqrt(rr)
+            along = d1 * m1
+            np.multiply(d2, m2, out=tmp)
+            along += tmp
+            inside = along >= np.multiply(r, cos_half, out=tmp)
+            np.multiply(d1, lo1, out=along)
+            np.multiply(d2, lo2, out=tmp)
+            along += tmp
+            d1 *= hi1
+            d2 *= hi2
             d1 += d2
+            np.maximum(along, d1, out=along)
+            np.copyto(along, r, where=inside)
             along *= two_rho
-            d1 -= along
-            return d1
+            rr -= along
+            return rr
 
-        def line(y):  # cell c: anchor_c + t_k v_c
+        def line(y):  # cell c: anchor_c + t v_c, t in [t_lo, t_hi]
             d1, d2 = np.subtract(y[:, 0], a1), np.subtract(y[:, 1], a2)
-            dv, tmp = d1 * v1, d2 * v2
-            dv += tmp
-            np.divide(dv, vv, out=tmp)
-            t = t_axis.take(snap(tmp))
+            dv, t = d1 * v1, d2 * v2
+            dv += t
+            np.divide(dv, vv, out=t)
+            np.maximum(t, t_lo, out=t)  # np.clip's values, without its overhead
+            np.minimum(t, t_hi, out=t)
+            # |d - t v|^2 = |d|^2 - t (2 d.v - t |v|^2)
             d1 *= d1
             d2 *= d2
             d1 += d2
-            np.multiply(t, 2.0, out=tmp)
-            tmp *= dv
-            d1 -= tmp
-            t *= t
-            t *= vv
-            d1 += t
+            np.multiply(t, vv, out=d2)
+            dv *= 2.0
+            dv -= d2
+            dv *= t
+            d1 -= dv
             return d1
 
         return {"second_order": arc, "tangent_only": line}
@@ -458,14 +395,16 @@ class _StudyContext:
         direction /= np.linalg.norm(direction)
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * 0.5
         z = np.array([unit(base + tau * direction) for tau in centers])
-        s_axis = 1.0 + np.linspace(-3.0, 3.0, 41)[None, :] / math.sqrt(2.0 * n)
-        snap = _Snap(s_axis)
+        s_lo, s_hi = 1.0 - 3.0 / math.sqrt(2.0 * n), 1.0 + 3.0 / math.sqrt(2.0 * n)
 
-        # cell c: the plane m 1 + s z_c on a 41 x 41 grid; 1.z_c = 0 and
-        # |z_c|^2 = n, so the m coordinate and its snap are common to all cells
+        # cell c: the plane m 1 + s z_c, |m| <= 3 / sqrt(n) and s in [s_lo, s_hi];
+        # 1.z_c = 0 and |z_c|^2 = n, so the m coordinate and its part of the
+        # distance are common to all cells, and s is y.z_c / n clipped
         def plane(y):
             yz = z @ y.T
-            s = s_axis.take(snap(yz / n))
+            s = yz / n
+            np.maximum(s, s_lo, out=s)
+            np.minimum(s, s_hi, out=s)
             return n * s * s - 2.0 * s * yz
 
         return {"second_order": plane}
@@ -519,11 +458,10 @@ class OrderStudyReport(NamedTuple):
     inconclusive: bool
     required_reps_estimate: int | None
 
-    def to_json_dict(self) -> dict:  # the spec keys that name the run
+    def to_json_dict(self) -> dict:  # every spec key, at the top level
         return record(self, skip=("spec",), study="ancillarity-order",
                       arms={name: record(arm, skip=("name",)) for name, arm in self.arms.items()},
-                      **{key: getattr(self.spec, key) for key in
-                         ("family", "n_grid", "deltas", "reps", "batch_size", "cells", "seed")})
+                      **self.spec._asdict())
 
     def summary(self) -> dict:
         out = {"study": "ancillarity-order", "family": self.spec.family,
@@ -647,6 +585,8 @@ class PartitionOrderReport(NamedTuple):
     t1_std: float
     draws: int
     seed: int
+    grid_half_width: float
+    grid_points: int
     mean_discrepancy: list
     per_draw: list
     slope: float
@@ -743,6 +683,8 @@ def partition_order_study(
         t1_std=t1_std,
         draws=draws,
         seed=seed,
+        grid_half_width=grid.half_width,
+        grid_points=grid.points_per_axis,
         mean_discrepancy=means,
         per_draw=per_draw,
         slope=slope,

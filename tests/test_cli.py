@@ -235,7 +235,7 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {**ORDER_BASE, "cells": 8.0}, "cells"),
     ("verify", {**ORDER_BASE, "reps": 100.5}, "reps"),
     ("verify", {**ORDER_BASE, "n_grid": [8.5]}, "n_grid"),
-    ("verify", {**ORDER_BASE, "lattice_points": 2}, "lattice_points"),
+    ("verify", {**ORDER_BASE, "lattice_points": 2}, "unknown study keys: ['lattice_points']"),
     ("verify", {"study": "partition-order", "draws": 0}, "draws"),
     ("verify", {"study": "partition-order", "n_grid": [1]}, "n_grid"),
     ("verify", {"study": "partition-order", "n_grid": [16]}, "n_grid"),
@@ -289,7 +289,8 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     numbers (booleans and strings included), are rejected before any work,
     naming the key; so is a grid's 'standardized' that is not a JSON boolean,
     and a partition-order grid half width that is not positive (its grid is
-    built through GridSpec's checks)."""
+    built through GridSpec's checks); lattice_points, which no study reads,
+    is an unknown key."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2

@@ -6,8 +6,6 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import ancontour.ancillary as anc
 import ancontour.montecarlo as mc
@@ -144,7 +142,7 @@ def test_order_spec_validation():
     with pytest.raises(InvalidParameterError):
         OrderStudySpec(n_grid=(1, 16)).validate()
     for bad in ({"n_grid": (8.5,)}, {"n_grid": (16, 16)}, {"cells": 8.0},
-                {"lattice_points": 2}, {"rho": 0.0},
+                {"lattice_half_width": 0.0}, {"rho": 0.0},
                 {"family": "location-scale", "n_grid": (2, 8)}):
         with pytest.raises(InvalidParameterError):
             OrderStudySpec(**bad).validate()
@@ -177,6 +175,9 @@ def test_order_spec_from_config():
     assert spec.deltas == (1.0,)
     with pytest.raises(InvalidParameterError):
         spec_from_config({"study": "ancillarity-order", "family": "circle", "bogus": 3})
+    # labels project onto each contour exactly, so no lattice size is read
+    with pytest.raises(InvalidParameterError, match=r"unknown study keys: \['lattice_points'\]"):
+        spec_from_config({"study": "ancillarity-order", "lattice_points": 337})
 
 
 def test_order_study_rerun_identity():
@@ -189,17 +190,37 @@ def test_order_study_rerun_identity():
     assert first.to_csv() == again.to_csv()
 
 
-def _explicit_lattice(spec, ctx):
-    """Every lattice node, one equal-sized block per cell, for a KD-tree oracle."""
+# A label may differ from the dense oracle's only where the two nearest
+# cells' dense distances are closer than this; every oracle's own error
+# bound is asserted below it.
+TIE_MARGIN = 1e-4
+
+
+def _dense_contours(spec, ctx):
+    """Per arm, each cell's clipped contour as dense nodes, and their spacing
+    error for points y: a bound on the excess of a point's squared distance
+    to the nearest node over its squared distance to the contour.
+
+    Arcs and segments have 8001 nodes.  A location-scale plane patch (m 1 +
+    s z_c, |m| <= 3 / sqrt(n), s within 1 +- 3 / sqrt(2 n)) is a 501 x 501
+    grid in the coordinates of an orthonormal basis of its plane, returned
+    with the basis: a point's squared distance is its distance to the plane
+    plus its distance within it."""
     if spec.family == "circle":
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
-        grid = GridSpec(half_width=spec.lattice_half_width,
-                        points_per_axis=spec.lattice_points)
+        grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=8001)
         clouds = [build_contour(ctx.model, (spec.rho + tau) * u, grid) for tau in centers]
-        return {"second_order": [c.points for c in clouds],
-                "tangent_only": [c.base_point + c.offsets @ c.frame.velocity.T
-                                 for c in clouds]}
+        step = max(float(np.ptp(c.offsets)) for c in clouds) / 8000
+        speed2 = max(float(np.sum(c.frame.velocity**2)) for c in clouds)
+
+        def arc_error(y):  # 2 rho r (1 - cos(step / 2)) at radius r = |y - x_hat|
+            radius = max(float(np.max(np.hypot(*(y - c.fit.x_hat).T))) for c in clouds)
+            return spec.rho * radius * step**2 / 4.0
+
+        return {"second_order": ([(c.points, None) for c in clouds], arc_error),
+                "tangent_only": ([(c.base_point + c.offsets @ c.frame.velocity.T, None)
+                                  for c in clouds], lambda y: speed2 * step**2 / 4.0)}
     n = ctx.n
     base = np.sort([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
     base = (base - base.mean()) / math.sqrt(np.mean((base - base.mean()) ** 2))
@@ -208,49 +229,103 @@ def _explicit_lattice(spec, ctx):
     direction -= (direction @ ones) * ones
     direction -= (direction @ base) * base / float(base @ base)
     direction /= np.linalg.norm(direction)
-    mm, ss = np.meshgrid(np.linspace(-3.0, 3.0, 41) / math.sqrt(n),
-                         1.0 + np.linspace(-3.0, 3.0, 41) / math.sqrt(2.0 * n), indexing="ij")
-    blocks = []
+    m_axis = np.linspace(-3.0, 3.0, 501) / math.sqrt(n)
+    s_axis = 1.0 + np.linspace(-3.0, 3.0, 501) / math.sqrt(2.0 * n)
+    mm, ss = (axis.reshape(-1, 1) for axis in np.meshgrid(m_axis, s_axis, indexing="ij"))
+    cells = []
     for tau in (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * 0.5:
         z = base + tau * direction
         z = (z - z.mean()) / math.sqrt(np.mean((z - z.mean()) ** 2))
-        blocks.append(mm.reshape(-1, 1) + ss.reshape(-1, 1) * z[None, :])
-    return {"second_order": blocks}
+        basis = np.linalg.qr(np.column_stack([np.ones(n), z]))[0]
+        cells.append(((mm * np.ones(n) + ss * z) @ basis, basis))
+    error = n * ((m_axis[1] - m_axis[0]) ** 2 + (s_axis[1] - s_axis[0]) ** 2) / 4.0
+    return {"second_order": (cells, lambda y: error)}
+
+
+def _dense_oracle(spec, ctx, y):
+    """{arm: (squared distances (cells, points) to each cell's nearest dense
+    node, their spacing error)}, by a KD-tree over each cell's nodes."""
+    from scipy.spatial import cKDTree
+
+    out = {}
+    for arm, (cells, error) in _dense_contours(spec, ctx).items():
+        rows = []
+        for nodes, basis in cells:
+            if basis is None:
+                rows.append(cKDTree(nodes).query(y, workers=2)[0] ** 2)
+            else:
+                coords = y @ basis
+                normal = np.sum((y - coords @ basis.T) ** 2, axis=1)
+                rows.append(cKDTree(nodes).query(coords, workers=2)[0] ** 2 + normal)
+        out[arm] = np.array(rows), error(y)
+    return out
+
+
+def _exact_squared_distances(spec, ctx, arm, y):
+    """Each cell's score made a squared distance again: rho^2 added on the
+    arcs, and on the plane the m part every cell shares."""
+    scores = ctx.scores[arm](y)
+    if spec.family == "circle":
+        return scores + spec.rho**2 if arm == "second_order" else scores
+    n, total = ctx.n, y.sum(axis=1)
+    m = np.clip(total / n, -3.0 / math.sqrt(n), 3.0 / math.sqrt(n))
+    return scores + np.sum(y * y, axis=1) - 2.0 * m * total + n * m * m
+
+
+def _ring(count, seed=5):
+    """Points uniform in angle about the origin at radii up to 3, centre included."""
+    rng = np.random.default_rng(seed)
+    angle, radius = rng.uniform(0.0, 2.0 * math.pi, count), rng.uniform(0.0, 3.0, count)
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+def _check_against_dense_oracle(spec, ctx, points):
+    """Labels agree with the dense oracle's wherever its two nearest cells
+    are more than TIE_MARGIN apart, and every score is the dense minimum to
+    within the nodes' spacing error; the scores of the transposed view of
+    contiguous coordinate rows that _run_batch passes are the same."""
+    y = np.vstack(points)
+    for arm, (dense, error) in _dense_oracle(spec, ctx, y).items():
+        assert error < TIE_MARGIN
+        exact = _exact_squared_distances(spec, ctx, arm, y)
+        assert ctx.scores[arm](np.ascontiguousarray(y.T).T).tobytes() == ctx.scores[arm](y).tobytes()
+        slack = 1e-12 * max(1.0, float(np.max(dense)))
+        assert np.all(dense - exact >= -slack), arm
+        assert np.all(dense - exact <= error + slack), arm
+        two = np.sort(dense, axis=0)[:2]
+        clear = two[1] - two[0] > TIE_MARGIN
+        assert clear.mean() > 0.95
+        np.testing.assert_array_equal(ctx.labels(arm, y)[clear],
+                                      np.argmin(dense, axis=0)[clear])
 
 
 @pytest.mark.parametrize("spec", [
     OrderStudySpec(n_grid=(2, 5, 16, 128), theta_star=2.5),
-    OrderStudySpec(n_grid=(2, 16), theta_star=2.5, lattice_points=40,
-                   lattice_half_width=2.0),
+    OrderStudySpec(n_grid=(2, 16), theta_star=2.5, lattice_half_width=2.0),
     OrderStudySpec(n_grid=(2, 16), theta_star=2.5, cells=3, rho=0.3),
     OrderStudySpec(family="location-scale", n_grid=(3, 8, 64), cells=5),
-], ids=["circle", "circle-short-even-lattice", "circle-3-cells", "location-scale"])
+], ids=["circle", "circle-short-arcs", "circle-3-cells", "location-scale"])
 def test_closed_form_labels_match_kd_tree(spec):
-    """Snapping to each lattice picks the cell a KD-tree over all nodes picks."""
-    from scipy.spatial import cKDTree
-
+    """Each draw's label is the cell whose clipped contour holds its nearest
+    point: a KD-tree over dense nodes of every contour agrees, for seeded
+    draws at every offset and, on the circle, for a ring of points around
+    the arcs (which reach past pi, and at n = 2 past a whole turn)."""
     for n in spec.n_grid:
         ctx = mc._StudyContext(spec, n)
-        x = ctx.draw(np.random.default_rng(n), 1000)
-        for arm, blocks in _explicit_lattice(spec, ctx).items():
-            tree = cKDTree(np.vstack(blocks))
-            for base in ctx.bases:
-                y = base + x
-                np.testing.assert_array_equal(ctx.labels(arm, y),
-                                              tree.query(y)[1] // len(blocks[0]))
+        x = ctx.draw(np.random.default_rng(n), 250)
+        points = [base + x for base in ctx.bases]
+        _check_against_dense_oracle(spec, ctx, points + [_ring(1000)] * (spec.family == "circle"))
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["reach-below-pi", "reach-above-pi"])
 def test_arc_labels_match_kd_tree_near_half_turn(side):
-    """Arcs whose largest offset max |t| sits just below pi snap one turn of
-    a point's angle, just above pi three; either way the labels are a
-    KD-tree's over every node, for the draws and for points all around."""
-    from scipy.spatial import cKDTree
-
+    """Arcs whose largest offset max |t| sits just below pi leave a gap just
+    short of a turn; just above pi they close it.  Either way the labels
+    and scores are a dense oracle's, for the draws and for points all around."""
     def reach(spec):
         ctx = mc._StudyContext(spec, 16)
         u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
-        grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=spec.lattice_points)
+        grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=3)
         centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
         return ctx, max(float(np.max(np.abs(build_contour(ctx.model, (spec.rho + tau) * u,
                                                           grid).offsets))) for tau in centers)
@@ -259,111 +334,52 @@ def test_arc_labels_match_kd_tree_near_half_turn(side):
     spec = unit._replace(lattice_half_width=math.pi * (1.0 + 1e-3 * side) / reach(unit)[1])
     ctx, max_t = reach(spec)
     assert side * (max_t - math.pi) > 0.0
-    arcs = _explicit_lattice(spec, ctx)["second_order"]
-    tree = cKDTree(np.vstack(arcs))
-    ring = np.random.default_rng(5).uniform(-3.0, 3.0, (2000, 2))
-    for y in [base + ctx.draw(np.random.default_rng(16), 1000) for base in ctx.bases] + [ring]:
-        np.testing.assert_array_equal(ctx.labels("second_order", y),
-                                      tree.query(y)[1] // len(arcs[0]))
-    # each cell's score is its squared distance to the nearest node, less rho^2
-    nearest = np.array([np.min(np.sum((ring[:, None] - arc) ** 2, axis=2), axis=1)
-                        for arc in arcs])
-    np.testing.assert_allclose(ctx.scores["second_order"](ring), nearest - spec.rho**2,
-                               rtol=0, atol=1e-12)
+    x = ctx.draw(np.random.default_rng(16), 250)
+    _check_against_dense_oracle(spec, ctx, [base + x for base in ctx.bases] + [_ring(1000)])
 
 
-TWO_PI = 2.0 * math.pi
+@pytest.mark.parametrize("turn", [1, -1], ids=["above", "below"])
+def test_arc_labels_are_turn_invariant(turn, monkeypatch):
+    """Cells fitted a turn away, at theta_hat + 2 pi turn, give every draw and
+    every point of a ring the labels they had: no angle is reduced."""
+    spec = OrderStudySpec(n_grid=(2, 16), theta_star=2.5 * turn)
 
+    def labels():
+        out = []
+        for n in spec.n_grid:
+            ctx = mc._StudyContext(spec, n)
+            x = ctx.draw(np.random.default_rng(n), 1000)
+            for y in [base + x for base in ctx.bases] + [_ring(2000)]:
+                out.extend(ctx.labels(arm, y) for arm in ctx.arms)
+        return np.concatenate(out)
 
-@settings(derandomize=True, database=None, max_examples=400)
-@given(st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True))
-@example(-TWO_PI)
-@example(-0.0)
-@example(0.0)
-@example(-1e-300)
-@example(float(np.nextafter(TWO_PI, 0.0)))
-@example(TWO_PI)
-@example(float(np.nextafter(2.0 * TWO_PI, 0.0)))
-def test_wrap_is_remainder_bit_for_bit(a):
-    """On [-2 pi, 4 pi) the two conditional shifts give np.remainder's bits,
-    +0.0 for -0.0 and 2 pi for a tiny negative a included."""
-    got = mc._wrap(np.array([a]))
-    assert got.tobytes() == np.remainder(np.array([a]), TWO_PI).tobytes()
-
-
-def _every_turn_arc(spec, ctx, y):
-    """The arc score as (arctan2 - theta_hat + pi) % 2 pi - pi, with seven
-    turns of every point's angle snapped, each step on a fresh array."""
-    u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
-    centers = (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd
-    grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=spec.lattice_points)
-    clouds = [build_contour(ctx.model, (spec.rho + tau) * u, grid) for tau in centers]
-    x1, x2 = (np.array([[c.fit.x_hat[i]] for c in clouds]) for i in (0, 1))
-    theta_hat = np.array([c.fit.theta_hat for c in clouds])
-    t_axis = np.array([c.offsets[:, 0] for c in clouds])
-    last = t_axis.shape[1] - 1
-    d1, d2 = y[:, 0] - x1, y[:, 1] - x2
-    phi = (np.arctan2(d2, d1) - theta_hat + math.pi) % TWO_PI - math.pi
-    node_cos, node_sin = np.cos(theta_hat + t_axis), np.sin(theta_hat + t_axis)
-    along = np.maximum(d1 * node_cos[:, :1] + d2 * node_sin[:, :1],
-                       d1 * node_cos[:, -1:] + d2 * node_sin[:, -1:])
-    step = (t_axis[:, -1:] - t_axis[:, :1]) / last
-    for m in range(-3, 4):
-        k = np.clip(np.rint((phi + TWO_PI * m - t_axis[:, :1]) / step), 0, last).astype(np.intp)
-        along = np.maximum(along, d1 * np.take_along_axis(node_cos, k, axis=1)
-                           + d2 * np.take_along_axis(node_sin, k, axis=1))
-    return d1 * d1 + d2 * d2 - 2.0 * spec.rho * along
-
-
-@pytest.mark.parametrize("theta_star", [0.0, 2.5, -3.0])
-def test_arc_scores_match_every_turn_bit_for_bit(theta_star):
-    """Turns are snapped only for the points that can land inside an arc, in
-    place, on the draws as rows or as contiguous coordinate rows: every
-    score still has the bits of snapping every turn of every point, for
-    draws and for points all around (arcs reaching past pi at n = 2 and 16)."""
-    spec = OrderStudySpec(n_grid=(2, 16), theta_star=theta_star)
-    ring = np.random.default_rng(5).uniform(-3.0, 3.0, (2000, 2))
-    for n in spec.n_grid:
-        ctx = mc._StudyContext(spec, n)
-        x = ctx.draw(np.random.default_rng(n), 1000)
-        for y in [base + x for base in ctx.bases] + [ring]:
-            want = _every_turn_arc(spec, ctx, y).tobytes()
-            assert ctx.scores["second_order"](y).tobytes() == want
-            assert ctx.scores["second_order"](np.ascontiguousarray(y.T).T).tobytes() == want
-
-
-@pytest.mark.parametrize("theta_star,turn", [(2.5, 1), (-2.5, -1)], ids=["above", "below"])
-def test_arc_labelling_names_a_theta_hat_outside_its_range(theta_star, turn, monkeypatch):
-    """A cell fit a turn away from its arctan2 angle, past 2 pi or -2 pi,
-    raises before any draw is labelled instead of reducing angles wrongly."""
+    want = labels()
     build = anc.build_contour
 
     def turned(*args):
         cloud = build(*args)
-        theta_hat = cloud.fit.theta_hat + turn * TWO_PI
+        theta_hat = cloud.fit.theta_hat + turn * 2.0 * math.pi
         return cloud._replace(fit=cloud.fit._replace(theta_hat=theta_hat))
 
     monkeypatch.setattr(anc, "build_contour", turned)
-    spec = OrderStudySpec(n_grid=(16,), theta_star=theta_star, reps=100, batch_size=100)
-    with pytest.raises(NumericalFailureError, match=r"theta_hat in \(-2 pi, 2 pi\]"):
-        run_replicated(spec)
+    np.testing.assert_array_equal(labels(), want)
 
 
-# sha256 of each report's JSON and CSV and of one batch's label counts, as
-# the labelling computed them with np.remainder and one snap call per turn
+# sha256 of each report's JSON and CSV and of one batch's label counts, with
+# each draw labelled by its exact projection onto every cell's contour
 FROZEN_REPORTS = [
     (OrderStudySpec(n_grid=(16, 32), deltas=(1.0, 2.0), reps=400, batch_size=100, cells=6),
-     "2dfcc770c1ee4324cbc93d88ff4bebb48f91876d009c49bc25e812047430ebb7",
+     "3b884369e9681492f279f739faacbde0b753805449a61d8ba9fd82e6e572a5ca",
      "0be277738342a1f3ba30c42fef266dc549a085848665921ec3c996fce931f5de",
      "f859affeb876788b20e224eedc9122998a46bff10f770fcc49b03ed72863a891"),
     (OrderStudySpec(n_grid=(16, 32), deltas=(1.0, 2.0), reps=400, batch_size=100, cells=6,
                     theta_star=2.5),
-     "fb313ce5b3d4ae04043fddc4984faa9222c4ac9195017252966e149a145376ab",
+     "2c034859bf07bd5e1044384efc7a7378c5ad21f626b6115249c561a08d38a097",
      "85d4e409b179fee62e984debe2c5e80af1e6d0ac52590be6c92034525a058165",
      "cca06442378ccdb5afda9ae925a8257b8f3f38c408004d1bda66a65731dd3b1b"),
     (OrderStudySpec(family="location-scale", n_grid=(8, 16), deltas=(1.0,), reps=600,
                     batch_size=200),
-     "c19edd27bb6bf2c8898ae60baeeec5b607cc153b97c958fc1015645171969ca8",
+     "c9b1a75ce4ad21d6def759a4bc11e62ca02e4781eb40ea8f0bc1056f3a59f4bd",
      "154025213013e54d2e9b42b028581c0b60e8410a598cc861fba62cde0e00865e",
      "24fd5f8ea031ddd09f28f99e7b06cc5f9f94119bc4e1462c763be805266de822"),
     # eleven and nine batches: from eight terms on, numpy sums a contiguous
@@ -371,11 +387,11 @@ FROZEN_REPORTS = [
     # batches shows its axis; sample sizes not powers of two, rho and
     # theta_star moved
     (OrderStudySpec(n_grid=(5, 24, 40), reps=1100, batch_size=100, rho=0.7, theta_star=1.3),
-     "6db5cddc1d977b9e5878d3afdddba6b085c17470c8f20192da0bda3f6c94bc54",
-     "3e2f2fbc21a29cecef1dd25afebffffccfa1bbab6ee13f988284617063e414d8",
-     "045fe5063eff79c43d307bb5719c249d6a5db904c2696a7fa42582d197b8c9c2"),
+     "8eb666c8ebf8e0ddb0a6f239ec2d37ea2adcaa9c11c2263fca81be6db9db7dc5",
+     "69880e9f8ccea1cf015a2a7576f6df78c91442ed013197418e85e5b57b96b69a",
+     "201c8c2e5f42858d1742211f16c49a934aa4eabea9ac3a9e9ebcb778f749f2d6"),
     (OrderStudySpec(family="location-scale", n_grid=(8, 16), reps=900, batch_size=100),
-     "502a7672f030fab49d3a5bf3a1ac8cb8c436a7d7634cf73c254078d815dc9b89",
+     "25997021b9f4a4233e80a128e3a31c4a1bf1c9d7de72d89de2aa2fd267e00a32",
      "8098b9b4c01cdca0e3603eb89c5e9db465368564037030bc9d2769825c8fa316",
      "0a16c458f5885ccdad30a50e8d1cf2f0ef6a29c1099b34b335ec9e6d98bfea12"),
 ]
@@ -405,7 +421,7 @@ def test_partition_order_report_is_frozen():
     the pass's size, keep every byte of the report."""
     report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
     assert (_sha256(dumps(report).encode()), _sha256(report.to_csv().encode())) == (
-        "6771100fd4779cf7d079d14eb7fcda4172e2081817e04d82fe4260e05a4d7198",
+        "b33a1beda041f69393f65d84f33da914d8a9e65f9092e8dddb5e54541c6e9d18",
         "48647d33a46cd91e6798c0ee3ce4fd69f0cfebc1ce5485672f2038915db87ce7")
 
 
