@@ -253,10 +253,9 @@ def contour_min_distance(
         values, hit = (res[:, None, :] @ res[:, :, None])[:, 0, 0], np.zeros(ok.shape, dtype=bool)
         hit[ok] = values <= value[of]
 
-        def keep(acc, pick, moved):
-            place = (np.cumsum(ok) - 1).reshape(ok.shape)[pick]  # each accepted one's row in res
+        def keep(acc, pick):  # each accepted one's row in res: in order when all take scale 1
+            place = slice(None) if pick is None else (np.cumsum(ok) - 1).reshape(ok.shape)[pick]
             resid[acc], value[acc] = res[place], values[place]
-            active[acc[moved < 1e-13 * (1.0 + _norms(t[acc]))]] = False
         return hit, keep
 
     for _ in range(60):
@@ -298,8 +297,9 @@ def contour_min_distance(
         active[rows[~go]] = False
         if go.any():
             # a block holds at least the points refined: a partition pass's block bounds it
-            failed = _line_search(rows[go], t, step[go], model.n, max(_BLOCK, q.size), evaluate)
-            active[failed] = False
+            rows = rows[go]
+            moved = _line_search(rows, t, step[go], model.n, max(_BLOCK, q.size), evaluate)
+            active[rows[~(moved[rows] >= 1e-13 * (1.0 + _norms(t[rows])))]] = False  # or NaN: none
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
 

@@ -109,8 +109,7 @@ def _at(model, y, theta):
 
 def fitted_reference(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Solve y = q(x; theta) coordinate-wise for the reference value x."""
-    y, theta, zero = model.check_point(y), model.check_theta(theta), np.zeros(model.n)
-    return (y - model.quantile(zero, theta)) / model.dquantile_dx(zero, theta)
+    return _values(model, model.check_point(y), model.check_theta(theta))[0]
 
 
 def loglik(model: QuantileModel, y: np.ndarray, theta: np.ndarray) -> float:
@@ -136,40 +135,30 @@ def closed_form_mle(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     return model.closed_form(y)
 
 
-def _log_axes(model) -> np.ndarray:
-    """True on the sigma-type coordinates (domain (0, inf)), iterated as log(theta)."""
-    return np.array([lo == 0.0 and math.isinf(hi) for lo, hi in model.param_domain])
-
-
-def _on_log_axes(model, values, fn):
+def _on_log_axes(logs, values, fn):
     # fn (math.log or math.exp) per element: numpy's vector log and exp can
     # differ from them in the last bit, and a fit must not depend on its batch
     out = np.array(values, dtype=float)
-    for j in np.flatnonzero(_log_axes(model)):
-        out[..., j] = np.reshape([fn(v) for v in np.ravel(out[..., j])], out.shape[:-1])
+    flat = out.reshape(-1, out.shape[-1])
+    for j in np.flatnonzero(logs):
+        flat[:, j] = list(map(fn, flat[:, j].tolist()))
     return out
 
 
-def _to_internal(model, theta):
-    return _on_log_axes(model, theta, math.log)
-
-
-def _from_internal(model, z):
-    return _on_log_axes(model, z, math.exp)
-
-
-def _newton_system(model, theta, s, info):
+def _newton_system(logs, theta, s, info):
     """(information, score) in the internal coordinates, by the chain rule.
 
-    On a log axis theta_j = exp(z_j), so the score is scaled by theta_j and
-    the information by theta_j theta_k, less s_j theta_j on the diagonal.
+    On a log axis (where logs is True) theta_j = exp(z_j), so the score is
+    scaled by theta_j and the information by theta_j theta_k, less s_j theta_j
+    on the diagonal; with none, both are returned as they are (the same bits).
     Takes one row or rows (K, p).
     """
-    logs = _log_axes(model)
+    if not logs.any():
+        return info, s
     jac = np.where(logs, theta, 1.0)
     diag = np.where(logs, s * theta, 0.0)
     return (info * (jac[..., :, None] * jac[..., None, :])
-            - diag[..., None] * np.eye(model.p)), s * jac
+            - diag[..., None] * np.eye(len(logs))), s * jac
 
 
 def _norms(v):
@@ -178,25 +167,32 @@ def _norms(v):
 
 
 def _line_search(rows, x, step, width, block, evaluate):
-    """Move each listed row of x (K, p) to its first candidate x + scale * step,
-    scale 1, 1/2, ..., 1/2^39, that evaluate accepts; returns the rows with
-    none.  Scale 1 goes for every row in one call, then m scales a call with
-    rows * m * width <= block (m >= 1).  evaluate(rows, cand (rows, m, p))
-    returns the acceptance (rows, m) and keep(acc, pick, moved), called once
-    x[acc] is cand[pick] to carry the solver's state and apply its stop rule."""
-    k = 0
-    while rows.size and k < len(_SCALES):
-        m = 1 if k == 0 else min(len(_SCALES) - k, max(1, block // (rows.size * width)))
+    """Move each listed row of x (K, p) (rows: indices, or slice(None) for
+    all) to its first candidate x + scale * step, scale 1, 1/2, ..., 1/2^39,
+    that evaluate accepts; returns the move |cand - x| of each row of x, NaN
+    where none was taken.  Scale 1 goes for every row in one call, then m
+    scales a call with rows * m * width <= block (m >= 1).  evaluate(rows,
+    cand (rows, m, p)) returns the acceptance (rows, m) and keep(acc, pick),
+    called once x[acc] is cand[pick] to carry the solver's state, or
+    keep(rows, None) once every row has taken scale 1."""
+    moved, k = np.full(len(x), np.nan), 0
+    while len(step) and k < len(_SCALES):
+        m = 1 if k == 0 else min(len(_SCALES) - k, max(1, block // (len(step) * width)))
         cand = x[rows, None] + _SCALES[k:k + m, None] * step[:, None]
         hit, keep = evaluate(rows, cand)
-        got = hit.any(axis=1)
+        if k == 0 and hit.all():  # no index bookkeeping
+            moved[rows] = _norms(cand[:, 0] - x[rows])
+            x[rows] = cand[:, 0]
+            keep(rows, None)
+            break
+        got, rows = hit.any(axis=1), np.arange(len(x))[rows]
         acc, pick = rows[got], (np.flatnonzero(got), hit.argmax(axis=1)[got])
-        moved = _norms(cand[pick] - x[acc])
+        moved[acc] = _norms(cand[pick] - x[acc])
         x[acc] = cand[pick]
-        keep(acc, pick, moved)
+        keep(acc, pick)
         rows, step, k = rows[~got], step[~got], k + m
         del cand, hit, keep  # free this block before the next one is built
-    return rows
+    return moved
 
 
 def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
@@ -205,10 +201,10 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     A row stops at a score norm below 1e-8, a failed line search
     (_line_search finds no scale of the step that stays in the domain and
     keeps the log-likelihood from falling), a step under 1e-10 or the
-    iteration limit; a singular Hessian raises.  Returns rows (z, theta,
-    iterations, converged, log-likelihood, score, information), the last
-    three _likelihood's at the final theta; trace gets the first row's
-    iterates.
+    iteration limit, and is then written out: only rows still iterating are
+    held.  A singular Hessian raises.  Returns rows (x, theta, iterations,
+    converged, log-likelihood, score, information), all _likelihood's at the
+    final theta; trace gets the first row's iterates.
 
     damped (the rescue) adds lam I to each information H whose smallest
     eigenvalue is not above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) +
@@ -216,60 +212,64 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     positive definite the step stays Newton's, which keeps convergence
     quadratic near the estimate.
     """
-    logs, (lo, hi) = _log_axes(model), np.array(model.param_domain).T
+    lo, hi = np.array(model.param_domain).T
+    logs = (lo == 0.0) & np.isinf(hi)  # the sigma-type axes, (0, inf), iterated as log(theta)
+    z = _on_log_axes(logs, theta, math.log)
+    theta = _on_log_axes(logs, z, math.exp)
+    x, value, s, info = _likelihood(model, y, theta)
+    idx, out = np.arange(len(y)), [np.zeros(len(y), dtype=int), theta, x, value, s, info]
 
     def evaluate(rows, cand):  # in the domain, and not lowering the log-likelihood
         # past 709 math.exp overflows; such a candidate is out of the domain
-        theta_c = _from_internal(model, np.where(logs & (cand > 709.0), np.nan, cand))
+        theta_c = _on_log_axes(logs, cand, lambda v: math.exp(v) if v <= 709.0 else math.nan)
         ok = np.all((theta_c > lo) & (theta_c < hi), axis=2)
-        of = rows[np.nonzero(ok)[0]]  # the row of each candidate in the domain
-        # one scale is evaluated in full; a block of scales by value, then only
-        # its accepted candidates in full, so no information is discarded
-        full = _likelihood(model, y[of], theta_c[ok]) if cand.shape[1] == 1 else None
-        v = _values(model, y[of], theta_c[ok])[2] if full is None else full[1]
-        up = np.zeros(ok.shape, dtype=bool)
-        up[ok] = v >= current[of] - 1e-12 * (1.0 + np.abs(current[of]))
+        # one scale in full, a block of scales by value, then only its accepted candidates in
+        # full; one out of the domain is evaluated at its row's theta, and refused
+        th, (r, m, p) = np.where(ok[..., None], theta_c, theta[rows, None]), cand.shape
+        full = _likelihood(model, y[rows], th[:, 0]) if m == 1 else None
+        v = full[1][:, None] if m == 1 else _values(
+            model, np.repeat(y[rows], m, axis=0), th.reshape(-1, p))[2].reshape(r, m)
+        hit = ok & (v >= value[rows, None] - 1e-12 * (1.0 + np.abs(value[rows, None])))
 
-        def keep(acc, pick, moved):
-            theta[acc] = theta_c[pick]
-            if full is not None:
-                current[acc], s[acc], info[acc] = (part[up[ok]] for part in full[1:])
-            elif acc.size:
-                _, current[acc], s[acc], info[acc] = _likelihood(model, y[acc], theta[acc])
-            active[acc[moved < _STEP_TOL]] = False
-        return up, keep
+        def keep(acc, pick):
+            nonlocal theta, x, value, s, info
+            if pick is None:  # every row took its full step: the pass there is its state
+                theta, (x, value, s, info) = th[:, 0], full
+            else:
+                theta[acc] = theta_c[pick]
+                x[acc], value[acc], s[acc], info[acc] = (
+                    (part[pick[0]] for part in full) if m == 1
+                    else _likelihood(model, y[acc], theta[acc]))
+        return hit, keep
 
-    z = _to_internal(model, theta)
-    theta = _from_internal(model, z)
-    _, current, s, info = _likelihood(model, y, theta)
-    iterations, active = np.zeros(len(y), dtype=int), np.ones(len(y), dtype=bool)
-    for _ in range(max_iterations):
-        active &= ~(_norms(s) < _SCORE_TOL)
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        iterations[rows] += 1
-        hess, grad = _newton_system(model, theta[rows], s[rows], info[rows])
+    halt = False  # after a line search: no scale accepted (NaN), or a step under 1e-10
+    for count in range(max_iterations + 1):
+        done = halt | (_norms(s) < _SCORE_TOL) | (count == max_iterations)
+        if done.any() or not idx.size:  # write rows out: iterations, then _likelihood's
+            every, rows = done.all(), idx[done]
+            for o, v in zip(out, (np.full(len(idx), count), theta, x, value, s, info)):
+                o[rows] = v if every else v[done]
+            if every:
+                break
+            idx, y, z, theta, x, value, s, info = (  # hold only the others
+                v[~done] for v in (idx, y, z, theta, x, value, s, info))
+        hess, grad = _newton_system(logs, theta, s, info)
         if damped:
             low, size = np.linalg.eigvalsh(hess)[:, 0], np.abs(np.trace(hess, axis1=1, axis2=2))
             lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
             hess = hess + lam[:, None, None] * np.eye(model.p)
-        try:
-            cond = np.linalg.cond(hess)
-        except np.linalg.LinAlgError:
-            cond = np.full(len(rows), math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):  # cond: max / min |eigenvalue|
+            size = np.abs(np.linalg.eigvalsh(hess))
+            cond = size.max(axis=1) / size.min(axis=1)
         if not np.all(cond <= 1e14):
-            k = int(np.argmin(cond <= 1e14))
-            raise SingularInformationError(
-                f"Hessian singular at iterate {iterations[rows[k]]} (cond {cond[k]:.2e})"
-            )
+            raise SingularInformationError(f"Hessian singular at iterate {count + 1} "
+                                           f"(cond {cond[np.argmin(cond <= 1e14)]:.2e})")
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        if trace is not None and rows[0] == 0:
-            trace.append({"iter": int(iterations[0]), "theta": theta[0].tolist(),
-                          "loglik": float(current[0])})
-        rows = _line_search(rows, z, step, model.n, _BLOCK, evaluate)
-        active[rows] = False  # line search failed: the row stays where it is
-    return z, theta, iterations, _norms(s) < _SCORE_TOL, current, s, info
+        if trace is not None and idx[0] == 0:
+            trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
+        halt = ~(_line_search(slice(None), z, step, model.n, _BLOCK, evaluate) >= _STEP_TOL)
+    iterations, theta, x, value, s, info = out
+    return x, theta, iterations, _norms(s) < _SCORE_TOL, value, s, info
 
 
 def fit_mle(
@@ -317,23 +317,23 @@ def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescu
     """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
     fit_mle on each row of y (K, n) at once: Newton from rows init (by default
     each row's checked closed form or Newton start), then the damped Newton
-    (the rescue) over the rows it leaves short of a score norm of 1e-8, so
-    rows that converge under plain Newton keep their bits; then the
-    convergence check and the rank gate.  Each row has a one-row fit's bits."""
+    (the rescue) over the rows it leaves short of a score norm of 1e-8; then
+    the convergence check and the rank gate.  Each row has a one-row fit's
+    bits, all from _newton's last likelihood pass, x_hat included."""
     if init is None:
         init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
-    _, theta, iterations, converged, value, s, info = _newton(model, y, init, max_iterations, trace)
+    x, theta, iterations, converged, value, s, info = _newton(model, y, init, max_iterations, trace)
     short = np.flatnonzero(~converged)
     if rescue and short.size:
-        _, theta[short], extra, converged[short], value[short], s[short], info[short] = _newton(
-            model, y[short], theta[short], trace=trace, damped=True)
+        x[short], theta[short], extra, converged[short], value[short], s[short], info[short] = (
+            _newton(model, y[short], theta[short], trace=trace, damped=True))
         iterations[short] += extra
     if not np.all(converged):
         k = int(np.argmin(converged))
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
                                f"(score norm {float(np.linalg.norm(s[k])):.3e})", trace=trace)
     _rank_gate(info)
-    return theta, info, _values(model, y, theta)[0], iterations, value, s
+    return theta, info, x, iterations, value, s
 
 
 def _rank_gate(info):

@@ -19,6 +19,7 @@ from ancontour import (
     SingularInformationError,
     build_contour,
     closed_form_mle,
+    eta_circle,
     eta_curved,
     fit_mle,
     fitted_reference,
@@ -36,11 +37,10 @@ from ancontour.estimation import (
     _RANK_TOL,
     _SCORE_TOL,
     _fit_points,
-    _from_internal,
     _likelihood,
     _newton,
     _newton_system,
-    _to_internal,
+    _on_log_axes,
 )
 from conftest import (
     FAMILY_NAMES,
@@ -123,10 +123,11 @@ def test_score_matches_fd_of_loglik(family):
 def test_internal_newton_system_matches_fd(family):
     """The chain rule into log-sigma coordinates matches differencing there."""
     for model, theta, y in iter_instances(family, 4, seed=206):
-        z = _to_internal(model, theta)
-        theta = _from_internal(model, z)
-        internal = lambda zv: loglik(model, y, _from_internal(model, zv))
-        info, s = _newton_system(model, theta, score(model, y, theta),
+        logs = np.array([lo == 0.0 and math.isinf(hi) for lo, hi in model.param_domain])
+        z = _on_log_axes(logs, theta, math.log)
+        theta = _on_log_axes(logs, z, math.exp)
+        internal = lambda zv: loglik(model, y, _on_log_axes(logs, zv, math.exp))
+        info, s = _newton_system(logs, theta, score(model, y, theta),
                                  observed_information(model, y, theta))
         np.testing.assert_allclose(s, central_difference(internal, z, h=1e-6),
                                    rtol=1e-5, atol=1e-6)
@@ -491,10 +492,10 @@ def test_fit_many_forced_fallback_row():
 
 
 def test_fit_points_reuse_newtons_values_at_the_estimate():
-    """The log-likelihood, score and information a batched fit returns come
-    from its Newton and rescue iterations, rescued rows included, and its
-    reference values from the closed-form solve: all of them _likelihood's
-    at the estimate, bit for bit."""
+    """The reference values, log-likelihood, score and information a batched
+    fit returns come from its Newton and rescue iterations' last likelihood
+    pass, rescued rows included: all of them _likelihood's at the estimate,
+    bit for bit."""
     model = make_location_scale(4, error_law="cauchy")
     hard = np.array([-0.760033411767359, 2.0551768100006615,
                      -2.0417065446907747, -0.7852925465289906])
@@ -528,6 +529,120 @@ def test_convergence_error_carries_trace():
         fit_mle(model, y, init=np.array([3.0, 5.0]), method="newton",
                 max_iterations=1)
     assert len(err.value.trace) >= 1
+
+
+def _fake_likelihood(info_at):
+    """A _likelihood stand-in giving every row the score (1, 0) and the
+    information info_at(theta): at theta = (mu, 1) the location-scale Newton
+    matrix is that information itself, as sigma's log-axis factor is 1."""
+    def likelihood(model, y, theta):
+        k = len(theta)
+        return (np.zeros((k, model.n)), np.zeros(k), np.tile([1.0, 0.0], (k, 1)),
+                np.array([info_at(row) for row in theta]))
+    return likelihood
+
+
+@pytest.mark.parametrize("bad, cond", [
+    (np.diag([1.0, 1e-15]), "1.00e+15"),
+    (np.diag([1.0, 0.0]), None),
+    (np.zeros((2, 2)), None),
+    (np.diag([math.nan, 1.0]), None),
+    (np.diag([math.inf, 1.0]), None),
+], ids=["ratio-1e15", "rank-one", "zero", "nan", "inf"])
+def test_singular_newton_matrix_raises_at_its_iterate(bad, cond, monkeypatch):
+    """The in-loop guard: a Newton matrix whose largest to smallest |eigenvalue|
+    ratio exceeds 1e14, or is infinite or NaN (a zero or non-finite matrix),
+    raises SingularInformationError naming the iterate that meets it; a ratio of
+    1e13 iterates on.  The identity at the start gives the step (1, 0) to mu = 1."""
+    import ancontour.estimation as est
+
+    model, y, start = make_location_scale(4), np.zeros((1, 4)), np.array([[0.0, 1.0]])
+    monkeypatch.setattr(est, "_likelihood",
+                        _fake_likelihood(lambda th: np.eye(2) if th[0] == 0.0 else bad))
+    with pytest.raises(SingularInformationError,
+                       match=r"^Hessian singular at iterate 2 \(cond ") as err:
+        est._newton(model, y, start)
+    if cond is not None:
+        assert str(err.value).endswith(f"(cond {cond})")
+    monkeypatch.setattr(est, "_likelihood", _fake_likelihood(lambda th: np.diag([1.0, 1e-13])))
+    assert est._newton(model, y, start, max_iterations=2)[2].tolist() == [2]
+
+
+# Per family: a model with a small noise scale, so that a start `tiny` from the
+# estimate in its first coordinate has a score norm above 1e-8 but a Newton step
+# under 1e-10, its true theta, and further starts (theta_hat + shift) * factor
+# whose one-row fits stop, under a limit of 5 iterations, by the other rules.
+RETIREMENT = {
+    "location-scale": (make_location_scale(8), (0.3, 0.05), 3e-12, [
+        ((0.006, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0)]),
+    "cauchy-location-scale": (make_location_scale(8, error_law="cauchy"), (0.3, 0.05), 3e-13, [
+        ((-0.0036, 0.0), 1.0), ((0.0036, 0.0), 1.0), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0)]),
+    "circle2d": (make_circle(1.0, n=2, variance_scale=1e-4), (0.3,), 1e-12, [
+        ((0.02,), 1.0), ((1.18,), 1.0), ((1.14,), 1.0), ((1.98,), 1.0)]),
+    "circleN": (make_circle(1.5, n=4, variance_scale=1e-4), (0.3,), 1e-12, [
+        ((0.02,), 1.0), ((1.18,), 1.0), ((1.14,), 1.0), ((1.98,), 1.0)]),
+    # the curved mean's fits take full steps from any start: the circle's mean backtracks
+    "nonlinreg-known-sigma": (make_nonlinear_regression(eta_circle(1.2, 3), ("known", 0.01)),
+                              (0.3,), 1e-12, [((0.02,), 1.0), ((1.18,), 1.0), ((1.14,), 1.0),
+                                              ((1.98,), 1.0)]),
+    "nonlinreg-unknown-sigma": (make_nonlinear_regression(eta_curved(12), "unknown"),
+                                (0.4, 0.02), 3e-13, [((0.0018, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)),
+                                                     ((0.14, 0.0), 1.0), ((0.08, 0.0), 1.0)]),
+}
+
+
+def _one_row_newton(model, y, theta, limit, monkeypatch):
+    """_newton of one row, and the rule that stopped it, read from the moves its
+    line searches return and the evaluate calls each one made."""
+    import ancontour.estimation as est
+
+    searches, line_search = [], est._line_search
+
+    def recording(rows, x, step, width, block, evaluate):
+        calls = []
+        moved = line_search(rows, x, step, width, block,
+                            lambda r, cand: calls.append(1) or evaluate(r, cand))
+        searches.append((len(calls), float(moved[0])))
+        return moved
+
+    monkeypatch.setattr(est, "_line_search", recording)
+    out = est._newton(model, y[None], theta[None], limit)
+    monkeypatch.setattr(est, "_line_search", line_search)
+    if out[2][0] == 0:
+        return out, "converged at the start"
+    if math.isnan(searches[-1][1]):
+        return out, "failed line search"
+    if searches[-1][1] < 1e-10:
+        return out, "step under 1e-10"
+    if not out[3][0]:
+        return out, "iteration limit"
+    backtracked = any(calls > 1 for calls, _ in searches)
+    return out, "score after backtracking" if backtracked else "score"
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_newton_batch_rows_retire_as_one_row_fits(family, monkeypatch):
+    """One batch whose rows stop by every rule (converged at the start, the score
+    tolerance after full steps and after backtracking, a step under 1e-10, the
+    iteration limit and a failed line search) gives each row the bits,
+    iteration count and converged flag of its one-row call.  The rows of the
+    first dataset stop by those rules in turn; each is followed by a row of a
+    second dataset from the same start relative to its own estimate."""
+    model, theta, tiny, starts = RETIREMENT[family]
+    ys = model.quantile(model.ref_sampler(7, 2), np.array(theta))
+    theta_hats = [fit_mle(model, y).theta_hat for y in ys]
+    starts = [(tiny * np.eye(model.p)[0], 1.0)] + [(np.array(shift), f) for shift, f in starts]
+    inits = np.array(theta_hats + [(theta_hat + shift) * f for shift, f in starts
+                                   for theta_hat in theta_hats])
+    y_rows = np.tile(ys, (len(inits) // 2, 1))
+    rows = [_one_row_newton(model, y, init, 5, monkeypatch) for y, init in zip(y_rows, inits)]
+    assert [rule for _, rule in rows[::2]] == [
+        "converged at the start", "step under 1e-10", "score", "score after backtracking",
+        "iteration limit", "failed line search"]
+    batch = _newton(model, y_rows, inits, 5)
+    for k, (one, rule) in enumerate(rows):
+        for got, want in zip(batch, one):
+            assert np.asarray(got[k]).tobytes() == np.asarray(want[0]).tobytes(), (k, rule)
 
 
 def test_overflowing_newton_step_is_a_named_failure():
