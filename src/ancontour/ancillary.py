@@ -43,6 +43,8 @@ __all__ = [
     "contour_min_distance",
     "partition_check",
     "compare_exact",
+    "exact_label",
+    "severini_pivot",
     "severini_pivot_check",
     "cauchy_inversion_demo",
 ]

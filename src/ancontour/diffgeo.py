@@ -2,9 +2,9 @@
 
 At a fitted reference value the map t -> q(x_ref; theta_hat + t) is a
 p-dimensional surface in sample space.  The frame records its velocity and
-acceleration arrays, the induced metric (gram), the tangent projector, and
-the split of the acceleration into tangential mixing plus the normal
-component (the second fundamental form).
+acceleration arrays, the induced metric (gram), and the split of the
+acceleration into tangential mixing plus the normal component (the second
+fundamental form).
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ class TaylorFrame(NamedTuple):
     """Second-order expansion of a parameter trajectory at a base point.
 
     velocity is n x p, acceleration n x p x p (symmetric trailing axes).
-    gram = V'V is the induced metric, projector the orthogonal projection
-    onto the tangent span, mixing the tangential regression coefficients of
-    the acceleration columns (p x p x p, leading axis indexes the tangent
-    coordinate), and normal_acceleration the residual after removing the
-    tangential part: acceleration = normal + velocity . mixing.
+    gram = V'V is the induced metric, mixing the tangential regression
+    coefficients of the acceleration columns (p x p x p, leading axis indexes
+    the tangent coordinate), and normal_acceleration the residual after
+    removing the tangential part: acceleration = normal + velocity . mixing.
     """
 
     base_point: np.ndarray
@@ -45,7 +44,6 @@ class TaylorFrame(NamedTuple):
     velocity: np.ndarray
     acceleration: np.ndarray
     gram: np.ndarray
-    projector: np.ndarray
     mixing: np.ndarray
     normal_acceleration: np.ndarray
 
@@ -82,12 +80,11 @@ def _check_arrays(velocity: np.ndarray, acceleration: np.ndarray):
 def orthogonalize(velocity: np.ndarray, acceleration: np.ndarray):
     """Split the acceleration into tangential mixing and a normal part.
 
-    Returns (gram, projector, mixing, normal) with
+    Returns (gram, mixing, normal) with
     acceleration = normal + einsum('nk,kab->nab', velocity, mixing) and
     velocity' normal = 0.
     """
     velocity, acceleration = _check_arrays(velocity, acceleration)
-    n, p = velocity.shape
     svals = np.linalg.svd(velocity, compute_uv=False)
     if svals[-1] <= _RANK_TOL * svals[0]:
         raise DegenerateTangentError(
@@ -95,11 +92,10 @@ def orthogonalize(velocity: np.ndarray, acceleration: np.ndarray):
         )
     gram = velocity.T @ velocity
     gram_inv = np.linalg.inv(gram)
-    projector = velocity @ gram_inv @ velocity.T
     # regression coefficients of each acceleration column on the velocity span
     mixing = np.einsum("kl,nl,nab->kab", gram_inv, velocity, acceleration)
     normal = acceleration - np.einsum("nk,kab->nab", velocity, mixing)
-    return gram, projector, mixing, normal
+    return gram, mixing, normal
 
 
 def build_frame(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray) -> TaylorFrame:
@@ -109,7 +105,7 @@ def build_frame(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray) -> T
     base = model.quantile(x_ref, theta)
     velocity = np.asarray(model.dquantile_dtheta(x_ref, theta), dtype=float)
     acceleration = np.asarray(model.d2quantile_dtheta2(x_ref, theta), dtype=float)
-    gram, projector, mixing, normal = orthogonalize(velocity, acceleration)
+    gram, mixing, normal = orthogonalize(velocity, acceleration)
     return TaylorFrame(
         base_point=base,
         x_ref=x_ref,
@@ -117,7 +113,6 @@ def build_frame(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray) -> T
         velocity=velocity,
         acceleration=0.5 * (acceleration + np.swapaxes(acceleration, 1, 2)),
         gram=gram,
-        projector=projector,
         mixing=mixing,
         normal_acceleration=normal,
     )

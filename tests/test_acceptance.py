@@ -208,7 +208,8 @@ def test_criterion_8_property_suites():
                 assert orth <= 1e-10, f"{family}: V'W~ residual {orth:.3e}"
                 worst["orth"] = max(worst["orth"], orth)
 
-                proj = np.max(np.abs(frame.projector @ frame.projector - frame.projector))
+                projector = vel @ np.linalg.inv(frame.gram) @ vel.T
+                proj = np.max(np.abs(projector @ projector - projector))
                 assert proj <= 1e-12, f"{family}: projector not idempotent ({proj:.3e})"
                 worst["projector"] = max(worst["projector"], proj)
 

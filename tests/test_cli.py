@@ -23,16 +23,16 @@ EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
 # sha256 of each output file at the default seed, frozen so that a change of
 # encoder or of numerics cannot alter a byte unnoticed
 EXAMPLE_DIGESTS = {
-    "circle2d": "a22a273e8d8683f42dc57e7c38292479ff727595ce9dea3d873be3056e9d2e48",
-    "location-scale": "a62adfce38203b20de800d92a2e13bf536c9519ee1d6248b41d5897162449bd5",
-    "nonlinreg-known": "e257e95559229f92e276631e5939a08c821df2201f4e337994c9d2ece475e05a",
-    "nonlinreg-unknown": "d2b08c56b4c3dbff9ac9beb75916bd1ab8dc9f155f656a11e367c245f70c8b90",
+    "circle2d": "452673b19335cb788b9f7314dc228c4137799125e691320f80e4fe5367df5ad6",
+    "location-scale": "8980c7dc1bf1eb0379fc07e675fe7ea01d8ea9d07067b453e9636263876ac5d8",
+    "nonlinreg-known": "a6fd357908edc17fee52cfb6efb7f01893db819e195ea687518d8c7c3179db41",
+    "nonlinreg-unknown": "e13027b272fe4b63e7e230c48da746c2292cf176999954a9a87981a51f6f32a7",
     "severini": "72d7539ea7529f2e31b0b2c2c4983cc1f509a34a34ec6ecd32418a6cea104743",
     "cauchy-inversion": "51ceb5e0e0a55d124d15b7d7ef36898cfb033054b410c0e99d3409e53fe45c42",
 }
 POINT_DIGESTS = {
-    "contour": "ee34cbc488b30311b6c2bc0da303029c10a922fc95ba92b1f8520621d9e5ce58",
-    "frame": "1d5602ff87c0e10a1d7b2ae6b8ad637e9ddb95dbb1b8a829aa9ff007ff12788d",
+    "contour": "82ccbd348238a75c262868b1572d515672c290ee57e4372309516cc7ace19d05",
+    "frame": "5ab8d72d6d12481ff4f0056f57558901f6599c862a1948ce900b805c29a5aea0",
 }
 QUADRATURE_DIGEST = "efbaf65a96c0e663658753f8c690b390a4b4514f0fff6d5fed2c50b3ae6d1c86"
 
@@ -690,13 +690,20 @@ def test_verify_studies_load_only_what_they_run(payload, extra, tmp_path):
 
 
 def test_package_namespace_loads_names_on_first_use():
-    """Each public name is the object its module defines, dir() and
-    `import *` cover them, a submodule is reachable from a bare import, and
-    an unknown name is an AttributeError naming it."""
+    """Each public name is the object its module defines, each module's
+    __all__ lists exactly its exported names, dir() and `import *` cover
+    them, a submodule is reachable from a bare import, and an unknown name
+    is an AttributeError naming it."""
     for name in ancontour.__all__[1:]:
         value = getattr(ancontour, name)
         assert value.__module__.startswith("ancontour."), name
         assert getattr(sys.modules[value.__module__], name) is value, name
+    for module, names in ancontour._EXPORTS.items():
+        mod = importlib.import_module(f"ancontour.{module}")
+        # errors has no __all__: it exports every class it defines
+        defined = [k for k, v in vars(mod).items()
+                   if isinstance(v, type) and v.__module__ == mod.__name__]
+        assert tuple(getattr(mod, "__all__", defined)) == names, module
     assert ancontour.__all__[0] == "__version__"
     assert len(set(ancontour.__all__)) == len(ancontour.__all__)
     assert set(ancontour.__all__) <= set(dir(ancontour))

@@ -15,6 +15,7 @@ from ancontour import (
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
+    make_synthetic_curved,
     orthogonalize,
     quadratic_point,
     reparameterize,
@@ -30,7 +31,8 @@ def test_frame_algebra(family):
         frame = build_frame(model, x, theta)
         np.testing.assert_allclose(frame.gram, frame.velocity.T @ frame.velocity,
                                    rtol=1e-12, atol=1e-12)
-        p = frame.projector
+        # tangent projector V G^-1 V', built here from the frame
+        p = frame.velocity @ np.linalg.inv(frame.gram) @ frame.velocity.T
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         np.testing.assert_allclose(p @ frame.velocity, frame.velocity,
@@ -55,7 +57,7 @@ def test_mixing_matches_least_squares():
         velocity = rng.normal(size=(n, p))
         raw = rng.normal(size=(n, p, p))
         acceleration = 0.5 * (raw + np.swapaxes(raw, 1, 2))
-        gram, projector, mixing, normal = orthogonalize(velocity, acceleration)
+        gram, mixing, normal = orthogonalize(velocity, acceleration)
         for a in range(p):
             for b in range(p):
                 coef, *_ = np.linalg.lstsq(velocity, acceleration[:, a, b],
@@ -188,6 +190,17 @@ def test_frame_json_payload():
     acc = np.array(payload["acceleration"]["data"]).reshape(
         payload["acceleration"]["dims"])
     np.testing.assert_array_equal(acc, frame.acceleration)
+
+
+def test_frame_has_no_n_by_n_array():
+    """The frame is O(n p^2): at n = 64 no array field has two axes of length n."""
+    model = make_synthetic_curved(64)
+    frame = build_frame(model, model.ref_sampler(29, 1)[0], np.array([0.2]))
+    shapes = {name: value.shape for name, value in frame._asdict().items()
+              if isinstance(value, np.ndarray)}
+    assert shapes["velocity"] == (64, 1)
+    for name, shape in shapes.items():
+        assert shape.count(64) <= 1, f"{name} has shape {shape}"
 
 
 def test_quadratic_point_shape_guard():

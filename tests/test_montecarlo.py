@@ -587,8 +587,10 @@ def test_partition_order_study_matches_one_draw_checks():
 
 def test_partition_order_study_memory_is_bounded():
     """At the defaults the study holds one block of 21 x 1024 float64 rebuilt
-    points at a time beside the fits' rows: its traced peak stays within
-    1.1 times the 1.42 MiB of one partition_check per draw."""
+    points at a time beside the fits' rows, and its traced peak stays within
+    1.1 times 1.42 MiB.  That peak is set inside models._regression_start, by
+    its (61, n) start-grid temporaries at n = 1024, not by a partition_check
+    (whose passes peak near 1.38 MiB)."""
     import tracemalloc
 
     partition_order_study(n_grid=(16, 64), draws=2)  # warm caches outside the traced call
