@@ -27,8 +27,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimation import (
-    _BLOCK, FitResult, StandardizationRecord, _fit_points, _line_search, _norms, fit_mle,
-    standardize,
+    FitResult, StandardizationRecord, _fit_points, _line_search, _norms, fit_mle, standardize,
 )
 from .models import QuantileModel, non_invertible_mask
 
@@ -249,16 +248,15 @@ def contour_min_distance(
         return np.subtract(q[rows], r, out=r)  # in place: one (rows, n) array fewer
 
     def evaluate(rows, cand):  # in the domain, and not raising the squared distance
-        ok = inside(rows[:, None], cand)
-        of = rows[np.nonzero(ok)[0]]
-        res = residual(of, cand[ok])
-        values, hit = (res[:, None, :] @ res[:, :, None])[:, 0, 0], np.zeros(ok.shape, dtype=bool)
-        hit[ok] = values <= value[of]
-
-        def keep(acc, pick):  # each accepted one's row in res: in order when all take scale 1
-            place = slice(None) if pick is None else (np.cumsum(ok) - 1).reshape(ok.shape)[pick]
-            resid[acc], value[acc] = res[place], values[place]
-        return hit, keep
+        ok = inside(rows, cand)
+        res = residual(rows[ok], cand[ok])
+        values = (res[:, None, :] @ res[:, :, None])[:, 0, 0]
+        hit = ok.copy()
+        hit[ok] = good = values <= value[rows[ok]]
+        if not good.all():  # else res is stored as it is: no copy of its (rows, n)
+            res, values = res[good], values[good]
+        resid[rows[hit]], value[rows[hit]] = res, values
+        return hit
 
     for _ in range(60):
         out = ~inside(slice(None), t)
@@ -298,9 +296,8 @@ def contour_min_distance(
         go = (step[:, None] @ grad)[:, 0, 0] > floor
         active[rows[~go]] = False
         if go.any():
-            # a block holds at least the points refined: a partition pass's block bounds it
             rows = rows[go]
-            moved = _line_search(rows, t, step[go], model.n, max(_BLOCK, q.size), evaluate)
+            moved = _line_search(rows, t, step[go], evaluate)
             active[rows[~(moved[rows] >= 1e-13 * (1.0 + _norms(t[rows])))]] = False  # or NaN: none
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)

@@ -59,7 +59,8 @@ class TaylorFrame(NamedTuple):
         return record(self, n=self.n, p=self.p)
 
 
-def _check_arrays(velocity: np.ndarray, acceleration: np.ndarray):
+def _split(velocity, acceleration):
+    """The checked velocity, the symmetrized acceleration, then orthogonalize's split."""
     velocity = np.asarray(velocity, dtype=float)
     acceleration = np.asarray(acceleration, dtype=float)
     if velocity.ndim != 2:
@@ -74,17 +75,7 @@ def _check_arrays(velocity: np.ndarray, acceleration: np.ndarray):
         raise InvalidParameterError(
             f"acceleration not symmetric in trailing axes (gap {asym:.3e})"
         )
-    return velocity, 0.5 * (acceleration + np.swapaxes(acceleration, 1, 2))
-
-
-def orthogonalize(velocity: np.ndarray, acceleration: np.ndarray):
-    """Split the acceleration into tangential mixing and a normal part.
-
-    Returns (gram, mixing, normal) with
-    acceleration = normal + einsum('nk,kab->nab', velocity, mixing) and
-    velocity' normal = 0.
-    """
-    velocity, acceleration = _check_arrays(velocity, acceleration)
+    acceleration = 0.5 * (acceleration + np.swapaxes(acceleration, 1, 2))
     svals = np.linalg.svd(velocity, compute_uv=False)
     if svals[-1] <= _RANK_TOL * svals[0]:
         raise DegenerateTangentError(
@@ -95,7 +86,17 @@ def orthogonalize(velocity: np.ndarray, acceleration: np.ndarray):
     # regression coefficients of each acceleration column on the velocity span
     mixing = np.einsum("kl,nl,nab->kab", gram_inv, velocity, acceleration)
     normal = acceleration - np.einsum("nk,kab->nab", velocity, mixing)
-    return gram, mixing, normal
+    return velocity, acceleration, gram, mixing, normal
+
+
+def orthogonalize(velocity: np.ndarray, acceleration: np.ndarray):
+    """Split the acceleration into tangential mixing and a normal part.
+
+    Returns (gram, mixing, normal) with
+    acceleration = normal + einsum('nk,kab->nab', velocity, mixing) and
+    velocity' normal = 0.
+    """
+    return _split(velocity, acceleration)[2:]
 
 
 def build_frame(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray) -> TaylorFrame:
@@ -103,15 +104,14 @@ def build_frame(model: QuantileModel, x_ref: np.ndarray, theta: np.ndarray) -> T
     x_ref = model.check_point(x_ref, name="x_ref")
     theta = model.check_theta(theta)
     base = model.quantile(x_ref, theta)
-    velocity = np.asarray(model.dquantile_dtheta(x_ref, theta), dtype=float)
-    acceleration = np.asarray(model.d2quantile_dtheta2(x_ref, theta), dtype=float)
-    gram, mixing, normal = orthogonalize(velocity, acceleration)
+    velocity, acceleration, gram, mixing, normal = _split(
+        model.dquantile_dtheta(x_ref, theta), model.d2quantile_dtheta2(x_ref, theta))
     return TaylorFrame(
         base_point=base,
         x_ref=x_ref,
         theta=theta,
         velocity=velocity,
-        acceleration=0.5 * (acceleration + np.swapaxes(acceleration, 1, 2)),
+        acceleration=acceleration,
         gram=gram,
         mixing=mixing,
         normal_acceleration=normal,

@@ -47,10 +47,7 @@ _MAX_ITER = 100
 # two-observation Cauchy data the ratio is rounding noise, |ratio| < 1e-15;
 # identifiable fits in seeded runs of every family sit above 1e-3.
 _RANK_TOL = 1e-10
-# Backtracking scales of _line_search, and the float64 elements of the largest
-# (rows, scales, n) block of Newton candidates, unless one scale is larger
-_SCALES = 0.5 ** np.arange(40)
-_BLOCK = 1 << 11
+_SCALES = 0.5 ** np.arange(40)  # the backtracking scales of _line_search, one a call
 
 
 class FitResult(NamedTuple):
@@ -166,32 +163,25 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _line_search(rows, x, step, width, block, evaluate):
+def _line_search(rows, x, step, evaluate):
     """Move each listed row of x (K, p) (rows: indices, or slice(None) for
     all) to its first candidate x + scale * step, scale 1, 1/2, ..., 1/2^39,
     that evaluate accepts; returns the move |cand - x| of each row of x, NaN
-    where none was taken.  Scale 1 goes for every row in one call, then m
-    scales a call with rows * m * width <= block (m >= 1).  evaluate(rows,
-    cand (rows, m, p)) returns the acceptance (rows, m) and keep(acc, pick),
-    called once x[acc] is cand[pick] to carry the solver's state, or
-    keep(rows, None) once every row has taken scale 1."""
-    moved, k = np.full(len(x), np.nan), 0
-    while len(step) and k < len(_SCALES):
-        m = 1 if k == 0 else min(len(_SCALES) - k, max(1, block // (len(step) * width)))
-        cand = x[rows, None] + _SCALES[k:k + m, None] * step[:, None]
-        hit, keep = evaluate(rows, cand)
-        if k == 0 and hit.all():  # no index bookkeeping
-            moved[rows] = _norms(cand[:, 0] - x[rows])
-            x[rows] = cand[:, 0]
-            keep(rows, None)
+    where none was taken.  One call a scale: evaluate(rows, cand (rows, p)),
+    with rows as given at scale 1 and then the indices still searching, stores
+    the solver state of the rows it accepts and returns that acceptance (rows,)."""
+    moved = np.full(len(x), np.nan)
+    for scale in _SCALES:
+        cand = x[rows] + scale * step
+        hit = evaluate(rows, cand)
+        if hit.all():  # no index bookkeeping
+            moved[rows] = _norms(cand - x[rows])
+            x[rows] = cand
             break
-        got, rows = hit.any(axis=1), np.arange(len(x))[rows]
-        acc, pick = rows[got], (np.flatnonzero(got), hit.argmax(axis=1)[got])
-        moved[acc] = _norms(cand[pick] - x[acc])
-        x[acc] = cand[pick]
-        keep(acc, pick)
-        rows, step, k = rows[~got], step[~got], k + m
-        del cand, hit, keep  # free this block before the next one is built
+        rows = np.arange(len(x))[rows]
+        moved[rows[hit]] = _norms(cand[hit] - x[rows[hit]])
+        x[rows[hit]] = cand[hit]
+        rows, step = rows[~hit], step[~hit]
     return moved
 
 
@@ -220,27 +210,20 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     idx, out = np.arange(len(y)), [np.zeros(len(y), dtype=int), theta, x, value, s, info]
 
     def evaluate(rows, cand):  # in the domain, and not lowering the log-likelihood
+        nonlocal theta, x, value, s, info
         # past 709 math.exp overflows; such a candidate is out of the domain
         theta_c = _on_log_axes(logs, cand, lambda v: math.exp(v) if v <= 709.0 else math.nan)
-        ok = np.all((theta_c > lo) & (theta_c < hi), axis=2)
-        # one scale in full, a block of scales by value, then only its accepted candidates in
-        # full; one out of the domain is evaluated at its row's theta, and refused
-        th, (r, m, p) = np.where(ok[..., None], theta_c, theta[rows, None]), cand.shape
-        full = _likelihood(model, y[rows], th[:, 0]) if m == 1 else None
-        v = full[1][:, None] if m == 1 else _values(
-            model, np.repeat(y[rows], m, axis=0), th.reshape(-1, p))[2].reshape(r, m)
-        hit = ok & (v >= value[rows, None] - 1e-12 * (1.0 + np.abs(value[rows, None])))
-
-        def keep(acc, pick):
-            nonlocal theta, x, value, s, info
-            if pick is None:  # every row took its full step: the pass there is its state
-                theta, (x, value, s, info) = th[:, 0], full
-            else:
-                theta[acc] = theta_c[pick]
-                x[acc], value[acc], s[acc], info[acc] = (
-                    (part[pick[0]] for part in full) if m == 1
-                    else _likelihood(model, y[acc], theta[acc]))
-        return hit, keep
+        ok = np.all((theta_c > lo) & (theta_c < hi), axis=1)
+        # one out of the domain is evaluated at its row's theta, and refused
+        th = np.where(ok[:, None], theta_c, theta[rows])
+        full = _likelihood(model, y[rows], th)
+        hit = ok & (full[1] >= value[rows] - 1e-12 * (1.0 + np.abs(value[rows])))
+        if isinstance(rows, slice) and hit.all():  # all took the full step: the pass is the state
+            theta, (x, value, s, info) = th, full
+        else:
+            acc = np.arange(len(theta))[rows][hit]
+            theta[acc], x[acc], value[acc], s[acc], info[acc] = (part[hit] for part in (th,) + full)
+        return hit
 
     halt = False  # after a line search: no scale accepted (NaN), or a step under 1e-10
     for count in range(max_iterations + 1):
@@ -267,7 +250,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
         if trace is not None and idx[0] == 0:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
-        halt = ~(_line_search(slice(None), z, step, model.n, _BLOCK, evaluate) >= _STEP_TOL)
+        halt = ~(_line_search(slice(None), z, step, evaluate) >= _STEP_TOL)
     iterations, theta, x, value, s, info = out
     return x, theta, iterations, _norms(s) < _SCORE_TOL, value, s, info
 

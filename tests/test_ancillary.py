@@ -411,12 +411,12 @@ def test_gauss_newton_step_where_the_hessian_is_indefinite():
 
 
 def test_backtracking_blocks_split_one_rows_scales():
-    """At n = 1024 one halving of 21 rows fills a block, so while more than
-    ten rows search each halving is its own call and the halvings of one row
-    span several calls: rows whose first step overshoots 2^10-fold and more
-    take more than two quantile calls per iteration.  Every row, from its
-    start, restarted at its own minimizer and overshooting, ends on the
-    one-point loop's bits; the restarted rows retire without a step."""
+    """At n = 1024 each halving is its own line-search call over the rows
+    still searching, so the halvings of one row span several calls: rows
+    whose first step overshoots 2^10-fold and more take more than two
+    quantile calls per iteration.  Every row, from its start, restarted at
+    its own minimizer and overshooting, ends on the one-point loop's bits;
+    the restarted rows retire without a step."""
     model = make_synthetic_curved(1024)
     y0 = model.quantile(model.ref_sampler(20260816, 1)[0], np.array([0.4]))
     fit = fit_mle(model, y0)
@@ -455,15 +455,14 @@ def _counting(model, calls):
 
 @pytest.mark.parametrize("family", ["circle2d", "synthetic-curved"])
 def test_backtracking_costs_at_most_two_quantile_calls_per_iteration(family, monkeypatch):
-    """With every halving in one block, an iteration of partition_check's
-    refinement makes one quantile call at scale 1 and at most one for all
-    smaller scales, after one call for the start."""
+    """The line search makes one quantile call per scale it tries, and
+    partition_check's refinement backtracks so rarely that its iterations
+    average at most two quantile calls each, after one call for the start."""
     import ancontour.ancillary as anc
 
     model, theta = {"circle2d": (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), 0.3),
                     "synthetic-curved": (make_synthetic_curved(24), 0.4)}[family]
 
-    monkeypatch.setattr(anc, "_BLOCK", 1 << 30)
     counts, solve = [], anc.contour_min_distance
 
     def counting(model, fit, q, t_init, max_iter=60):

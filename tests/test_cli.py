@@ -814,7 +814,7 @@ def test_config_float_accepts_finite_numbers_only():
 
 
 def test_one_line_search_holds_the_halving_scales():
-    """The Newton fit and the Gauss-Newton distance share one line search:
+    """The Newton fit and the contour distance share one line search:
     _SCALES is read (or imported) only inside estimation._line_search, and no
     function defines a nested backtrack of its own."""
     readers, nested = set(), []

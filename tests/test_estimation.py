@@ -38,6 +38,7 @@ from ancontour.estimation import (
     _SCORE_TOL,
     _fit_points,
     _likelihood,
+    _line_search,
     _newton,
     _newton_system,
     _on_log_axes,
@@ -598,10 +599,9 @@ def _one_row_newton(model, y, theta, limit, monkeypatch):
 
     searches, line_search = [], est._line_search
 
-    def recording(rows, x, step, width, block, evaluate):
+    def recording(rows, x, step, evaluate):
         calls = []
-        moved = line_search(rows, x, step, width, block,
-                            lambda r, cand: calls.append(1) or evaluate(r, cand))
+        moved = line_search(rows, x, step, lambda r, cand: calls.append(1) or evaluate(r, cand))
         searches.append((len(calls), float(moved[0])))
         return moved
 
@@ -618,6 +618,45 @@ def _one_row_newton(model, y, theta, limit, monkeypatch):
         return out, "iteration limit"
     backtracked = any(calls > 1 for calls, _ in searches)
     return out, "score after backtracking" if backtracked else "score"
+
+
+def test_line_search_tries_one_scale_a_call():
+    """The shared line search's contract, on a toy evaluate that accepts row r
+    at scales of at most 2^-k[r], and never where k[r] is None: under slice(None)
+    every row takes scale 1 in one call; a row first accepted at 2^-k moves
+    by 2^-k |step| after k + 1 calls, each of which saw only the rows still
+    searching; a row never accepted keeps its x and gets NaN after 40 calls,
+    as does a row not listed."""
+    def toy(bounds, calls):
+        def evaluate(rows, cand):
+            calls.append(rows if isinstance(rows, slice) else rows.tolist())
+            assert cand.shape == (len(bounds[rows]), 2)
+            return cand[:, 0] - 1.0 <= 3.0 * bounds[rows]
+        return evaluate
+
+    step = np.array([[3.0, 4.0]] * 5)
+    x, calls = np.ones((5, 2)), []
+    moved = _line_search(slice(None), x, step, toy(np.ones(5), calls))
+    assert calls == [slice(None)]
+    assert x.tolist() == [[4.0, 5.0]] * 5 and moved.tolist() == [5.0] * 5
+
+    k = [0, 1, 3, 7, None]
+    bounds = np.array([-1.0 if j is None else 0.5**j for j in k])
+    x, calls = np.ones((5, 2)), []
+    moved = _line_search(slice(None), x, step, toy(bounds, calls))
+    assert calls == [slice(None)] + [[row for row, j in enumerate(k) if j is None or j >= call]
+                                     for call in range(1, 40)]
+    for row, j in enumerate(k):
+        if j is None:
+            assert x[row].tolist() == [1.0, 1.0] and math.isnan(moved[row])
+        else:
+            assert moved[row] == 0.5**j * 5.0
+            assert x[row].tolist() == [1.0 + 3.0 * 0.5**j, 1.0 + 4.0 * 0.5**j]
+
+    x, calls = np.ones((3, 2)), []
+    moved = _line_search(np.array([0, 2]), x, step[:2], toy(np.ones(3), calls))
+    assert calls == [[0, 2]] and x[1].tolist() == [1.0, 1.0] and math.isnan(moved[1])
+    assert moved[[0, 2]].tolist() == [5.0, 5.0]
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
