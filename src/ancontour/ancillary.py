@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from ._jsonio import config_float, config_int, csv_lines, record
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
@@ -31,22 +32,7 @@ from .estimation import (
 )
 from .models import QuantileModel, non_invertible_mask
 
-__all__ = [
-    "GridSpec",
-    "ContourCloud",
-    "PartitionReport",
-    "ExactComparisonReport",
-    "SeveriniReport",
-    "InversionReport",
-    "build_contour",
-    "contour_min_distance",
-    "partition_check",
-    "compare_exact",
-    "exact_label",
-    "severini_pivot",
-    "severini_pivot_check",
-    "cauchy_inversion_demo",
-]
+__all__ = _EXPORTS["ancillary"]
 
 
 class GridSpec(NamedTuple("GridSpec", [("half_width", float), ("points_per_axis", int),

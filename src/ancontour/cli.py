@@ -2,13 +2,14 @@
 
 Subcommands: example (canned demonstrations), contour (build a contour cloud
 from a model config and one data point), frame (the Taylor frame at the
-fit), verify (quadrature and simulation studies).  contour and frame read
-the same config (model, data, optional grid).  Configs are JSON files
-parsed and validated completely before any output is created; writes are
-atomic, so interrupted runs never leave partial files.  Exit codes: 0 on
-success, 2 for usage or configuration errors, 1 for runtime failures.  Each
-command imports the package modules it runs inside its handler, so a process
-loads no model, fit or study code that its command does not use.
+fit), verify (quadrature and simulation studies).  contour reads a model,
+data and an optional grid from its config, frame a model and data only.
+Configs are JSON files parsed and validated completely before any output is
+created; writes are atomic, so interrupted runs never leave partial files,
+and an unwritable output path is a usage error.  Exit codes: 0 on success,
+2 for usage or configuration errors, 1 for runtime failures.  Each command
+imports the package modules it runs inside its handler, so a process loads
+no model, fit or study code that its command does not use.
 """
 
 from __future__ import annotations
@@ -85,21 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("name", choices=_EXAMPLES)
     p_example.set_defaults(handler=_cmd_example)
 
+    p_config = {}
     for name, handler, text in (
             ("contour", _cmd_contour, "build the contour cloud through a data point"),
-            ("frame", _cmd_frame, "Taylor frame at the fitted parameter")):
-        p_point = sub.add_parser(name, parents=[common], help=text)
-        p_point.add_argument("--config", required=True, help="JSON config path")
-        p_point.add_argument("--grid", default=None, metavar="HW,POINTS",
-                             help="offset grid: half width and points per axis")
-        p_point.set_defaults(handler=handler)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run a quadrature or simulation study")
-    p_verify.add_argument("--config", required=True, help="JSON config path")
-    p_verify.add_argument("--reps", type=int, default=None,
-                          help="replication count override for the order study")
-    p_verify.set_defaults(handler=_cmd_verify)
+            ("frame", _cmd_frame, "Taylor frame at the fitted parameter"),
+            ("verify", _cmd_verify, "run a quadrature or simulation study")):
+        p_config[name] = sub.add_parser(name, parents=[common], help=text)
+        p_config[name].add_argument("--config", required=True, help="JSON config path")
+        p_config[name].set_defaults(handler=handler)
+    p_config["contour"].add_argument("--grid", default=None, metavar="HW,POINTS",
+                                     help="offset grid: half width and points per axis")
+    p_config["verify"].add_argument("--reps", type=int, default=None,
+                                    help="replication count override for the order study")
     return parser
 
 
@@ -183,7 +181,7 @@ def _resolve_grid(args, config: dict):
     if isinstance(block, str):
         return GridSpec.parse(block)
     if isinstance(block, dict):
-        bad = set(block) - {"half_width", "points_per_axis", "standardized"}
+        bad = set(block) - set(GridSpec._fields)
         if bad:
             raise _UsageError(f"unknown grid keys: {sorted(bad)}")
         return GridSpec(**block)
@@ -191,8 +189,11 @@ def _resolve_grid(args, config: dict):
 
 
 def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    atomic_write_text(path, text)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(summary: dict) -> None:
@@ -215,18 +216,20 @@ def _kv_csv(summary: dict) -> str:
 
 
 def _load_point_config(args):
-    """(model, y0, grid) from a contour/frame config: model, data, optional grid."""
+    """(model, y0, grid) from a contour config (model, data, optional grid),
+    or (model, y0, None) from a frame config (model, data)."""
     from .models import model_from_config
 
+    takes_grid = "grid" in args  # contour's parser has --grid, frame's has not
     config = _load_json(args.config)
-    bad = set(config) - {"model", "data", "grid"}
+    bad = set(config) - {"model", "data", *(("grid",) if takes_grid else ())}
     if bad:
         raise _UsageError(f"unknown config keys: {sorted(bad)}")
     if "model" not in config or "data" not in config:
         raise _UsageError("config needs 'model' and 'data'")
     try:
         model = model_from_config(config["model"])
-        grid = _resolve_grid(args, config)
+        grid = _resolve_grid(args, config) if takes_grid else None
         y0 = _resolve_data(model, config["data"], args.seed)
     except _CONFIG_ERRORS as exc:
         raise _UsageError(str(exc)) from exc

@@ -13,17 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from ._jsonio import record
 from .errors import DegenerateTangentError, InvalidDimensionError, InvalidParameterError
 from .models import QuantileModel
 
-__all__ = [
-    "TaylorFrame",
-    "build_frame",
-    "orthogonalize",
-    "quadratic_point",
-    "reparameterize",
-]
+__all__ = _EXPORTS["diffgeo"]
 
 _RANK_TOL = 1e-10
 

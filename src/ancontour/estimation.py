@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -27,17 +28,7 @@ from .errors import (
 )
 from .models import QuantileModel
 
-__all__ = [
-    "FitResult",
-    "StandardizationRecord",
-    "fitted_reference",
-    "loglik",
-    "score",
-    "observed_information",
-    "closed_form_mle",
-    "fit_mle",
-    "standardize",
-]
+__all__ = _EXPORTS["estimation"]
 
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from ._jsonio import config_float, config_int
 from .errors import (
     InvalidDimensionError,
@@ -33,20 +34,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
-__all__ = [
-    "QuantileModel",
-    "EtaHandle",
-    "InvertedCauchyMap",
-    "make_location_scale",
-    "make_circle",
-    "make_nonlinear_regression",
-    "make_synthetic_curved",
-    "eta_circle",
-    "eta_curved",
-    "invert_coordinates",
-    "model_from_config",
-    "non_invertible_mask",
-]
+__all__ = _EXPORTS["models"]
 
 _UNBOUNDED = (-math.inf, math.inf)
 _POSITIVE = (0.0, math.inf)

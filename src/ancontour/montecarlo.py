@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from ._jsonio import config_float, config_int, csv_lines, record
 from .errors import (
     EmptyStudyError,
@@ -33,18 +34,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
-__all__ = [
-    "QuadratureSpec",
-    "QuadratureReport",
-    "OrderStudySpec",
-    "OrderStudyReport",
-    "PartitionOrderSpec",
-    "PartitionOrderReport",
-    "quadrature_first_derivative",
-    "run_replicated",
-    "partition_order_study",
-    "spec_from_config",
-]
+__all__ = _EXPORTS["montecarlo"]
 
 
 @functools.cache  # built on first use: the nodes cost more than importing the module
@@ -175,18 +165,13 @@ class QuadratureSpec(NamedTuple):
             raise InvalidParameterError("'theta_probe' must be nonzero and finite")
         return spec
 
-    @property
-    def a_grid(self) -> np.ndarray:
-        return np.linspace(-3.0, 3.0, self.a_points)
-
     def run(self) -> QuadratureReport:
-        spec = self.validate()
-        return quadrature_first_derivative(spec.c_values, spec.a_grid, spec.eps, spec.theta_probe)
+        return quadrature_first_derivative(*self)
 
 
 def quadrature_first_derivative(
     c_values=QuadratureSpec._field_defaults["c_values"],
-    a_grid=None,
+    a_points: int = QuadratureSpec._field_defaults["a_points"],
     eps: float = QuadratureSpec._field_defaults["eps"],
     theta_probe: float = QuadratureSpec._field_defaults["theta_probe"],
 ) -> QuadratureReport:
@@ -194,13 +179,14 @@ def quadrature_first_derivative(
 
     The statistic density is symmetric in theta, so the central difference
     with step eps measures quadrature noise only; the report also evaluates
-    the symmetry directly at theta_probe and the (a, c) sign flip.  c_values
-    must be nonempty and finite, eps positive and finite, theta_probe
-    nonzero and finite; a_grid is QuadratureSpec's unless given.
+    the symmetry directly at theta_probe and the (a, c) sign flip.  The
+    arguments are QuadratureSpec's fields: c_values must be nonempty and
+    finite, a_points at least 1, eps positive and finite, theta_probe
+    nonzero and finite.
     """
-    spec = QuadratureSpec(c_values, eps=eps, theta_probe=theta_probe).validate()
-    c_values, _, eps, theta_probe = spec
-    a_grid = spec.a_grid if a_grid is None else np.asarray(a_grid, dtype=float)
+    c_values, a_points, eps, theta_probe = QuadratureSpec(
+        c_values, a_points, eps, theta_probe).validate()
+    a_grid = np.linspace(-3.0, 3.0, a_points)
     cases = []
     for c in c_values:
         derivs = (_density_integral(a_grid, eps, c)
@@ -581,12 +567,7 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
 class PartitionOrderReport(NamedTuple):
     """Partition discrepancy of the synthetic curved family versus n."""
 
-    n_grid: tuple
-    t1_std: float
-    draws: int
-    seed: int
-    grid_half_width: float
-    grid_points: int
+    spec: PartitionOrderSpec
     mean_discrepancy: list
     per_draw: list
     slope: float
@@ -597,11 +578,11 @@ class PartitionOrderReport(NamedTuple):
         return {"study": "partition-order", "slope": self.slope,
                 "mean_discrepancy": self.mean_discrepancy}
 
-    def to_json_dict(self) -> dict:
-        return record(self, study="partition-order")
+    def to_json_dict(self) -> dict:  # every spec key, at the top level
+        return record(self, skip=("spec",), study="partition-order", **self.spec._asdict())
 
     def to_csv(self) -> str:
-        rows = [[n, m] for n, m in zip(self.n_grid, self.mean_discrepancy)]
+        rows = [[n, m] for n, m in zip(self.spec.n_grid, self.mean_discrepancy)]
         return csv_lines(["n", "mean_discrepancy"], rows)
 
 
@@ -641,9 +622,7 @@ class PartitionOrderSpec(NamedTuple):
         return GridSpec(half_width=self.grid_half_width, points_per_axis=self.grid_points)
 
     def run(self) -> PartitionOrderReport:
-        spec = self.validate()
-        return partition_order_study(spec.n_grid, spec.t1_std, spec.draws, spec.seed,
-                                     grid=spec.grid)
+        return partition_order_study(*self)
 
 
 def partition_order_study(
@@ -651,7 +630,8 @@ def partition_order_study(
     t1_std: float = PartitionOrderSpec._field_defaults["t1_std"],
     draws: int = PartitionOrderSpec._field_defaults["draws"],
     seed: int = PartitionOrderSpec._field_defaults["seed"],
-    grid=None,
+    grid_half_width: float = PartitionOrderSpec._field_defaults["grid_half_width"],
+    grid_points: int = PartitionOrderSpec._field_defaults["grid_points"],
 ) -> PartitionOrderReport:
     """Measure how the partition discrepancy of a curved family decays with n.
 
@@ -659,38 +639,27 @@ def partition_order_study(
     observed points; the contour is rebuilt from its own point at offset
     t1_std and the one-sided set discrepancy recorded.  The log-log slope of
     the per-n means is the order estimate (1/n for this second-order
-    construction), so n_grid needs at least two distinct sample sizes.  grid
-    is the contour's GridSpec, by default PartitionOrderSpec's.
+    construction), so n_grid needs at least two distinct sample sizes.  The
+    arguments are PartitionOrderSpec's fields; each contour's grid has
+    grid_points per axis over the standardized half width grid_half_width.
     """
     from .ancillary import _partition_pass
     from .models import make_synthetic_curved
 
-    spec = PartitionOrderSpec(n_grid, t1_std, draws, seed).validate()
+    spec = PartitionOrderSpec(n_grid, t1_std, draws, seed, grid_half_width,
+                              grid_points).validate()
     n_grid, t1_std, draws, seed, *_ = spec
-    grid = spec.grid if grid is None else grid
     per_draw = []
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)
         rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n_idx, d)))
                 for d in range(draws))
         y0 = model.quantile(np.array([rng.standard_normal(n) for rng in rngs]), np.zeros(1))
-        reports = _partition_pass(model, y0, np.array([t1_std]), grid)
+        reports = _partition_pass(model, y0, np.array([t1_std]), spec.grid)
         per_draw.append([report.discrepancy for report in reports])
     means = [float(np.mean(row)) for row in per_draw]
     slope, slope_se, band = _slope_fit(n_grid, means)
-    return PartitionOrderReport(
-        n_grid=n_grid,
-        t1_std=t1_std,
-        draws=draws,
-        seed=seed,
-        grid_half_width=grid.half_width,
-        grid_points=grid.points_per_axis,
-        mean_discrepancy=means,
-        per_draw=per_draw,
-        slope=slope,
-        slope_se=slope_se,
-        slope_band=band,
-    )
+    return PartitionOrderReport(spec, means, per_draw, slope, slope_se, band)
 
 
 _STUDIES = {"quadrature": QuadratureSpec, "ancillarity-order": OrderStudySpec,

@@ -63,8 +63,10 @@ CIRCLE_CONFIG = {
     "data": {"y": [1.2, 0.0]},
     "grid": "3.0,41",
 }
+# frame reads a model and data only
+FRAME_CONFIG = {key: value for key, value in CIRCLE_CONFIG.items() if key != "grid"}
 
-# the contour/frame config shown in README.md, copied verbatim
+# the contour config shown in README.md, copied verbatim
 README_CONFIG = """{
   "model": {"family": "circle2d", "rho": 1.0, "variance_scale": 1.0},
   "data": {"y": [1.2, 0.0]},
@@ -183,8 +185,10 @@ def test_contour_csv_output_and_rerun_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["contour", "frame"])
 def test_readme_config_runs_for_contour_and_frame(command, tmp_path, capsys):
+    """frame runs the README's config less its grid, as the README says."""
     config = tmp_path / "contour.json"
-    config.write_text(README_CONFIG)
+    config.write_text(README_CONFIG if command == "contour" else
+                      README_CONFIG.replace(',\n  "grid": "3.0,41"', ""))
     code, values, _ = run_cli([command, "--config", str(config),
                                "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -268,7 +272,7 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
      "half_width"),
     ("verify", {"study": "partition-order", "grid_points": "21"}, "grid_points"),
     ("contour", {**CIRCLE_CONFIG, "grid": {"standardized": "false"}}, "'standardized'"),
-    ("frame", {**CIRCLE_CONFIG, "grid": {"standardized": 0}}, "'standardized'"),
+    ("contour", {**CIRCLE_CONFIG, "grid": {"standardized": 0}}, "'standardized'"),
     ("verify", {"study": "partition-order", "grid_half_width": 0}, "half_width"),
     ("verify", {"study": "partition-order", "grid_half_width": -1.5}, "half_width"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
@@ -322,11 +326,12 @@ def test_partition_order_config_error_carries_the_study_message(payload, tmp_pat
     (["verify", "--config", "CONFIG", "--reps", "3"], "--reps", {"study": "quadrature"}),
     (["verify", "--config", "CONFIG", "--reps", "3"], "--reps",
      {"study": "partition-order", "n_grid": [16, 64], "draws": 2}),
+    (["frame", "--config", "CONFIG", "--grid", "1,5"], "--grid", FRAME_CONFIG),
 ], ids=["example-grid", "example-reps", "contour-reps", "verify-grid",
-        "verify-quadrature-reps", "verify-partition-reps"])
+        "verify-quadrature-reps", "verify-partition-reps", "frame-grid"])
 def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, payload, tmp_path,
                                                            capsys):
-    """--grid belongs to contour and frame, --reps to the ancillarity-order study;
+    """--grid belongs to contour, --reps to the ancillarity-order study;
     elsewhere they exit 2."""
     config = write_config(tmp_path, payload)
     argv = [config if a == "CONFIG" else a for a in argv]
@@ -459,6 +464,25 @@ def test_verify_quadrature(tmp_path, capsys):
     assert sha256(tmp_path / "quadrature.json") == QUADRATURE_DIGEST
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["example", "severini"], "FILE/sub"),
+    (["verify", "--config", "CONFIG"], "FILE"),
+], ids=["example-under-a-file", "verify-quadrature-onto-a-file"])
+def test_unwritable_out_is_usage_error(argv, out, tmp_path, capsys):
+    """An --out that is a regular file, or lies under one, exits 2 naming
+    the path, with no traceback and no file written."""
+    config = write_config(tmp_path, {"study": "quadrature"})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [config if a == "CONFIG" else a for a in argv]
+    code, _, err = run_cli(argv + ["--out", out.replace("FILE", str(blocker))], capsys)
+    assert code == 2
+    assert "cannot write" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+    assert blocker.read_text() == ""
+
+
 def test_verify_order_study_with_overrides(tmp_path, capsys):
     config = write_config(tmp_path, {
         "study": "ancillarity-order", "family": "circle",
@@ -491,8 +515,7 @@ def test_verify_partition_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload,report", [
     ({"study": "quadrature", "c_values": [1.0], "a_points": 21},
-     lambda: ancontour.quadrature_first_derivative(c_values=(1.0,),
-                                                   a_grid=np.linspace(-3.0, 3.0, 21))),
+     lambda: ancontour.quadrature_first_derivative(c_values=(1.0,), a_points=21)),
     (ORDER_BASE, lambda: ancontour.run_replicated(ancontour.OrderStudySpec(
         family="circle", n_grid=(8, 16), deltas=(1.0,), reps=200, batch_size=100))),
     ({"study": "partition-order", "n_grid": [16, 64], "draws": 2},
@@ -578,8 +601,8 @@ NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 from ancontour import cli, estimation, make_circle, make_location_scale
-out, contour, *studies = sys.argv[1:]
-runs = [["contour", "--config", contour], ["frame", "--config", contour]]
+out, contour, frame, *studies = sys.argv[1:]
+runs = [["contour", "--config", contour], ["frame", "--config", frame]]
 runs += [["example", name] for name in ("circle2d", "location-scale", "nonlinreg-known",
                                         "nonlinreg-unknown", "severini", "cauchy-inversion")]
 runs += [["verify", "--config", study] for study in studies]
@@ -606,6 +629,7 @@ def test_commands_without_scipy_load_no_scipy(tmp_path):
     order studies included, and every fit that ends in the damped rescue run
     without importing it."""
     configs = [write_config(tmp_path, CIRCLE_CONFIG, "contour-config.json"),
+               write_config(tmp_path, FRAME_CONFIG, "frame-config.json"),
                write_config(tmp_path, {"study": "quadrature"}, "quadrature-config.json"),
                write_config(tmp_path, {"study": "partition-order", "n_grid": [16, 64],
                                        "draws": 2}, "partition-config.json"),
@@ -666,10 +690,10 @@ def test_point_commands_load_no_study_code(tmp_path):
     """`import ancontour` loads no submodule and no numpy; every example,
     contour and frame command loads the model, fit, frame and contour code
     it runs, and never montecarlo."""
-    config = write_config(tmp_path, CIRCLE_CONFIG)
     out = ["--out", str(tmp_path / "out")]
     runs = [["example", name, *out] for name in EXAMPLES]
-    runs += [[command, "--config", config, *out] for command in ("contour", "frame")]
+    runs += [[command, "--config", write_config(tmp_path, payload, f"{command}.json"), *out]
+             for command, payload in (("contour", CIRCLE_CONFIG), ("frame", FRAME_CONFIG))]
     bare, *after = loaded_modules(runs)
     assert bare == set()
     for argv, names in zip(runs, after):
@@ -691,9 +715,9 @@ def test_verify_studies_load_only_what_they_run(payload, extra, tmp_path):
 
 def test_package_namespace_loads_names_on_first_use():
     """Each public name is the object its module defines, each module's
-    __all__ lists exactly its exported names, dir() and `import *` cover
-    them, a submodule is reachable from a bare import, and an unknown name
-    is an AttributeError naming it."""
+    __all__ is its _EXPORTS entry itself, dir() and `import *` cover them,
+    a submodule is reachable from a bare import, and an unknown name is an
+    AttributeError naming it."""
     for name in ancontour.__all__[1:]:
         value = getattr(ancontour, name)
         assert value.__module__.startswith("ancontour."), name
@@ -704,6 +728,8 @@ def test_package_namespace_loads_names_on_first_use():
         defined = [k for k, v in vars(mod).items()
                    if isinstance(v, type) and v.__module__ == mod.__name__]
         assert tuple(getattr(mod, "__all__", defined)) == names, module
+        if module != "errors":
+            assert mod.__all__ is names, module
     assert ancontour.__all__[0] == "__version__"
     assert len(set(ancontour.__all__)) == len(ancontour.__all__)
     assert set(ancontour.__all__) <= set(dir(ancontour))

@@ -99,8 +99,7 @@ def test_quadrature_second_order_scale_value():
 
 
 def test_quadrature_report_formats():
-    report = quadrature_first_derivative(c_values=(1.0,),
-                                         a_grid=np.linspace(-2, 2, 9))
+    report = quadrature_first_derivative(c_values=(1.0,), a_points=9)
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["study"] == "quadrature"
     assert len(payload["cases"]) == 1
