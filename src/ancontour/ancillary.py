@@ -12,6 +12,7 @@ inversion that breaks global invertibility).
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -110,12 +111,15 @@ class ContourCloud(NamedTuple):
                       theta_hat=self.fit.theta_hat, x_hat=self.fit.x_hat)
 
 
+@functools.lru_cache(maxsize=16)
 def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:
     axis = np.linspace(-grid.half_width, grid.half_width, grid.points_per_axis)
     if grid.points_per_axis % 2 == 1:
         axis[grid.points_per_axis // 2] = 0.0
     mesh = np.meshgrid(*([axis] * p), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    offsets = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _sweep(model, x_hat, theta_hat, rec, grid):
@@ -194,10 +198,11 @@ def contour_min_distance(
     t_init (a parameter offset near the argmin), with domain clipping and the
     line search of the Newton fit, estimation._line_search.  A row takes
     Newton's step where the Hessian V'V - sum r_i d2q_i/dtheta2 of |r|^2 / 2
-    is positive definite relative to tr(V'V), and Gauss-Newton's elsewhere.
-    It stops before a step whose predicted decrease g's is within 4 ulps of
-    sum |r_i| |q_i|, the rounding of its squared distance, or after one that
-    moves t by less than 1e-13 (1 + |t|).  Returns
+    is positive definite relative to tr(V'V), and Gauss-Newton's elsewhere;
+    none where its start is within 4 ulps of sum |r_i| (|q_i| + |a_i| +
+    |b_i x_i|), the rounding of |q - Q|^2, Q = a + b x_hat.  It stops before
+    a step whose predicted decrease g's is within 4 ulps of sum |r_i| |q_i|,
+    or after one that moves t by less than 1e-13 (1 + |t|).  Returns
     (distance, argmin offset): a float and (p,) for one point q (n,), or (K,)
     and (K, p) for rows q (K, n) and t_init (K, p), solved together with each
     row on the path it would take alone; fit may carry one anchor per row
@@ -254,7 +259,12 @@ def contour_min_distance(
         value = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
     if not np.all(np.isfinite(value)):
         raise InvalidParameterError("q is too far from the contour for a finite squared distance")
-    active, p = np.ones(len(q), dtype=bool), model.p
+    # the start check, with a = q - r - b x to rounding
+    bx, p = model.dquantile_dx(np.zeros(model.n), theta + t) * x_hat, model.p
+    terms = np.abs(bx) + np.abs(q - resid - bx) + np.abs(q)
+    floor = (np.abs(resid)[:, None] @ terms[..., None])[:, 0, 0]
+    active = value > 4 * np.finfo(float).eps * floor
+    del bx, terms
     for _ in range(max_iter):
         rows = np.flatnonzero(active)
         if rows.size == 0:
@@ -293,9 +303,9 @@ class PartitionReport(NamedTuple):
     """One-sided distance from the rebuilt contour to the original one.
 
     discrepancy is the max over the rebuilt grid of the continuous distance
-    to the original contour; theta_gap compares the fresh MLE at y1 with
-    theta_hat0 + t1 (exact for location-type exact ancillaries, O(n^-1) in
-    moderate deviations otherwise).
+    to the original contour; theta_gap compares the MLE at y1 with
+    theta_hat0 + t1 (zero to rounding on location-scale families, O(n^-1)
+    in moderate deviations otherwise).
     """
 
     discrepancy: float
@@ -319,12 +329,13 @@ def partition_check(
 ) -> PartitionReport:
     """Rebuild the contour from a point on it and measure the set discrepancy.
 
-    Picks y1 = q(x_hat0; theta_hat0 + t1), refits from scratch at y1, and
+    Picks y1 = q(x_hat0; theta_hat0 + t1), fits it (closed form, or Newton
+    from theta1 = theta_hat0 + t1, its MLE on location-scale families), and
     reports the maximum over the rebuilt cloud of the distance to the
     original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
     is refined by Newton steps (Gauss-Newton's where the Hessian is not
     positive definite) from t = (theta_hat1 - theta_hat0) + s, its minimiser
-    where x_hat1 = x_hat0, where it mostly stops before a line search.  t1
+    where x_hat1 = x_hat0, where the start check retires it at once.  t1
     is given in standardized units, with |t1| <= _T1_CAP to keep the probe
     inside moderate deviations.  fit, when given, is the fit of y0
     (fit_mle's), which is then not repeated; a fit of another point raises.
@@ -362,7 +373,7 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     for row, point in zip(theta1, y1):
         model.check_theta(row)
         model.check_point(point)
-    theta_hat1, info1, x1 = _fit_points(model, y1)[:3]
+    theta_hat1, info1, x1 = _fit_points(model, y1, None if model.closed_form else theta1)[:3]
 
     worst = np.zeros(len(y0))
     step = max(1, _PASS_BLOCK // (grid.points_per_axis ** model.p * model.n))

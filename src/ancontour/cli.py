@@ -6,10 +6,10 @@ fit), verify (quadrature and simulation studies).  contour reads a model,
 data and an optional grid from its config, frame a model and data only.
 Configs are JSON files parsed and validated completely before any output is
 created; writes are atomic, so interrupted runs never leave partial files,
-and an unwritable output path is a usage error.  Exit codes: 0 on success,
-2 for usage or configuration errors, 1 for runtime failures.  Each command
-imports the package modules it runs inside its handler, so a process loads
-no model, fit or study code that its command does not use.
+and an unwritable output path is a usage error found before any work.  Exit
+codes: 0 on success, 2 for usage or configuration errors, 1 for runtime
+failures.  Each command imports the package modules it runs inside its
+handler, so a process loads no model, fit or study code it does not use.
 """
 
 from __future__ import annotations
@@ -188,6 +188,17 @@ def _resolve_grid(args, config: dict):
     raise _UsageError("'grid' must be a string 'half_width,points' or an object")
 
 
+def _target(args, stem: str) -> str:
+    """--out/stem.format, once the nearest existing folder on that path is writable."""
+    path = os.path.join(args.out, f"{stem}.{args.format}")
+    folder = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise _UsageError(f"cannot write {path}: {folder} is not a writable directory")
+    return path
+
+
 def _write(path: str, text: str) -> None:
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -240,10 +251,9 @@ def _cmd_contour(args) -> int:
     from .ancillary import build_contour
 
     model, y0, grid = _load_point_config(args)
+    path = _target(args, "contour")
     cloud = build_contour(model, y0, grid)
-    ext = args.format
-    path = os.path.join(args.out, f"contour.{ext}")
-    _write(path, cloud.to_csv() if ext == "csv" else dumps(cloud))
+    _write(path, cloud.to_csv() if args.format == "csv" else dumps(cloud))
     _emit({
         "family": cloud.family,
         "theta_hat": cloud.fit.theta_hat,
@@ -259,6 +269,7 @@ def _cmd_frame(args) -> int:
     from .estimation import fit_mle
 
     model, y0, _ = _load_point_config(args)
+    path = _target(args, "frame")
     fit = fit_mle(model, y0)
     frame = build_frame(model, fit.x_hat, fit.theta_hat)
     tilt = reparameterize(frame, np.full(model.p, 0.1))
@@ -269,9 +280,7 @@ def _cmd_frame(args) -> int:
         "normal_norm": float(np.linalg.norm(frame.normal_acceleration)),
         "gram_condition": float(np.linalg.cond(frame.gram)),
     }
-    ext = args.format
-    path = os.path.join(args.out, f"frame.{ext}")
-    _write(path, _kv_csv(summary) if ext == "csv" else dumps(doc))
+    _write(path, _kv_csv(summary) if args.format == "csv" else dumps(doc))
     summary["wrote"] = path
     _emit(summary)
     return 0
@@ -285,8 +294,8 @@ def _cmd_verify(args) -> int:
         spec = spec_from_config(config, reps=args.reps, seed=args.seed)
     except _CONFIG_ERRORS as exc:
         raise _UsageError(str(exc)) from exc
+    path = _target(args, config["study"])
     report = spec.run()
-    path = os.path.join(args.out, f"{config['study']}.{args.format}")
     _write(path, report.to_csv() if args.format == "csv" else dumps(report))
     _emit({**report.summary(), "wrote": path})
     return 0
@@ -311,6 +320,7 @@ def _cmd_example(args) -> int:
 
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     name = args.name
+    path = _target(args, f"example-{name}")
     cloud = None
     if name in ("circle2d", "location-scale", "nonlinreg-known", "nonlinreg-unknown"):
         model, theta, t1, grid = {  # model, true theta (None: a fixed y0), t1 and grid
@@ -367,14 +377,10 @@ def _cmd_example(args) -> int:
             "excluded_points": len(report.line_excluded_points),
         }
 
-    ext = args.format
-    path = os.path.join(args.out, f"example-{name}.{ext}")
-    if ext == "csv" and cloud is not None:
-        text = cloud.to_csv()
-    elif ext == "csv":
-        text = _kv_csv(summary)
-    else:
+    if args.format == "json":
         text = dumps(doc)
+    else:
+        text = cloud.to_csv() if cloud is not None else _kv_csv(summary)
     _write(path, text)
     summary["wrote"] = path
     _emit(summary)

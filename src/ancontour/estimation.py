@@ -179,13 +179,13 @@ def _line_search(rows, x, step, evaluate):
 def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
     """Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
 
-    A row stops at a score norm below 1e-8, a failed line search
-    (_line_search finds no scale of the step that stays in the domain and
-    keeps the log-likelihood from falling), a step under 1e-10 or the
-    iteration limit, and is then written out: only rows still iterating are
-    held.  A singular Hessian raises.  Returns rows (x, theta, iterations,
-    converged, log-likelihood, score, information), all _likelihood's at the
-    final theta; trace gets the first row's iterates.
+    A row stops at a score norm below 1e-8 (all rows, with no loop, if all
+    start there), a failed line search (_line_search finds no scale of the
+    step that stays in the domain and keeps the log-likelihood from falling),
+    a step under 1e-10 or the iteration limit, and is then written out: only
+    rows still iterating are held.  A singular Hessian raises.  Returns rows
+    (x, theta, iterations, converged, log-likelihood, score, information),
+    all _likelihood's at the final theta; trace gets the first row's iterates.
 
     damped (the rescue) adds lam I to each information H whose smallest
     eigenvalue is not above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) +
@@ -198,6 +198,8 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     z = _on_log_axes(logs, theta, math.log)
     theta = _on_log_axes(logs, z, math.exp)
     x, value, s, info = _likelihood(model, y, theta)
+    if np.all(converged := _norms(s) < _SCORE_TOL):
+        return x, theta, np.zeros(len(y), dtype=int), converged, value, s, info
     idx, out = np.arange(len(y)), [np.zeros(len(y), dtype=int), theta, x, value, s, info]
 
     def evaluate(rows, cand):  # in the domain, and not lowering the log-likelihood
@@ -219,7 +221,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     halt = False  # after a line search: no scale accepted (NaN), or a step under 1e-10
     for count in range(max_iterations + 1):
         done = halt | (_norms(s) < _SCORE_TOL) | (count == max_iterations)
-        if done.any() or not idx.size:  # write rows out: iterations, then _likelihood's
+        if done.any():  # write rows out: iterations, then _likelihood's
             every, rows = done.all(), idx[done]
             for o, v in zip(out, (np.full(len(idx), count), theta, x, value, s, info)):
                 o[rows] = v if every else v[done]

@@ -348,17 +348,25 @@ def eta_curved(n: int) -> EtaHandle:
 
 
 def _regression_start(mean, r: int, scaled: bool):
-    """Newton start for regression: a scalar mean parameter is the best point
-    of a coarse grid over [-3, 3] (a longer one starts at 0); an unknown sigma
-    (scaled) starts at the root mean square residual."""
+    """Newton start for regression: a scalar mean parameter at the vertex of the parabola
+    through the residual sums of squares at the best point of a grid over [-3, 3] and its
+    neighbours (at that point on the grid's ends or where the parabola is not convex; a
+    longer one at 0); an unknown sigma (scaled) at the root mean square residual."""
     axis = np.linspace(-3.0, 3.0, 61)
 
     def start(y):
         y = np.asarray(y, dtype=float)
         head = np.zeros(y.shape[:-1] + (r,))
         if r == 1:
-            sse = np.sum((y[..., None, :] - mean(axis[:, None])) ** 2, axis=-1)
-            head[..., 0] = axis[np.argmin(sse, axis=-1)]
+            grid = mean(axis[:, None])  # sse_k - |y|^2 = |G_k|^2 - 2 G_k y: no other (61, n) array
+            sse = np.einsum("kn,kn->k", grid, grid) - 2.0 * (grid @ y[..., None])[..., 0]
+            k = np.argmin(sse, axis=-1)
+            low, mid, high = np.moveaxis(np.take_along_axis(
+                sse, np.clip(k[..., None] + np.arange(-1, 2), 0, 60), axis=-1), -1, 0)
+            bend = low - 2.0 * mid + high  # no shift on the grid's ends or where sse is flat
+            shift = np.divide(low - high, bend, out=np.zeros_like(bend),
+                              where=(bend > 0.0) & (k % 60 > 0))
+            head[..., 0] = axis[k] + 0.05 * shift  # 0.05: half the grid spacing
         if not scaled:
             return head
         sigma = np.sqrt(np.mean((y - mean(head)) ** 2, axis=-1, keepdims=True))

@@ -18,6 +18,7 @@ from ancontour import (
     GridSpec,
     InvalidDimensionError,
     InvalidParameterError,
+    PartitionOrderSpec,
     SingularInformationError,
     UnsupportedFamilyError,
     build_contour,
@@ -215,10 +216,11 @@ def test_contour_min_distance_recovers_offset():
     assert dist < 1e-10
 
 
-def _one_point(model, fit, q, t_init, max_iter, direction, halvings=None):
+def _one_point(model, fit, q, t_init, max_iter, direction, halvings=None, settled=None):
     """Refine one point, one backtracking scale at a time: direction(theta, r)
     gives each step, or None to stop; a step moving t by less than
-    1e-13 (1 + |t|) stops too.  halvings, when a list, gets the number of
+    1e-13 (1 + |t|) stops too, and so does settled(theta, r), when given,
+    before the first step.  halvings, when a list, gets the number of
     halvings of each accepted step."""
     theta, t = fit.theta_hat, np.asarray(t_init, dtype=float).copy()
 
@@ -231,6 +233,8 @@ def _one_point(model, fit, q, t_init, max_iter, direction, halvings=None):
         t *= 0.5
     r = q - model.quantile(fit.x_hat, theta + t)
     value = float(r @ r)
+    if settled is not None and settled(theta + t, r):
+        max_iter = 0
     for _ in range(max_iter):
         step = direction(theta + t, r)
         if step is None:
@@ -260,7 +264,16 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None, steps=
     Hessian of |r|^2 / 2 has its smallest eigenvalue above 1e-8 tr(V'V) and
     Gauss-Newton's elsewhere; the point stops before a step whose predicted
     decrease g's is within 4 ulps of sum |r_i| |q_i|.  steps, when a list,
-    gets True for each Newton step taken and False for each Gauss-Newton one."""
+    gets True for each Newton step taken and False for each Gauss-Newton one.
+    A point whose squared distance at the start is within 4 ulps of
+    sum |r_i| (|q_i| + |a_i| + |b_i x_i|), the rounding of q - Q with
+    Q = a + b x, takes no step."""
+    def settled(th, r):
+        zero = np.zeros(model.n)
+        terms = (np.abs(q) + np.abs(model.quantile(zero, th))
+                 + np.abs(model.dquantile_dx(zero, th) * fit.x_hat))
+        return r @ r <= 4 * np.finfo(float).eps * (np.abs(r) @ terms)
+
     def direction(th, r):
         vel = model.dquantile_dtheta(fit.x_hat, th)
         gram, grad = vel.T @ vel, vel.T @ r
@@ -275,7 +288,7 @@ def _loop_min_distance(model, fit, q, t_init, max_iter=60, halvings=None, steps=
             steps.append(bool(newton))
         return step
 
-    return _one_point(model, fit, q, t_init, max_iter, direction, halvings)
+    return _one_point(model, fit, q, t_init, max_iter, direction, halvings, settled)
 
 
 def _gauss_newton_loop(model, fit, q, t_init):
@@ -637,6 +650,15 @@ def _partition_draws(family, seeds=range(1, 6)):
             np.array(t1), grid
 
 
+def _rebuilt_cloud(model, report, grid):
+    """The check's rebuilt cloud, from the report's own probe fit: the closed
+    form where the model has one, else Newton from theta_hat0 + t1."""
+    init = None if model.closed_form else report.theta_hat0 + report.t1_raw
+    fit = fit_mle(model, report.y1, init=init)
+    assert fit.theta_hat.tobytes() == report.theta_hat1.tobytes()
+    return build_contour(model, report.y1, grid, fit=fit)
+
+
 @pytest.mark.parametrize("family", list(PARTITION_FAMILIES))
 def test_partition_check_agrees_with_nearest_grid_refinement(family):
     """The discrepancy equals the one refined from each rebuilt point's nearest
@@ -644,7 +666,7 @@ def test_partition_check_agrees_with_nearest_grid_refinement(family):
     families, and both at most 1e-10 where the contour is an exact ancillary."""
     for model, y0, t1, grid in _partition_draws(family):
         report = partition_check(model, y0, t1, grid)
-        cloud0, cloud1 = build_contour(model, y0, grid), build_contour(model, report.y1, grid)
+        cloud0, cloud1 = build_contour(model, y0, grid), _rebuilt_cloud(model, report, grid)
         gaps = np.sum((cloud1.points[:, None] - cloud0.points) ** 2, axis=2)
         dist, _ = contour_min_distance(model, cloud0.fit, cloud1.points,
                                        cloud0.offsets[np.argmin(gaps, axis=1)])
@@ -662,7 +684,7 @@ def test_partition_check_agrees_with_gauss_newton(family):
     rounding of the data (ulps of a coordinate near 440 on one Cauchy draw)."""
     for model, y0, t1, grid in _partition_draws(family):
         report = partition_check(model, y0, t1, grid)
-        cloud0, cloud1 = build_contour(model, y0, grid), build_contour(model, report.y1, grid)
+        cloud0, cloud1 = build_contour(model, y0, grid), _rebuilt_cloud(model, report, grid)
         start = (cloud1.fit.theta_hat - cloud0.fit.theta_hat) + cloud1.offsets
         oracle = max(_gauss_newton_loop(model, cloud0.fit, q, t)[0]
                      for q, t in zip(cloud1.points, start))
@@ -680,14 +702,105 @@ def _counting_line_searches(monkeypatch):
 
 @pytest.mark.parametrize("family", EXACT_FAMILIES)
 def test_exact_partition_check_takes_no_line_search(family, monkeypatch):
-    """Where x_hat1 = x_hat0 each rebuilt point starts at its minimiser, where
-    its predicted decrease is rounding: on these draws the refinement
-    retires every point before a line search."""
-    calls = _counting_line_searches(monkeypatch)
-    for model, y0, t1, grid in _partition_draws(family):
-        calls.clear()
-        partition_check(model, y0, t1, grid)
-        assert len(calls) == 0
+    """Where x_hat1 = x_hat0 each rebuilt point starts at its minimiser, at a
+    squared distance within the rounding of q - Q: on these draws the start
+    check retires every point before the refinement's first derivative pass,
+    so it takes no line search and no second derivative.  theta_hat1 is
+    theta1 = theta_hat0 + t1 within 4 ulps (the closed form, or a Newton fit
+    started at theta1, its MLE to rounding)."""
+    import ancontour.ancillary as anc
+
+    calls, bends, refine = _counting_line_searches(monkeypatch), [], anc.contour_min_distance
+
+    def counting(model, *args):
+        bend = model.d2quantile_dtheta2
+        return refine(replace(model, d2quantile_dtheta2=lambda *a: bends.append(1) or bend(*a)),
+                      *args)
+
+    monkeypatch.setattr(anc, "contour_min_distance", counting)
+    for model, y0, t1, grid in _partition_draws(family, range(1, 21)):
+        report = partition_check(model, y0, t1, grid)
+        theta1 = report.theta_hat0 + report.t1_raw
+        assert report.theta_gap <= 4 * np.spacing(np.max(np.abs(theta1)))
+    assert calls == [] and bends == []
+
+
+def _probe_datasets():
+    """(model, y0, t1) of the 16 datasets of seeds 1 and 2517 of each
+    fit-batch family without a closed form, then of every draw of the
+    default partition-order study."""
+    for family in ("cauchy-location-scale", "synthetic-curved", "nonlinreg-unknown"):
+        make, theta, t1 = PARTITION_FAMILIES[family]
+        model = make()
+        for seed in (1, 2517):
+            for x in model.ref_sampler(seed, 16):
+                yield model, model.quantile(x, np.array(theta)), np.array(t1)
+    spec = PartitionOrderSpec()
+    for n_idx, n in enumerate(spec.n_grid):
+        model = make_synthetic_curved(n)
+        for d in range(spec.draws):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
+                                                               spawn_key=(n_idx, d)))
+            y0 = model.quantile(rng.standard_normal(n), np.zeros(1))
+            yield model, y0, np.array([spec.t1_std])
+
+
+def _relative_gap(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_warm_and_cold_probe_fits_agree():
+    """A probe fit started at theta1 = theta_hat0 + t1 (the check's) reaches the
+    estimate a cold fit of y1 (from model.start) reaches, within 1e-8
+    relative: the warm start finds no other local maximum."""
+    for model, y0, t1 in _probe_datasets():
+        report = partition_check(model, y0, t1, GridSpec(2.0, 3))
+        cold = fit_mle(model, report.y1)
+        assert _relative_gap(report.theta_hat1, cold.theta_hat) <= 1e-8
+
+
+def _grid_start(model, y):
+    """A regression family's start before its vertex step: the best point of
+    the 61-point grid over [-3, 3], and sigma (if unknown) at the rms residual."""
+    rows = np.ones((61, model.p))
+    rows[:, 0] = np.linspace(-3.0, 3.0, 61)
+    zero = np.zeros(model.n)
+    theta = rows[np.argmin(np.sum((y - model.quantile(zero, rows)) ** 2, axis=1))]
+    if model.p == 2:
+        theta[1] = max(math.sqrt(np.mean((y - model.quantile(zero, theta)) ** 2)), 1e-8)
+    return theta
+
+
+def test_vertex_and_grid_starts_reach_the_same_estimate():
+    """A regression fit from the vertex start (model.start) reaches the estimate
+    the fit from the best grid point reaches, within 1e-8 relative, and in
+    fewer Newton iterations over all the datasets."""
+    iterations = {"vertex": 0, "grid": 0}
+    for model, y0, _ in _probe_datasets():
+        if model.meta.get("eta") is None:
+            continue
+        vertex, grid = fit_mle(model, y0), fit_mle(model, y0, init=_grid_start(model, y0))
+        assert abs(vertex.theta_hat[0] - _grid_start(model, y0)[0]) <= 0.05 + 1e-12
+        assert _relative_gap(vertex.theta_hat, grid.theta_hat) <= 1e-8
+        iterations["vertex"] += vertex.iterations
+        iterations["grid"] += grid.iterations
+    assert iterations["vertex"] < iterations["grid"]
+
+
+def test_grid_offsets_are_one_read_only_array_per_grid():
+    """The offset grid is built once per (p, grid) and shared read-only, and a
+    contour built from the cached grid has the bytes of one built afresh."""
+    from ancontour.ancillary import _grid_offsets
+
+    offsets = _grid_offsets(2, GridSpec(2.0, 5))
+    assert _grid_offsets(2, GridSpec(2.0, 5)) is offsets
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0, 0] = 1.0
+    model = make_location_scale(5)
+    y0 = model.quantile(model.ref_sampler(4, 1)[0], np.array([0.3, 1.1]))
+    cached = build_contour(model, y0, GridSpec(2.0, 5))
+    _grid_offsets.cache_clear()
+    assert dumps(build_contour(model, y0, GridSpec(2.0, 5))) == dumps(cached)
 
 
 @pytest.mark.parametrize("family", ["circle2d", "synthetic-curved", "nonlinreg-unknown"])

@@ -25,8 +25,8 @@ EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
 EXAMPLE_DIGESTS = {
     "circle2d": "452673b19335cb788b9f7314dc228c4137799125e691320f80e4fe5367df5ad6",
     "location-scale": "8980c7dc1bf1eb0379fc07e675fe7ea01d8ea9d07067b453e9636263876ac5d8",
-    "nonlinreg-known": "a6fd357908edc17fee52cfb6efb7f01893db819e195ea687518d8c7c3179db41",
-    "nonlinreg-unknown": "e13027b272fe4b63e7e230c48da746c2292cf176999954a9a87981a51f6f32a7",
+    "nonlinreg-known": "223d8de9a7f87415529aec51edce52e8cf47341dc50dbb97df103bf13664da82",
+    "nonlinreg-unknown": "e4840a0d0ab71fb23bc88737509c5db7e6c516bded431b678d8298a915911cb4",
     "severini": "72d7539ea7529f2e31b0b2c2c4983cc1f509a34a34ec6ecd32418a6cea104743",
     "cauchy-inversion": "51ceb5e0e0a55d124d15b7d7ef36898cfb033054b410c0e99d3409e53fe45c42",
 }
@@ -464,20 +464,34 @@ def test_verify_quadrature(tmp_path, capsys):
     assert sha256(tmp_path / "quadrature.json") == QUADRATURE_DIGEST
 
 
-@pytest.mark.parametrize("argv,out", [
-    (["example", "severini"], "FILE/sub"),
-    (["verify", "--config", "CONFIG"], "FILE"),
-], ids=["example-under-a-file", "verify-quadrature-onto-a-file"])
-def test_unwritable_out_is_usage_error(argv, out, tmp_path, capsys):
+@pytest.mark.parametrize("argv,config,out", [
+    (["example", "severini"], None, "FILE/sub"),
+    (["example", "circle2d"], None, "FILE"),
+    (["verify"], {"study": "quadrature"}, "FILE"),
+    (["verify"], {"study": "ancillarity-order", "family": "circle"}, "FILE/sub"),
+    (["verify"], {"study": "partition-order"}, "FILE"),
+    (["contour"], CIRCLE_CONFIG, "FILE"),
+    (["frame"], FRAME_CONFIG, "FILE/sub"),
+], ids=["example-under-a-file", "example-with-a-fit-onto-a-file", "verify-quadrature-onto-a-file",
+        "verify-order-under-a-file", "verify-partition-onto-a-file", "contour-onto-a-file",
+        "frame-under-a-file"])
+def test_unwritable_out_is_usage_error(argv, config, out, tmp_path, capsys, monkeypatch):
     """An --out that is a regular file, or lies under one, exits 2 naming
-    the path, with no traceback and no file written."""
-    config = write_config(tmp_path, {"study": "quadrature"})
+    the path before any study runs or any fit is made, with no traceback and
+    no file written."""
+    import ancontour.estimation as est
+    from ancontour.montecarlo import _STUDIES
+
+    for spec_type in _STUDIES.values():
+        monkeypatch.setattr(spec_type, "run", lambda self: pytest.fail("the study ran"))
+    monkeypatch.setattr(est, "_newton", lambda *a, **k: pytest.fail("a fit ran"))
+    path = write_config(tmp_path, config or {"study": "quadrature"})
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = [config if a == "CONFIG" else a for a in argv]
-    code, _, err = run_cli(argv + ["--out", out.replace("FILE", str(blocker))], capsys)
+    out = out.replace("FILE", str(blocker))
+    code, _, err = run_cli(argv + (["--config", path] if config else []) + ["--out", out], capsys)
     assert code == 2
-    assert "cannot write" in err
+    assert f"cannot write {out}{os.sep}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
     assert blocker.read_text() == ""

@@ -508,6 +508,31 @@ def test_fit_points_reuse_newtons_values_at_the_estimate():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_fit_from_an_answering_start_takes_one_likelihood_pass(family, monkeypatch):
+    """Where every start already has a score norm below 1e-8 (a closed form, or
+    a fit's own estimate), the fit is one likelihood pass with no iteration,
+    and a batch of such rows has each row's one-row bits."""
+    import ancontour.estimation as est
+
+    calls, likelihood = [], est._likelihood
+    monkeypatch.setattr(est, "_likelihood", lambda *a: calls.append(1) or likelihood(*a))
+    for model, theta, y in iter_instances(family, 3, seed=17):
+        fit = fit_mle(model, y)
+        calls.clear()
+        again = fit_mle(model, y, init=fit.theta_hat)
+        assert (len(calls), again.iterations) == (1, 0)
+        np.testing.assert_allclose(again.theta_hat, fit.theta_hat, rtol=1e-14, atol=0)
+        if model.closed_form is not None:
+            calls.clear()
+            assert (fit_mle(model, y).iterations, len(calls)) == (0, 1)
+        rows = np.array([y, y])
+        batch = _newton(model, rows, np.array([fit.theta_hat, fit.theta_hat]))
+        one = _newton(model, y[None], fit.theta_hat[None])
+        for got, want in zip(batch, one):
+            assert np.asarray(got[1]).tobytes() == np.asarray(want[0]).tobytes()
+
+
 def test_fit_many_guards():
     """A batched fit raises on the flat two-observation ridge, and the batched
     partition pass checks every row before it fits any."""

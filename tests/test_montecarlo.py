@@ -420,8 +420,8 @@ def test_partition_order_report_is_frozen():
     the pass's size, keep every byte of the report."""
     report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
     assert (_sha256(dumps(report).encode()), _sha256(report.to_csv().encode())) == (
-        "b33a1beda041f69393f65d84f33da914d8a9e65f9092e8dddb5e54541c6e9d18",
-        "48647d33a46cd91e6798c0ee3ce4fd69f0cfebc1ce5485672f2038915db87ce7")
+        "ffef353e8d7d305b6d89053349350f7eb29742ff98519242b36a07ff6782d6ce",
+        "a62bf9fe2e418cd83001304e617a0d958da81cb6576f0d0b7d9004e79f7e65f4")
 
 
 def test_order_study_partial_results_error(monkeypatch):
@@ -587,9 +587,11 @@ def test_partition_order_study_matches_one_draw_checks():
 def test_partition_order_study_memory_is_bounded():
     """At the defaults the study holds one block of 21 x 1024 float64 rebuilt
     points at a time beside the fits' rows, and its traced peak stays within
-    1.1 times 1.42 MiB.  That peak is set inside models._regression_start, by
-    its (61, n) start-grid temporaries at n = 1024, not by a partition_check
-    (whose passes peak near 1.38 MiB)."""
+    1.1 times 1.42 MiB.  That peak (1.43 MiB) is set at n = 1024 by the
+    (rows, n) temporaries of contour_min_distance's start check; the fits
+    peak near 1.38 MiB, inside models._regression_start, while eta_curved
+    evaluates the start grid's means (two (61, n) arrays; the residual sums
+    of squares take no other)."""
     import tracemalloc
 
     partition_order_study(n_grid=(16, 64), draws=2)  # warm caches outside the traced call
