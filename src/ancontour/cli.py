@@ -152,6 +152,8 @@ def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
     if sources[0] == "y":
         y = np.asarray(data_cfg["y"], dtype=float)
     elif sources[0] == "file":
+        if not isinstance(data_cfg["file"], str):  # open() takes an int as a descriptor
+            raise _UsageError(f"'file' must be a path string, got {data_cfg['file']!r}")
         y = _read_point(data_cfg["file"])
     else:
         sim = data_cfg["simulate"]

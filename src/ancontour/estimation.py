@@ -248,48 +248,27 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     return x, theta, iterations, _norms(s) < _SCORE_TOL, value, s, info
 
 
-def fit_mle(
-    model: QuantileModel,
-    y: np.ndarray,
-    init: np.ndarray | None = None,
-    method: str = "auto",
-    max_iterations: int = _MAX_ITER,
-) -> FitResult:
+def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None) -> FitResult:
     """Fit by Newton iteration with backtracking line search.
 
-    Parameters
-    ----------
-    model, y : family and observed data point.
-    init : starting value; model.start(y) when omitted.
-    method : "auto" starts Newton from model.closed_form(y) when one exists
-        and, where Newton stops short, finishes with the damped rescue (up
-        to 100 more iterations); "closed" returns the closed form directly;
-        "newton" is plain Newton from the default or given init, no rescue.
-    max_iterations : limit on the plain Newton iterations.
-
-    Returns a FitResult whose iterations count Newton and rescue together;
-    the score norm at the estimate is below 1e-8 and the observed information
-    is positive definite relative to its scale.  ConvergenceError otherwise.
+    Newton starts at init, or by default at model.closed_form(y) where the
+    model has one and at model.start(y) otherwise; where it stops short of a
+    score norm of 1e-8 (at most 100 iterations), the damped rescue finishes
+    the fit (up to 100 more).  Returns a FitResult whose iterations count
+    Newton and rescue together; the score norm at the estimate is below 1e-8
+    and the observed information is positive definite relative to its scale.
+    ConvergenceError, carrying the iterates, or SingularInformationError
+    otherwise.
     """
     y = model.check_point(y)
-    if method not in ("auto", "newton", "closed"):
-        raise InvalidParameterError(f"unknown method {method!r}")
-
-    if method == "closed":
-        theta = model.check_theta(closed_form_mle(model, y))[None]
-        iterations, (x_hat, value, s, info) = [0], _likelihood(model, y[None], theta)
-        _rank_gate(info)
-    else:
-        init = model.start(y) if init is None and method == "newton" else init
-        theta, info, x_hat, iterations, value, s = _fit_points(
-            model, y[None], init if init is None else model.check_theta(init)[None],
-            max_iterations, [], method == "auto")
+    theta, info, x_hat, iterations, value, s = _fit_points(
+        model, y[None], init if init is None else model.check_theta(init)[None], [])
     return FitResult(theta_hat=theta[0], y_fit=model.quantile(np.zeros(model.n), theta[0]),
                      x_hat=x_hat[0], obs_info=info[0], loglik=float(value[0]), converged=True,
                      iterations=int(iterations[0]), score_norm=float(np.linalg.norm(s[0])))
 
 
-def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescue=True):
+def _fit_points(model, y, init=None, trace=None):
     """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
     fit_mle on each row of y (K, n) at once: Newton from rows init (by default
     each row's checked closed form or Newton start), then the damped Newton
@@ -298,9 +277,9 @@ def _fit_points(model, y, init=None, max_iterations=_MAX_ITER, trace=None, rescu
     bits, all from _newton's last likelihood pass, x_hat included."""
     if init is None:
         init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
-    x, theta, iterations, converged, value, s, info = _newton(model, y, init, max_iterations, trace)
+    x, theta, iterations, converged, value, s, info = _newton(model, y, init, trace=trace)
     short = np.flatnonzero(~converged)
-    if rescue and short.size:
+    if short.size:
         x[short], theta[short], extra, converged[short], value[short], s[short], info[short] = (
             _newton(model, y[short], theta[short], trace=trace, damped=True))
         iterations[short] += extra

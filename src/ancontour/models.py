@@ -481,8 +481,8 @@ def _build_eta(config: dict) -> EtaHandle:
             raise InvalidParameterError("eta 'circle' needs key 'rho'")
         return eta_circle(config_float(config["rho"], "rho"), config_int(config.get("n", 2), "n"))
     if tag == "curved":
-        if "n" not in config:
-            raise InvalidParameterError("eta 'curved' needs key 'n'")
+        if "n" not in config or "rho" in config:
+            raise InvalidParameterError("eta 'curved' needs key 'n' and takes no key 'rho'")
         return eta_curved(config_int(config["n"], "n"))
     raise UnsupportedFamilyError(f"unknown eta tag {tag!r} (use 'circle' or 'curved')")
 
@@ -521,7 +521,7 @@ _FAMILIES = {
         _location_scale_from_config(c, "cauchy")).model),
     "circle2d": ({"rho"}, {"n", "variance_scale"}, _circle2d_from_config),
     "circleN": ({"n", "rho"}, {"variance_scale"}, lambda c: _circle_from_config(
-        c, config_int(c["n"], "n"))),
+        c, config_int(c["n"], "n", 3))),
     "nonlinreg-known-sigma": ({"eta"}, {"n", "rho", "sigma0", "sigma_mode"},
                               lambda c: _regression_from_config(c, "known")),
     "nonlinreg-unknown-sigma": ({"eta"}, {"n", "rho", "sigma_mode"},

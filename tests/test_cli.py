@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -196,6 +197,23 @@ def test_readme_config_runs_for_contour_and_frame(command, tmp_path, capsys):
     assert sha256(tmp_path / f"{command}.json") == POINT_DIGESTS[command]
 
 
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_python_blocks_run(capsys):
+    """README's Python blocks run and print the values their comments state,
+    and its contour config is README_CONFIG."""
+    quickstart, specs = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert f"```json\n{README_CONFIG}```" in README
+    ran = {}
+    exec(quickstart, ran)
+    assert (ran["report"].radius_contour, ran["report"].radius_exact) == pytest.approx((1.0, 1.2))
+    assert ran["part"].discrepancy < 1e-12
+    exec(specs, ran)
+    assert abs(ran["report"].summary()["slope"] - -1.04) < 0.01
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["contour", "frame"])
 def test_malformed_grid_is_usage_error_for_contour_and_frame(command, tmp_path, capsys):
     config = write_config(tmp_path, dict(CIRCLE_CONFIG, grid={"bogus": 1}))
@@ -363,13 +381,17 @@ def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     assert int(values["points"]) == 5
 
 
-@pytest.mark.parametrize("data_block", [
-    {},
-    {"y": [1.0, 0.5], "file": "extra.txt"},
-    {"y": [1.0, 0.5], "bogus": 1},
-    {"simulate": {"theta": [0.0], "seed": 1, "extra": 2}},
-])
-def test_contour_bad_data_block_is_usage_error(data_block, tmp_path, capsys):
+@pytest.mark.parametrize("data_block, named", [
+    ({}, "exactly one data source"),
+    ({"y": [1.0, 0.5], "file": "extra.txt"}, "exactly one data source"),
+    ({"y": [1.0, 0.5], "bogus": 1}, "bogus"),
+    ({"simulate": {"theta": [0.0], "seed": 1, "extra": 2}}, "extra"),
+    # open() would take an int or a bool as a descriptor: stdin, or stdout closed
+    ({"file": 0}, "'file'"),
+    ({"file": True}, "'file'"),
+    ({"file": ["a"]}, "'file'"),
+], ids=[f"data_block{k}" for k in range(7)])
+def test_contour_bad_data_block_is_usage_error(data_block, named, tmp_path, capsys):
     config = write_config(tmp_path, {
         "model": {"family": "circle2d", "rho": 1.0},
         "data": data_block,
@@ -377,8 +399,10 @@ def test_contour_bad_data_block_is_usage_error(data_block, tmp_path, capsys):
     code, _, err = run_cli(["contour", "--config", config,
                             "--out", str(tmp_path)], capsys)
     assert code == 2
-    assert "error" in err
+    assert "error" in err and named in err
     assert not (tmp_path / "contour.json").exists()
+    os.fstat(0)  # still open
+    os.fstat(1)
 
 
 def test_contour_config_errors(tmp_path, capsys):
@@ -622,14 +646,18 @@ runs += [["example", name] for name in ("circle2d", "location-scale", "nonlinreg
 runs += [["verify", "--config", study] for study in studies]
 for argv in runs:
     assert cli.main(argv + ["--out", out]) == 0, argv
-# the damped rescue: fits cut off after one Newton step (p = 1 and p = 2) and
-# a batch with a row whose Newton line search fails
+# the damped rescue: fits whose plain Newton is cut off after one step (p = 1
+# and p = 2) and a batch with a row whose Newton line search fails
+newton = estimation._newton
+estimation._newton = lambda *args, damped=False, **kw: newton(
+    *args, **kw, damped=damped, max_iterations=estimation._MAX_ITER if damped else 1)
 circle = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
 y = circle.quantile(circle.ref_sampler(101, 1)[0], np.array([0.3]))
-assert estimation.fit_mle(circle, y, init=np.array([1.0]), max_iterations=1).iterations > 1
+assert estimation.fit_mle(circle, y, init=np.array([1.0])).iterations > 1
 cauchy = make_location_scale(4, error_law="cauchy")
 y = cauchy.quantile(cauchy.ref_sampler(42, 1)[0], np.array([0.3, 1.1]))
-assert estimation.fit_mle(cauchy, y, max_iterations=1).iterations > 1
+assert estimation.fit_mle(cauchy, y).iterations > 1
+estimation._newton = newton
 hard = [-0.760033411767359, 2.0551768100006615, -2.0417065446907747, -0.7852925465289906]
 ys = np.array([y, hard])
 assert estimation._newton(cauchy, ys, cauchy.start(ys))[3].tolist() == [True, False]

@@ -153,7 +153,8 @@ def test_closed_form_location_scale():
     theta = closed_form_mle(model, y)
     assert abs(theta[0] - y.mean()) < 1e-14
     assert abs(theta[1] - math.sqrt(np.mean((y - y.mean()) ** 2))) < 1e-14
-    fit = fit_mle(model, y, method="closed")
+    fit = fit_mle(model, y)  # Newton from the closed form stops at its first pass
+    assert fit.iterations == 0
     np.testing.assert_allclose(fit.theta_hat, theta, atol=1e-14)
     # label configuration is exactly centered and normalized
     assert abs(fit.x_hat.sum()) < 1e-12
@@ -178,9 +179,8 @@ def test_closed_form_cauchy_pair():
     whatever the location and scale of the pair."""
     model = make_location_scale(2, error_law="cauchy")
     for y in ([-1.0, 2.0], [1.0, 4.0], [-2.0, 4.0]):
-        for method in ("auto", "newton"):
-            with pytest.raises(SingularInformationError):
-                fit_mle(model, np.array(y), method=method)
+        with pytest.raises(SingularInformationError):
+            fit_mle(model, np.array(y))
 
 
 def test_location_scale_information_at_mle():
@@ -242,13 +242,14 @@ def test_accepted_fit_has_well_ranked_information(family, seed):
 
 
 def test_newton_agrees_with_closed_form():
+    """Newton from a start off the closed form iterates to it."""
     rng = np.random.default_rng(41)
     model = make_location_scale(8)
     y = rng.normal(0.5, 1.5, 8)
-    closed = fit_mle(model, y, method="closed")
-    newton = fit_mle(model, y, method="newton")
-    np.testing.assert_allclose(newton.theta_hat, closed.theta_hat,
-                               rtol=1e-8, atol=1e-8)
+    closed = closed_form_mle(model, y)
+    newton = fit_mle(model, y, init=closed * [1.2, 1.5] + [0.3, 0.0])
+    assert newton.iterations > 0
+    np.testing.assert_allclose(newton.theta_hat, closed, rtol=1e-8, atol=1e-8)
     assert newton.score_norm < 1e-8
 
 
@@ -302,21 +303,21 @@ def test_standardize_rejects_non_spd():
 
 
 def test_cauchy_quasi_newton_fallback():
-    """A heavy-tailed sample where plain Newton stalls still fits under auto,
-    in the damped rescue; method="newton" has no rescue and raises."""
+    """A heavy-tailed sample where plain Newton stalls still fits, in the
+    damped rescue."""
     model = make_location_scale(4, error_law="cauchy")
     y = np.array([-0.760033411767359, 2.0551768100006615,
                   -2.0417065446907747, -0.7852925465289906])
-    with pytest.raises(ConvergenceError):
-        fit_mle(model, y, method="newton")
+    assert not _newton(model, y[None], model.start(y[None]))[3][0]
     fit = fit_mle(model, y)
     assert fit.converged
     assert fit.score_norm < 1e-8
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-7
 
 
-def _count_rescues(monkeypatch):
-    """Record the row count of every damped Newton call (the rescue)."""
+def _count_rescues(monkeypatch, limit=None):
+    """Record the row count of every damped Newton call (the rescue); with a
+    limit, plain Newton stops after that many iterations."""
     import ancontour.estimation as est
 
     calls, newton = [], est._newton
@@ -324,6 +325,8 @@ def _count_rescues(monkeypatch):
     def counted(model, y, theta, *args, **kw):
         if kw.get("damped"):
             calls.append(len(y))
+        elif limit is not None:
+            kw["max_iterations"] = limit
         return newton(model, y, theta, *args, **kw)
 
     monkeypatch.setattr(est, "_newton", counted)
@@ -342,14 +345,13 @@ def test_scalar_forced_rescue(monkeypatch):
     model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
     y = model.quantile(model.ref_sampler(101, 1)[0], np.array([0.3]))
     plain = fit_mle(model, y)
-    calls = _count_rescues(monkeypatch)
-    fit = fit_mle(model, y, init=np.array([1.0]), max_iterations=1)
+    assert not _newton(model, y[None], np.array([[1.0]]), 1)[3][0]  # one step stops short
+    calls = _count_rescues(monkeypatch, limit=1)
+    fit = fit_mle(model, y, init=np.array([1.0]))
     assert calls == [1]
     assert fit.iterations > 1  # Newton's one and the rescue's
     np.testing.assert_allclose(fit.theta_hat, plain.theta_hat, rtol=0, atol=1e-10)
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-8
-    with pytest.raises(ConvergenceError):  # no rescue under method="newton"
-        fit_mle(model, y, init=np.array([1.0]), method="newton", max_iterations=1)
 
 
 def test_vector_forced_rescue(monkeypatch):
@@ -358,16 +360,15 @@ def test_vector_forced_rescue(monkeypatch):
     model = make_location_scale(8, error_law="cauchy")
     y = _draws(model, (0.3, 1.1), 1, seed=42)[0]
     plain = fit_mle(model, y)
-    calls = _count_rescues(monkeypatch)
-    fit = fit_mle(model, y, max_iterations=1)
+    assert not _newton(model, y[None], model.start(y[None]), 1)[3][0]  # one step stops short
+    calls = _count_rescues(monkeypatch, limit=1)
+    fit = fit_mle(model, y)
     assert calls == [1]
     assert fit.score_norm < 1e-8
     assert _same_stationary_point(model, y, fit.theta_hat, plain.theta_hat)
-    with pytest.raises(ConvergenceError):
-        fit_mle(model, y, method="newton", max_iterations=1)
 
 
-# Seeded fit outcomes per family, fit_mle under method="auto" on
+# Seeded fit outcomes per family, fit_mle on
 # iter_instances(family, 40, seed=2026): every instance converges under plain
 # Newton except the listed ones, finished by the rescue at the estimate the
 # one-row BFGS rescue gave them; plus one input per family that raises.
@@ -414,7 +415,7 @@ def test_fit_batch_cauchy_rescues_match_recorded():
         assert fit.score_norm < _SCORE_TOL
         assert _same_stationary_point(model, y, fit.theta_hat, record["theta_hat"])
         # the dataset and the contour points around the recorded estimate
-        at = fit_mle(model, y, init=np.array(record["theta_hat"]), method="newton")
+        at = fit_mle(model, y, init=np.array(record["theta_hat"]))
         assert at.theta_hat.tolist() == record["theta_hat"]
         ys = np.vstack([y, build_contour(model, y, GridSpec(2.0, 11), fit=at).points])
         stalled = np.flatnonzero(~_newton(model, ys, model.start(ys))[3])
@@ -549,11 +550,11 @@ def test_fit_many_guards():
 
 
 def test_convergence_error_carries_trace():
-    model = make_nonlinear_regression(eta_curved(10), "unknown")
-    y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.0]))
+    """A fit that neither Newton nor the rescue finishes raises with its iterates."""
+    model = make_location_scale(6, error_law="cauchy")
+    y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.3]))
     with pytest.raises(ConvergenceError) as err:
-        fit_mle(model, y, init=np.array([3.0, 5.0]), method="newton",
-                max_iterations=1)
+        fit_mle(model, y, init=np.array([1e6, 1.0]))
     assert len(err.value.trace) >= 1
 
 
@@ -715,7 +716,7 @@ def test_overflowing_newton_step_is_a_named_failure():
     model = make_location_scale(6, error_law="cauchy")
     y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.3]))
     with pytest.raises(ConvergenceError):
-        fit_mle(model, y, init=np.array([1e6, 1.0]), method="newton")
+        fit_mle(model, y, init=np.array([1e6, 1.0]))
 
 
 def test_circle_fit_at_center_fails_loudly():

@@ -365,3 +365,11 @@ def test_model_from_config_rejects_bad_input():
                  "sigma_mode": "known"}):
         with pytest.raises(InvalidParameterError):
             model_from_config(bad)
+    # configs that would build another family, or ignore a key, name the key
+    for bad, key in (({"family": "circleN", "n": 2, "rho": 1.0}, "'n'"),
+                     ({"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8, "rho": 1.0},
+                      "'rho'"),
+                     ({"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 8, "rho": 1.0},
+                      "'rho'")):
+        with pytest.raises(InvalidParameterError, match=key):
+            model_from_config(bad)
