@@ -10,6 +10,10 @@ and an unwritable output path is a usage error found before any work.  Exit
 codes: 0 on success, 2 for usage or configuration errors, 1 for runtime
 failures.  Each command imports the package modules it runs inside its
 handler, so a process loads no model, fit or study code it does not use.
+A handler checks its output path, does its work and returns what it built:
+(path, doc, table, summary), the JSON document, the object whose to_csv()
+is the CSV file (None: the summary as key,value lines) and the stdout
+summary.  main alone writes the file and prints the summary.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, config_int, dumps
+from ._jsonio import atomic_write_text, config_float, config_int, dumps
 from .errors import (
     AncontourError,
     EmptyStudyError,
@@ -33,14 +37,22 @@ from .errors import (
 )
 
 _DEFAULT_SEED = 20260816
-_EXAMPLES = (
-    "circle2d",
-    "location-scale",
-    "nonlinreg-known",
-    "nonlinreg-unknown",
-    "severini",
-    "cauchy-inversion",
-)
+# the contour examples: name -> (model from the models module, true theta
+# (None: the fixed point (1.2, 0)), t1, grid (half width, points per axis),
+# summary keys after example and theta_hat)
+_CONTOUR_EXAMPLES = {
+    "circle2d": (lambda m: m.make_circle(1.0, n=2, variance_scale=1.0 / 64.0), None, [1.0],
+                 (3.0, 41), ("radius_contour", "radius_exact", "label_spread",
+                             "partition_discrepancy")),
+    "location-scale": (lambda m: m.make_location_scale(8), [0.3, 1.1], [1.0, 0.5], (2.5, 21),
+                       ("label_spread", "partition_discrepancy", "dropped_out_of_domain")),
+    "nonlinreg-known": (lambda m: m.make_synthetic_curved(24), [0.4], [1.0], (3.0, 41),
+                        ("partition_discrepancy", "theta_gap")),
+    "nonlinreg-unknown": (lambda m: m.make_nonlinear_regression(m.eta_curved(16), "unknown"),
+                          [0.25, 0.9], [0.8, -0.5], (2.0, 21),
+                          ("points", "dropped_out_of_domain", "partition_discrepancy",
+                           "tangent_normal_gap")),
+}
 _CONFIG_ERRORS = (
     InvalidParameterError,
     InvalidDimensionError,
@@ -83,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     p_example = sub.add_parser("example", parents=[common],
                                help="run a canned demonstration")
-    p_example.add_argument("name", choices=_EXAMPLES)
+    p_example.add_argument("name",
+                           choices=(*_CONTOUR_EXAMPLES, "severini", "cauchy-inversion"))
     p_example.set_defaults(handler=_cmd_example)
 
     p_config = {}
@@ -138,6 +151,13 @@ def _is_float(token: str) -> bool:
         return False
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """value, a list of finite JSON numbers, as a float array; else an error naming key."""
+    if not isinstance(value, list):
+        raise _UsageError(f"{key!r} must be a list of finite numbers, got {value!r}")
+    return np.array([config_float(v, key) for v in value])
+
+
 def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
     if not isinstance(data_cfg, dict):
         raise _UsageError("'data' must be an object")
@@ -150,7 +170,7 @@ def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
             "exactly one data source required: inline 'y', 'file', or 'simulate'"
         )
     if sources[0] == "y":
-        y = np.asarray(data_cfg["y"], dtype=float)
+        y = _numbers(data_cfg["y"], "y")
     elif sources[0] == "file":
         if not isinstance(data_cfg["file"], str):  # open() takes an int as a descriptor
             raise _UsageError(f"'file' must be a path string, got {data_cfg['file']!r}")
@@ -164,7 +184,7 @@ def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
             raise _UsageError(f"unknown simulate keys: {sorted(bad)}")
         if "theta" not in sim:
             raise _UsageError("'simulate' needs key 'theta'")
-        theta = model.check_theta(np.asarray(sim["theta"], dtype=float))
+        theta = model.check_theta(_numbers(sim["theta"], "theta"))
         seed = seed_flag if seed_flag is not None else config_int(
             sim.get("seed", _DEFAULT_SEED), "seed", 0)
         x = model.ref_sampler(seed, 1)[0]
@@ -249,24 +269,21 @@ def _load_point_config(args):
     return model, y0, grid
 
 
-def _cmd_contour(args) -> int:
+def _cmd_contour(args):
     from .ancillary import build_contour
 
     model, y0, grid = _load_point_config(args)
     path = _target(args, "contour")
     cloud = build_contour(model, y0, grid)
-    _write(path, cloud.to_csv() if args.format == "csv" else dumps(cloud))
-    _emit({
+    return path, cloud, cloud, {
         "family": cloud.family,
         "theta_hat": cloud.fit.theta_hat,
         "points": len(cloud.points),
         "dropped_out_of_domain": cloud.dropped_out_of_domain,
-        "wrote": path,
-    })
-    return 0
+    }
 
 
-def _cmd_frame(args) -> int:
+def _cmd_frame(args):
     from .diffgeo import build_frame, reparameterize
     from .estimation import fit_mle
 
@@ -275,20 +292,15 @@ def _cmd_frame(args) -> int:
     fit = fit_mle(model, y0)
     frame = build_frame(model, fit.x_hat, fit.theta_hat)
     tilt = reparameterize(frame, np.full(model.p, 0.1))
-    doc = {"frame": frame, "fit": fit, "tilt_at_0.1": tilt}
-    summary = {
+    return path, {"frame": frame, "fit": fit, "tilt_at_0.1": tilt}, None, {
         "family": model.family,
         "theta_hat": fit.theta_hat,
         "normal_norm": float(np.linalg.norm(frame.normal_acceleration)),
         "gram_condition": float(np.linalg.cond(frame.gram)),
     }
-    _write(path, _kv_csv(summary) if args.format == "csv" else dumps(doc))
-    summary["wrote"] = path
-    _emit(summary)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .montecarlo import spec_from_config
 
     config = _load_json(args.config)
@@ -298,95 +310,56 @@ def _cmd_verify(args) -> int:
         raise _UsageError(str(exc)) from exc
     path = _target(args, config["study"])
     report = spec.run()
-    _write(path, report.to_csv() if args.format == "csv" else dumps(report))
-    _emit({**report.summary(), "wrote": path})
-    return 0
+    return path, report, report, report.summary()
 
 
-def _cmd_example(args) -> int:
-    from .ancillary import (
-        GridSpec,
-        build_contour,
-        cauchy_inversion_demo,
-        compare_exact,
-        partition_check,
-        severini_pivot_check,
-    )
-    from .models import (
-        eta_curved,
-        make_circle,
-        make_location_scale,
-        make_nonlinear_regression,
-        make_synthetic_curved,
-    )
+def _cmd_example(args):
+    from . import models
+    from .ancillary import (GridSpec, build_contour, cauchy_inversion_demo, compare_exact,
+                            partition_check, severini_pivot_check)
 
-    seed = args.seed if args.seed is not None else _DEFAULT_SEED
     name = args.name
     path = _target(args, f"example-{name}")
-    cloud = None
-    if name in ("circle2d", "location-scale", "nonlinreg-known", "nonlinreg-unknown"):
-        model, theta, t1, grid = {  # model, true theta (None: a fixed y0), t1 and grid
-            "circle2d": lambda: (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), None, [1.0],
-                                 GridSpec(half_width=3.0, points_per_axis=41)),
-            "location-scale": lambda: (make_location_scale(8), [0.3, 1.1], [1.0, 0.5],
-                                       GridSpec(half_width=2.5, points_per_axis=21)),
-            "nonlinreg-known": lambda: (make_synthetic_curved(24), [0.4], [1.0],
-                                        GridSpec(half_width=3.0, points_per_axis=41)),
-            "nonlinreg-unknown": lambda: (make_nonlinear_regression(eta_curved(16), "unknown"),
-                                          [0.25, 0.9], [0.8, -0.5],
-                                          GridSpec(half_width=2.0, points_per_axis=21)),
-        }[name]()
-        y0 = (np.array([1.2, 0.0]) if theta is None
-              else model.quantile(model.ref_sampler(seed, 1)[0], np.array(theta)))
-        cloud = build_contour(model, y0, grid)
-        part = partition_check(model, y0, np.array(t1), grid=grid, fit=cloud.fit)
-        doc = {"example": name, "contour": cloud, "partition": part}
-        summary = {"example": name, "theta_hat": cloud.fit.theta_hat}
-        if model.exact_label is not None:
-            doc["exact_comparison"] = comp = compare_exact(model, cloud)
-    if name == "circle2d":
-        summary.update(radius_contour=comp.radius_contour, radius_exact=comp.radius_exact,
-                       label_spread=comp.label_spread, partition_discrepancy=part.discrepancy)
-    elif name == "location-scale":
-        summary.update(label_spread=comp.label_spread, partition_discrepancy=part.discrepancy,
-                       dropped_out_of_domain=cloud.dropped_out_of_domain)
-    elif name == "nonlinreg-known":
-        summary.update(partition_discrepancy=part.discrepancy, theta_gap=part.theta_gap)
-    elif name == "nonlinreg-unknown":
-        tangent_gap = float(np.max(np.abs(np.einsum(
-            "nk,nab->kab", cloud.frame.velocity, cloud.frame.normal_acceleration))))
-        summary.update(points=len(cloud.points), dropped_out_of_domain=cloud.dropped_out_of_domain,
-                       partition_discrepancy=part.discrepancy, tangent_normal_gap=tangent_gap)
-    elif name == "severini":
-        model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
-        y0 = np.array([1.25, 0.0, 0.15])
-        report = severini_pivot_check(model, y0)
-        doc = {"example": name, "pivot_check": report}
-        summary = {
+    if name == "severini":
+        report = severini_pivot_check(models.make_circle(1.0, n=3, variance_scale=1.0 / 36.0),
+                                      np.array([1.25, 0.0, 0.15]))
+        return path, {"example": name, "pivot_check": report}, None, {
             "example": name,
             "unique_in_neighborhood": report.unique_in_neighborhood,
             "solution_set_dim": report.solution_set_dim,
             "max_gap_to_y0": report.max_gap_to_y0,
             "antipodal_found": report.antipodal_candidate is not None,
         }
-    else:
+    if name == "cauchy-inversion":
         report = cauchy_inversion_demo()
-        doc = {"example": name, "inversion": report}
-        summary = {
+        return path, {"example": name, "inversion": report}, None, {
             "example": name,
             "component_count": report.component_count,
             "line_segment_count": report.line_segment_count,
             "excluded_points": len(report.line_excluded_points),
         }
 
-    if args.format == "json":
-        text = dumps(doc)
-    else:
-        text = cloud.to_csv() if cloud is not None else _kv_csv(summary)
-    _write(path, text)
-    summary["wrote"] = path
-    _emit(summary)
-    return 0
+    make, theta, t1, grid, keys = _CONTOUR_EXAMPLES[name]
+    model, grid = make(models), GridSpec(*grid)
+    seed = args.seed if args.seed is not None else _DEFAULT_SEED
+    y0 = (np.array([1.2, 0.0]) if theta is None
+          else model.quantile(model.ref_sampler(seed, 1)[0], np.array(theta)))
+    cloud = build_contour(model, y0, grid)
+    part = partition_check(model, y0, np.array(t1), grid=grid, fit=cloud.fit)
+    doc = {"example": name, "contour": cloud, "partition": part}
+    values = {
+        "points": len(cloud.points),
+        "dropped_out_of_domain": cloud.dropped_out_of_domain,
+        "partition_discrepancy": part.discrepancy,
+        "theta_gap": part.theta_gap,
+        "tangent_normal_gap": float(np.max(np.abs(np.einsum(
+            "nk,nab->kab", cloud.frame.velocity, cloud.frame.normal_acceleration)))),
+    }
+    if model.exact_label is not None:
+        doc["exact_comparison"] = comp = compare_exact(model, cloud)
+        values.update(comp._asdict())
+    return path, doc, cloud, {"example": name, "theta_hat": cloud.fit.theta_hat,
+                              **{key: values[key] for key in keys}}
 
 
 def main(argv=None) -> int:
@@ -399,13 +372,17 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.handler(args)
+        path, doc, table, summary = args.handler(args)
+        _write(path, dumps(doc) if args.format == "json"
+               else _kv_csv(summary) if table is None else table.to_csv())
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AncontourError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit({**summary, "wrote": path})
+    return 0
 
 
 if __name__ == "__main__":

@@ -220,7 +220,9 @@ class OrderStudySpec(NamedTuple):
     contours per transverse direction, and each draw's label is the cell
     whose contour holds its nearest point.  lattice_half_width is each circle
     contour's clip half-width in standardized units (the location-scale
-    plane is clipped at 3 in both coordinates).  The default n_grid keeps the
+    plane is clipped at 3 in both coordinates), and rho the circle's radius;
+    location-scale refuses either away from its default, and takes
+    theta_star as its location.  The default n_grid keeps the
     second-order signal several standard errors above the replication noise
     floor at the default reps; larger n needs more reps and is flagged
     inconclusive otherwise.
@@ -253,6 +255,10 @@ class OrderStudySpec(NamedTuple):
         if len(set(spec.n_grid)) < len(spec.n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
+            default = self._field_defaults[key]
+            if spec.family == "location-scale" and getattr(spec, key) != default:
+                raise InvalidParameterError(
+                    f"{key!r} is read by family 'circle' only; 'location-scale' takes {default}")
             if not getattr(spec, key) > 0.0:
                 raise InvalidParameterError(f"{key!r} must be positive and finite")
         return spec

@@ -36,6 +36,7 @@ POINT_DIGESTS = {
     "frame": "5ab8d72d6d12481ff4f0056f57558901f6599c862a1948ce900b805c29a5aea0",
 }
 QUADRATURE_DIGEST = "efbaf65a96c0e663658753f8c690b390a4b4514f0fff6d5fed2c50b3ae6d1c86"
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def sha256(path) -> str:
@@ -293,6 +294,12 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("contour", {**CIRCLE_CONFIG, "grid": {"standardized": 0}}, "'standardized'"),
     ("verify", {"study": "partition-order", "grid_half_width": 0}, "half_width"),
     ("verify", {"study": "partition-order", "grid_half_width": -1.5}, "half_width"),
+    ("verify", {**ORDER_BASE, "family": "location-scale", "rho": 5.0}, "'rho'"),
+    ("verify", {**ORDER_BASE, "family": "location-scale", "lattice_half_width": 0.1},
+     "'lattice_half_width'"),
+    ("contour", [CIRCLE_CONFIG], "config root"),
+    ("contour", {"model": CIRCLE_CONFIG["model"]}, "config needs 'model' and 'data'"),
+    ("contour", {**CIRCLE_CONFIG, "grid": 5}, "'grid' must be a string"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -305,14 +312,19 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
         "order-deltas-scalar", "partition-n_grid-scalar", "order-reps-string",
         "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string",
         "grid-standardized-string", "grid-standardized-int", "partition-grid_half_width-0",
-        "partition-grid_half_width-negative"])
+        "partition-grid_half_width-negative", "order-ls-rho", "order-ls-lattice_half_width",
+        "config-root-list", "config-without-data", "grid-number"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range integers, and reals that are not finite JSON
     numbers (booleans and strings included), are rejected before any work,
     naming the key; so is a grid's 'standardized' that is not a JSON boolean,
     and a partition-order grid half width that is not positive (its grid is
     built through GridSpec's checks); lattice_points, which no study reads,
-    is an unknown key."""
+    is an unknown key, and rho and lattice_half_width, which the
+    location-scale order study does not read, must keep their defaults
+    there.  A config root that is not an object, a point config without
+    data and a grid that is neither a string nor an object are refused the
+    same way."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -390,7 +402,20 @@ def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     ({"file": 0}, "'file'"),
     ({"file": True}, "'file'"),
     ({"file": ["a"]}, "'file'"),
-], ids=[f"data_block{k}" for k in range(7)])
+    # inline numbers are a list of finite JSON numbers, checked one by one
+    ({"y": "abc"}, "'y'"),
+    ({"y": {"a": 1}}, "'y'"),
+    ({"y": True}, "'y'"),
+    ({"y": [1, True]}, "'y'"),
+    ({"y": 1.2}, "'y'"),
+    ({"simulate": {"theta": "x"}}, "'theta'"),
+    ({"simulate": {"theta": [True]}}, "'theta'"),
+    ([1.2, 0.0], "'data' must be an object"),
+    ({"simulate": [0.0]}, "'simulate' must be an object"),
+    ({"simulate": {"seed": 1}}, "'simulate' needs key 'theta'"),
+    ({"file": str(DATA_DIR)}, "cannot read data file"),
+    ({"file": str(DATA_DIR / "non_numeric_point.csv")}, "non-numeric entry in data file"),
+], ids=[f"data_block{k}" for k in range(19)])
 def test_contour_bad_data_block_is_usage_error(data_block, named, tmp_path, capsys):
     config = write_config(tmp_path, {
         "model": {"family": "circle2d", "rho": 1.0},
@@ -400,7 +425,8 @@ def test_contour_bad_data_block_is_usage_error(data_block, named, tmp_path, caps
                             "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "error" in err and named in err
-    assert not (tmp_path / "contour.json").exists()
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     os.fstat(0)  # still open
     os.fstat(1)
 
@@ -486,6 +512,37 @@ def test_verify_quadrature(tmp_path, capsys):
     assert payload["study"] == "quadrature"
     assert len(payload["cases"]) == 1
     assert sha256(tmp_path / "quadrature.json") == QUADRATURE_DIGEST
+
+
+def _refuse_rename(src, dst):
+    raise OSError("rename refused")
+
+
+def test_atomic_write_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    """A failed rename leaves the target's old bytes, removes the temporary
+    file and raises."""
+    from ancontour._jsonio import atomic_write_text
+
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    monkeypatch.setattr(os, "replace", _refuse_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(str(target), "new")
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_failed_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    """A write that raises OSError exits 2 naming the path, prints no
+    summary and leaves no file."""
+    config = write_config(tmp_path, CIRCLE_CONFIG)
+    out = tmp_path / "out"
+    monkeypatch.setattr(os, "replace", _refuse_rename)
+    code, values, err = run_cli(["contour", "--config", config, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {out / 'contour.json'}: rename refused\n"
+    assert values == {}
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,config,out", [

@@ -145,6 +145,13 @@ def test_order_spec_validation():
                 {"family": "location-scale", "n_grid": (2, 8)}):
         with pytest.raises(InvalidParameterError):
             OrderStudySpec(**bad).validate()
+    # the location-scale study reads theta_star as its location, and not
+    # rho or lattice_half_width, so those must keep their defaults there
+    for key, value in (("rho", 5.0), ("lattice_half_width", 0.1)):
+        with pytest.raises(InvalidParameterError, match=f"'{key}'"):
+            OrderStudySpec(family="location-scale", **{key: value}).validate()
+    OrderStudySpec(family="location-scale", theta_star=0.5, rho=1, lattice_half_width=6.0,
+                   n_grid=(8,)).validate()
 
 
 @pytest.mark.parametrize("kwargs", [
