@@ -134,7 +134,7 @@ def _sweep(model, x_hat, theta_hat, rec, grid):
         offsets, offsets_std = t_std, t_std @ rec.chol  # t_std = L' t
     rows = theta_hat[:, None] + offsets
     lo, hi = np.array(model.param_domain).T
-    keep = np.all((rows > lo) & (rows < hi), axis=2)
+    keep = ((rows > lo) & (rows < hi)).all(axis=2)
     x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, keep.sum(axis=1), axis=0)
     points = model.quantile(x, rows[keep])
     return offsets, offsets_std, points, keep
@@ -146,9 +146,9 @@ def _check_fit(model, y0, fit):
     if theta.shape != (model.p,):
         raise InvalidDimensionError(f"fit.theta_hat has shape {theta.shape}, expected ({model.p},)")
     gap = np.abs(model.quantile(x, theta) - y0)  # a + b (y0 - a) / b: ulps of |y0| + |a|
-    if not np.all(gap <= 1e-13 * (np.abs(y0) + np.abs(fit.y_fit))):
+    if not (gap <= 1e-13 * (np.abs(y0) + np.abs(fit.y_fit))).all():
         raise InvalidParameterError(f"fit is not a fit of this point: it misses it by "
-                                    f"{float(np.max(gap)):.3e}")
+                                    f"{float(gap.max()):.3e}")
     return fit
 
 
@@ -219,7 +219,7 @@ def contour_min_distance(
     if t.shape != q.shape[:-1] + (model.p,):
         raise InvalidDimensionError(f"t_init has shape {t.shape}, expected {model.p} per q row")
     for name, v in (("q", q), ("t_init", t)):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidParameterError(f"{name} has non-finite entries")
     config_int(max_iter, "max_iter", 0)
     q, t = np.atleast_2d(q), np.atleast_2d(t)
@@ -232,7 +232,7 @@ def contour_min_distance(
 
     def inside(rows, tv):
         th = at(theta, rows) + tv
-        return np.all((th > lo) & (th < hi), axis=-1)
+        return ((th > lo) & (th < hi)).all(axis=-1)
 
     def residual(rows, tv):
         r = model.quantile(at(x_hat, rows), at(theta, rows) + tv)
@@ -257,7 +257,7 @@ def contour_min_distance(
     with np.errstate(over="ignore", invalid="ignore"):
         resid = residual(slice(None), t)
         value = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise InvalidParameterError("q is too far from the contour for a finite squared distance")
     # the start check, with a = q - r - b x to rounding
     bx, p = model.dquantile_dx(np.zeros(model.n), theta + t) * x_hat, model.p
@@ -266,12 +266,12 @@ def contour_min_distance(
     active = value > 4 * np.finfo(float).eps * floor
     del bx, terms
     for _ in range(max_iter):
-        rows = np.flatnonzero(active)
+        rows = active.nonzero()[0]
         if rows.size == 0:
             break
         x, th = at(x_hat, rows), at(theta, rows) + t[rows]
         vel = model.dquantile_dtheta(x, th)
-        vel_t, r = np.swapaxes(vel, 1, 2), resid[rows]
+        vel_t, r = vel.swapaxes(1, 2), resid[rows]
         gram, grad = vel_t @ vel, vel_t @ r[..., None]
         del vel, vel_t  # before the second derivatives exist
         bend = r[:, None] @ model.d2quantile_dtheta2(x, th).reshape(-1, model.n, p * p)
@@ -283,7 +283,7 @@ def contour_min_distance(
         # Newton where the Hessian of |r|^2 / 2 is positive definite relative to the Gram
         # matrix, Gauss-Newton elsewhere (beyond the centre of curvature, say); tiny changes no
         # nonzero ridge and gives a zero Gram the step 0, which retires the row
-        hess, size = gram - bend.reshape(-1, p, p), np.trace(gram, axis1=1, axis2=2)
+        hess, size = gram - bend.reshape(-1, p, p), gram.trace(axis1=1, axis2=2)
         newton = np.linalg.eigvalsh(hess)[:, 0] > 1e-8 * size
         ridge = 1e-14 * size + np.finfo(float).tiny
         step = np.linalg.solve(np.where(newton[:, None, None], hess, gram)
@@ -355,7 +355,7 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     t1_std = np.atleast_1d(np.asarray(t1_std, dtype=float))
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
-    if not np.all(np.isfinite(t1_std)):
+    if not np.isfinite(t1_std).all():
         raise InvalidParameterError("t1 has non-finite entries")
     if (size := float(np.linalg.norm(t1_std))) > _T1_CAP:
         raise InvalidParameterError(
@@ -382,13 +382,13 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
         s, _, points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b]), grid)
         # rebuilt point q(x_hat1; theta_hat1 + s) starts at t = (theta_hat1 - theta_hat0) + s on
         # the original contour t -> q(x_hat0; theta_hat0 + t): its minimiser if x_hat1 = x_hat0
-        owner = np.nonzero(keep1)[0]
+        owner = keep1.nonzero()[0]
         start = ((theta_hat1[b] - theta0[b])[:, None] + s)[keep1]  # s: (G, p) or one per draw
         # refine toward each point's own draw's fit; a one-draw block passes that one fit
         x_a, t_a = (x0[lo], theta0[lo]) if len(keep1) == 1 else (x0[b][owner], theta0[b][owner])
         dist, _ = contour_min_distance(model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1,
                                        start)
-        np.maximum.at(worst, lo + owner, dist)
+        np.maximum.at(worst[b], owner, dist)
     return [PartitionReport(discrepancy=float(worst[k]),
                             theta_gap=float(np.linalg.norm(theta_hat1[k] - theta1[k])),
                             t1_std=t1_std, t1_raw=t1_raw[k], y1=y1[k], theta_hat0=theta0[k],
@@ -427,7 +427,7 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     """Evaluate the family's exact ancillary along a contour cloud."""
     labels = exact_label(model, np.vstack([cloud.base_point, cloud.points]))
     base = labels[0]
-    spread = float(np.max(np.abs(labels[1:] - base), initial=0.0))
+    spread = float(np.abs(labels[1:] - base).max(initial=0.0))
     radius_contour = radius_exact = None
     if "rho" in model.meta:  # a circle family
         vel = cloud.frame.velocity[:, 0]

@@ -65,12 +65,12 @@ def _split(velocity, acceleration):
         raise InvalidDimensionError(
             f"acceleration shape {acceleration.shape}, expected {(n, p, p)}"
         )
-    asym = np.max(np.abs(acceleration - np.swapaxes(acceleration, 1, 2)))
-    if asym > 1e-8 * (1.0 + np.max(np.abs(acceleration))):
+    asym = np.abs(acceleration - acceleration.swapaxes(1, 2)).max()
+    if asym > 1e-8 * (1.0 + np.abs(acceleration).max()):
         raise InvalidParameterError(
             f"acceleration not symmetric in trailing axes (gap {asym:.3e})"
         )
-    acceleration = 0.5 * (acceleration + np.swapaxes(acceleration, 1, 2))
+    acceleration = 0.5 * (acceleration + acceleration.swapaxes(1, 2))
     svals = np.linalg.svd(velocity, compute_uv=False)
     if svals[-1] <= _RANK_TOL * svals[0]:
         raise DegenerateTangentError(

@@ -69,15 +69,15 @@ def _likelihood(model, y, theta):
     x, d, value = _values(model, y, theta)
     dx = -model.dquantile_dtheta(x, theta) / d[..., None]
     b = model.cross_hessian(x, theta) / d[..., None]
-    dx_t, g1 = np.swapaxes(dx, 1, 2), model.ref_score(x)
+    dx_t, g1 = dx.swapaxes(1, 2), model.ref_score(x)
     cross = b[..., :, None] * dx[..., None, :]
     d2x = -(model.d2quantile_dtheta2(x, theta) / d[..., None, None]
-            + cross + np.swapaxes(cross, 2, 3))
+            + cross + cross.swapaxes(2, 3))
     hess = ((dx_t * model.ref_score_derivative(x)[:, None, :]) @ dx
             + (g1[:, None, :] @ d2x.reshape(x.shape + (p * p,))).reshape(k, p, p)
-            + np.swapaxes(b, 1, 2) @ b)
+            + b.swapaxes(1, 2) @ b)
     s = (dx_t @ g1[..., None])[..., 0] - b.sum(axis=1)
-    return x, value, s, -0.5 * (hess + np.swapaxes(hess, 1, 2))
+    return x, value, s, -0.5 * (hess + hess.swapaxes(1, 2))
 
 
 def _values(model, y, theta):
@@ -85,7 +85,7 @@ def _values(model, y, theta):
     zero = np.zeros(model.n)
     d = model.dquantile_dx(zero, theta)  # 1 or a sigma that check_theta keeps positive
     x = (y - model.quantile(zero, theta)) / d
-    return x, d, model.ref_log_density(x) - np.sum(np.log(d), axis=-1)
+    return x, d, model.ref_log_density(x) - np.log(d).sum(axis=-1)
 
 
 def _at(model, y, theta):
@@ -128,7 +128,7 @@ def _on_log_axes(logs, values, fn):
     # differ from them in the last bit, and a fit must not depend on its batch
     out = np.array(values, dtype=float)
     flat = out.reshape(-1, out.shape[-1])
-    for j in np.flatnonzero(logs):
+    for j in logs.nonzero()[0]:
         flat[:, j] = list(map(fn, flat[:, j].tolist()))
     return out
 
@@ -198,7 +198,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     z = _on_log_axes(logs, theta, math.log)
     theta = _on_log_axes(logs, z, math.exp)
     x, value, s, info = _likelihood(model, y, theta)
-    if np.all(converged := _norms(s) < _SCORE_TOL):
+    if (converged := _norms(s) < _SCORE_TOL).all():
         return x, theta, np.zeros(len(y), dtype=int), converged, value, s, info
     idx, out = np.arange(len(y)), [np.zeros(len(y), dtype=int), theta, x, value, s, info]
 
@@ -206,7 +206,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
         nonlocal theta, x, value, s, info
         # past 709 math.exp overflows; such a candidate is out of the domain
         theta_c = _on_log_axes(logs, cand, lambda v: math.exp(v) if v <= 709.0 else math.nan)
-        ok = np.all((theta_c > lo) & (theta_c < hi), axis=1)
+        ok = ((theta_c > lo) & (theta_c < hi)).all(axis=1)
         # one out of the domain is evaluated at its row's theta, and refused
         th = np.where(ok[:, None], theta_c, theta[rows])
         full = _likelihood(model, y[rows], th)
@@ -231,15 +231,18 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
                 v[~done] for v in (idx, y, z, theta, x, value, s, info))
         hess, grad = _newton_system(logs, theta, s, info)
         if damped:
-            low, size = np.linalg.eigvalsh(hess)[:, 0], np.abs(np.trace(hess, axis1=1, axis2=2))
+            low, size = np.linalg.eigvalsh(hess)[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
             lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
             hess = hess + lam[:, None, None] * np.eye(model.p)
-        with np.errstate(divide="ignore", invalid="ignore"):  # cond: max / min |eigenvalue|
-            size = np.abs(np.linalg.eigvalsh(hess))
-            cond = size.max(axis=1) / size.min(axis=1)
-        if not np.all(cond <= 1e14):
+        size = np.abs(np.linalg.eigvalsh(hess))
+        big, small = size.max(axis=1), size.min(axis=1)
+        ok = (big <= 1e14 * small) & (small > 0.0)  # cond = big / small <= 1e14, finite
+        if not ok.all():
+            k = ok.argmin()
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where small is 0
+                cond = big[k] / small[k]
             raise SingularInformationError(f"Hessian singular at iterate {count + 1} "
-                                           f"(cond {cond[np.argmin(cond <= 1e14)]:.2e})")
+                                           f"(cond {cond:.2e})")
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
         if trace is not None and idx[0] == 0:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
@@ -278,13 +281,13 @@ def _fit_points(model, y, init=None, trace=None):
     if init is None:
         init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
     x, theta, iterations, converged, value, s, info = _newton(model, y, init, trace=trace)
-    short = np.flatnonzero(~converged)
+    short = (~converged).nonzero()[0]
     if short.size:
         x[short], theta[short], extra, converged[short], value[short], s[short], info[short] = (
             _newton(model, y[short], theta[short], trace=trace, damped=True))
         iterations[short] += extra
-    if not np.all(converged):
-        k = int(np.argmin(converged))
+    if not converged.all():
+        k = int(converged.argmin())
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
                                f"(score norm {float(np.linalg.norm(s[k])):.3e})", trace=trace)
     _rank_gate(info)
@@ -293,12 +296,13 @@ def _fit_points(model, y, init=None, trace=None):
 
 def _rank_gate(info):
     """Raise unless every information matrix is positive definite relative to its scale."""
-    eigs = np.linalg.eigvalsh(info).reshape(-1, info.shape[-1])[:, [0, -1]]
-    bad = eigs[~(eigs[:, 0] > _RANK_TOL * eigs[:, 1])]
-    if len(bad):
+    eigs = np.linalg.eigvalsh(info).reshape(-1, info.shape[-1])
+    ok = eigs[:, 0] > _RANK_TOL * eigs[:, -1]
+    if not ok.all():
+        k = ok.argmin()
         raise SingularInformationError(
             f"observed information not positive definite relative to its scale "
-            f"(eigenvalues {bad[0, 0]:.3e} to {bad[0, 1]:.3e})"
+            f"(eigenvalues {eigs[k, 0]:.3e} to {eigs[k, -1]:.3e})"
         )
 
 

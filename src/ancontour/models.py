@@ -86,9 +86,9 @@ class QuantileModel:
             raise InvalidDimensionError(
                 f"theta has shape {theta.shape}, expected ({self.p},)"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise InvalidParameterError("theta has non-finite entries")
-        for value, (lo, hi) in zip(theta, self.param_domain):
+        for value, (lo, hi) in zip(theta.tolist(), self.param_domain):
             if not (lo < value < hi):
                 raise InvalidParameterError(
                     f"theta value {value!r} outside open domain ({lo}, {hi})"
@@ -101,7 +101,7 @@ class QuantileModel:
             raise InvalidDimensionError(
                 f"{name} has shape {y.shape}, expected ({self.n},)"
             )
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise InvalidParameterError(f"{name} has non-finite entries")
         return y
 
@@ -112,7 +112,7 @@ def _normal_law(n: int, var: float):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return -0.5 * np.sum(x * x, axis=-1) / var - 0.5 * n * math.log(2.0 * math.pi * var)
+        return -0.5 * (x * x).sum(axis=-1) / var - 0.5 * n * math.log(2.0 * math.pi * var)
 
     def sampler(seed, count):
         return sd * np.random.default_rng(seed).standard_normal((count, n))
@@ -126,7 +126,7 @@ def _cauchy_law(n: int):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return -np.sum(np.log1p(x * x), axis=-1) - n * math.log(math.pi)
+        return -np.log1p(x * x).sum(axis=-1) - n * math.log(math.pi)
 
     def score(x):
         x = np.asarray(x, dtype=float)
@@ -158,7 +158,8 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
 
     def blank(x, theta, *tail):  # float x and theta, and zeros (rows..., n, *tail)
         x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
-        return x, theta, np.zeros(max(x.shape[:-1], theta.shape[:-1], key=len) + (n,) + tail)
+        rows = x.shape[:-1] if x.ndim >= theta.ndim else theta.shape[:-1]
+        return x, theta, np.zeros(rows + (n,) + tail)
 
     def quantile(x, theta):
         theta = np.asarray(theta, dtype=float)
@@ -199,15 +200,16 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
 
 
 def _moments(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.mean(y, axis=-1, keepdims=True)
-    return mu[..., 0], np.sqrt(np.mean((y - mu) ** 2, axis=-1))
+    n = y.shape[-1]  # sum / n: np.mean's own reduction and division
+    mu = y.sum(axis=-1, keepdims=True) / n
+    return mu[..., 0], np.sqrt(((y - mu) ** 2).sum(axis=-1) / n)
 
 
 def _moment_fit(y: np.ndarray) -> np.ndarray:
     """Rows (mean, rms) of points (..., n) whose rms deviation is positive:
     the Normal location-scale MLE."""
     mu, rms = _moments(y)
-    if np.any(rms <= 0.0):
+    if (rms <= 0.0).any():
         raise SingularInformationError("degenerate sample, sigma_hat = 0")
     return np.stack([mu, rms], axis=-1)
 
@@ -242,10 +244,17 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
 
         closed_form, family, law = _moment_fit, "location-scale", _normal_law(n, 1.0)
     else:
-        def start(y):
-            q75, q25 = np.percentile(y, [75.0, 25.0], axis=-1)
-            return np.stack([np.median(y, axis=-1), np.maximum(0.5 * (q75 - q25), 1e-8)],
-                            axis=-1)
+        def quartile(s, q):  # np.percentile's linear rule, on rows s sorted along the last axis
+            v = q * (s.shape[-1] - 1)
+            a, b, t = s[..., int(v)], s[..., int(v) + 1], v - int(v)
+            return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+        def start(y):  # median and half the interquartile range, from one sort
+            s = np.sort(y, axis=-1)
+            m = s.shape[-1]  # np.median: the mean of the middle one or two
+            middle = s[..., (m - 1) // 2:m // 2 + 1]
+            return np.stack([middle.sum(axis=-1) / middle.shape[-1], np.maximum(
+                0.5 * (quartile(s, 0.75) - quartile(s, 0.25)), 1e-8)], axis=-1)
 
         closed_form, family, law = None, "cauchy-location-scale", _cauchy_law(n)
 
@@ -369,7 +378,7 @@ def _regression_start(mean, r: int, scaled: bool):
             head[..., 0] = axis[k] + 0.05 * shift  # 0.05: half the grid spacing
         if not scaled:
             return head
-        sigma = np.sqrt(np.mean((y - mean(head)) ** 2, axis=-1, keepdims=True))
+        sigma = np.sqrt(((y - mean(head)) ** 2).sum(axis=-1, keepdims=True) / y.shape[-1])
         return np.concatenate([head, np.maximum(sigma, 1e-8)], axis=-1)
 
     return start

@@ -1,5 +1,6 @@
 """Contour clouds, partition checks, pivot back-solve, inversion demo."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -1062,3 +1063,42 @@ def test_report_json_dicts_are_serializable():
     assert json.loads(dumps(report))["unique_in_neighborhood"] is True
     demo = cauchy_inversion_demo(resolution=200)
     assert json.loads(dumps(demo))["component_count"] == 3
+
+
+# The fit-batch benchmark's datasets: family -> (model, true theta, probe t1 in
+# standardized units, exact ancillary declared), 16 seed-1 draws each.
+PIPELINE_FAMILIES = {
+    "circle2d": (make_circle(1.0, n=2, variance_scale=1.0 / 64.0), (0.3,), (1.0,), True),
+    "location-scale": (make_location_scale(8), (0.3, 1.1), (1.0, 0.5), True),
+    "cauchy-location-scale": (make_location_scale(8, error_law="cauchy"), (0.3, 1.1),
+                              (1.0, 0.5), True),
+    "synthetic-curved": (make_synthetic_curved(24), (0.4,), (1.0,), False),
+    "nonlinreg-unknown": (make_nonlinear_regression(eta_curved(16), "unknown"), (0.25, 0.9),
+                          (0.8, -0.5), False),
+}
+# sha256 over the 80 datasets' digests, frozen so that a faster pipeline
+# cannot alter a byte of a fit, cloud, probe or discrepancy unnoticed
+PIPELINE_DIGEST = "baff0c1d52c388bf7113dfec248a26a1319cb256a3074decc005bfa453607fce"
+
+
+def test_fit_batch_pipeline_is_byte_identical():
+    """fit_mle -> build_contour -> compare_exact -> partition_check on every
+    fit-batch dataset of seed 1, in the benchmark's order, each digested as
+    the benchmark digests it: theta_hat, cloud points, y1, theta_hat1, then
+    the repr of (discrepancy, label spread or None)."""
+    draws = {name: spec[0].ref_sampler(1, 16) for name, spec in PIPELINE_FAMILIES.items()}
+    total = hashlib.sha256()
+    for k in range(16):
+        for name, (model, theta, t1, exact) in PIPELINE_FAMILIES.items():
+            y = model.quantile(draws[name][k], np.array(theta))
+            grid = GridSpec(3.0, 21) if model.p == 1 else GridSpec(2.0, 11)
+            fit = fit_mle(model, y)
+            cloud = build_contour(model, y, grid, fit=fit)
+            comp = compare_exact(model, cloud) if exact else None
+            part = partition_check(model, y, np.array(t1), grid=grid)
+            digest = hashlib.sha256()
+            for arr in (fit.theta_hat, cloud.points, part.y1, part.theta_hat1):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(repr((part.discrepancy, comp and comp.label_spread)).encode())
+            total.update(digest.digest())
+    assert total.hexdigest() == PIPELINE_DIGEST

@@ -431,6 +431,19 @@ def test_contour_bad_data_block_is_usage_error(data_block, named, tmp_path, caps
     os.fstat(1)
 
 
+
+def test_out_of_domain_theta_error_prints_a_plain_number(tmp_path, capsys):
+    """The domain error names the offending value as a Python float, not as a
+    numpy scalar's repr."""
+    config = write_config(tmp_path, {
+        "model": {"family": "location-scale", "n": 4},
+        "data": {"simulate": {"theta": [0.0, -1.0]}},
+    })
+    code, _, err = run_cli(["contour", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "theta value -1.0 outside open domain (0.0, inf)" in err
+    assert "np.float64" not in err
+
 def test_contour_config_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run_cli(["contour", "--config", missing,
@@ -963,6 +976,37 @@ def test_one_line_search_holds_the_halving_scales():
     assert readers == {("estimation.py", "_line_search")}
     assert nested == []
 
+
+
+# module -> the functions of the per-dataset pipeline (fit, frame, contour,
+# partition check), each checked with the functions nested in it
+HOT_FUNCTIONS = {
+    "models.py": {"check_theta", "check_point", "_normal_law", "_cauchy_law", "_affine_model",
+                  "_moments", "make_location_scale", "_circle_mean", "_regression_start"},
+    "estimation.py": {"_likelihood", "_values", "_newton", "_fit_points", "_rank_gate"},
+    "ancillary.py": {"_sweep", "_check_fit", "contour_min_distance", "_partition_pass",
+                     "compare_exact"},
+    "diffgeo.py": {"_split"},
+}
+NUMPY_WRAPPERS = {"all", "any", "mean", "median", "percentile", "swapaxes", "max", "min", "sum",
+                  "trace"}
+
+
+def test_hot_path_calls_no_numpy_wrapper():
+    """The pipeline's functions call the ndarray methods and ufunc reductions
+    that numpy's module-level wrappers dispatch to, not the wrappers, whose
+    Python overhead outweighs the arithmetic on arrays of a few numbers."""
+    root, calls = pathlib.Path(ancontour.__file__).parent, []
+    for module, names in HOT_FUNCTIONS.items():
+        functions = [node for node in ast.walk(ast.parse((root / module).read_text()))
+                     if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert {f.name for f in functions} == names
+        calls += [f"{module}:{node.lineno} np.{node.func.attr}"
+                  for f in functions for node in ast.walk(f)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                  and node.func.attr in NUMPY_WRAPPERS]
+    assert calls == []
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st

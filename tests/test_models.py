@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ancontour import (
@@ -27,6 +29,7 @@ from ancontour import (
     non_invertible_mask,
 )
 from ancontour._jsonio import dumps
+from ancontour.models import _moments
 from conftest import FAMILY_NAMES, central_difference, iter_instances
 
 
@@ -373,3 +376,46 @@ def test_model_from_config_rejects_bad_input():
                       "'rho'")):
         with pytest.raises(InvalidParameterError, match=key):
             model_from_config(bad)
+
+
+# heavy tails (squares stay finite), ordinary values, and ties with signed zeros
+_SAMPLE_VALUES = st.one_of(st.floats(-1e150, 1e150), st.floats(-10.0, 10.0),
+                           st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+
+
+@st.composite
+def _samples(draw):
+    """One point (n,) or rows (K, n) of it, n from 2 to 40."""
+    n, lead = draw(st.integers(2, 40)), draw(st.sampled_from([(), (1,), (3,)]))
+    size = n * math.prod(lead)
+    return np.array(draw(st.lists(_SAMPLE_VALUES, min_size=size, max_size=size))).reshape(
+        lead + (n,))
+
+
+def _same_bits(got, expected):
+    return got.shape == np.shape(expected) and got.tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(y=_samples())
+def test_cauchy_start_is_numpys_median_and_quartiles(y):
+    """The Cauchy start's one sort gives np.median and np.percentile(y, [75, 25])
+    bit for bit: (median, max(half the interquartile range, 1e-8))."""
+    q75, q25 = np.percentile(y, [75.0, 25.0], axis=-1)
+    expected = np.stack([np.median(y, axis=-1), np.maximum(0.5 * (q75 - q25), 1e-8)], axis=-1)
+    assert _same_bits(make_location_scale(y.shape[-1], error_law="cauchy").start(y), expected)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(y=_samples())
+def test_sample_moments_are_numpys_means(y):
+    """_moments and the regression sigma start, sums over n, match their
+    np.mean forms bit for bit."""
+    mu = np.mean(y, axis=-1, keepdims=True)
+    mean, rms = _moments(y)
+    assert _same_bits(mean, mu[..., 0])
+    assert _same_bits(rms, np.sqrt(np.mean((y - mu) ** 2, axis=-1)))
+    eta = eta_curved(y.shape[-1])
+    start = make_nonlinear_regression(eta, "unknown").start(y)
+    sigma = np.sqrt(np.mean((y - eta.value(start[..., :1])) ** 2, axis=-1, keepdims=True))
+    assert _same_bits(start[..., 1:], np.maximum(sigma, 1e-8))
