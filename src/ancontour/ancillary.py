@@ -29,7 +29,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimation import (
-    FitResult, StandardizationRecord, _fit_points, _line_search, _norms, fit_mle, standardize,
+    FitResult, StandardizationRecord, _domain, _eigvalsh, _eye, _fit_points, _line_search, _norms,
+    _solve, fit_mle, standardize,
 )
 from .models import QuantileModel, non_invertible_mask
 
@@ -133,7 +134,7 @@ def _sweep(model, x_hat, theta_hat, rec, grid):
     else:
         offsets, offsets_std = t_std, t_std @ rec.chol  # t_std = L' t
     rows = theta_hat[:, None] + offsets
-    lo, hi = np.array(model.param_domain).T
+    lo, hi = _domain(model.param_domain)[:2]
     keep = ((rows > lo) & (rows < hi)).all(axis=2)
     x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, keep.sum(axis=1), axis=0)
     points = model.quantile(x, rows[keep])
@@ -211,7 +212,7 @@ def contour_min_distance(
     a negative max_iter and a q whose squared distance overflows raise
     InvalidParameterError.
     """
-    lo, hi = np.array(model.param_domain).T
+    (lo, hi, _), eye = _domain(model.param_domain), _eye(model.p)
     q, t = np.asarray(q, dtype=float), np.array(t_init, dtype=float)
     single = q.ndim == 1
     if q.ndim not in (1, 2) or q.shape[-1] != model.n:
@@ -222,7 +223,7 @@ def contour_min_distance(
         if not np.isfinite(v).all():
             raise InvalidParameterError(f"{name} has non-finite entries")
     config_int(max_iter, "max_iter", 0)
-    q, t = np.atleast_2d(q), np.atleast_2d(t)
+    q, t = (q[None], t[None]) if single else (q, t)
     x_hat, theta = fit.x_hat, fit.theta_hat
     if x_hat.ndim == 2 and (x_hat.shape, theta.shape) != (q.shape, t.shape):
         raise InvalidDimensionError("a fit with row anchors needs one per row of q")
@@ -284,10 +285,10 @@ def contour_min_distance(
         # matrix, Gauss-Newton elsewhere (beyond the centre of curvature, say); tiny changes no
         # nonzero ridge and gives a zero Gram the step 0, which retires the row
         hess, size = gram - bend.reshape(-1, p, p), gram.trace(axis1=1, axis2=2)
-        newton = np.linalg.eigvalsh(hess)[:, 0] > 1e-8 * size
+        newton = _eigvalsh(hess)[:, 0] > 1e-8 * size
         ridge = 1e-14 * size + np.finfo(float).tiny
-        step = np.linalg.solve(np.where(newton[:, None, None], hess, gram)
-                               + ridge[:, None, None] * np.eye(p), grad)[..., 0]
+        step = _solve(np.where(newton[:, None, None], hess, gram) + ridge[:, None, None] * eye,
+                      grad)[..., 0]
         # a predicted decrease below that rounding is one no line search can see: the row is done
         go = (step[:, None] @ grad)[:, 0, 0] > floor
         active[rows[~go]] = False
@@ -352,12 +353,12 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     draws of at most _PASS_BLOCK elements, the sweep of the rebuilt clouds and
     one refinement of all their points, each started from its own parameter
     offset.  Each report has the bits of a one-draw pass."""
-    t1_std = np.atleast_1d(np.asarray(t1_std, dtype=float))
+    t1_std = np.array(t1_std, dtype=float, ndmin=1)
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
     if not np.isfinite(t1_std).all():
         raise InvalidParameterError("t1 has non-finite entries")
-    if (size := float(np.linalg.norm(t1_std))) > _T1_CAP:
+    if (size := math.sqrt(t1_std @ t1_std)) > _T1_CAP:
         raise InvalidParameterError(
             f"|t1| = {size:.3f} exceeds the moderate-deviation cap {_T1_CAP}")
     for row in y0:
@@ -389,10 +390,9 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
         dist, _ = contour_min_distance(model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1,
                                        start)
         np.maximum.at(worst[b], owner, dist)
-    return [PartitionReport(discrepancy=float(worst[k]),
-                            theta_gap=float(np.linalg.norm(theta_hat1[k] - theta1[k])),
+    return [PartitionReport(discrepancy=float(worst[k]), theta_gap=math.sqrt(gap @ gap),
                             t1_std=t1_std, t1_raw=t1_raw[k], y1=y1[k], theta_hat0=theta0[k],
-                            theta_hat1=theta_hat1[k]) for k in range(len(y0))]
+                            theta_hat1=theta_hat1[k]) for k, gap in enumerate(theta_hat1 - theta1)]
 
 
 class ExactComparisonReport(NamedTuple):
@@ -431,8 +431,9 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     radius_contour = radius_exact = None
     if "rho" in model.meta:  # a circle family
         vel = cloud.frame.velocity[:, 0]
-        normal = cloud.frame.normal_acceleration[:, 0, 0]
-        bend = float(np.linalg.norm(normal))
+        # contiguous, as np.linalg.norm made it: a strided dot product sums in another order
+        normal = cloud.frame.normal_acceleration[:, 0, 0].copy()
+        bend = math.sqrt(normal @ normal)
         if bend > 0.0:
             radius_contour = float(np.dot(vel, vel)) / bend
         radius_exact = float(math.hypot(cloud.base_point[0], cloud.base_point[1]))

@@ -10,15 +10,19 @@ differenced numerically.  Newton starts and closed-form estimates come from
 the model itself, so no family is named here.  Sigma-type parameters
 (positive open domain) are iterated on the log scale internally.  A fit is
 accepted only where the information is positive definite relative to its
-scale, so flat likelihood ridges raise SingularInformationError.
+scale, so flat likelihood ridges raise SingularInformationError.  LAPACK is
+called through numpy's gufuncs, the kernels behind np.linalg: the same bits,
+without wrapper checks that cost more than p x p arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _EXPORTS
 from .errors import (
@@ -146,12 +150,26 @@ def _newton_system(logs, theta, s, info):
     jac = np.where(logs, theta, 1.0)
     diag = np.where(logs, s * theta, 0.0)
     return (info * (jac[..., :, None] * jac[..., None, :])
-            - diag[..., None] * np.eye(len(logs))), s * jac
+            - diag[..., None] * _eye(len(logs))), s * jac
 
 
 def _norms(v):
     """Euclidean norm of each row of v (K, m), by the dot product np.linalg.norm uses."""
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+# np.linalg's eigvalsh (lower triangle), solve, inv and cholesky, same kernels and bits, but a
+# failed factorization warns and gives NaN, not LinAlgError: pass stacks known to be well posed
+_eigvalsh, _solve, _inv, _cholesky = (_umath_linalg.eigvalsh_lo, _umath_linalg.solve,
+                                      _umath_linalg.inv, _umath_linalg.cholesky_lo)
+_eye = functools.lru_cache(maxsize=8)(lambda p: np.broadcast_to(np.eye(p), (p, p)))  # read-only
+
+
+@functools.lru_cache(maxsize=32)
+def _domain(param_domain):
+    """Read-only (lo, hi, logs) of param_domain: bounds, and the (0, inf) axes iterated as log."""
+    lo, hi = np.array(param_domain).T
+    return tuple(np.broadcast_to(a, a.shape) for a in (lo, hi, (lo == 0.0) & np.isinf(hi)))
 
 
 def _line_search(rows, x, step, evaluate):
@@ -161,7 +179,7 @@ def _line_search(rows, x, step, evaluate):
     where none was taken.  One call a scale: evaluate(rows, cand (rows, p)),
     with rows as given at scale 1 and then the indices still searching, stores
     the solver state of the rows it accepts and returns that acceptance (rows,)."""
-    moved = np.full(len(x), np.nan)
+    (moved := np.empty(len(x))).fill(np.nan)  # np.full without its Python wrapper
     for scale in _SCALES:
         cand = x[rows] + scale * step
         hit = evaluate(rows, cand)
@@ -193,8 +211,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
     positive definite the step stays Newton's, which keeps convergence
     quadratic near the estimate.
     """
-    lo, hi = np.array(model.param_domain).T
-    logs = (lo == 0.0) & np.isinf(hi)  # the sigma-type axes, (0, inf), iterated as log(theta)
+    (lo, hi, logs), eye = _domain(model.param_domain), _eye(model.p)
     z = _on_log_axes(logs, theta, math.log)
     theta = _on_log_axes(logs, z, math.exp)
     x, value, s, info = _likelihood(model, y, theta)
@@ -223,7 +240,8 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
         done = halt | (_norms(s) < _SCORE_TOL) | (count == max_iterations)
         if done.any():  # write rows out: iterations, then _likelihood's
             every, rows = done.all(), idx[done]
-            for o, v in zip(out, (np.full(len(idx), count), theta, x, value, s, info)):
+            out[0][rows] = count
+            for o, v in zip(out[1:], (theta, x, value, s, info)):
                 o[rows] = v if every else v[done]
             if every:
                 break
@@ -231,10 +249,10 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
                 v[~done] for v in (idx, y, z, theta, x, value, s, info))
         hess, grad = _newton_system(logs, theta, s, info)
         if damped:
-            low, size = np.linalg.eigvalsh(hess)[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
+            low, size = _eigvalsh(hess)[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
             lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
-            hess = hess + lam[:, None, None] * np.eye(model.p)
-        size = np.abs(np.linalg.eigvalsh(hess))
+            hess = hess + lam[:, None, None] * eye
+        size = np.abs(_eigvalsh(hess))
         big, small = size.max(axis=1), size.min(axis=1)
         ok = (big <= 1e14 * small) & (small > 0.0)  # cond = big / small <= 1e14, finite
         if not ok.all():
@@ -243,7 +261,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
                 cond = big[k] / small[k]
             raise SingularInformationError(f"Hessian singular at iterate {count + 1} "
                                            f"(cond {cond:.2e})")
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        step = _solve(hess, grad[..., None])[..., 0]  # cond <= 1e14: no singular pivot
         if trace is not None and idx[0] == 0:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
         halt = ~(_line_search(slice(None), z, step, evaluate) >= _STEP_TOL)
@@ -268,7 +286,7 @@ def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None)
         model, y[None], init if init is None else model.check_theta(init)[None], [])
     return FitResult(theta_hat=theta[0], y_fit=model.quantile(np.zeros(model.n), theta[0]),
                      x_hat=x_hat[0], obs_info=info[0], loglik=float(value[0]), converged=True,
-                     iterations=int(iterations[0]), score_norm=float(np.linalg.norm(s[0])))
+                     iterations=int(iterations[0]), score_norm=math.sqrt(s[0] @ s[0]))
 
 
 def _fit_points(model, y, init=None, trace=None):
@@ -289,14 +307,14 @@ def _fit_points(model, y, init=None, trace=None):
     if not converged.all():
         k = int(converged.argmin())
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "
-                               f"(score norm {float(np.linalg.norm(s[k])):.3e})", trace=trace)
+                               f"(score norm {math.sqrt(s[k] @ s[k]):.3e})", trace=trace)
     _rank_gate(info)
     return theta, info, x, iterations, value, s
 
 
 def _rank_gate(info):
     """Raise unless every information matrix is positive definite relative to its scale."""
-    eigs = np.linalg.eigvalsh(info).reshape(-1, info.shape[-1])
+    eigs = _eigvalsh(info).reshape(-1, info.shape[-1])
     ok = eigs[:, 0] > _RANK_TOL * eigs[:, -1]
     if not ok.all():
         k = ok.argmin()
@@ -327,9 +345,11 @@ def standardize(obs_info: np.ndarray) -> StandardizationRecord:
     """Cholesky-standardize an observed information matrix (must be SPD), or
     a stack of them (K, p, p) one by one; map_offsets then gives (K, rows, p)."""
     obs_info = np.asarray(obs_info, dtype=float)
-    try:
-        chol = np.linalg.cholesky(obs_info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(f"information not SPD: {exc}") from exc
-    scales = np.linalg.inv(chol).swapaxes(-1, -2)
+    if obs_info.ndim < 2 or obs_info.shape[-1] != obs_info.shape[-2]:
+        raise SingularInformationError(f"information not SPD: shape {obs_info.shape}")
+    with np.errstate(invalid="ignore"):  # a matrix that is not SPD factors to NaN
+        chol = _cholesky(obs_info)
+    if np.isnan(chol).any():
+        raise SingularInformationError("information not SPD: Matrix is not positive definite")
+    scales = _inv(chol).swapaxes(-1, -2)
     return StandardizationRecord(chol=chol, scales=scales)

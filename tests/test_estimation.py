@@ -36,12 +36,16 @@ from ancontour._jsonio import dumps
 from ancontour.estimation import (
     _RANK_TOL,
     _SCORE_TOL,
+    _cholesky,
+    _eigvalsh,
     _fit_points,
+    _inv,
     _likelihood,
     _line_search,
     _newton,
     _newton_system,
     _on_log_axes,
+    _solve,
 )
 from conftest import (
     FAMILY_NAMES,
@@ -300,6 +304,49 @@ def test_standardize_rejects_non_spd():
         standardize(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(SingularInformationError):
         standardize(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("info", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -1e-300]]), np.diag([4.0, 9.0])]),
+], ids=["one", "stack"])
+def test_standardize_names_information_not_spd(info):
+    """standardize factors through LAPACK's gufunc, not np.linalg.cholesky: a
+    matrix that is not SPD, alone or one member of a stack (K, p, p), still
+    raises SingularInformationError, with no warning, and leaves the state
+    of numpy's floating-point errors as it found it; so does a stack that is
+    not square."""
+    before = np.geterr()
+    with pytest.raises(SingularInformationError, match="information not SPD"):
+        standardize(info)
+    assert np.geterr() == before
+    with pytest.raises(SingularInformationError, match="information not SPD: shape"):
+        standardize(info[..., :1])
+
+
+def _lapack_stacks(k, p, seed):
+    """Seeded float64 stacks (k, p, p): general, symmetric positive definite, and
+    right-hand sides (k, p, 1)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, p, p)) * 10.0 ** rng.integers(-3, 4, (k, 1, 1))
+    return a, a @ a.swapaxes(1, 2) + p * np.eye(p), rng.standard_normal((k, p, 1))
+
+
+@pytest.mark.parametrize("k", [1, 3, 17])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lapack_gufuncs_match_np_linalg_bit_for_bit(k, p):
+    """estimation's direct LAPACK calls give the bits of np.linalg's eigvalsh,
+    solve, inv and cholesky on seeded general and SPD stacks, and on one
+    unstacked matrix factored and inverted as standardize does it; a numpy
+    whose private gufuncs differ fails here."""
+    a, spd, b = _lapack_stacks(k, p, 1000 * k + p)
+    pairs = [(_eigvalsh(spd), np.linalg.eigvalsh(spd)), (_eigvalsh(a), np.linalg.eigvalsh(a)),
+             (_solve(a, b), np.linalg.solve(a, b)), (_solve(spd, b), np.linalg.solve(spd, b)),
+             (_inv(a), np.linalg.inv(a)), (_cholesky(spd), np.linalg.cholesky(spd)),
+             (_inv(_cholesky(spd[0])), np.linalg.inv(np.linalg.cholesky(spd[0])))]
+    for mine, numpys in pairs:
+        assert mine.shape == numpys.shape and mine.dtype == numpys.dtype == np.float64
+        assert mine.tobytes() == numpys.tobytes()
 
 
 def test_cauchy_quasi_newton_fallback():
