@@ -679,6 +679,14 @@ def test_verify_config_errors(tmp_path, capsys):
                    if not p.name.startswith(("config", "bootstrap")))
 
 
+def test_verify_names_a_theta_star_that_rounding_swallows(tmp_path, capsys):
+    config = write_config(tmp_path, {"study": "ancillarity-order", "family": "location-scale",
+                                     "theta_star": 1e15, "reps": 200})
+    code, _, err = run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: 'theta_star' = 1000000000000000.0 is too large")
+
+
 def test_verify_csv_format(tmp_path, capsys):
     config = write_config(tmp_path, {
         "study": "partition-order", "n_grid": [16, 64], "draws": 3})

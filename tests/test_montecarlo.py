@@ -154,6 +154,25 @@ def test_order_spec_validation():
                    n_grid=(8,)).validate()
 
 
+@pytest.mark.parametrize("family,theta_star", [
+    ("circle", 1e300), ("location-scale", 1e300), ("location-scale", 1e15),
+])
+def test_order_spec_names_a_theta_star_that_rounding_swallows(family, theta_star):
+    """At 1e300, theta_star plus any offset is theta_star, so every
+    sensitivity read 0 and the study called itself conclusive; at 1e15 each
+    location-scale draw theta_star + x rounded to a multiple of 0.125, and
+    the study read a sensitivity of 0.18 where the exact one is 0.  Both
+    raise InvalidParameterError naming theta_star instead; at 1e6, whose
+    ulp is 1.2e-10, offsets and draws keep their values to 1e-9 of their size."""
+    spec = OrderStudySpec(family=family, theta_star=theta_star, n_grid=(16, 32), reps=200,
+                          batch_size=100)
+    with pytest.raises(InvalidParameterError, match="'theta_star'"):
+        spec.validate()
+    with pytest.raises(InvalidParameterError, match="'theta_star'"):
+        run_replicated(spec)
+    spec._replace(theta_star=1e6).validate()
+
+
 @pytest.mark.parametrize("kwargs", [
     {"reps": "5"}, {"reps": 5.0}, {"n_grid": 16}, {"deltas": 1.0}, {"deltas": "1"},
 ], ids=["reps-string", "reps-float", "n_grid-scalar", "deltas-scalar", "deltas-string"])
@@ -371,6 +390,60 @@ def test_arc_labels_are_turn_invariant(turn, monkeypatch):
     np.testing.assert_array_equal(labels(), want)
 
 
+def _reference_scores(spec, ctx, y):
+    """{arm: (cells, points) scores} by elementwise formulas, one cell at a
+    time: on the arc, |d|^2 - 2 rho max d.u over its directions u for
+    d = y - x_hat; on the segment, |d|^2 - t (2 d.v - t |v|^2) at the
+    clipped t for d = y - anchor."""
+    u = np.array([math.cos(spec.theta_star), math.sin(spec.theta_star)])
+    grid = GridSpec(half_width=spec.lattice_half_width, points_per_axis=3)
+    arcs, lines = [], []
+    for tau in (np.arange(spec.cells) - (spec.cells - 1) / 2.0) * ctx.sd:
+        cloud = build_contour(ctx.model, (spec.rho + tau) * u, grid)
+        (t_lo,), (t_hi,) = cloud.offsets[0], cloud.offsets[-1]
+        theta_hat, v = cloud.fit.theta_hat[0], cloud.frame.velocity[:, 0]
+        d = y - cloud.fit.x_hat
+        rr = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        r = np.sqrt(rr)
+
+        def toward(angle):
+            return d[:, 0] * math.cos(angle) + d[:, 1] * math.sin(angle)
+
+        half = 0.5 * (t_hi - t_lo)
+        inside = toward(theta_hat + 0.5 * (t_lo + t_hi)) >= r * (
+            math.cos(half) if half < math.pi else -2.0)
+        ends = np.maximum(toward(theta_hat + t_lo), toward(theta_hat + t_hi))
+        arcs.append(rr - 2.0 * spec.rho * np.where(inside, r, ends))
+        d = y - cloud.base_point
+        dv, vv = d[:, 0] * v[0] + d[:, 1] * v[1], v[0] * v[0] + v[1] * v[1]
+        t = np.clip(dv / vv, t_lo, t_hi)
+        lines.append(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] - t * (2.0 * dv - t * vv))
+    return {"second_order": np.array(arcs), "tangent_only": np.array(lines)}
+
+
+@pytest.mark.parametrize("theta_star", [0.0, 2.5])
+def test_circle_scores_match_elementwise_reference(theta_star):
+    """The scores of one product of cell constants with the draws are the
+    elementwise squared distances (less rho^2 on the arcs) to rounding, and
+    label every draw as they do wherever their two best cells are apart:
+    draws at every offset and a ring of points, at sample sizes whose arcs
+    pass a whole turn (n = 2), and are long (16) and short (128)."""
+    spec = OrderStudySpec(n_grid=(2, 16, 128), theta_star=theta_star)
+    for n in spec.n_grid:
+        ctx = mc._StudyContext(spec, n)
+        x = ctx.draw(np.random.default_rng(n), 500)
+        y = np.vstack([base + x for base in ctx.bases] + [_ring(1000)])
+        rows = np.ascontiguousarray(y.T).T  # the layout _run_batch passes
+        slack = 1e-12 * (1.0 + np.sum(y * y, axis=1))
+        for arm, want in _reference_scores(spec, ctx, y).items():
+            assert np.all(np.abs(ctx.scores[arm](rows) - want) <= slack), (n, arm)
+            two = np.sort(want, axis=0)[:2]
+            clear = two[1] - two[0] > 1e-9
+            assert clear.mean() > 0.99
+            np.testing.assert_array_equal(ctx.labels(arm, rows)[clear],
+                                          np.argmin(want, axis=0)[clear])
+
+
 # sha256 of each report's JSON and CSV and of one batch's label counts, with
 # each draw labelled by its exact projection onto every cell's contour
 FROZEN_REPORTS = [
@@ -400,6 +473,11 @@ FROZEN_REPORTS = [
      "25997021b9f4a4233e80a128e3a31c4a1bf1c9d7de72d89de2aa2fd267e00a32",
      "8098b9b4c01cdca0e3603eb89c5e9db465368564037030bc9d2769825c8fa316",
      "0a16c458f5885ccdad30a50e8d1cf2f0ef6a29c1099b34b335ec9e6d98bfea12"),
+    # the study `ancontour verify` runs at its defaults: 80 batches of 1000
+    (OrderStudySpec(),
+     "fe2ba695843fa3fff00af5ff3b777d35ceda5674029f226b0f2d6229c8f9130b",
+     "dde6034cba4a04a9e5fdabb0da99c4e25e5f5e6e97fe50b3f627509998488e3b",
+     "9b7c9cbec07c4023506c82a34903c419c5ae8e53fa192b793929b7e4931193fb"),
 ]
 
 
@@ -411,7 +489,7 @@ def _sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("spec,json_digest,csv_digest,counts_digest", FROZEN_REPORTS,
                          ids=["circle", "circle-theta-2.5", "location-scale",
-                              "circle-11-batches", "location-scale-9-batches"])
+                              "circle-11-batches", "location-scale-9-batches", "default"])
 def test_order_study_reports_are_frozen(spec, json_digest, csv_digest, counts_digest):
     """The reports, and the label counts behind them, keep every byte."""
     report = run_replicated(spec)
