@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "models": (
-        "QuantileModel", "EtaHandle", "InvertedCauchyMap", "make_location_scale",
-        "make_circle", "make_nonlinear_regression", "make_synthetic_curved", "eta_circle",
-        "eta_curved", "invert_coordinates", "model_from_config", "non_invertible_mask"),
+        "QuantileModel", "EtaHandle", "make_location_scale", "make_circle",
+        "make_nonlinear_regression", "make_synthetic_curved", "eta_circle", "eta_curved",
+        "model_from_config", "non_invertible_mask"),
     "estimation": (
         "FitResult", "StandardizationRecord", "fitted_reference", "loglik", "score",
         "observed_information", "closed_form_mle", "fit_mle", "standardize"),

@@ -493,9 +493,10 @@ def severini_pivot_check(model: QuantileModel, y0: np.ndarray) -> SeveriniReport
     observed = severini_pivot(model, y0)
     r0 = math.hypot(y0[0], y0[1])
 
-    if abs(r0 - rho) < 1e-8:
+    if abs(r0 - rho) < 1e-8 * rho:
         # level set degenerates to the whole solution circle in the first two
-        # coordinates: a contour of dimension 1, not a point
+        # coordinates: a contour of dimension 1, not a point; the shell's
+        # width is relative, so y, rho -> s y, s rho keeps the classification
         return SeveriniReport(
             observed=observed,
             solutions=y0.reshape(1, -1),

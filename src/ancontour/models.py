@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,9 +40,8 @@ _UNBOUNDED = (-math.inf, math.inf)
 _POSITIVE = (0.0, math.inf)
 
 
-# A dataclass, unlike the package's NamedTuple records: dataclasses.replace
-# rebuilds a model with some callables swapped (invert_coordinates here,
-# span tracers outside the package).
+# A dataclass, unlike the package's NamedTuple records: span tracers outside
+# the package rebuild a model with some callables swapped by dataclasses.replace.
 @dataclass(frozen=True)
 class QuantileModel:
     """Bundle of quantile-map callables defining one parametric family.
@@ -434,58 +433,6 @@ def non_invertible_mask(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.any(np.abs(points) <= tol, axis=1)
 
 
-class InvertedCauchyMap(NamedTuple):
-    """Cauchy model re-expressed through the coordinate inversion y -> 1/y.
-
-    model acts on the inverted coordinates and is again Cauchy location-scale;
-    param_map sends (mu, sigma) to the inverted-coordinate parameters and is
-    an involution.  point_map applies 1/y coordinate-wise and is undefined on
-    points with a zero coordinate (see invertible).
-    """
-
-    model: QuantileModel
-    param_map: Callable[[np.ndarray], np.ndarray]
-    point_map: Callable[[np.ndarray], np.ndarray]
-    invertible: Callable[[np.ndarray], np.ndarray]
-
-
-def invert_coordinates(model: QuantileModel) -> InvertedCauchyMap:
-    """Re-express a Cauchy location-scale model in inverted coordinates.
-
-    If y is Cauchy(mu, sigma) then 1/y is Cauchy(mu~, sigma~) with
-    mu~ = mu / (mu^2 + sigma^2) and sigma~ = sigma / (mu^2 + sigma^2), so the
-    family is closed under coordinate inversion with a reparameterization.
-    """
-    if model.family != "cauchy-location-scale":
-        raise UnsupportedFamilyError(
-            f"coordinate inversion is defined for cauchy-location-scale, got {model.family!r}"
-        )
-
-    inverted = replace(model, family="inverted-cauchy",
-                       meta={"error_law": "cauchy", "inverted": True})
-
-    def param_map(theta):
-        theta = np.asarray(theta, dtype=float)
-        mu, sigma = theta[0], theta[1]
-        denom = mu * mu + sigma * sigma
-        if denom <= 0.0:
-            raise InvalidParameterError("parameter map undefined at mu = sigma = 0")
-        return np.array([mu / denom, sigma / denom])
-
-    def point_map(y):
-        y = np.asarray(y, dtype=float)
-        if np.any(non_invertible_mask(y.reshape(1, -1) if y.ndim == 1 else y)):
-            raise InvalidParameterError("point has a zero coordinate, no image under 1/y")
-        return 1.0 / y
-
-    return InvertedCauchyMap(
-        model=inverted,
-        param_map=param_map,
-        point_map=point_map,
-        invertible=lambda pts: ~non_invertible_mask(pts),
-    )
-
-
 def _build_eta(config: dict) -> EtaHandle:
     tag = config["eta"]
     if tag == "circle":
@@ -519,18 +466,11 @@ def _regression_from_config(config: dict, mode: str) -> QuantileModel:
     return make_nonlinear_regression(eta, sigma_mode)
 
 
-def _location_scale_from_config(config: dict, law: str) -> QuantileModel:
-    return make_location_scale(config_int(config["n"], "n"), error_law=law)
-
-
 # family -> (required keys besides "family", optional keys, model factory)
 _FAMILIES = {
-    "location-scale": ({"n"}, {"error_law"}, lambda c: _location_scale_from_config(
-        c, c.get("error_law", "normal"))),
-    "cauchy-location-scale": ({"n"}, set(), lambda c: _location_scale_from_config(
-        c, "cauchy")),
-    "inverted-cauchy": ({"n"}, set(), lambda c: invert_coordinates(
-        _location_scale_from_config(c, "cauchy")).model),
+    "location-scale": ({"n"}, set(), lambda c: make_location_scale(config_int(c["n"], "n"))),
+    "cauchy-location-scale": ({"n"}, set(), lambda c: make_location_scale(
+        config_int(c["n"], "n"), error_law="cauchy")),
     "circle2d": ({"rho"}, {"n", "variance_scale"}, _circle2d_from_config),
     "circleN": ({"n", "rho"}, {"variance_scale"}, lambda c: _circle_from_config(
         c, config_int(c["n"], "n", 3))),

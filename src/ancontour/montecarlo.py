@@ -212,7 +212,8 @@ class OrderStudySpec(NamedTuple):
     contours per transverse direction, and each draw's label is the cell
     whose contour holds its nearest point.  lattice_half_width is each circle
     contour's clip half-width in standardized units (the location-scale
-    plane is clipped at 3 in both coordinates), and rho the circle's radius;
+    plane is clipped at 3 in both coordinates), and rho the circle's radius,
+    whose angular offsets d / (rho sqrt(n)) must not wrap the circle;
     location-scale refuses either away from its default, and takes
     theta_star as its location.  The default n_grid keeps the
     second-order signal several standard errors above the replication noise
@@ -253,6 +254,12 @@ class OrderStudySpec(NamedTuple):
                     f"{key!r} is read by family 'circle' only; 'location-scale' takes {default}")
             if not getattr(spec, key) > 0.0:
                 raise InvalidParameterError(f"{key!r} must be positive and finite")
+        if spec.family == "circle":  # information rho^2 n and offsets d / sqrt of it, in radians
+            low, high = (spec.rho * spec.rho * n for n in (min(spec.n_grid), max(spec.n_grid)))
+            if not (0.0 < low and high < math.inf and max(spec.deltas) < math.pi * math.sqrt(low)):
+                raise InvalidParameterError(
+                    f"'rho' = {spec.rho!r} is out of range: the information rho^2 n must be "
+                    "positive and finite, and each angle d / (rho sqrt(n)) below pi")
         n = max(spec.n_grid)  # where _StudyContext's offsets and draws are smallest
         sd, root_info = ((math.sqrt(1.0 / n), spec.rho * math.sqrt(n)) if spec.family == "circle"
                          else (1.0, math.sqrt(n)))

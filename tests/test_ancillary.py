@@ -29,7 +29,6 @@ from ancontour import (
     eta_curved,
     exact_label,
     fit_mle,
-    invert_coordinates,
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
@@ -510,7 +509,6 @@ def test_cauchy_exact_labels_agree_to_rounding():
 LOCATION_SCALE = {
     "location-scale": make_location_scale(6),
     "cauchy-location-scale": make_location_scale(6, error_law="cauchy"),
-    "inverted-cauchy": invert_coordinates(make_location_scale(6, error_law="cauchy")).model,
 }
 
 
@@ -931,6 +929,17 @@ def test_severini_degenerate_shell():
     assert report.degenerate
     assert report.solution_set_dim == 1
     assert not report.unique_in_neighborhood
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1.0, 1e6])
+def test_severini_classification_is_scale_free(s):
+    """y, rho -> s y, s rho scales every pre-image and keeps the solution set's
+    dimension: the degenerate shell |r0 - rho| < 1e-8 rho is relative, so the
+    point 1.25 rho out is never on it, and one 5e-9 rho off always is."""
+    model = make_circle(s, n=3)
+    for r0, dim in ((1.25, 0), (1.0 + 2e-8, 0), (1.0 + 5e-9, 1), (1.0, 1), (0.6, 0)):
+        report = severini_pivot_check(model, s * np.array([r0, 0.0, 0.15]))
+        assert (report.degenerate, report.solution_set_dim) == (dim == 1, dim), r0
 
 
 def test_severini_family_guard():

@@ -215,6 +215,21 @@ def test_readme_python_blocks_run(capsys):
     capsys.readouterr()
 
 
+def test_readme_model_table_is_the_config_table():
+    """README's model config table lists every config family, each with the
+    required and optional keys the config parser takes."""
+    from ancontour.models import _FAMILIES
+
+    rows = {}
+    for line in README.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 4 and cells[0].strip().strip("`") in _FAMILIES:
+            rows[cells[0].strip().strip("`")] = tuple(
+                set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:3])
+    assert rows == {family: (required, optional)
+                    for family, (required, optional, _) in _FAMILIES.items()}
+
+
 @pytest.mark.parametrize("command", ["contour", "frame"])
 def test_malformed_grid_is_usage_error_for_contour_and_frame(command, tmp_path, capsys):
     config = write_config(tmp_path, dict(CIRCLE_CONFIG, grid={"bogus": 1}))
@@ -300,6 +315,12 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("contour", [CIRCLE_CONFIG], "config root"),
     ("contour", {"model": CIRCLE_CONFIG["model"]}, "config needs 'model' and 'data'"),
     ("contour", {**CIRCLE_CONFIG, "grid": 5}, "'grid' must be a string"),
+    ("contour", {"model": {"family": "inverted-cauchy", "n": 2}, "data": {"y": [0.5, 2.0]}},
+     "known: ['cauchy-location-scale', 'circle2d', 'circleN', 'location-scale', "
+     "'nonlinreg-known-sigma', 'nonlinreg-unknown-sigma']"),
+    ("contour", {"model": {"family": "location-scale", "n": 5, "error_law": "cauchy"},
+                 "data": {"y": [0.1, -0.4, 1.3, 0.8, 2.0]}},
+     "unknown keys for family 'location-scale': ['error_law']"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -313,7 +334,8 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
         "grid-half_width-string", "grid-half_width-bool", "partition-grid_points-string",
         "grid-standardized-string", "grid-standardized-int", "partition-grid_half_width-0",
         "partition-grid_half_width-negative", "order-ls-rho", "order-ls-lattice_half_width",
-        "config-root-list", "config-without-data", "grid-number"])
+        "config-root-list", "config-without-data", "grid-number", "model-inverted-cauchy",
+        "model-location-scale-error_law"])
 def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsys):
     """Non-integer or out-of-range integers, and reals that are not finite JSON
     numbers (booleans and strings included), are rejected before any work,
@@ -324,7 +346,9 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     location-scale order study does not read, must keep their defaults
     there.  A config root that is not an object, a point config without
     data and a grid that is neither a string nor an object are refused the
-    same way."""
+    same way, as are a model family or key outside the config table: the
+    Cauchy model's one name is cauchy-location-scale, and location-scale,
+    the Normal model, takes no error_law."""
     config = write_config(tmp_path, payload)
     code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -940,7 +964,7 @@ print(sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
 
 
 def test_quantile_model_is_the_only_dataclass():
-    """Defining a dataclass costs 0.5-1.3 ms of start-up each, so the 20
+    """Defining a dataclass costs 0.5-1.3 ms of start-up each, so the 19
     other types the CLI modules load are NamedTuples."""
     src = os.path.dirname(os.path.dirname(ancontour.__file__))
     result = subprocess.run([sys.executable, "-c", DATACLASSES_SCRIPT],
@@ -948,7 +972,7 @@ def test_quantile_model_is_the_only_dataclass():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['ancontour.models.QuantileModel']"
-    assert len(RECORD_TYPES) == 20
+    assert len(RECORD_TYPES) == 19
 
 
 def test_config_float_accepts_finite_numbers_only():

@@ -20,7 +20,6 @@ from ancontour import (
     eta_circle,
     eta_curved,
     fit_mle,
-    invert_coordinates,
     make_circle,
     make_location_scale,
     make_nonlinear_regression,
@@ -29,7 +28,7 @@ from ancontour import (
     non_invertible_mask,
 )
 from ancontour._jsonio import dumps
-from ancontour.models import _moments
+from ancontour.models import _FAMILIES, _moments
 from conftest import FAMILY_NAMES, central_difference, iter_instances
 
 
@@ -270,46 +269,16 @@ def test_nonlinreg_unknown_sigma_blocks():
     np.testing.assert_allclose(cross[:, 1], np.ones(7))
 
 
-def test_inverted_cauchy_parameter_involution():
-    base = make_location_scale(4, error_law="cauchy")
-    inv = invert_coordinates(base)
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        theta = np.array([rng.normal(0, 2), float(np.exp(rng.normal(0, 0.5)))])
-        back = inv.param_map(inv.param_map(theta))
-        np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)
-    # the documented value: (mu, sigma) = (0.5, 1.5) maps to (0.2, 0.6)
-    np.testing.assert_allclose(inv.param_map(np.array([0.5, 1.5])),
-                               np.array([0.2, 0.6]), atol=1e-15)
-
-
-def test_inverted_model_differs_only_in_family_and_meta():
-    base = make_location_scale(4, error_law="cauchy")
-    inverted = invert_coordinates(base).model
-    assert inverted.family == "inverted-cauchy"
-    assert inverted.meta == {"error_law": "cauchy", "inverted": True}
-    for f in dataclasses.fields(base):
-        if f.name not in ("family", "meta"):
-            assert getattr(inverted, f.name) is getattr(base, f.name), f.name
-
-
-def test_inverted_cauchy_point_map():
-    base = make_location_scale(3, error_law="cauchy")
-    inv = invert_coordinates(base)
-    y = np.array([2.0, -0.5, 0.25])
-    np.testing.assert_allclose(inv.point_map(inv.point_map(y)), y, rtol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        inv.point_map(np.array([1.0, 0.0, 2.0]))
-    flags = inv.invertible(np.array([[1.0, 2.0, 3.0], [1.0, 0.0, 3.0]]))
-    np.testing.assert_array_equal(flags, [True, False])
-
-
 def test_inverted_cauchy_distribution_closure():
-    """If y is Cauchy(mu, sigma), then 1/y is Cauchy at the mapped parameter."""
-    base = make_location_scale(1 + 1, error_law="cauchy")
-    inv = invert_coordinates(base)
+    """If y is Cauchy(mu, sigma), then 1/y is Cauchy at (mu, sigma) / (mu^2 + sigma^2):
+    the family is closed under coordinate inversion (McCullagh 1992)."""
+    def inverted(theta):
+        return theta / (theta @ theta)
+
     mu, sigma = 0.5, 1.5
-    mapped = inv.param_map(np.array([mu, sigma]))
+    mapped = inverted(np.array([mu, sigma]))
+    np.testing.assert_allclose(mapped, [0.2, 0.6], atol=1e-15)
+    np.testing.assert_allclose(inverted(mapped), [mu, sigma], rtol=1e-12)  # an involution
     rng = np.random.default_rng(99)
     z = rng.standard_cauchy(200000)
     y = mu + sigma * z
@@ -327,27 +296,32 @@ def test_non_invertible_mask():
     assert non_invertible_mask(np.array([1.0, 0.0]))[0]
 
 
-def test_model_from_config_families():
-    cases = [
-        {"family": "location-scale", "n": 5},
-        {"family": "location-scale", "n": 5, "error_law": "cauchy"},
-        {"family": "cauchy-location-scale", "n": 4},
-        {"family": "inverted-cauchy", "n": 2},
-        {"family": "circle2d", "rho": 1.5},
-        {"family": "circleN", "n": 4, "rho": 1.0, "variance_scale": 0.1},
-        {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8, "sigma0": 0.7},
-        {"family": "nonlinreg-known-sigma", "eta": "circle", "rho": 1.2},
-        {"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 6},
-    ]
-    for config in cases:
-        model = model_from_config(config)
-        assert model.n >= 2
-        model_from_config(json.dumps(config))
+# a config for each config family, and one for each eta of nonlinreg-known-sigma
+FAMILY_CONFIGS = [
+    {"family": "location-scale", "n": 5},
+    {"family": "cauchy-location-scale", "n": 4},
+    {"family": "circle2d", "rho": 1.5},
+    {"family": "circleN", "n": 4, "rho": 1.0, "variance_scale": 0.1},
+    {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8, "sigma0": 0.7},
+    {"family": "nonlinreg-known-sigma", "eta": "circle", "rho": 1.2},
+    {"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 6},
+]
+
+
+def test_every_config_family_builds_a_model_of_that_family():
+    """One config spelling per model: each family of the config table builds
+    a model whose family is that name, from a dict and from its JSON text."""
+    assert {config["family"] for config in FAMILY_CONFIGS} == set(_FAMILIES)
+    for config in FAMILY_CONFIGS:
+        for source in (config, json.dumps(config)):
+            model = model_from_config(source)
+            assert model.family == config["family"] and model.n >= 2
 
 
 def test_model_from_config_rejects_bad_input():
-    with pytest.raises(UnsupportedFamilyError):
-        model_from_config({"family": "gamma", "n": 3})
+    for family in ("gamma", "inverted-cauchy"):
+        with pytest.raises(UnsupportedFamilyError, match="known: "):
+            model_from_config({"family": family, "n": 3})
     with pytest.raises(InvalidParameterError):
         model_from_config({"family": "location-scale", "n": 5, "bogus": 1})
     with pytest.raises(InvalidParameterError):
@@ -370,6 +344,8 @@ def test_model_from_config_rejects_bad_input():
             model_from_config(bad)
     # configs that would build another family, or ignore a key, name the key
     for bad, key in (({"family": "circleN", "n": 2, "rho": 1.0}, "'n'"),
+                     ({"family": "location-scale", "n": 5, "error_law": "cauchy"},
+                      "'error_law'"),
                      ({"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8, "rho": 1.0},
                       "'rho'"),
                      ({"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 8, "rho": 1.0},

@@ -173,6 +173,25 @@ def test_order_spec_names_a_theta_star_that_rounding_swallows(family, theta_star
     spec._replace(theta_star=1e6).validate()
 
 
+@pytest.mark.parametrize("rho", [1e-200, 1e-100, 1e200, 0.5 / math.pi * (1.0 - 1e-9)],
+                         ids=["tiny", "small", "huge", "half-turn"])
+def test_order_spec_names_a_rho_the_circle_cannot_hold(rho):
+    """At rho 1e-200 the information rho^2 n underflowed to 0 and the study
+    raised a bare ZeroDivisionError; at 1e200 rho^2 overflowed; at 1e-100
+    every offset wrapped the circle many times and the study read all-zero
+    sensitivities and called itself conclusive.  Each raises
+    InvalidParameterError naming rho, as does an offset of just past a half
+    turn; rho 0.7 at n = 5, one of the frozen studies, keeps offsets of 1.28."""
+    spec = OrderStudySpec(rho=rho, n_grid=(16, 32), reps=200, batch_size=100)
+    with pytest.raises(InvalidParameterError, match="'rho'"):
+        spec.validate()
+    with pytest.raises(InvalidParameterError, match="'rho'"):
+        run_replicated(spec)
+    # the largest offset is max(deltas) / (rho sqrt(min(n_grid))): 2 / (4 rho)
+    spec._replace(rho=0.5 / math.pi * (1.0 + 1e-9)).validate()
+    spec._replace(rho=0.7, n_grid=(5, 24, 40)).validate()
+
+
 @pytest.mark.parametrize("kwargs", [
     {"reps": "5"}, {"reps": 5.0}, {"n_grid": 16}, {"deltas": 1.0}, {"deltas": "1"},
 ], ids=["reps-string", "reps-float", "n_grid-scalar", "deltas-scalar", "deltas-string"])
