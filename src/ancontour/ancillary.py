@@ -32,7 +32,7 @@ from .estimation import (
     FitResult, StandardizationRecord, _domain, _eigvalsh, _eye, _fit_points, _line_search, _norms,
     _solve, fit_mle, standardize,
 )
-from .models import QuantileModel, non_invertible_mask
+from .models import QuantileModel, _all, _any, _max, _sum, non_invertible_mask
 
 __all__ = _EXPORTS["ancillary"]
 
@@ -99,7 +99,7 @@ class ContourCloud(NamedTuple):
 
     @property
     def center_index(self) -> int:
-        return int(np.argmin(np.sum(self.offsets_std**2, axis=1)))
+        return int(np.argmin(_sum(self.offsets_std**2, 1)))
 
     def to_csv(self) -> str:
         p, n = self.offsets.shape[1], self.points.shape[1]
@@ -135,8 +135,8 @@ def _sweep(model, x_hat, theta_hat, rec, grid):
         offsets, offsets_std = t_std, t_std @ rec.chol  # t_std = L' t
     rows = theta_hat[:, None] + offsets
     lo, hi = _domain(model.param_domain)[:2]
-    keep = ((rows > lo) & (rows < hi)).all(axis=2)
-    x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, keep.sum(axis=1), axis=0)
+    keep = _all((rows > lo) & (rows < hi), 2)
+    x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, _sum(keep, 1), axis=0)
     points = model.quantile(x, rows[keep])
     return offsets, offsets_std, points, keep
 
@@ -147,9 +147,9 @@ def _check_fit(model, y0, fit):
     if theta.shape != (model.p,):
         raise InvalidDimensionError(f"fit.theta_hat has shape {theta.shape}, expected ({model.p},)")
     gap = np.abs(model.quantile(x, theta) - y0)  # a + b (y0 - a) / b: ulps of |y0| + |a|
-    if not (gap <= 1e-13 * (np.abs(y0) + np.abs(fit.y_fit))).all():
-        raise InvalidParameterError(f"fit is not a fit of this point: it misses it by "
-                                    f"{float(gap.max()):.3e}")
+    if not _all(gap <= 1e-13 * (np.abs(y0) + np.abs(fit.y_fit))):
+        raise InvalidParameterError(
+            f"fit is not a fit of this point: it misses it by {float(_max(gap)):.3e}")
     return fit
 
 
@@ -170,8 +170,8 @@ def build_contour(
     y0 = model.check_point(y0)
     fit = fit_mle(model, y0) if fit is None else _check_fit(model, y0, fit)
     rec = standardize(fit.obs_info)
-    offsets, offsets_std, points, keep = _sweep(model, fit.x_hat[None], fit.theta_hat[None], rec,
-                                                grid)
+    offsets, offsets_std, points, keep = _sweep(
+        model, fit.x_hat[None], fit.theta_hat[None], rec, grid)
     return ContourCloud(
         family=model.family,
         base_point=y0,
@@ -182,7 +182,7 @@ def build_contour(
         offsets=offsets[keep[0]],
         offsets_std=offsets_std[keep[0]],
         points=points,
-        dropped_out_of_domain=int(keep.size - keep.sum()),
+        dropped_out_of_domain=int(keep.size - _sum(keep, None)),
     )
 
 
@@ -195,22 +195,21 @@ def contour_min_distance(
 ) -> tuple:
     """Distance from q to the continuous contour through fit, by Newton steps.
 
-    Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t starting from
-    t_init (a parameter offset near the argmin), with domain clipping and the
-    line search of the Newton fit, estimation._line_search.  A row takes
-    Newton's step where the Hessian V'V - sum r_i d2q_i/dtheta2 of |r|^2 / 2
-    is positive definite relative to tr(V'V), and Gauss-Newton's elsewhere;
+    Minimizes ||q - quantile(x_hat; theta_hat + t)|| over t from t_init (an
+    offset near the argmin) in the domain, with the Newton fit's line search.
+    A row takes Newton's step where the Hessian V'V - sum r_i d2q_i/dtheta2
+    of |r|^2 / 2 is positive definite relative to tr(V'V), else Gauss-Newton's;
     none where its start is within 4 ulps of sum |r_i| (|q_i| + |a_i| +
     |b_i x_i|), the rounding of |q - Q|^2, Q = a + b x_hat.  It stops before
     a step whose predicted decrease g's is within 4 ulps of sum |r_i| |q_i|,
     or after one that moves t by less than 1e-13 (1 + |t|).  Returns
     (distance, argmin offset): a float and (p,) for one point q (n,), or (K,)
-    and (K, p) for rows q (K, n) and t_init (K, p), solved together with each
-    row on the path it would take alone; fit may carry one anchor per row
-    instead, x_hat (K, n) and theta_hat (K, p).
-    Shapes that do not match raise InvalidDimensionError; non-finite inputs,
-    a negative max_iter and a q whose squared distance overflows raise
-    InvalidParameterError.
+    and (K, p) for rows q (K, n) and t_init (K, p), each row on its one-row
+    path; fit may carry one anchor per row, x_hat (K, n) and theta_hat (K, p).
+    The rows are slice(None), views, until one stops; a candidate off the
+    domain is evaluated at the anchor and refused.  Mismatched shapes raise
+    InvalidDimensionError; non-finite inputs, a negative max_iter and a q
+    whose squared distance overflows, InvalidParameterError.
     """
     (lo, hi, _), eye = _domain(model.param_domain), _eye(model.p)
     q, t = np.asarray(q, dtype=float), np.array(t_init, dtype=float)
@@ -220,7 +219,7 @@ def contour_min_distance(
     if t.shape != q.shape[:-1] + (model.p,):
         raise InvalidDimensionError(f"t_init has shape {t.shape}, expected {model.p} per q row")
     for name, v in (("q", q), ("t_init", t)):
-        if not np.isfinite(v).all():
+        if not _all(np.isfinite(v), None):
             raise InvalidParameterError(f"{name} has non-finite entries")
     config_int(max_iter, "max_iter", 0)
     q, t = (q[None], t[None]) if single else (q, t)
@@ -231,71 +230,76 @@ def contour_min_distance(
     def at(v, rows):  # the anchor of rows: the one fit's, or each row's own
         return v if v.ndim == 1 else v[rows]
 
-    def inside(rows, tv):
+    def inside(rows, tv):  # theta + tv, and which rows are in the domain
         th = at(theta, rows) + tv
-        return ((th > lo) & (th < hi)).all(axis=-1)
+        return th, _all((th > lo) & (th < hi), -1)
 
-    def residual(rows, tv):
-        r = model.quantile(at(x_hat, rows), at(theta, rows) + tv)
+    def residual(rows, th):
+        r = model.quantile(at(x_hat, rows), th)
         return np.subtract(q[rows], r, out=r)  # in place: one (rows, n) array fewer
 
     def evaluate(rows, cand):  # in the domain, and not raising the squared distance
-        ok = inside(rows, cand)
-        res = residual(rows[ok], cand[ok])
+        nonlocal resid, value
+        th, ok = inside(rows, cand)
+        if not _all(ok):
+            th = np.where(ok[:, None], th, at(theta, rows))
+        res = residual(rows, th)
         values = (res[:, None, :] @ res[:, :, None])[:, 0, 0]
-        hit = ok.copy()
-        hit[ok] = good = values <= value[rows[ok]]
-        if not good.all():  # else res is stored as it is: no copy of its (rows, n)
-            res, values = res[good], values[good]
-        resid[rows[hit]], value[rows[hit]] = res, values
+        hit = ok & (values <= value[rows])
+        if isinstance(rows, slice) and _all(hit):  # res is the state
+            resid, value = res, values
+        else:
+            rows = np.arange(len(t))[rows][hit]
+            resid[rows], value[rows] = res[hit], values[hit]
         return hit
 
     for _ in range(60):
-        out = ~inside(slice(None), t)
-        if not out.any():
+        if _all(ok := inside(slice(None), t)[1]):
             break
-        t[out] *= 0.5
+        t[~ok] *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = residual(slice(None), t)
+        resid = residual(slice(None), theta + t)
         value = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    if not np.isfinite(value).all():
+    if not _all(np.isfinite(value)):
         raise InvalidParameterError("q is too far from the contour for a finite squared distance")
-    # the start check, with a = q - r - b x to rounding
+    # the start check, with a = q - r - b x to rounding; 4 ulps: 2^-50
     bx, p = model.dquantile_dx(np.zeros(model.n), theta + t) * x_hat, model.p
     terms = np.abs(bx) + np.abs(q - resid - bx) + np.abs(q)
     floor = (np.abs(resid)[:, None] @ terms[..., None])[:, 0, 0]
-    active = value > 4 * np.finfo(float).eps * floor
+    active = value > 2.0 ** -50 * floor
     del bx, terms
+    rows = slice(None)
     for _ in range(max_iter):
-        rows = active.nonzero()[0]
-        if rows.size == 0:
-            break
+        if not _all(active):
+            if not (rows := active.nonzero()[0]).size:
+                break
         x, th = at(x_hat, rows), at(theta, rows) + t[rows]
         vel = model.dquantile_dtheta(x, th)
         vel_t, r = vel.swapaxes(1, 2), resid[rows]
         gram, grad = vel_t @ vel, vel_t @ r[..., None]
         del vel, vel_t  # before the second derivatives exist
         bend = r[:, None] @ model.d2quantile_dtheta2(x, th).reshape(-1, model.n, p * p)
-        # the rounding floor of |r|^2, in place in r and in q's row copy
+        # the rounding floor of |r|^2, in place in r (a row's next step rewrites it, or the row
+        # retires) and in q's rows if copied
         q_rows = q[rows]
-        floor = 4 * np.finfo(float).eps * (np.abs(r, out=r)[:, None]
-                                           @ np.abs(q_rows, out=q_rows)[..., None])[:, 0, 0]
+        floor = 2.0 ** -50 * (np.abs(r, out=r)[:, None] @ np.abs(q_rows, out=(
+            None if isinstance(rows, slice) else q_rows))[..., None])[:, 0, 0]
         del x, r, q_rows  # free before the line search allocates its candidates
-        # Newton where the Hessian of |r|^2 / 2 is positive definite relative to the Gram
-        # matrix, Gauss-Newton elsewhere (beyond the centre of curvature, say); tiny changes no
-        # nonzero ridge and gives a zero Gram the step 0, which retires the row
+        # Newton where hess is positive definite, else Gauss-Newton (past the centre of
+        # curvature, say); tiny changes no nonzero ridge, and a zero Gram's step 0 retires the row
         hess, size = gram - bend.reshape(-1, p, p), gram.trace(axis1=1, axis2=2)
         newton = _eigvalsh(hess)[:, 0] > 1e-8 * size
-        ridge = 1e-14 * size + np.finfo(float).tiny
-        step = _solve(np.where(newton[:, None, None], hess, gram) + ridge[:, None, None] * eye,
-                      grad)[..., 0]
+        ridge = 1e-14 * size + 2.0 ** -1022  # tiny
+        step = _solve(
+            np.where(newton[:, None, None], hess, gram) + ridge[:, None, None] * eye, grad)[..., 0]
         # a predicted decrease below that rounding is one no line search can see: the row is done
-        go = (step[:, None] @ grad)[:, 0, 0] > floor
-        active[rows[~go]] = False
-        if go.any():
-            rows = rows[go]
-            moved = _line_search(rows, t, step[go], evaluate)
-            active[rows[~(moved[rows] >= 1e-13 * (1.0 + _norms(t[rows])))]] = False  # or NaN: none
+        active[rows] = go = (step[:, None] @ grad)[:, 0, 0] > floor
+        if not _all(go):
+            if not _any(go):
+                continue
+            rows, step = np.arange(len(t))[rows][go], step[go]
+        moved = _line_search(rows, t, step, evaluate)
+        active[rows] = moved[rows] >= 1e-13 * (1.0 + _norms(t[rows]))  # NaN: none taken
     dist = np.sqrt(value)
     return (float(dist[0]), t[0]) if single else (dist, t)
 
@@ -333,12 +337,11 @@ def partition_check(
     Picks y1 = q(x_hat0; theta_hat0 + t1), fits it (closed form, or Newton
     from theta1 = theta_hat0 + t1, its MLE on location-scale families), and
     reports the maximum over the rebuilt cloud of the distance to the
-    original (continuous) contour.  Each rebuilt point q(x_hat1; theta_hat1 + s)
-    is refined by Newton steps (Gauss-Newton's where the Hessian is not
-    positive definite) from t = (theta_hat1 - theta_hat0) + s, its minimiser
-    where x_hat1 = x_hat0, where the start check retires it at once.  t1
-    is given in standardized units, with |t1| <= _T1_CAP to keep the probe
-    inside moderate deviations.  fit, when given, is the fit of y0
+    original (continuous) contour.  contour_min_distance refines each rebuilt
+    point q(x_hat1; theta_hat1 + s) from t = (theta_hat1 - theta_hat0) + s on
+    t -> q(x_hat0; theta_hat0 + t), its minimiser where x_hat1 = x_hat0, where
+    the start check retires it at once.  t1 is in standardized units, with
+    |t1| <= _T1_CAP (moderate deviations).  fit, when given, is the fit of y0
     (fit_mle's), which is then not repeated; a fit of another point raises.
     """
     return _partition_pass(model, [y0], t1_std, grid, fit)[0]
@@ -356,7 +359,7 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     t1_std = np.array(t1_std, dtype=float, ndmin=1)
     if t1_std.shape != (model.p,):
         raise InvalidDimensionError(f"t1 has shape {t1_std.shape}, expected ({model.p},)")
-    if not np.isfinite(t1_std).all():
+    if not _all(np.isfinite(t1_std)):
         raise InvalidParameterError("t1 has non-finite entries")
     if (size := math.sqrt(t1_std @ t1_std)) > _T1_CAP:
         raise InvalidParameterError(
@@ -381,18 +384,17 @@ def _partition_pass(model, y0, t1_std, grid, fit=None) -> list:
     for lo in range(0, len(y0), step):
         b = slice(lo, lo + step)
         s, _, points1, keep1 = _sweep(model, x1[b], theta_hat1[b], standardize(info1[b]), grid)
-        # rebuilt point q(x_hat1; theta_hat1 + s) starts at t = (theta_hat1 - theta_hat0) + s on
-        # the original contour t -> q(x_hat0; theta_hat0 + t): its minimiser if x_hat1 = x_hat0
         owner = keep1.nonzero()[0]
         start = ((theta_hat1[b] - theta0[b])[:, None] + s)[keep1]  # s: (G, p) or one per draw
         # refine toward each point's own draw's fit; a one-draw block passes that one fit
         x_a, t_a = (x0[lo], theta0[lo]) if len(keep1) == 1 else (x0[b][owner], theta0[b][owner])
-        dist, _ = contour_min_distance(model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1,
-                                       start)
+        dist, _ = contour_min_distance(
+            model, SimpleNamespace(x_hat=x_a, theta_hat=t_a), points1, start)
         np.maximum.at(worst[b], owner, dist)
-    return [PartitionReport(discrepancy=float(worst[k]), theta_gap=math.sqrt(gap @ gap),
-                            t1_std=t1_std, t1_raw=t1_raw[k], y1=y1[k], theta_hat0=theta0[k],
-                            theta_hat1=theta_hat1[k]) for k, gap in enumerate(theta_hat1 - theta1)]
+    return [PartitionReport(
+        discrepancy=float(worst[k]), theta_gap=math.sqrt(gap @ gap), t1_std=t1_std,
+        t1_raw=t1_raw[k], y1=y1[k], theta_hat0=theta0[k], theta_hat1=theta_hat1[k])
+        for k, gap in enumerate(theta_hat1 - theta1)]
 
 
 class ExactComparisonReport(NamedTuple):
@@ -427,7 +429,7 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     """Evaluate the family's exact ancillary along a contour cloud."""
     labels = exact_label(model, np.vstack([cloud.base_point, cloud.points]))
     base = labels[0]
-    spread = float(np.abs(labels[1:] - base).max(initial=0.0))
+    spread = float(_max(np.abs(labels[1:] - base), None, initial=0.0))
     radius_contour = radius_exact = None
     if "rho" in model.meta:  # a circle family
         vel = cloud.frame.velocity[:, 0]
@@ -592,7 +594,7 @@ def cauchy_inversion_demo(
         raise InvalidDimensionError("demo is the two-observation case")
     if resolution < 16:
         raise InvalidParameterError("resolution too small to count components")
-    if not np.all(np.isfinite(ytilde0)):
+    if not _all(np.isfinite(ytilde0)):
         raise InvalidParameterError("ytilde0 has non-finite entries")
     if ytilde0[0] == ytilde0[1]:
         raise SingularInformationError("degenerate configuration, equal coordinates")
@@ -622,7 +624,7 @@ def cauchy_inversion_demo(
     ok = on_contour & ~non_invertible_mask(line, tol=1e-9)
     # a segment starts at each kept point after a dropped one or a sign change
     signs = np.sign(line)
-    starts = ok & np.r_[True, ~ok[:-1] | np.any(signs[1:] != signs[:-1], axis=1)]
+    starts = ok & np.r_[True, ~ok[:-1] | _any(signs[1:] != signs[:-1], 1)]
     return InversionReport(
         component_count=count,
         line_segment_count=int(np.count_nonzero(starts)),

@@ -16,7 +16,7 @@ import numpy as np
 from . import _EXPORTS
 from ._jsonio import record
 from .errors import DegenerateTangentError, InvalidDimensionError, InvalidParameterError
-from .models import QuantileModel
+from .models import QuantileModel, _max
 
 __all__ = _EXPORTS["diffgeo"]
 
@@ -65,8 +65,8 @@ def _split(velocity, acceleration):
         raise InvalidDimensionError(
             f"acceleration shape {acceleration.shape}, expected {(n, p, p)}"
         )
-    asym = np.abs(acceleration - acceleration.swapaxes(1, 2)).max()
-    if asym > 1e-8 * (1.0 + np.abs(acceleration).max()):
+    asym = _max(np.abs(acceleration - acceleration.swapaxes(1, 2)), None)
+    if asym > 1e-8 * (1.0 + _max(np.abs(acceleration), None)):
         raise InvalidParameterError(
             f"acceleration not symmetric in trailing axes (gap {asym:.3e})"
         )

@@ -38,6 +38,9 @@ __all__ = _EXPORTS["models"]
 
 _UNBOUNDED = (-math.inf, math.inf)
 _POSITIVE = (0.0, math.inf)
+# ndarray.all, any, sum, max and min without their Python wrappers; axis 0 by default
+_all, _any, _sum, _max, _min = (
+    u.reduce for u in (np.logical_and, np.logical_or, np.add, np.maximum, np.minimum))
 
 
 # A dataclass, unlike the package's NamedTuple records: span tracers outside
@@ -82,25 +85,20 @@ class QuantileModel:
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.p,):
-            raise InvalidDimensionError(
-                f"theta has shape {theta.shape}, expected ({self.p},)"
-            )
-        if not np.isfinite(theta).all():
+            raise InvalidDimensionError(f"theta has shape {theta.shape}, expected ({self.p},)")
+        if not _all(np.isfinite(theta)):
             raise InvalidParameterError("theta has non-finite entries")
         for value, (lo, hi) in zip(theta.tolist(), self.param_domain):
             if not (lo < value < hi):
                 raise InvalidParameterError(
-                    f"theta value {value!r} outside open domain ({lo}, {hi})"
-                )
+                    f"theta value {value!r} outside open domain ({lo}, {hi})")
         return theta
 
     def check_point(self, y: np.ndarray, name: str = "y") -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
-            raise InvalidDimensionError(
-                f"{name} has shape {y.shape}, expected ({self.n},)"
-            )
-        if not np.isfinite(y).all():
+            raise InvalidDimensionError(f"{name} has shape {y.shape}, expected ({self.n},)")
+        if not _all(np.isfinite(y)):
             raise InvalidParameterError(f"{name} has non-finite entries")
         return y
 
@@ -111,7 +109,7 @@ def _normal_law(n: int, var: float):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return -0.5 * (x * x).sum(axis=-1) / var - 0.5 * n * math.log(2.0 * math.pi * var)
+        return -0.5 * _sum(x * x, -1) / var - 0.5 * n * math.log(2.0 * math.pi * var)
 
     def score_derivative(x):  # np.full without its Python wrapper
         (out := np.empty(np.shape(x))).fill(-1.0 / var)
@@ -128,7 +126,7 @@ def _cauchy_law(n: int):
 
     def log_density(x):
         x = np.asarray(x, dtype=float)
-        return -np.log1p(x * x).sum(axis=-1) - n * math.log(math.pi)
+        return -_sum(np.log1p(x * x), -1) - n * math.log(math.pi)
 
     def score(x):
         x = np.asarray(x, dtype=float)
@@ -164,8 +162,7 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         return x, theta, np.zeros(rows + (n,) + tail)
 
     def quantile(x, theta):
-        theta = np.asarray(theta, dtype=float)
-        x = np.asarray(x, dtype=float)
+        x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
         return a(theta[..., :r]) + (theta[..., r:] * x if scaled else x)
 
     def dquantile_dtheta(x, theta):
@@ -203,17 +200,17 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
 
 def _moments(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = y.shape[-1]  # sum / n: np.mean's own reduction and division
-    mu = y.sum(axis=-1, keepdims=True) / n
-    return mu[..., 0], np.sqrt(((y - mu) ** 2).sum(axis=-1) / n)
+    mu = _sum(y, -1, keepdims=True) / n
+    return mu[..., 0], np.sqrt(_sum((y - mu) ** 2, -1) / n)
 
 
 def _moment_fit(y: np.ndarray) -> np.ndarray:
     """Rows (mean, rms) of points (..., n) whose rms deviation is positive:
     the Normal location-scale MLE."""
     mu, rms = _moments(y)
-    if (rms <= 0.0).any():
+    if _any(rms <= 0.0, None):
         raise SingularInformationError("degenerate sample, sigma_hat = 0")
-    return np.stack([mu, rms], axis=-1)
+    return np.concatenate([mu[..., None], rms[..., None]], -1)
 
 
 def _configuration(y: np.ndarray) -> np.ndarray:
@@ -227,12 +224,9 @@ def _configuration(y: np.ndarray) -> np.ndarray:
 def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     """Location-scale family y = mu 1 + sigma z with standard error law z.
 
-    Parameters
-    ----------
-    n : sample size (>= 2 so that sigma is identifiable).
-    error_law : "normal" or "cauchy".  Normal errors have a closed-form MLE,
-        which also takes rows of points (..., n) -> (..., 2).  Either law has
-        the exact ancillary (y - mean) / rms.
+    n >= 2, so that sigma is identifiable; error_law is "normal" or "cauchy".
+    Normal errors have a closed-form MLE, which also takes rows of points
+    (..., n) -> (..., 2).  Either law has the exact ancillary (y - mean) / rms.
     """
     if n < 2:
         raise InvalidDimensionError("location-scale needs n >= 2")
@@ -242,7 +236,7 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     if error_law == "normal":
         def start(y):
             mu, sigma = _moments(y)
-            return np.stack([mu, np.maximum(sigma, 1e-8)], axis=-1)
+            return np.concatenate([mu[..., None], np.maximum(sigma, 1e-8)[..., None]], -1)
 
         closed_form, family, law = _moment_fit, "location-scale", _normal_law(n, 1.0)
     else:
@@ -255,15 +249,15 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
             s = np.sort(y, axis=-1)
             m = s.shape[-1]  # np.median: the mean of the middle one or two
             middle = s[..., (m - 1) // 2:m // 2 + 1]
-            return np.stack([middle.sum(axis=-1) / middle.shape[-1], np.maximum(
-                0.5 * (quartile(s, 0.75) - quartile(s, 0.25)), 1e-8)], axis=-1)
+            return np.concatenate([_sum(middle, -1, keepdims=True) / middle.shape[-1], np.maximum(
+                0.5 * (quartile(s, 0.75) - quartile(s, 0.25)), 1e-8)[..., None]], -1)
 
         closed_form, family, law = None, "cauchy-location-scale", _cauchy_law(n)
 
     # a(mu) = mu broadcasts over the n coordinates
-    return _affine_model(family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0,
-                         True, law, (_UNBOUNDED, _POSITIVE), start, closed_form,
-                         _configuration, {"error_law": error_law})
+    return _affine_model(
+        family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0, True, law,
+        (_UNBOUNDED, _POSITIVE), start, closed_form, _configuration, {"error_law": error_law})
 
 
 def _circle_mean(rho: float, n: int):
@@ -300,8 +294,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 
     def start(y):  # math.atan2: np.arctan2 differs from it in the last bit
         y = np.asarray(y, dtype=float)
-        angle = [math.atan2(v, u) for u, v in y[..., :2].reshape(-1, 2)]
-        return np.reshape(angle, y.shape[:-1] + (1,))
+        angle = [math.atan2(v, u) for u, v in y[..., :2].reshape(-1, 2).tolist()]
+        return np.array(angle).reshape(y.shape[:-1] + (1,))
 
     def closed_form(y):
         if math.hypot(y[0], y[1]) == 0.0:
@@ -311,9 +305,10 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
     def exact_label(y):
         return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
 
-    return _affine_model("circle2d" if n == 2 else "circleN", n, a, da, d2a, False,
-                         _normal_law(n, variance_scale), (_UNBOUNDED,), start, closed_form,
-                         exact_label, {"rho": float(rho), "variance_scale": float(variance_scale)})
+    return _affine_model(
+        "circle2d" if n == 2 else "circleN", n, a, da, d2a, False, _normal_law(n, variance_scale),
+        (_UNBOUNDED,), start, closed_form, exact_label,
+        {"rho": float(rho), "variance_scale": float(variance_scale)})
 
 
 class EtaHandle(NamedTuple):
@@ -371,16 +366,16 @@ def _regression_start(mean, r: int, scaled: bool):
         if r == 1:
             grid = mean(axis[:, None])  # sse_k - |y|^2 = |G_k|^2 - 2 G_k y: no other (61, n) array
             sse = np.einsum("kn,kn->k", grid, grid) - 2.0 * (grid @ y[..., None])[..., 0]
-            k = np.argmin(sse, axis=-1)
-            low, mid, high = np.moveaxis(np.take_along_axis(
-                sse, np.clip(k[..., None] + np.arange(-1, 2), 0, 60), axis=-1), -1, 0)
+            k = sse.argmin(axis=-1)  # sse at k and its neighbours, clipped at an end (unused)
+            at = np.arange(0, sse.size, 61).reshape(k.shape) + k
+            low, mid, high = sse.take(np.add.outer((-1, 0, 1), at), mode="clip")
             bend = low - 2.0 * mid + high  # no shift on the grid's ends or where sse is flat
-            shift = np.divide(low - high, bend, out=np.zeros_like(bend),
+            shift = np.divide(low - high, bend, out=np.zeros(k.shape),
                               where=(bend > 0.0) & (k % 60 > 0))
             head[..., 0] = axis[k] + 0.05 * shift  # 0.05: half the grid spacing
         if not scaled:
             return head
-        sigma = np.sqrt(((y - mean(head)) ** 2).sum(axis=-1, keepdims=True) / y.shape[-1])
+        sigma = np.sqrt(_sum((y - mean(head)) ** 2, -1, keepdims=True) / y.shape[-1])
         return np.concatenate([head, np.maximum(sigma, 1e-8)], axis=-1)
 
     return start
@@ -430,7 +425,7 @@ def make_synthetic_curved(n: int) -> QuantileModel:
 def non_invertible_mask(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """True for points with any (near-)zero coordinate: 1/y has no image there."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.any(np.abs(points) <= tol, axis=1)
+    return _any(np.abs(points) <= tol, 1)
 
 
 def _build_eta(config: dict) -> EtaHandle:

@@ -36,6 +36,7 @@ from ancontour import (
     partition_check,
     severini_pivot,
     severini_pivot_check,
+    standardize,
 )
 from ancontour._jsonio import dumps
 from ancontour.ancillary import _T1_CAP, _halfplane_membership
@@ -832,6 +833,24 @@ def test_a_fit_of_another_point_is_refused(check):
     longer = make_nonlinear_regression(eta_curved(6), "unknown")
     with pytest.raises(InvalidDimensionError, match="fit.x_hat has shape"):
         run(model, fit_mle(longer, np.append(y, 0.1)))
+
+
+@pytest.mark.parametrize("info", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]],
+                                  [[math.nan, 0.0], [0.0, 1.0]]], ids=["diagonal", "off", "nan"])
+def test_a_fit_with_non_finite_information_is_refused(info):
+    """An information with an infinite or NaN entry factors to an infinite
+    Cholesky factor (whose inverse gives a zero scale, so the contour never
+    moves along that axis) or to a NaN one: standardize, alone or in a stack,
+    build_contour and partition_check each raise SingularInformationError
+    naming the non-finite information."""
+    model = make_location_scale(4)
+    y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.3, 1.1]))
+    fit = fit_mle(model, y)._replace(obs_info=np.array(info))
+    for run in (lambda: standardize(fit.obs_info), lambda: standardize(np.stack([np.eye(2), info])),
+                lambda: build_contour(model, y, GridSpec(2.0, 5), fit=fit),
+                lambda: partition_check(model, y, np.array([1.0, 0.5]), GridSpec(2.0, 5), fit=fit)):
+        with pytest.raises(SingularInformationError, match="information has non-finite entries"):
+            run()
 
 
 def test_partition_check_names_non_finite_t1():
