@@ -1,5 +1,5 @@
-"""JSON helpers: config number checks, the one JSON encoding of reports,
-canonical JSON, atomic writes."""
+"""JSON helpers: the one check of a config block, the one JSON encoding of
+reports, canonical JSON, atomic writes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["config_int", "config_float", "encode_array", "record", "dumps",
+__all__ = ["config_int", "config_float", "config_block", "encode_array", "record", "dumps",
            "atomic_write_text", "csv_lines"]
 
 
@@ -34,6 +34,52 @@ def config_float(value, key: str) -> float:
             or not abs(value) <= sys.float_info.max):
         raise InvalidParameterError(f"{key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+# the JSON name of each type a config value is checked by isinstance for
+_KINDS = {bool: "true or false", str: "a string", dict: "an object"}
+
+
+def config_block(block, declared: dict, where: str, **minimum) -> dict:
+    """block, a JSON object, as a dict of every key of declared, typed.
+
+    declared maps each key to its default or, for a required key, its type
+    (for a required list, a tuple of its entries' type).  A given value is
+    typed by its default's type: an int by config_int, at least minimum[key]
+    when given; a float by config_float; a tuple as a list whose entries are
+    typed like the default's first; a bool, a str or a dict by isinstance;
+    a None default and the type object take any value.  A block that is not
+    an object, an unknown key, a missing required key and a mistyped value
+    raise InvalidParameterError naming them.
+    """
+    if not isinstance(block, dict):
+        raise InvalidParameterError(f"{where!r} must be an object, got {block!r}")
+    if unknown := set(block) - set(declared):
+        raise InvalidParameterError(f"unknown {where} keys: {sorted(unknown)}")
+    if missing := [key for key, like in declared.items() if key not in block and isinstance(
+            like[0] if isinstance(like, tuple) else like, type)]:
+        raise InvalidParameterError(f"missing {where} keys: {missing}")
+    return {key: _typed(block[key], key, like, minimum.get(key)) if key in block else like
+            for key, like in declared.items()}
+
+
+def _typed(value, key: str, like, minimum):
+    """value checked and converted by like, a default or a type (config_block's rule)."""
+    kind = like if isinstance(like, type) else type(like)
+    if kind is int:
+        return config_int(value, key, minimum)
+    if kind is float:
+        return config_float(value, key)
+    if kind is tuple:
+        if not isinstance(value, (str, dict)):
+            try:
+                return tuple(_typed(entry, key, like[0], minimum) for entry in value)
+            except TypeError:  # not iterable
+                pass
+        raise InvalidParameterError(f"{key!r} must be a list, got {value!r}")
+    if kind in _KINDS and not isinstance(value, kind):
+        raise InvalidParameterError(f"{key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def encode_array(arr: np.ndarray) -> dict:

@@ -427,7 +427,7 @@ def exact_label(model: QuantileModel, y: np.ndarray) -> np.ndarray:
 
 def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonReport:
     """Evaluate the family's exact ancillary along a contour cloud."""
-    labels = exact_label(model, np.vstack([cloud.base_point, cloud.points]))
+    labels = exact_label(model, np.concatenate([cloud.base_point[None], cloud.points]))
     base = labels[0]
     spread = float(_max(np.abs(labels[1:] - base), None, initial=0.0))
     radius_contour = radius_exact = None

@@ -5,11 +5,14 @@ from a model config and one data point), frame (the Taylor frame at the
 fit), verify (quadrature and simulation studies).  contour reads a model,
 data and an optional grid from its config, frame a model and data only.
 Configs are JSON files parsed and validated completely before any output is
-created; writes are atomic, so interrupted runs never leave partial files,
-and an unwritable output path is a usage error found before any work.  Exit
-codes: 0 on success, 2 for usage or configuration errors, 1 for runtime
-failures.  Each command imports the package modules it runs inside its
-handler, so a process loads no model, fit or study code it does not use.
+created: every block (top level, model, data, simulate, grid, study) is
+checked by _jsonio.config_block, so an unknown key, a missing required key
+or a value of the wrong type is a config error naming the key.  Writes are
+atomic, so interrupted runs never leave partial files, and an unwritable
+output path is a usage error found before any work.  Exit codes: 0 on
+success, 2 for usage or configuration errors, 1 for runtime failures.  Each
+command imports the package modules it runs inside its handler, so a
+process loads no model, fit or study code it does not use.
 A handler checks its output path, does its work and returns what it built:
 (path, doc, table, summary), the JSON document, the object whose to_csv()
 is the CSV file (None: the summary as key,value lines) and the stdout
@@ -27,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, config_float, config_int, dumps
+from ._jsonio import atomic_write_text, config_block, dumps
 from .errors import (
     AncontourError,
     EmptyStudyError,
@@ -53,15 +56,8 @@ _CONTOUR_EXAMPLES = {
                           ("points", "dropped_out_of_domain", "partition_discrepancy",
                            "tangent_normal_gap")),
 }
-_CONFIG_ERRORS = (
-    InvalidParameterError,
-    InvalidDimensionError,
-    UnsupportedFamilyError,
-    EmptyStudyError,
-    KeyError,
-    TypeError,
-    ValueError,
-)
+_CONFIG_ERRORS = (InvalidParameterError, InvalidDimensionError, UnsupportedFamilyError,
+                  EmptyStudyError)
 
 
 class _UsageError(Exception):
@@ -151,63 +147,33 @@ def _is_float(token: str) -> bool:
         return False
 
 
-def _numbers(value, key: str) -> np.ndarray:
-    """value, a list of finite JSON numbers, as a float array; else an error naming key."""
-    if not isinstance(value, list):
-        raise _UsageError(f"{key!r} must be a list of finite numbers, got {value!r}")
-    return np.array([config_float(v, key) for v in value])
-
-
-def _resolve_data(model, data_cfg: dict, seed_flag) -> np.ndarray:
-    if not isinstance(data_cfg, dict):
-        raise _UsageError("'data' must be an object")
-    sources = [k for k in ("y", "file", "simulate") if k in data_cfg]
-    unknown = set(data_cfg) - {"y", "file", "simulate"}
-    if unknown:
-        raise _UsageError(f"unknown data keys: {sorted(unknown)}")
-    if len(sources) != 1:
+def _resolve_data(model, data: dict, seed_flag) -> np.ndarray:
+    # exactly one source; each default here only gives its source's type
+    typed = config_block(data, {"y": (0.0,), "file": "", "simulate": {}}, "data")
+    if len(data) != 1:
         raise _UsageError(
             "exactly one data source required: inline 'y', 'file', or 'simulate'"
         )
-    if sources[0] == "y":
-        y = _numbers(data_cfg["y"], "y")
-    elif sources[0] == "file":
-        if not isinstance(data_cfg["file"], str):  # open() takes an int as a descriptor
-            raise _UsageError(f"'file' must be a path string, got {data_cfg['file']!r}")
-        y = _read_point(data_cfg["file"])
-    else:
-        sim = data_cfg["simulate"]
-        if not isinstance(sim, dict):
-            raise _UsageError("'simulate' must be an object")
-        bad = set(sim) - {"theta", "seed"}
-        if bad:
-            raise _UsageError(f"unknown simulate keys: {sorted(bad)}")
-        if "theta" not in sim:
-            raise _UsageError("'simulate' needs key 'theta'")
-        theta = model.check_theta(_numbers(sim["theta"], "theta"))
-        seed = seed_flag if seed_flag is not None else config_int(
-            sim.get("seed", _DEFAULT_SEED), "seed", 0)
-        x = model.ref_sampler(seed, 1)[0]
-        y = model.quantile(x, theta)
+    if "y" in data:
+        y = np.array(typed["y"])
+    elif "file" in data:
+        y = _read_point(typed["file"])
+    else:  # --seed replaces the config's seed before it is checked, as on verify
+        sim = data["simulate"] if seed_flag is None else {**data["simulate"], "seed": seed_flag}
+        sim = config_block(sim, {"theta": (float,), "seed": _DEFAULT_SEED}, "simulate", seed=0)
+        theta = model.check_theta(np.array(sim["theta"]))
+        y = model.quantile(model.ref_sampler(sim["seed"], 1)[0], theta)
     return model.check_point(y)
 
 
-def _resolve_grid(args, config: dict):
+def _resolve_grid(args, block):
     from .ancillary import GridSpec
 
     if args.grid is not None:
         return GridSpec.parse(args.grid)
-    block = config.get("grid")
-    if block is None:
-        return GridSpec()
     if isinstance(block, str):
         return GridSpec.parse(block)
-    if isinstance(block, dict):
-        bad = set(block) - set(GridSpec._fields)
-        if bad:
-            raise _UsageError(f"unknown grid keys: {sorted(bad)}")
-        return GridSpec(**block)
-    raise _UsageError("'grid' must be a string 'half_width,points' or an object")
+    return GridSpec(**config_block({} if block is None else block, GridSpec()._asdict(), "grid"))
 
 
 def _target(args, stem: str) -> str:
@@ -254,15 +220,11 @@ def _load_point_config(args):
     from .models import model_from_config
 
     takes_grid = "grid" in args  # contour's parser has --grid, frame's has not
-    config = _load_json(args.config)
-    bad = set(config) - {"model", "data", *(("grid",) if takes_grid else ())}
-    if bad:
-        raise _UsageError(f"unknown config keys: {sorted(bad)}")
-    if "model" not in config or "data" not in config:
-        raise _UsageError("config needs 'model' and 'data'")
+    declared = {"model": object, "data": dict, **({"grid": None} if takes_grid else {})}
     try:
+        config = config_block(_load_json(args.config), declared, "config")
         model = model_from_config(config["model"])
-        grid = _resolve_grid(args, config) if takes_grid else None
+        grid = _resolve_grid(args, config["grid"]) if takes_grid else None
         y0 = _resolve_data(model, config["data"], args.seed)
     except _CONFIG_ERRORS as exc:
         raise _UsageError(str(exc)) from exc

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from ._jsonio import config_float, config_int
+from ._jsonio import config_block
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -101,6 +102,12 @@ class QuantileModel:
         if not _all(np.isfinite(y)):
             raise InvalidParameterError(f"{name} has non-finite entries")
         return y
+
+
+def _check_n(n: int, what: str) -> None:
+    """InvalidDimensionError unless 2 <= n and n floats fit one numpy array."""
+    if not 2 <= n <= sys.maxsize // 8:
+        raise InvalidDimensionError(f"{what} needs 2 <= n <= {sys.maxsize // 8}")
 
 
 def _normal_law(n: int, var: float):
@@ -217,8 +224,10 @@ def _configuration(y: np.ndarray) -> np.ndarray:
     """(y - mean) / rms: the maximal invariant of y -> m + s y (s > 0), so an
     exact ancillary of every location-scale law, and a one-to-one function
     of any equivariant fit's configuration (y - mu_hat) / sigma_hat."""
-    theta = _moment_fit(y)
-    return (y - theta[..., :1]) / theta[..., 1:]
+    mu, rms = _moments(y)
+    if _any(rms <= 0.0, None):
+        raise SingularInformationError("degenerate sample, sigma_hat = 0")
+    return (y - mu[..., None]) / rms[..., None]
 
 
 def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
@@ -228,8 +237,7 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     Normal errors have a closed-form MLE, which also takes rows of points
     (..., n) -> (..., 2).  Either law has the exact ancillary (y - mean) / rms.
     """
-    if n < 2:
-        raise InvalidDimensionError("location-scale needs n >= 2")
+    _check_n(n, "location-scale")
     if error_law not in ("normal", "cauchy"):
         raise UnsupportedFamilyError(f"unknown error law {error_law!r}")
 
@@ -262,8 +270,7 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
 
 def _circle_mean(rho: float, n: int):
     """(a, da, d2a) of the circle mean rho (cos t, sin t, 0, ..., 0)."""
-    if n < 2:
-        raise InvalidDimensionError("circle family needs n >= 2")
+    _check_n(n, "circle family")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise InvalidParameterError("rho must be positive and finite")
 
@@ -338,8 +345,7 @@ def eta_curved(n: int) -> EtaHandle:
     The velocity and curvature patterns are deterministic in n, non-parallel,
     and O(1) per coordinate, so the information grows linearly with n.
     """
-    if n < 2:
-        raise InvalidDimensionError("curved mean needs n >= 2")
+    _check_n(n, "curved mean")
     idx = np.arange(n)
     v = 1.0 + 0.3 * np.sin(2.0 * math.pi * idx / n + 0.7)
     w = 0.8 * np.cos(4.0 * math.pi * idx / n + 0.3)
@@ -428,79 +434,49 @@ def non_invertible_mask(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return _any(np.abs(points) <= tol, 1)
 
 
-def _build_eta(config: dict) -> EtaHandle:
-    tag = config["eta"]
-    if tag == "circle":
-        if "rho" not in config:
-            raise InvalidParameterError("eta 'circle' needs key 'rho'")
-        return eta_circle(config_float(config["rho"], "rho"), config_int(config.get("n", 2), "n"))
-    if tag == "curved":
-        if "n" not in config or "rho" in config:
-            raise InvalidParameterError("eta 'curved' needs key 'n' and takes no key 'rho'")
-        return eta_curved(config_int(config["n"], "n"))
-    raise UnsupportedFamilyError(f"unknown eta tag {tag!r} (use 'circle' or 'curved')")
-
-
-def _circle_from_config(config: dict, n: int) -> QuantileModel:
-    return make_circle(config_float(config["rho"], "rho"), n=n, variance_scale=config_float(
-        config.get("variance_scale", 1.0), "variance_scale"))
-
-
-def _circle2d_from_config(config: dict) -> QuantileModel:
-    if config_int(config.get("n", 2), "n") != 2:
-        raise InvalidParameterError("circle2d has n = 2; use circleN for n > 2")
-    return _circle_from_config(config, 2)
-
-
-def _regression_from_config(config: dict, mode: str) -> QuantileModel:
-    eta = _build_eta(config)
-    if config.get("sigma_mode", mode) != mode:
-        raise InvalidParameterError(f"sigma_mode must be '{mode}' for this family")
-    sigma_mode = (("known", config_float(config.get("sigma0", 1.0), "sigma0"))
-                  if mode == "known" else mode)
-    return make_nonlinear_regression(eta, sigma_mode)
-
-
-# family -> (required keys besides "family", optional keys, model factory)
+# eta tag -> (its keys: a default, or the type of a required key; the handle of the typed keys)
+_ETAS = {"circle": ({"rho": float, "n": 2}, lambda c: eta_circle(c["rho"], c["n"])),
+         "curved": ({"n": int}, lambda c: eta_curved(c["n"]))}
+# family -> (its keys, as for _ETAS, and those of its eta tag; the model of the typed keys)
 _FAMILIES = {
-    "location-scale": ({"n"}, set(), lambda c: make_location_scale(config_int(c["n"], "n"))),
-    "cauchy-location-scale": ({"n"}, set(), lambda c: make_location_scale(
-        config_int(c["n"], "n"), error_law="cauchy")),
-    "circle2d": ({"rho"}, {"n", "variance_scale"}, _circle2d_from_config),
-    "circleN": ({"n", "rho"}, {"variance_scale"}, lambda c: _circle_from_config(
-        c, config_int(c["n"], "n", 3))),
-    "nonlinreg-known-sigma": ({"eta"}, {"n", "rho", "sigma0", "sigma_mode"},
-                              lambda c: _regression_from_config(c, "known")),
-    "nonlinreg-unknown-sigma": ({"eta"}, {"n", "rho", "sigma_mode"},
-                                lambda c: _regression_from_config(c, "unknown")),
+    "location-scale": ({"n": int}, lambda c: make_location_scale(c["n"])),
+    "cauchy-location-scale": ({"n": int}, lambda c: make_location_scale(c["n"], "cauchy")),
+    "circle2d": ({"rho": float, "n": 2, "variance_scale": 1.0},
+                 lambda c: make_circle(c["rho"], c["n"], c["variance_scale"])),
+    "circleN": ({"n": int, "rho": float, "variance_scale": 1.0},
+                lambda c: make_circle(c["rho"], c["n"], c["variance_scale"])),
+    "nonlinreg-known-sigma": ({"eta": str, "sigma0": 1.0}, lambda c: make_nonlinear_regression(
+        _ETAS[c["eta"]][1](c), ("known", c["sigma0"]))),
+    "nonlinreg-unknown-sigma": ({"eta": str}, lambda c: make_nonlinear_regression(
+        _ETAS[c["eta"]][1](c), "unknown")),
 }
 
 
-def model_from_config(config) -> QuantileModel:
-    """Build a model from a JSON-style mapping; unknown keys are rejected.
+def _tagged(table: dict, config: dict, key: str):
+    """table's entry for config[key]; UnsupportedFamilyError unless that is a key of table."""
+    tag = config.get(key)
+    if not (isinstance(tag, str) and tag in table):
+        raise UnsupportedFamilyError(f"unknown {key} {tag!r}; known: {sorted(table)}")
+    return table[tag]
 
-    Accepts a dict or a JSON string.  The "family" key selects the builder;
-    remaining keys must belong to that family's allowed set.
+
+def model_from_config(config) -> QuantileModel:
+    """Build a model from a JSON object or its text: "family", that family's
+    keys and, for a regression, those of its "eta" tag (config_block's rule).
+    The model's family is the config's: a circle's n picks no other family.
     """
     if isinstance(config, str):
-        config = json.loads(config)
+        try:
+            config = json.loads(config)
+        except ValueError as exc:
+            raise InvalidParameterError(f"model config is not JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise InvalidParameterError("model config must be a JSON object")
-    family = config.get("family")
-    if family not in _FAMILIES:
-        raise UnsupportedFamilyError(
-            f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
-        )
-    required, optional, build = _FAMILIES[family]
-    keys = set(config) - {"family"}
-    unknown = keys - required - optional
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown keys for family {family!r}: {sorted(unknown)}"
-        )
-    missing = required - keys
-    if missing:
-        raise InvalidParameterError(
-            f"missing keys for family {family!r}: {sorted(missing)}"
-        )
-    return build(config)
+        raise InvalidParameterError(f"'model' must be an object, got {config!r}")
+    declared, build = _tagged(_FAMILIES, config, "family")
+    if "eta" in declared:
+        declared = {**declared, **_tagged(_ETAS, config, "eta")[0]}
+    family = config["family"]
+    model = build(config_block(config, {"family": str, **declared}, f"{family} model"))
+    if model.family != family:
+        raise InvalidParameterError(f"'n' = {model.n} makes a {model.family} model, not {family}")
+    return model

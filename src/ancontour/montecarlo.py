@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from ._jsonio import config_float, config_int, csv_lines, record
+from ._jsonio import config_block, csv_lines, record
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -110,30 +110,12 @@ class QuadratureReport(NamedTuple):
         return csv_lines(header, [[getattr(case, key) for key in header] for case in self.cases])
 
 
-def _config_tuple(value, key: str) -> tuple:
-    """value as a tuple if it is a list of entries (not a string or a scalar);
-    otherwise InvalidParameterError naming key."""
-    if not isinstance(value, str):
-        try:
-            return tuple(value)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{key!r} must be a list, got {value!r}")
-
-
-def _checked(spec, **minimum):
-    """spec with each field checked by its default's type (config_int, at
-    least minimum[field] if given; config_float; _config_tuple of either),
-    other fields kept as they are; each error names its field."""
-    def check(value, key, default):
-        if isinstance(default, tuple):
-            return tuple(check(entry, key, default[0]) for entry in _config_tuple(value, key))
-        if isinstance(default, int):
-            return config_int(value, key, minimum.get(key))
-        return config_float(value, key) if isinstance(default, float) else value
-
-    return spec._make(check(value, key, spec._field_defaults[key])
-                      for key, value in zip(spec._fields, spec))
+def _checked(spec, changes, **minimum):
+    """spec with changes (a study config's other keys), if any, over its
+    fields, each field typed once by config_block, at least minimum[field]
+    where given."""
+    fields = {**spec._asdict(), **(changes or {})}
+    return spec._make(config_block(fields, spec._field_defaults, "study", **minimum).values())
 
 
 class QuadratureSpec(NamedTuple):
@@ -146,9 +128,9 @@ class QuadratureSpec(NamedTuple):
     eps: float = 1e-4
     theta_probe: float = 0.5
 
-    def validate(self) -> QuadratureSpec:
-        """The spec with typed fields; a value the study cannot run with raises."""
-        spec = _checked(self, a_points=1)
+    def validate(self, changes=None) -> QuadratureSpec:
+        """The spec (changes over its fields) typed; a value the study cannot run with raises."""
+        spec = _checked(self, changes, a_points=1)
         if not spec.c_values:
             raise EmptyStudyError("'c_values' must be nonempty")
         if not spec.eps > 0.0:
@@ -232,11 +214,9 @@ class OrderStudySpec(NamedTuple):
     seed: int = 20260816
     lattice_half_width: float = 6.0
 
-    def validate(self) -> OrderStudySpec:
-        """The spec with typed fields; a value the study cannot run with raises."""
-        # location-scale needs a direction normal to 1 and the scores
-        spec = _checked(self, batch_size=1, cells=2, seed=0,
-                        n_grid=3 if self.family == "location-scale" else 2)
+    def validate(self, changes=None) -> OrderStudySpec:
+        """The spec (changes over its fields) typed; a value the study cannot run with raises."""
+        spec = _checked(self, changes, batch_size=1, cells=2, seed=0, n_grid=2)
         if spec.reps <= 0:
             raise EmptyStudyError("reps must be positive")
         if spec.family not in ("circle", "location-scale"):
@@ -245,6 +225,8 @@ class OrderStudySpec(NamedTuple):
             raise InvalidParameterError("deltas must be nonnegative, finite and nonempty")
         if not spec.n_grid:
             raise InvalidParameterError("n_grid must be nonempty")
+        if spec.family == "location-scale" and min(spec.n_grid) < 3:  # a direction normal to 1
+            raise InvalidParameterError("'n_grid' must be >= 3 for family 'location-scale'")
         if len(set(spec.n_grid)) < len(spec.n_grid):
             raise InvalidParameterError("n_grid must not repeat a sample size")
         for key in ("rho", "lattice_half_width"):
@@ -610,11 +592,11 @@ class PartitionOrderSpec(NamedTuple):
     grid_half_width: float = 3.0
     grid_points: int = 21
 
-    def validate(self) -> PartitionOrderSpec:
-        """The spec with typed fields; a value the study cannot run with raises."""
+    def validate(self, changes=None) -> PartitionOrderSpec:
+        """The spec (changes over its fields) typed; a value the study cannot run with raises."""
         from .ancillary import _T1_CAP
 
-        spec = _checked(self, n_grid=2, seed=0, grid_points=3)
+        spec = _checked(self, changes, n_grid=2, seed=0, grid_points=3)
         spec.grid  # GridSpec's own checks of the half width
         if spec.draws <= 0:
             raise EmptyStudyError("draws must be positive")
@@ -690,10 +672,8 @@ def spec_from_config(config: dict, reps=None, seed=None):
         readers = " and ".join(name for name, cls in _STUDIES.items() if "reps" in cls._fields)
         raise InvalidParameterError(f"--reps is read by the {readers} study only, not {study!r}")
     fields = {key: value for key, value in config.items() if key != "study"}
-    if unknown := set(fields) - set(spec_type._fields):
-        raise InvalidParameterError(f"unknown study keys: {sorted(unknown)}")
     # every command accepts --seed (the benchmark passes it to each one), so a
     # flag sets its field where the spec has one and is ignored elsewhere
     fields.update((key, value) for key, value in (("reps", reps), ("seed", seed))
                   if value is not None and key in spec_type._fields)
-    return spec_type(**fields).validate()
+    return spec_type().validate(fields)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ancontour
-from ancontour._jsonio import config_float, dumps
+from ancontour._jsonio import config_block, config_float, dumps
 from ancontour.cli import main
 
 EXAMPLES = ("circle2d", "location-scale", "nonlinreg-known",
@@ -217,17 +217,24 @@ def test_readme_python_blocks_run(capsys):
 
 def test_readme_model_table_is_the_config_table():
     """README's model config table lists every config family, each with the
-    required and optional keys the config parser takes."""
-    from ancontour.models import _FAMILIES
+    required keys (those declared by a type) and optional keys (declared by
+    a default; for a regression family, also every eta tag's keys) the
+    config parser takes."""
+    from ancontour.models import _ETAS, _FAMILIES
 
+    eta_keys = {key for declared, _ in _ETAS.values() for key in declared}
+    expected = {}
+    for family, (declared, _) in _FAMILIES.items():
+        required = {key for key, like in declared.items() if isinstance(like, type)}
+        expected[family] = (required, set(declared) - required
+                            | (eta_keys if "eta" in declared else set()))
     rows = {}
     for line in README.splitlines():
         cells = line.split("|")[1:-1]
         if len(cells) == 4 and cells[0].strip().strip("`") in _FAMILIES:
             rows[cells[0].strip().strip("`")] = tuple(
                 set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:3])
-    assert rows == {family: (required, optional)
-                    for family, (required, optional, _) in _FAMILIES.items()}
+    assert rows == expected
 
 
 @pytest.mark.parametrize("command", ["contour", "frame"])
@@ -313,14 +320,14 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
     ("verify", {**ORDER_BASE, "family": "location-scale", "lattice_half_width": 0.1},
      "'lattice_half_width'"),
     ("contour", [CIRCLE_CONFIG], "config root"),
-    ("contour", {"model": CIRCLE_CONFIG["model"]}, "config needs 'model' and 'data'"),
-    ("contour", {**CIRCLE_CONFIG, "grid": 5}, "'grid' must be a string"),
+    ("contour", {"model": CIRCLE_CONFIG["model"]}, "missing config keys: ['data']"),
+    ("contour", {**CIRCLE_CONFIG, "grid": 5}, "'grid' must be an object"),
     ("contour", {"model": {"family": "inverted-cauchy", "n": 2}, "data": {"y": [0.5, 2.0]}},
      "known: ['cauchy-location-scale', 'circle2d', 'circleN', 'location-scale', "
      "'nonlinreg-known-sigma', 'nonlinreg-unknown-sigma']"),
     ("contour", {"model": {"family": "location-scale", "n": 5, "error_law": "cauchy"},
                  "data": {"y": [0.1, -0.4, 1.3, 0.8, 2.0]}},
-     "unknown keys for family 'location-scale': ['error_law']"),
+     "unknown location-scale model keys: ['error_law']"),
 ], ids=["grid-points-float", "model-n-float", "quadrature-a_points-0", "order-cells-float",
         "order-reps-float", "order-n_grid-float", "order-lattice_points-2",
         "partition-draws-0", "partition-n_grid-1", "partition-single-n",
@@ -354,6 +361,98 @@ def test_bad_config_number_is_usage_error(command, payload, key, tmp_path, capsy
     assert code == 2
     assert key in err
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+Y4, Y6 = [0.3, -1.1, 2.0, 0.7], [0.4, 0.1, 0.5, 0.2, 0.6, 0.3]
+CURVED_KNOWN = {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 6, "sigma0": 0.7}
+# block name -> (command, a config that runs, the path to the block in it, its required keys)
+CONFIG_BLOCKS = {
+    "config-contour": ("contour", CIRCLE_CONFIG, (), ["model", "data"]),
+    "config-frame": ("frame", FRAME_CONFIG, (), ["model", "data"]),
+    "model-location-scale": ("contour", {"model": {"family": "location-scale", "n": 4},
+                                         "data": {"y": Y4}}, ("model",), ["family", "n"]),
+    "model-cauchy-location-scale": ("contour", {
+        "model": {"family": "cauchy-location-scale", "n": 4}, "data": {"y": Y4}},
+        ("model",), ["family", "n"]),
+    "model-circle2d": ("contour", CIRCLE_CONFIG, ("model",), ["family", "rho"]),
+    "model-circleN": ("contour", {"model": {"family": "circleN", "n": 3, "rho": 1.0},
+                                  "data": {"y": [1.2, 0.1, 0.15]}}, ("model",),
+                      ["family", "n", "rho"]),
+    "model-nonlinreg-known-sigma": ("contour", {"model": CURVED_KNOWN, "data": {"y": Y6}},
+                                    ("model",), ["family", "eta"]),
+    "model-nonlinreg-unknown-sigma": ("contour", {
+        "model": {"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 6},
+        "data": {"y": Y6}}, ("model",), ["family", "eta"]),
+    "eta-curved": ("frame", {"model": CURVED_KNOWN, "data": {"y": Y6}}, ("model",), ["n"]),
+    "eta-circle": ("frame", {"model": {"family": "nonlinreg-known-sigma", "eta": "circle",
+                                       "rho": 1.0}, "data": {"y": [1.2, 0.0]}},
+                   ("model",), ["rho"]),
+    "study-quadrature": ("verify", {"study": "quadrature", "a_points": 5}, (), ["study"]),
+    "study-ancillarity-order": ("verify", ORDER_BASE, (), ["study"]),
+    "study-partition-order": ("verify", {"study": "partition-order", "n_grid": [16, 64],
+                                         "draws": 2}, (), ["study"]),
+    "grid": ("contour", {**CIRCLE_CONFIG, "grid": {"half_width": 2.0, "points_per_axis": 5}},
+             ("grid",), []),
+    "data": ("contour", CIRCLE_CONFIG, ("data",), []),
+    "simulate": ("contour", {"model": CIRCLE_CONFIG["model"],
+                             "data": {"simulate": {"theta": [0.3], "seed": 4}}},
+                 ("data", "simulate"), ["theta"]),
+}
+
+
+def _config_block_cases():
+    for name, (command, config, path, required) in CONFIG_BLOCKS.items():
+        yield pytest.param(command, config, path, None, id=f"{name}-as-written")
+        yield pytest.param(command, config, path, "bogus_key", id=f"{name}-unknown-key")
+        for key in required:
+            yield pytest.param(command, config, path, key, id=f"{name}-without-{key}")
+
+
+@pytest.mark.parametrize("command,config,path,key", list(_config_block_cases()))
+def test_every_config_block_names_an_unknown_or_missing_key(command, config, path, key,
+                                                              tmp_path, capsys):
+    """One rule for every block, model family, eta tag, study, grid, data and
+    simulate object: the config as written runs; with an unknown key added
+    to the block, or a required key dropped from it, it exits 2 with a
+    message naming the key, no traceback and no output file."""
+    config = json.loads(json.dumps(config))
+    block = config
+    for step in path:
+        block = block[step]
+    if key in block:
+        del block[key]
+    elif key is not None:
+        block[key] = 1
+    out = tmp_path / "out"
+    code, _, err = run_cli([command, "--config", write_config(tmp_path, config),
+                            "--out", str(out)], capsys)
+    if key is None:
+        assert (code, err) == (0, "")
+        return
+    assert code == 2
+    assert re.search(rf"\b{key}\b", err) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,named", [
+    ("{bad", "model config is not JSON"),
+    ({"family": ["x"]}, "unknown family ['x']"),
+    ({"family": "nonlinreg-known-sigma", "eta": ["curved"], "n": 6}, "unknown eta ['curved']"),
+    ({"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 6, "sigma_mode": "unknown"},
+     "unknown nonlinreg-unknown-sigma model keys: ['sigma_mode']"),
+    ({"family": "nonlinreg-known-sigma", "eta": "curved", "n": 2 ** 62}, "curved mean needs 2 <= n"),
+    ({"family": "location-scale", "n": 10 ** 30}, "location-scale needs 2 <= n"),
+], ids=["text-not-json", "family-list", "eta-list", "sigma_mode", "eta-n-too-large",
+        "n-too-large"])
+def test_model_config_errors_are_named(model, named, tmp_path, capsys):
+    """Model text that does not parse, a family or eta tag that is not a
+    string, the family-named sigma_mode key and an n too large for a numpy
+    array exit 2 with a message that says so, not with a bare Python error."""
+    config = write_config(tmp_path, {"model": model, "data": {"y": Y6}})
+    code, _, err = run_cli(["contour", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -436,7 +535,7 @@ def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     ({"simulate": {"theta": [True]}}, "'theta'"),
     ([1.2, 0.0], "'data' must be an object"),
     ({"simulate": [0.0]}, "'simulate' must be an object"),
-    ({"simulate": {"seed": 1}}, "'simulate' needs key 'theta'"),
+    ({"simulate": {"seed": 1}}, "missing simulate keys: ['theta']"),
     ({"file": str(DATA_DIR)}, "cannot read data file"),
     ({"file": str(DATA_DIR / "non_numeric_point.csv")}, "non-numeric entry in data file"),
 ], ids=[f"data_block{k}" for k in range(19)])
@@ -981,6 +1080,34 @@ def test_config_float_accepts_finite_numbers_only():
     for bad in (True, "1.0", [1.0], None, math.nan, math.inf, -math.inf, 10 ** 400):
         with pytest.raises(ancontour.InvalidParameterError, match="'k' must be a finite number"):
             config_float(bad, "k")
+
+
+def test_config_block_types_each_value_by_its_default():
+    """A declared default types its key and fills it in when absent; a type
+    (a tuple of one, for a list) makes the key required; None and object
+    take any value; lists become tuples, with every entry typed."""
+    declared = {"n": int, "ys": (float,), "rho": 1.0, "ns": (16,), "on": True, "tag": "",
+                "sub": {}, "any": None, "anything": object}
+    block = {"n": 3, "ys": [1, 2.5], "ns": range(2, 4), "any": [1], "anything": "x"}
+    assert config_block(block, declared, "b", ns=2) == {
+        "n": 3, "ys": (1.0, 2.5), "rho": 1.0, "ns": (2, 3), "on": True, "tag": "", "sub": {},
+        "any": [1], "anything": "x"}
+    for change, message in (
+            ({"n": 3.0}, "'n' must be an integer, got 3.0"),
+            ({"ns": [1]}, "'ns' must be an integer >= 2, got 1"),
+            ({"ys": "12"}, "'ys' must be a list, got '12'"),
+            ({"ys": {"a": 1}}, "'ys' must be a list, got {'a': 1}"),
+            ({"ys": [1, True]}, "'ys' must be a finite number, got True"),
+            ({"on": 1}, "'on' must be true or false, got 1"),
+            ({"tag": 0}, "'tag' must be a string, got 0"),
+            ({"sub": []}, "'sub' must be an object, got []"),
+            ({"extra": 1, "other": 2}, "unknown b keys: ['extra', 'other']")):
+        with pytest.raises(ancontour.InvalidParameterError, match=re.escape(message)):
+            config_block({**block, **change}, declared, "b", ns=2)
+    for bad, message in (({"anything": None}, "missing b keys: ['n', 'ys']"),
+                         ([], "'b' must be an object, got []")):
+        with pytest.raises(ancontour.InvalidParameterError, match=re.escape(message)):
+            config_block(bad, declared, "b")
 
 
 def test_one_line_search_holds_the_halving_scales():

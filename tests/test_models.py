@@ -335,12 +335,21 @@ def test_model_from_config_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         model_from_config({"family": "nonlinreg-known-sigma", "eta": "curved"})
     for bad in ({"family": "location-scale", "n": 3.7},
-                {"family": "circleN", "n": 4.0, "rho": 1.0},
-                {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 8,
-                 "sigma_mode": "unknown"},
-                {"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 8,
-                 "sigma_mode": "known"}):
+                {"family": "circleN", "n": 4.0, "rho": 1.0}):
         with pytest.raises(InvalidParameterError):
+            model_from_config(bad)
+    # the family name says which sigma: no sigma_mode key, matching or not
+    for family, mode in (("nonlinreg-known-sigma", "unknown"), ("nonlinreg-known-sigma", "known"),
+                         ("nonlinreg-unknown-sigma", "known"),
+                         ("nonlinreg-unknown-sigma", "unknown")):
+        with pytest.raises(InvalidParameterError, match="'sigma_mode'"):
+            model_from_config({"family": family, "eta": "curved", "n": 8, "sigma_mode": mode})
+    # text that does not parse, and a family or eta tag that is not a string
+    with pytest.raises(InvalidParameterError, match="model config is not JSON"):
+        model_from_config("{bad")
+    for bad, key in (({"family": ["circle2d"], "rho": 1.0}, "family"),
+                     ({"family": "nonlinreg-known-sigma", "eta": ["curved"], "n": 8}, "eta")):
+        with pytest.raises(UnsupportedFamilyError, match=f"unknown {key} "):
             model_from_config(bad)
     # configs that would build another family, or ignore a key, name the key
     for bad, key in (({"family": "circleN", "n": 2, "rho": 1.0}, "'n'"),
