@@ -13,17 +13,21 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["config_int", "config_float", "config_block", "encode_array", "record", "dumps",
-           "atomic_write_text", "csv_lines"]
+# the output layer only: a profiler that wraps __all__ times no config check
+__all__ = ["encode_array", "record", "dumps", "atomic_write_text", "csv_lines"]
+
+SIZE_MAX = sys.maxsize // 8  # the most 8-byte floats one numpy array holds
 
 
-def config_int(value, key: str, minimum: int | None = None) -> int:
-    """value as an int if it is an integer (not a float or a bool) of at least
-    minimum, when one is given; otherwise InvalidParameterError naming key."""
+def config_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as an int if it is an integer (not a float or a bool) within
+    minimum and maximum, where given; otherwise InvalidParameterError naming key."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidParameterError(f"{key!r} must be an integer{bound}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidParameterError(f"{key!r} must be at most {maximum}, got {value!r}")
     return int(value)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from ._jsonio import config_float, config_int, csv_lines, record
+from ._jsonio import SIZE_MAX, config_float, config_int, csv_lines, record
 from .diffgeo import TaylorFrame, build_frame
 from .errors import (
     InvalidDimensionError,
@@ -52,7 +52,7 @@ class GridSpec(NamedTuple("GridSpec", [("half_width", float), ("points_per_axis"
                 standardized: bool = True):
         if not (half_width := config_float(half_width, "half_width")) > 0.0:
             raise InvalidParameterError("half_width must be positive and finite")
-        config_int(points_per_axis, "points_per_axis", 3)
+        config_int(points_per_axis, "points_per_axis", 3, SIZE_MAX)
         if not isinstance(standardized, bool):
             raise InvalidParameterError(
                 f"'standardized' must be true or false, got {standardized!r}")

@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p_config[name].set_defaults(handler=handler)
     p_config["contour"].add_argument("--grid", default=None, metavar="HW,POINTS",
                                      help="offset grid: half width and points per axis")
-    p_config["verify"].add_argument("--reps", type=int, default=None,
-                                    help="replication count override for the order study")
     return parser
 
 
@@ -220,7 +218,7 @@ def _load_point_config(args):
     from .models import model_from_config
 
     takes_grid = "grid" in args  # contour's parser has --grid, frame's has not
-    declared = {"model": object, "data": dict, **({"grid": None} if takes_grid else {})}
+    declared = {"model": dict, "data": dict, **({"grid": None} if takes_grid else {})}
     try:
         config = config_block(_load_json(args.config), declared, "config")
         model = model_from_config(config["model"])
@@ -267,7 +265,7 @@ def _cmd_verify(args):
 
     config = _load_json(args.config)
     try:
-        spec = spec_from_config(config, reps=args.reps, seed=args.seed)
+        spec = spec_from_config(config, seed=args.seed)
     except _CONFIG_ERRORS as exc:
         raise _UsageError(str(exc)) from exc
     path = _target(args, config["study"])

@@ -18,16 +18,14 @@ share.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from ._jsonio import config_block
+from ._jsonio import SIZE_MAX, config_block
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -106,8 +104,8 @@ class QuantileModel:
 
 def _check_n(n: int, what: str) -> None:
     """InvalidDimensionError unless 2 <= n and n floats fit one numpy array."""
-    if not 2 <= n <= sys.maxsize // 8:
-        raise InvalidDimensionError(f"{what} needs 2 <= n <= {sys.maxsize // 8}")
+    if not 2 <= n <= SIZE_MAX:
+        raise InvalidDimensionError(f"{what} needs 2 <= n <= {SIZE_MAX}")
 
 
 def _normal_law(n: int, var: float):
@@ -461,15 +459,10 @@ def _tagged(table: dict, config: dict, key: str):
 
 
 def model_from_config(config) -> QuantileModel:
-    """Build a model from a JSON object or its text: "family", that family's
-    keys and, for a regression, those of its "eta" tag (config_block's rule).
-    The model's family is the config's: a circle's n picks no other family.
+    """Build a model from a JSON object: "family", that family's keys and,
+    for a regression, those of its "eta" tag (config_block's rule).  The
+    model's family is the config's: a circle's n picks no other family.
     """
-    if isinstance(config, str):
-        try:
-            config = json.loads(config)
-        except ValueError as exc:
-            raise InvalidParameterError(f"model config is not JSON: {exc}") from None
     if not isinstance(config, dict):
         raise InvalidParameterError(f"'model' must be an object, got {config!r}")
     declared, build = _tagged(_FAMILIES, config, "family")

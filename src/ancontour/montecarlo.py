@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from ._jsonio import config_block, csv_lines, record
+from ._jsonio import SIZE_MAX, config_block, config_int, csv_lines, record
 from .errors import (
     EmptyStudyError,
     InvalidParameterError,
@@ -112,16 +112,23 @@ class QuadratureReport(NamedTuple):
 
 def _checked(spec, changes, **minimum):
     """spec with changes (a study config's other keys), if any, over its
-    fields, each field typed once by config_block, at least minimum[field]
-    where given."""
+    fields, each typed once by config_block, at least minimum[field] where
+    given; each integer but the seed sizes an array, so is at most SIZE_MAX."""
     fields = {**spec._asdict(), **(changes or {})}
-    return spec._make(config_block(fields, spec._field_defaults, "study", **minimum).values())
+    spec = spec._make(config_block(fields, spec._field_defaults, "study", **minimum).values())
+    for key, value in spec._asdict().items():
+        for entry in value if isinstance(value, tuple) else (value,):
+            if key != "seed" and type(entry) is int:
+                config_int(entry, key, maximum=SIZE_MAX)
+    return spec
 
 
 class QuadratureSpec(NamedTuple):
     """Configuration of the quadrature check: the curvatures c_values, the
     a_points values of a spaced evenly over [-3, 3], the central-difference
-    step eps and the symmetry probe theta_probe."""
+    step eps and the symmetry probe theta_probe.  c_values must be nonempty
+    and finite, a_points at least 1, eps positive and finite, theta_probe
+    nonzero and finite."""
 
     c_values: tuple = (0.5, 1.0, 2.0)
     a_points: int = 61
@@ -140,26 +147,18 @@ class QuadratureSpec(NamedTuple):
         return spec
 
     def run(self) -> QuadratureReport:
-        return quadrature_first_derivative(*self)
+        return quadrature_first_derivative(self)
 
 
-def quadrature_first_derivative(
-    c_values=QuadratureSpec._field_defaults["c_values"],
-    a_points: int = QuadratureSpec._field_defaults["a_points"],
-    eps: float = QuadratureSpec._field_defaults["eps"],
-    theta_probe: float = QuadratureSpec._field_defaults["theta_probe"],
-) -> QuadratureReport:
+def quadrature_first_derivative(spec: QuadratureSpec = QuadratureSpec()) -> QuadratureReport:
     """Check d f(a; theta) / d theta = 0 at theta = 0 by tight quadrature.
 
     The statistic density is symmetric in theta, so the central difference
     with step eps measures quadrature noise only; the report also evaluates
-    the symmetry directly at theta_probe and the (a, c) sign flip.  The
-    arguments are QuadratureSpec's fields: c_values must be nonempty and
-    finite, a_points at least 1, eps positive and finite, theta_probe
-    nonzero and finite.
+    the symmetry directly at theta_probe and the (a, c) sign flip.  spec is
+    validated first.
     """
-    c_values, a_points, eps, theta_probe = QuadratureSpec(
-        c_values, a_points, eps, theta_probe).validate()
+    c_values, a_points, eps, theta_probe = spec.validate()
     a_grid = np.linspace(-3.0, 3.0, a_points)
     cases = []
     for c in c_values:
@@ -467,6 +466,9 @@ class OrderStudyReport(NamedTuple):
 
 
 def _slope_fit(ns, values):
+    """Slope of log values on log ns, its se and 2-se band; None each unless 2+ values, all > 0."""
+    if len(values) < 2 or not all(v > 0 for v in values):
+        return None, None, None
     xs = np.log(np.asarray(ns, dtype=float))
     ys = np.log(np.asarray(values, dtype=float))
     k = len(xs)
@@ -539,11 +541,7 @@ def run_replicated(spec: OrderStudySpec) -> OrderStudyReport:
                                 "se": e} for (delta, sign, _), v, e in zip(offsets, tv_n, se_n)])
             for n, tv_n, se_n, k, z_n in zip(spec.n_grid, tv.tolist(), tv_se.tolist(),
                                              best.tolist(), z.tolist())]
-        values = [row.sensitivity for row in per_n]
-        if all(v > 0 for v in values) and len(values) >= 2:
-            slope, slope_se, band = _slope_fit(spec.n_grid, values)
-        else:
-            slope = slope_se = band = None
+        slope, slope_se, band = _slope_fit(spec.n_grid, [row.sensitivity for row in per_n])
         arms[arm] = ArmSummary(name=arm, per_n=per_n, slope=slope,
                                slope_se=slope_se, slope_band=band)
 
@@ -564,9 +562,9 @@ class PartitionOrderReport(NamedTuple):
     spec: PartitionOrderSpec
     mean_discrepancy: list
     per_draw: list
-    slope: float
-    slope_se: float
-    slope_band: tuple
+    slope: float | None
+    slope_se: float | None
+    slope_band: tuple | None
 
     def summary(self) -> dict:
         return {"study": "partition-order", "slope": self.slope,
@@ -582,8 +580,9 @@ class PartitionOrderReport(NamedTuple):
 
 class PartitionOrderSpec(NamedTuple):
     """Configuration of the partition-order study: the sample sizes n_grid,
-    the standardized offset t1_std, draws per n, the seed, and the contour
-    grid's half width and points per axis."""
+    at least two distinct ones to fit a slope, the standardized offset
+    t1_std, nonzero and within the moderate-deviation cap, draws per n, the
+    seed, and the contour grid's half width and points per axis."""
 
     n_grid: tuple = (16, 64, 256, 1024)
     t1_std: float = 1.0
@@ -604,6 +603,8 @@ class PartitionOrderSpec(NamedTuple):
             raise EmptyStudyError("n_grid must be nonempty")
         if len(set(spec.n_grid)) < 2:
             raise InvalidParameterError("n_grid needs two distinct sample sizes to fit a slope")
+        if spec.t1_std == 0.0:
+            raise InvalidParameterError("'t1_std' must be nonzero: a zero offset moves no contour")
         if abs(spec.t1_std) > _T1_CAP:
             raise InvalidParameterError(
                 f"|t1| = {abs(spec.t1_std):.3f} exceeds the moderate-deviation cap {_T1_CAP}")
@@ -616,33 +617,24 @@ class PartitionOrderSpec(NamedTuple):
         return GridSpec(half_width=self.grid_half_width, points_per_axis=self.grid_points)
 
     def run(self) -> PartitionOrderReport:
-        return partition_order_study(*self)
+        return partition_order_study(self)
 
 
-def partition_order_study(
-    n_grid=PartitionOrderSpec._field_defaults["n_grid"],
-    t1_std: float = PartitionOrderSpec._field_defaults["t1_std"],
-    draws: int = PartitionOrderSpec._field_defaults["draws"],
-    seed: int = PartitionOrderSpec._field_defaults["seed"],
-    grid_half_width: float = PartitionOrderSpec._field_defaults["grid_half_width"],
-    grid_points: int = PartitionOrderSpec._field_defaults["grid_points"],
-) -> PartitionOrderReport:
+def partition_order_study(spec: PartitionOrderSpec = PartitionOrderSpec()) -> PartitionOrderReport:
     """Measure how the partition discrepancy of a curved family decays with n.
 
     For each n, reference draws from the synthetic curved scalar model give
     observed points; the contour is rebuilt from its own point at offset
     t1_std and the one-sided set discrepancy recorded.  The log-log slope of
     the per-n means is the order estimate (1/n for this second-order
-    construction), so n_grid needs at least two distinct sample sizes.  The
-    arguments are PartitionOrderSpec's fields; each contour's grid has
-    grid_points per axis over the standardized half width grid_half_width.
+    construction), None unless every mean is positive.  spec is validated
+    first; each contour's grid has grid_points per axis over the
+    standardized half width grid_half_width.
     """
     from .ancillary import _partition_pass
     from .models import make_synthetic_curved
 
-    spec = PartitionOrderSpec(n_grid, t1_std, draws, seed, grid_half_width,
-                              grid_points).validate()
-    n_grid, t1_std, draws, seed, *_ = spec
+    n_grid, t1_std, draws, seed, *_ = spec = spec.validate()
     per_draw = []
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)
@@ -660,20 +652,17 @@ _STUDIES = {"quadrature": QuadratureSpec, "ancillarity-order": OrderStudySpec,
             "partition-order": PartitionOrderSpec}
 
 
-def spec_from_config(config: dict, reps=None, seed=None):
+def spec_from_config(config: dict, seed=None):
     """The checked spec of the study config["study"] names, from the other
-    keys; reps and seed (--reps and --seed), if given, replace their values."""
+    keys; seed (--seed), if given, replaces the config's."""
     study = config.get("study")
     spec_type = _STUDIES.get(study) if isinstance(study, str) else None
     if spec_type is None:
         raise InvalidParameterError(
             f"config key 'study' must be one of {list(_STUDIES)}, got {study!r}")
-    if reps is not None and "reps" not in spec_type._fields:
-        readers = " and ".join(name for name, cls in _STUDIES.items() if "reps" in cls._fields)
-        raise InvalidParameterError(f"--reps is read by the {readers} study only, not {study!r}")
     fields = {key: value for key, value in config.items() if key != "study"}
-    # every command accepts --seed (the benchmark passes it to each one), so a
-    # flag sets its field where the spec has one and is ignored elsewhere
-    fields.update((key, value) for key, value in (("reps", reps), ("seed", seed))
-                  if value is not None and key in spec_type._fields)
+    # every command accepts --seed (the benchmark passes it to each one), so
+    # it sets the field where the spec has one and is ignored elsewhere
+    if seed is not None and "seed" in spec_type._fields:
+        fields["seed"] = seed
     return spec_type().validate(fields)

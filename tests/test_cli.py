@@ -272,6 +272,38 @@ ORDER_BASE = {"study": "ancillarity-order", "family": "circle", "n_grid": [8, 16
               "deltas": [1.0], "reps": 200, "batch_size": 100}
 
 
+@pytest.mark.parametrize("big", [10 ** 400, 2 ** 63], ids=["10**400", "2**63"])
+@pytest.mark.parametrize("command,payload,key", [
+    ("verify", lambda big: {"study": "quadrature", "a_points": big}, "a_points"),
+    ("verify", lambda big: {**ORDER_BASE, "cells": big}, "cells"),
+    ("verify", lambda big: {**ORDER_BASE, "batch_size": big}, "batch_size"),
+    ("verify", lambda big: {**ORDER_BASE, "reps": big}, "reps"),
+    ("verify", lambda big: {**ORDER_BASE, "n_grid": [8, big]}, "n_grid"),
+    ("verify", lambda big: {"study": "partition-order", "draws": big}, "draws"),
+    ("verify", lambda big: {"study": "partition-order", "grid_points": big}, "grid_points"),
+    ("verify", lambda big: {"study": "partition-order", "n_grid": [16, big]}, "n_grid"),
+    ("contour", lambda big: {**CIRCLE_CONFIG, "grid": {"points_per_axis": big}},
+     "points_per_axis"),
+], ids=["a_points", "cells", "batch_size", "reps", "order-n_grid", "draws", "grid_points",
+        "partition-n_grid", "points_per_axis"])
+def test_array_size_beyond_any_numpy_array_is_usage_error(command, payload, key, big, tmp_path,
+                                                          capsys):
+    """An integer that sizes an array is at most sys.maxsize // 8, the bound
+    models put on n: beyond it the config exits 2 naming the key, before any
+    array is made, instead of numpy's 'Maximum allowed size exceeded'."""
+    config = write_config(tmp_path, payload(big))
+    code, _, err = run_cli([command, "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"{key!r} must be at most {sys.maxsize // 8}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_seeds_are_not_array_sizes():
+    """A seed sizes nothing, so SeedSequence takes it at any size."""
+    for study in ("ancillarity-order", "partition-order"):
+        assert ancontour.spec_from_config({"study": study, "seed": 10 ** 400}).seed == 10 ** 400
+
+
 @pytest.mark.parametrize("command,payload,key", [
     ("contour", {**CIRCLE_CONFIG, "grid": {"points_per_axis": 41.0}}, "points_per_axis"),
     ("contour", {"model": {"family": "location-scale", "n": 3.7},
@@ -436,19 +468,19 @@ def test_every_config_block_names_an_unknown_or_missing_key(command, config, pat
 
 
 @pytest.mark.parametrize("model,named", [
-    ("{bad", "model config is not JSON"),
+    ('{"family": "circle2d", "rho": 1.0}', "'model' must be an object"),
     ({"family": ["x"]}, "unknown family ['x']"),
     ({"family": "nonlinreg-known-sigma", "eta": ["curved"], "n": 6}, "unknown eta ['curved']"),
     ({"family": "nonlinreg-unknown-sigma", "eta": "curved", "n": 6, "sigma_mode": "unknown"},
      "unknown nonlinreg-unknown-sigma model keys: ['sigma_mode']"),
     ({"family": "nonlinreg-known-sigma", "eta": "curved", "n": 2 ** 62}, "curved mean needs 2 <= n"),
     ({"family": "location-scale", "n": 10 ** 30}, "location-scale needs 2 <= n"),
-], ids=["text-not-json", "family-list", "eta-list", "sigma_mode", "eta-n-too-large",
+], ids=["model-text", "family-list", "eta-list", "sigma_mode", "eta-n-too-large",
         "n-too-large"])
 def test_model_config_errors_are_named(model, named, tmp_path, capsys):
-    """Model text that does not parse, a family or eta tag that is not a
-    string, the family-named sigma_mode key and an n too large for a numpy
-    array exit 2 with a message that says so, not with a bare Python error."""
+    """A model given as text, a family or eta tag that is not a string, the
+    family-named sigma_mode key and an n too large for a numpy array exit 2
+    with a message that says so, not with a bare Python error."""
     config = write_config(tmp_path, {"model": model, "data": {"y": Y6}})
     code, _, err = run_cli(["contour", "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -458,12 +490,14 @@ def test_model_config_errors_are_named(model, named, tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     {"draws": 0}, {"draws": 2.5}, {"n_grid": [16.0, 64]}, {"seed": -1}, {"t1_std": 5},
-], ids=["draws-0", "draws-float", "n_grid-float", "seed-negative", "t1_std-over-cap"])
+    {"t1_std": 0},
+], ids=["draws-0", "draws-float", "n_grid-float", "seed-negative", "t1_std-over-cap",
+        "t1_std-zero"])
 def test_partition_order_config_error_carries_the_study_message(payload, tmp_path, capsys):
     """A bad n_grid, draws, seed or t1_std is checked by the study's own rules: exit 2
     with the message partition_order_study raises, before any output."""
     with pytest.raises(ancontour.AncontourError) as expected:
-        ancontour.partition_order_study(**payload)
+        ancontour.partition_order_study(ancontour.PartitionOrderSpec(**payload))
     config = write_config(tmp_path, {"study": "partition-order", **payload})
     code, _, err = run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -479,13 +513,15 @@ def test_partition_order_config_error_carries_the_study_message(payload, tmp_pat
     (["verify", "--config", "CONFIG", "--reps", "3"], "--reps", {"study": "quadrature"}),
     (["verify", "--config", "CONFIG", "--reps", "3"], "--reps",
      {"study": "partition-order", "n_grid": [16, 64], "draws": 2}),
+    (["verify", "--config", "CONFIG", "--reps", "200"], "--reps",
+     {"study": "ancillarity-order", "family": "circle", "reps": 200}),
     (["frame", "--config", "CONFIG", "--grid", "1,5"], "--grid", FRAME_CONFIG),
 ], ids=["example-grid", "example-reps", "contour-reps", "verify-grid",
-        "verify-quadrature-reps", "verify-partition-reps", "frame-grid"])
+        "verify-quadrature-reps", "verify-partition-reps", "verify-order-reps", "frame-grid"])
 def test_flag_on_subcommand_that_ignores_it_is_usage_error(argv, flag, payload, tmp_path,
                                                            capsys):
-    """--grid belongs to contour, --reps to the ancillarity-order study;
-    elsewhere they exit 2."""
+    """--grid belongs to contour, and no command has --reps (the order
+    study's config sets its reps); elsewhere they exit 2."""
     config = write_config(tmp_path, payload)
     argv = [config if a == "CONFIG" else a for a in argv]
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
@@ -715,17 +751,19 @@ def test_unwritable_out_is_usage_error(argv, config, out, tmp_path, capsys, monk
 
 
 def test_verify_order_study_with_overrides(tmp_path, capsys):
-    config = write_config(tmp_path, {
-        "study": "ancillarity-order", "family": "circle",
-        "n_grid": [8, 16], "deltas": [1.0], "reps": 200, "batch_size": 100})
+    """The config's keys override the study's defaults; its reps key is the
+    one way to set the replication count."""
+    study = {"study": "ancillarity-order", "family": "circle",
+             "n_grid": [8, 16], "deltas": [1.0], "reps": 200, "batch_size": 100}
+    config = write_config(tmp_path, study)
     code, values, _ = run_cli(["verify", "--config", config,
                                "--out", str(tmp_path)], capsys)
     assert code == 0
     payload = json.loads((tmp_path / "ancillarity-order.json").read_text())
     assert payload["reps"] == 200
 
-    code, _, _ = run_cli(["verify", "--config", config, "--out", str(tmp_path),
-                          "--reps", "300"], capsys)
+    config = write_config(tmp_path, {**study, "reps": 300})
+    code, _, _ = run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)
     assert code == 0
     payload = json.loads((tmp_path / "ancillarity-order.json").read_text())
     assert payload["reps"] == 300
@@ -746,11 +784,13 @@ def test_verify_partition_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload,report", [
     ({"study": "quadrature", "c_values": [1.0], "a_points": 21},
-     lambda: ancontour.quadrature_first_derivative(c_values=(1.0,), a_points=21)),
+     lambda: ancontour.quadrature_first_derivative(
+         ancontour.QuadratureSpec(c_values=(1.0,), a_points=21))),
     (ORDER_BASE, lambda: ancontour.run_replicated(ancontour.OrderStudySpec(
         family="circle", n_grid=(8, 16), deltas=(1.0,), reps=200, batch_size=100))),
     ({"study": "partition-order", "n_grid": [16, 64], "draws": 2},
-     lambda: ancontour.partition_order_study(n_grid=(16, 64), draws=2)),
+     lambda: ancontour.partition_order_study(
+         ancontour.PartitionOrderSpec(n_grid=(16, 64), draws=2))),
 ], ids=["quadrature", "ancillarity-order", "partition-order"])
 def test_verify_is_the_study_at_its_defaults(payload, report, tmp_path, capsys):
     """The config's keys go to the public study function and the study's own
@@ -1072,6 +1112,15 @@ def test_quantile_model_is_the_only_dataclass():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['ancontour.models.QuantileModel']"
     assert len(RECORD_TYPES) == 19
+
+
+def test_jsonio_exports_the_output_layer_only():
+    """A profiler that wraps every name in __all__ times the output layer,
+    not each config value check."""
+    from ancontour import _jsonio
+
+    assert _jsonio.__all__ == ["encode_array", "record", "dumps", "atomic_write_text",
+                               "csv_lines"]
 
 
 def test_config_float_accepts_finite_numbers_only():

@@ -310,12 +310,13 @@ FAMILY_CONFIGS = [
 
 def test_every_config_family_builds_a_model_of_that_family():
     """One config spelling per model: each family of the config table builds
-    a model whose family is that name, from a dict and from its JSON text."""
+    a model whose family is that name from a dict, and its JSON text is refused."""
     assert {config["family"] for config in FAMILY_CONFIGS} == set(_FAMILIES)
     for config in FAMILY_CONFIGS:
-        for source in (config, json.dumps(config)):
-            model = model_from_config(source)
-            assert model.family == config["family"] and model.n >= 2
+        model = model_from_config(config)
+        assert model.family == config["family"] and model.n >= 2
+        with pytest.raises(InvalidParameterError, match="'model' must be an object"):
+            model_from_config(json.dumps(config))
 
 
 def test_model_from_config_rejects_bad_input():
@@ -344,8 +345,8 @@ def test_model_from_config_rejects_bad_input():
                          ("nonlinreg-unknown-sigma", "unknown")):
         with pytest.raises(InvalidParameterError, match="'sigma_mode'"):
             model_from_config({"family": family, "eta": "curved", "n": 8, "sigma_mode": mode})
-    # text that does not parse, and a family or eta tag that is not a string
-    with pytest.raises(InvalidParameterError, match="model config is not JSON"):
+    # text, which is not a model, and a family or eta tag that is not a string
+    with pytest.raises(InvalidParameterError, match="'model' must be an object"):
         model_from_config("{bad")
     for bad, key in (({"family": ["circle2d"], "rho": 1.0}, "family"),
                      ({"family": "nonlinreg-known-sigma", "eta": ["curved"], "n": 8}, "eta")):

@@ -23,7 +23,12 @@ from ancontour import (
     spec_from_config,
 )
 from ancontour._jsonio import dumps
-from ancontour.montecarlo import OrderStudySpec, _density_integral
+from ancontour.montecarlo import (
+    OrderStudySpec,
+    PartitionOrderSpec,
+    QuadratureSpec,
+    _density_integral,
+)
 
 # reference values computed with 30-digit arbitrary-precision quadrature
 DENSITY_ORACLES = [
@@ -85,7 +90,7 @@ def test_quadrature_report_bounds():
 
 def test_quadrature_zero_curvature_case():
     """At c = 0 the statistic is an exact pivot: derivative and curvature die."""
-    report = quadrature_first_derivative(c_values=(0.0,))
+    report = quadrature_first_derivative(QuadratureSpec(c_values=(0.0,)))
     case = report.cases[0]
     assert case.max_abs_derivative < 1e-10
     assert case.second_order_scale < 1e-10
@@ -93,13 +98,13 @@ def test_quadrature_zero_curvature_case():
 
 def test_quadrature_second_order_scale_value():
     """First-order ancillarity only: the theta^2 coefficient is genuinely there."""
-    report = quadrature_first_derivative(c_values=(1.0,))
+    report = quadrature_first_derivative(QuadratureSpec(c_values=(1.0,)))
     assert abs(report.cases[0].second_order_scale - 0.070887002079149) < 1e-9
     assert report.cases[0].second_order_scale > 0.05
 
 
 def test_quadrature_report_formats():
-    report = quadrature_first_derivative(c_values=(1.0,), a_points=9)
+    report = quadrature_first_derivative(QuadratureSpec(c_values=(1.0,), a_points=9))
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["study"] == "quadrature"
     assert len(payload["cases"]) == 1
@@ -122,7 +127,7 @@ def test_quadrature_rejects_bad_arguments(kwargs, error, key, monkeypatch):
     is taken, instead of a ZeroDivisionError, a NaN derivative or a failing max()."""
     monkeypatch.setattr(mc, "_density_integral", lambda *a: pytest.fail("integral taken"))
     with pytest.raises(error, match=key):
-        quadrature_first_derivative(**kwargs)
+        quadrature_first_derivative(QuadratureSpec(**kwargs))
 
 
 def test_order_spec_validation():
@@ -522,7 +527,7 @@ def test_order_study_reports_are_frozen(spec, json_digest, csv_digest, counts_di
 def test_partition_order_report_is_frozen():
     """Draws at n = 16, 64 and 1024, whose refinements backtrack in blocks of
     the pass's size, keep every byte of the report."""
-    report = partition_order_study(n_grid=(16, 64, 1024), draws=3)
+    report = partition_order_study(PartitionOrderSpec(n_grid=(16, 64, 1024), draws=3))
     assert (_sha256(dumps(report).encode()), _sha256(report.to_csv().encode())) == (
         "ffef353e8d7d305b6d89053349350f7eb29742ff98519242b36a07ff6782d6ce",
         "a62bf9fe2e418cd83001304e617a0d958da81cb6576f0d0b7d9004e79f7e65f4")
@@ -625,7 +630,7 @@ def test_order_study_circle_arms_small():
 
 
 def test_partition_order_study_decay():
-    report = partition_order_study(n_grid=(16, 64, 256), draws=6)
+    report = partition_order_study(PartitionOrderSpec(n_grid=(16, 64, 256), draws=6))
     means = report.mean_discrepancy
     assert len(means) == 3
     assert means[0] > means[1] > means[2]
@@ -637,25 +642,25 @@ def test_partition_order_study_decay():
 
 def test_partition_order_study_guards():
     with pytest.raises(EmptyStudyError):
-        partition_order_study(draws=0)
+        partition_order_study(PartitionOrderSpec(draws=0))
     with pytest.raises(EmptyStudyError):
-        partition_order_study(n_grid=())
+        partition_order_study(PartitionOrderSpec(n_grid=()))
     for n_grid in ((16,), (16, 16)):
         with pytest.raises(InvalidParameterError, match="n_grid"):
-            partition_order_study(n_grid=n_grid, draws=2)
+            partition_order_study(PartitionOrderSpec(n_grid=n_grid, draws=2))
 
 
 @pytest.mark.parametrize("kwargs", [
     {"draws": True}, {"draws": 2.5}, {"n_grid": (16.0, 64)}, {"n_grid": (1, 64)},
-    {"seed": -1}, {"seed": 1.0}, {"n_grid": 64},
+    {"seed": -1}, {"seed": 1.0}, {"n_grid": 64}, {"t1_std": 0}, {"t1_std": -0.0},
 ], ids=["bool-draws", "float-draws", "float-n", "n-below-2", "negative-seed", "float-seed",
-        "scalar-n"])
+        "scalar-n", "zero-t1", "negative-zero-t1"])
 def test_partition_order_study_names_bad_config(kwargs, monkeypatch):
     """Each bad setting is named before any partition pass runs."""
     monkeypatch.setattr(anc, "_partition_pass", lambda *a, **k: pytest.fail("pass ran"))
     key = next(iter(kwargs))
     with pytest.raises(InvalidParameterError, match=key):
-        partition_order_study(**kwargs)
+        partition_order_study(PartitionOrderSpec(**kwargs))
 
 
 def test_partition_order_study_caps_t1_before_any_fit(monkeypatch):
@@ -666,9 +671,41 @@ def test_partition_order_study_caps_t1_before_any_fit(monkeypatch):
     for t1 in (5, -5.0, 3.0 + 1e-12):
         with pytest.raises(InvalidParameterError,
                            match=r"exceeds the moderate-deviation cap 3\.0"):
-            partition_order_study(t1_std=t1)
+            partition_order_study(PartitionOrderSpec(t1_std=t1))
     with pytest.raises(pytest.fail.Exception, match="pass ran"):
-        partition_order_study(t1_std=3.0)
+        partition_order_study(PartitionOrderSpec(t1_std=3.0))
+
+
+def test_partition_order_slope_needs_every_mean_positive(monkeypatch):
+    """As in the order study, a zero mean discrepancy (an offset too small to
+    move any contour point) gives a null slope, not the slope of log(0)."""
+    from types import SimpleNamespace
+
+    tiny = partition_order_study(PartitionOrderSpec(n_grid=(16, 32), draws=1, t1_std=1e-300))
+    assert tiny.mean_discrepancy == [0.0, 0.0] and tiny.slope is None
+    monkeypatch.setattr(anc, "_partition_pass", lambda model, y0, t1, grid: [
+        SimpleNamespace(discrepancy=0.0 if model.n == 64 else 0.5) for _ in y0])
+    report = partition_order_study(PartitionOrderSpec(n_grid=(16, 64, 256), draws=2))
+    assert report.mean_discrepancy == [0.5, 0.0, 0.5]
+    assert (report.slope, report.slope_se, report.slope_band) == (None, None, None)
+    assert json.loads(dumps(report))["slope"] is None
+
+
+@pytest.mark.parametrize("study,spec", [
+    (quadrature_first_derivative, QuadratureSpec),
+    (partition_order_study, PartitionOrderSpec),
+    (run_replicated, OrderStudySpec),
+], ids=["quadrature", "partition-order", "ancillarity-order"])
+def test_each_study_function_takes_its_spec_alone(study, spec):
+    """One way to set a study value: its spec's field.  Each study function
+    takes one parameter, the spec, which quadrature_first_derivative and
+    partition_order_study default to the spec's defaults."""
+    import inspect
+
+    (param,) = inspect.signature(study).parameters.values()
+    assert param.name == "spec" and param.kind is param.POSITIONAL_OR_KEYWORD
+    if study is not run_replicated:
+        assert param.default == spec() and type(param.default) is spec
 
 
 def test_partition_order_study_matches_one_draw_checks():
@@ -678,7 +715,7 @@ def test_partition_order_study_matches_one_draw_checks():
     from ancontour import make_synthetic_curved, partition_check
 
     n_grid, draws, seed = (16, 256, 1024), 5, 20260816
-    report = partition_order_study(n_grid=n_grid, draws=draws, seed=seed)
+    report = partition_order_study(PartitionOrderSpec(n_grid=n_grid, draws=draws, seed=seed))
     for n_idx, n in enumerate(n_grid):
         model = make_synthetic_curved(n)
         for d in range(draws):
@@ -698,7 +735,8 @@ def test_partition_order_study_memory_is_bounded():
     of squares take no other)."""
     import tracemalloc
 
-    partition_order_study(n_grid=(16, 64), draws=2)  # warm caches outside the traced call
+    # warm caches outside the traced call
+    partition_order_study(PartitionOrderSpec(n_grid=(16, 64), draws=2))
     tracemalloc.start()
     try:
         partition_order_study()
@@ -709,6 +747,6 @@ def test_partition_order_study_memory_is_bounded():
 
 
 def test_partition_order_study_rerun_identical():
-    a = partition_order_study(n_grid=(16, 64), draws=4)
-    b = partition_order_study(n_grid=(16, 64), draws=4)
+    a = partition_order_study(PartitionOrderSpec(n_grid=(16, 64), draws=4))
+    b = partition_order_study(PartitionOrderSpec(n_grid=(16, 64), draws=4))
     assert dumps(a) == dumps(b)
