@@ -32,7 +32,7 @@ from .estimation import (
     FitResult, StandardizationRecord, _domain, _eigvalsh, _eye, _fit_points, _line_search, _norms,
     _solve, fit_mle, standardize,
 )
-from .models import QuantileModel, _all, _any, _max, _sum, non_invertible_mask
+from .models import QuantileModel, _all, _any, _circle_label, _max, _sum, non_invertible_mask
 
 __all__ = _EXPORTS["ancillary"]
 
@@ -431,7 +431,7 @@ def compare_exact(model: QuantileModel, cloud: ContourCloud) -> ExactComparisonR
     base = labels[0]
     spread = float(_max(np.abs(labels[1:] - base), None, initial=0.0))
     radius_contour = radius_exact = None
-    if "rho" in model.meta:  # a circle family
+    if model.exact_label is _circle_label:  # a circle family
         vel = cloud.frame.velocity[:, 0]
         # contiguous, as np.linalg.norm made it: a strided dot product sums in another order
         normal = cloud.frame.normal_acceleration[:, 0, 0].copy()
@@ -471,9 +471,10 @@ class SeveriniReport(NamedTuple):
 
 def severini_pivot(model: QuantileModel, y: np.ndarray) -> np.ndarray:
     """The full-data pivot of a point of a circle family, checked by model.check_point."""
-    if "rho" not in model.meta:
+    if model.exact_label is not _circle_label:
         raise UnsupportedFamilyError("pivot defined for circle families only")
-    y, rho = model.check_point(y), model.meta["rho"]
+    # the mean at angle 0 is (rho cos 0, 0, ..., 0): rho exactly
+    y, rho = model.check_point(y), model.quantile(np.zeros(model.n), np.zeros(1))[0]
     r, angle = math.hypot(y[0], y[1]), math.atan2(y[1], y[0])
     head = [(r - rho) * math.cos(angle), (r - rho) * math.sin(angle)]
     return np.concatenate([head, y[2:]])
@@ -488,10 +489,9 @@ def severini_pivot_check(model: QuantileModel, y0: np.ndarray) -> SeveriniReport
     arg o + pi.  The two lie 2 rho apart: the one through y0 is the only
     solution within rho of y0, the other is the antipodal candidate.
     """
-    if "rho" not in model.meta or model.n < 3:
+    if model.exact_label is not _circle_label or model.n < 3:
         raise UnsupportedFamilyError("pivot check needs the circleN family with n >= 3")
-    y0 = model.check_point(y0)
-    rho = model.meta["rho"]
+    y0, rho = model.check_point(y0), model.quantile(np.zeros(model.n), np.zeros(1))[0]
     observed = severini_pivot(model, y0)
     r0 = math.hypot(y0[0], y0[1])
 

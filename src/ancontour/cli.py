@@ -193,22 +193,17 @@ def _write(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(summary: dict) -> None:
-    for key, value in summary.items():
-        if isinstance(value, float):
-            print(f"{key}={value!r}")
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            print(f"{key}={','.join(repr(float(v)) for v in value)}")
-        else:
-            print(f"{key}={value}")
+def _render(value, sep: str) -> str:
+    """A summary value as text: a vector joined by sep, a float by repr, None as none."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return sep.join(repr(float(v)) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return "none" if value is None else str(value)
 
 
 def _kv_csv(summary: dict) -> str:
-    lines = ["key,value"]
-    for key, value in summary.items():
-        if isinstance(value, (list, tuple, np.ndarray)):
-            value = ";".join(repr(float(v)) for v in value)
-        lines.append(f"{key},{value}")
+    lines = ["key,value", *(f"{key},{_render(value, ';')}" for key, value in summary.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +336,8 @@ def main(argv=None) -> int:
     except AncontourError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit({**summary, "wrote": path})
+    for key, value in {**summary, "wrote": path}.items():
+        print(f"{key}={_render(value, ',')}")
     return 0
 
 

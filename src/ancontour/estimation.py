@@ -195,25 +195,24 @@ def _line_search(rows, x, step, evaluate):
 def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
     """Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
 
-    A row stops at a score norm below 1e-8 (with no loop if all start there),
-    a failed line search (no scale of the step stays in the domain and keeps
-    the log-likelihood from falling), a step under 1e-10 or the iteration
-    limit.  Rows that stop before others are written out, and only the others
-    held; rows that stop together (one row always does) are returned as they
-    stand.  A singular Hessian raises.  Returns rows (x, theta, iterations,
-    converged, log-likelihood, score, information), all _likelihood's at the
-    final theta; trace gets the first row's iterates.  damped (the rescue)
-    adds lam I to each H whose least eigenvalue is not above 1e-8 |tr H|,
-    lam = 1.5 max(0, -eig_min) + 1e-3 |tr H|: every step ascends (Levenberg),
-    and a safely positive definite H keeps Newton's quadratic convergence.
+    A row stops at a score norm below 1e-8 (before any step if it starts
+    there), a failed line search (no scale of the step stays in the domain
+    and keeps the log-likelihood from falling), a step under 1e-10 or the
+    iteration limit.  Rows retire in place, as in contour_min_distance: they
+    are slice(None), views, until one stops, then the indices of the rows
+    still active.  A singular Hessian raises.  Returns rows (x, theta,
+    iterations, converged, log-likelihood, score, information), all
+    _likelihood's at the final theta; trace gets the first row's iterates.
+    damped (the rescue) adds lam I to each H whose least eigenvalue is not
+    above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) + 1e-3 |tr H|: every step
+    ascends (Levenberg), and a safely positive definite H keeps Newton's
+    quadratic convergence.
     """
     (lo, hi, logs), eye = _domain(model.param_domain), _eye(model.p)
     z = _on_log_axes(logs, theta, math.log)
     theta = _on_log_axes(logs, z, math.exp)
     x, value, s, info = _likelihood(model, y, theta)
-    if _all(conv := _norms(s) < _SCORE_TOL):
-        return x, theta, np.zeros(len(y), dtype=int), conv, value, s, info
-    idx, out = np.arange(len(y)), [np.zeros(len(y), dtype=int), theta, x, value, s, info]
+    iterations, active = np.zeros(len(y), dtype=int), ~(_norms(s) < _SCORE_TOL)
 
     def evaluate(rows, cand):  # in the domain, and not lowering the log-likelihood
         nonlocal theta, x, value, s, info
@@ -231,21 +230,12 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
             theta[acc], x[acc], value[acc], s[acc], info[acc] = (part[hit] for part in (th,) + full)
         return hit
 
-    halt = False  # after a line search: no scale accepted (NaN), or a step under 1e-10
-    for count in range(max_iterations + 1):
-        done = conv | (halt | (count == max_iterations))
-        if _any(done):  # write rows out: iterations, then _likelihood's
-            rows = idx[done]
-            out[0][rows] = count
-            if len(rows) == len(out[0]):
-                return x, theta, out[0], conv, value, s, info
-            for o, v in zip(out[1:], (theta, x, value, s, info)):
-                o[rows] = v[done]
-            if len(rows) == len(idx):
+    rows = slice(None)
+    for count in range(max_iterations):
+        if not _all(active):
+            if not (rows := active.nonzero()[0]).size:
                 break
-            idx, y, z, theta, x, value, s, info = (  # hold only the others
-                v[~done] for v in (idx, y, z, theta, x, value, s, info))
-        hess, grad = _newton_system(logs, theta, s, info)
+        hess, grad = _newton_system(logs, theta[rows], s[rows], info[rows])
         if damped:
             low, size = _eigvalsh(hess)[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
             lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
@@ -260,11 +250,12 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
             raise SingularInformationError(
                 f"Hessian singular at iterate {count + 1} (cond {cond:.2e})")
         step = _solve(hess, grad[..., None])[..., 0]  # cond <= 1e14: no singular pivot
-        if trace is not None and idx[0] == 0:
+        if trace is not None and active[0]:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
-        halt = ~(_line_search(slice(None), z, step, evaluate) >= _STEP_TOL)
-        conv = _norms(s) < _SCORE_TOL
-    iterations, theta, x, value, s, info = out
+        moved = _line_search(rows, z, step, evaluate)[rows]
+        iterations[rows] += 1
+        # a row stops where no scale was taken (NaN), the step was under 1e-10 or it converged
+        active[rows] = (moved >= _STEP_TOL) & ~(_norms(s[rows]) < _SCORE_TOL)
     return x, theta, iterations, _norms(s) < _SCORE_TOL, value, s, info
 
 

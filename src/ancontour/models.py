@@ -19,7 +19,7 @@ share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,7 +79,6 @@ class QuantileModel:
     start: Callable[[np.ndarray], np.ndarray]
     closed_form: Callable[[np.ndarray], np.ndarray] | None = None
     exact_label: Callable[[np.ndarray], np.ndarray] | None = None
-    meta: dict = field(default_factory=dict)
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -148,7 +147,7 @@ def _cauchy_law(n: int):
 
 
 def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
-                  closed_form, exact_label, meta) -> QuantileModel:
+                  closed_form, exact_label) -> QuantileModel:
     """The model q(x; theta) = a(theta[:r]) + b(theta) * x, all callables derived here.
 
     p = len(domain).  With scaled, b is the last coordinate theta[r] (r = p - 1)
@@ -199,7 +198,7 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         cross_hessian=cross_hessian, ref_log_density=ref_log_density, ref_score=ref_score,
         ref_score_derivative=ref_score_derivative, ref_sampler=ref_sampler,
         param_domain=tuple(domain), start=start, closed_form=closed_form,
-        exact_label=exact_label, meta=meta,
+        exact_label=exact_label,
     )
 
 
@@ -222,10 +221,8 @@ def _configuration(y: np.ndarray) -> np.ndarray:
     """(y - mean) / rms: the maximal invariant of y -> m + s y (s > 0), so an
     exact ancillary of every location-scale law, and a one-to-one function
     of any equivariant fit's configuration (y - mu_hat) / sigma_hat."""
-    mu, rms = _moments(y)
-    if _any(rms <= 0.0, None):
-        raise SingularInformationError("degenerate sample, sigma_hat = 0")
-    return (y - mu[..., None]) / rms[..., None]
+    fit = _moment_fit(y)
+    return (y - fit[..., :1]) / fit[..., 1:]
 
 
 def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
@@ -263,7 +260,7 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     # a(mu) = mu broadcasts over the n coordinates
     return _affine_model(
         family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0, True, law,
-        (_UNBOUNDED, _POSITIVE), start, closed_form, _configuration, {"error_law": error_law})
+        (_UNBOUNDED, _POSITIVE), start, closed_form, _configuration)
 
 
 def _circle_mean(rho: float, n: int):
@@ -283,6 +280,11 @@ def _circle_mean(rho: float, n: int):
     return (lambda theta: plane(theta, np.cos, np.sin, 0),
             lambda theta: plane(theta, lambda t: -np.sin(t), np.cos, 1),
             lambda theta: plane(theta, lambda t: -np.cos(t), lambda t: -np.sin(t), 2))
+
+
+def _circle_label(y: np.ndarray) -> np.ndarray:
+    """The radius |(y_1, y_2)| with y_3..y_n: the exact ancillary of every circle family."""
+    return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
 
 
 def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> QuantileModel:
@@ -307,13 +309,9 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
             raise SingularInformationError("data at the circle center, angle undefined")
         return start(y)
 
-    def exact_label(y):
-        return np.concatenate([np.hypot(y[..., :1], y[..., 1:2]), y[..., 2:]], axis=-1)
-
     return _affine_model(
         "circle2d" if n == 2 else "circleN", n, a, da, d2a, False, _normal_law(n, variance_scale),
-        (_UNBOUNDED,), start, closed_form, exact_label,
-        {"rho": float(rho), "variance_scale": float(variance_scale)})
+        (_UNBOUNDED,), start, closed_form, _circle_label)
 
 
 class EtaHandle(NamedTuple):
@@ -323,7 +321,6 @@ class EtaHandle(NamedTuple):
     (..., n), jac (..., n, r) and hess (..., n, r, r), one entry per row.
     """
 
-    tag: str
     n: int
     r: int
     value: Callable[[np.ndarray], np.ndarray]
@@ -334,7 +331,7 @@ class EtaHandle(NamedTuple):
 def eta_circle(rho: float, n: int = 2) -> EtaHandle:
     """Circle mean curve as a scalar-parameter regression surface."""
     a, da, d2a = _circle_mean(rho, n)
-    return EtaHandle(tag="circle", n=n, r=1, value=a, jac=da, hess=d2a)
+    return EtaHandle(n=n, r=1, value=a, jac=da, hess=d2a)
 
 
 def eta_curved(n: int) -> EtaHandle:
@@ -348,7 +345,6 @@ def eta_curved(n: int) -> EtaHandle:
     v = 1.0 + 0.3 * np.sin(2.0 * math.pi * idx / n + 0.7)
     w = 0.8 * np.cos(4.0 * math.pi * idx / n + 0.3)
     return EtaHandle(
-        tag="curved",
         n=n,
         r=1,
         value=lambda th: v * th + 0.5 * w * th ** 2,  # th: (1,) or (..., 1)
@@ -401,10 +397,8 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
     if np.asarray(eta.jac(np.zeros(r))).shape != (n, r):
         raise InvalidDimensionError("eta jacobian shape does not match (n, r)")
 
-    scaled = sigma_mode == "unknown"
-    if scaled:
-        var, meta = 1.0, {"eta": eta.tag, "sigma_mode": "unknown"}
-    else:
+    scaled, var = sigma_mode == "unknown", 1.0
+    if not scaled:
         if not (isinstance(sigma_mode, tuple) and len(sigma_mode) == 2
                 and sigma_mode[0] == "known"):
             raise InvalidParameterError(
@@ -413,12 +407,12 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
         sigma0 = float(sigma_mode[1])
         if not (sigma0 > 0.0 and math.isfinite(sigma0)):
             raise InvalidParameterError("sigma0 must be positive and finite")
-        var, meta = sigma0 * sigma0, {"eta": eta.tag, "sigma_mode": "known", "sigma0": sigma0}
+        var = sigma0 * sigma0
 
-    return _affine_model(f"nonlinreg-{meta['sigma_mode']}-sigma", n, eta.value, eta.jac,
-                         eta.hess, scaled, _normal_law(n, var),
+    return _affine_model("nonlinreg-unknown-sigma" if scaled else "nonlinreg-known-sigma", n,
+                         eta.value, eta.jac, eta.hess, scaled, _normal_law(n, var),
                          (_UNBOUNDED,) * r + (_POSITIVE,) * scaled,
-                         _regression_start(eta.value, r, scaled), None, None, meta)
+                         _regression_start(eta.value, r, scaled), None, None)
 
 
 def make_synthetic_curved(n: int) -> QuantileModel:

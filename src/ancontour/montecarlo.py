@@ -446,7 +446,7 @@ class OrderStudyReport(NamedTuple):
         out = {"study": "ancillarity-order", "family": self.spec.family,
                "inconclusive": self.inconclusive}
         for name, arm in self.arms.items():
-            out[f"slope_{name}"] = arm.slope if arm.slope is not None else "none"
+            out[f"slope_{name}"] = arm.slope
             out[f"sensitivity_{name}"] = [row.sensitivity for row in arm.per_n]
         return out
 

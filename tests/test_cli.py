@@ -782,6 +782,21 @@ def test_verify_partition_order(tmp_path, capsys):
     assert means[0] > means[1] > 0
 
 
+@pytest.mark.parametrize("payload,key", [
+    ({"study": "partition-order", "n_grid": [16, 32], "draws": 1, "t1_std": 1e-300}, "slope"),
+    ({"study": "ancillarity-order", "family": "location-scale", "n_grid": [8, 16], "reps": 200},
+     "slope_second_order"),
+], ids=["partition-order", "ancillarity-order"])
+def test_verify_prints_a_null_slope_as_none(payload, key, tmp_path, capsys):
+    """A slope with no value (zero discrepancies, zero sensitivities) is
+    spelled none on stdout by every study, and is null in the JSON file."""
+    config = write_config(tmp_path, payload)
+    code, values, _ = run_cli(["verify", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert values[key] == "none"
+    assert '"slope":null' in (tmp_path / f"{payload['study']}.json").read_text()
+
+
 @pytest.mark.parametrize("payload,report", [
     ({"study": "quadrature", "c_values": [1.0], "a_points": 21},
      lambda: ancontour.quadrature_first_derivative(

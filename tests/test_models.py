@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import ancontour
 from ancontour import (
     GridSpec,
     InvalidDimensionError,
     InvalidParameterError,
     UnsupportedFamilyError,
     build_contour,
+    compare_exact,
     eta_circle,
     eta_curved,
     fit_mle,
@@ -26,6 +28,8 @@ from ancontour import (
     make_synthetic_curved,
     model_from_config,
     non_invertible_mask,
+    severini_pivot,
+    severini_pivot_check,
 )
 from ancontour._jsonio import dumps
 from ancontour.models import _FAMILIES, _moments
@@ -91,6 +95,32 @@ def test_wrapped_callable_fields_change_no_result(family):
         assert (dumps(build_contour(model, y, grid))
                 == dumps(build_contour(wrapped, y, grid)))
     assert called == set(TRACED_FIELDS)
+
+
+def test_a_circle_with_wrapped_fields_is_still_a_circle():
+    """A circle is known by its exact ancillary, the radius label, which a
+    tracer rebuilding the model with wrapped callable fields leaves alone:
+    compare_exact and severini_pivot_check give the plain model's bytes,
+    radii included, with rho read from the wrapped mean.  The label is
+    private, so no tracer of the public names wraps it.  A regression on
+    eta_circle, the circle's mean without that label, has no pivot."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return traced
+
+    model = make_circle(2.5, n=3, variance_scale=0.25)
+    wrapped = dataclasses.replace(model, **{f: wrap(getattr(model, f)) for f in TRACED_FIELDS})
+    assert "_circle_label" not in ancontour._EXPORTS["models"]
+    y0, grid = np.array([2.7, 0.3, 0.15]), GridSpec(2.0, 5)
+    plain, traced = (compare_exact(m, build_contour(m, y0, grid)) for m in (model, wrapped))
+    assert plain.radius_contour is not None and plain.radius_exact is not None
+    assert dumps(traced) == dumps(plain)
+    assert dumps(severini_pivot_check(wrapped, y0)) == dumps(severini_pivot_check(model, y0))
+    regression = make_nonlinear_regression(eta_circle(2.5, n=3), ("known", 0.5))
+    with pytest.raises(UnsupportedFamilyError, match="circle families only"):
+        severini_pivot(regression, y0)
 
 
 DERIVED_FIELDS = ("quantile", "dquantile_dtheta", "d2quantile_dtheta2", "dquantile_dx",
