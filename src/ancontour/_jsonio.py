@@ -139,8 +139,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def csv_lines(header: list, rows) -> str:
-    """Flat CSV with repr-precision floats (round-trip exact)."""
+    """Flat CSV: a str cell as it is, a number by repr (round-trip exact)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

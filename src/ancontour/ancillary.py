@@ -598,10 +598,12 @@ def cauchy_inversion_demo(
         raise InvalidParameterError("ytilde0 has non-finite entries")
     if ytilde0[0] == ytilde0[1]:
         raise SingularInformationError("degenerate configuration, equal coordinates")
+    lo, hi = window
+    if not -math.inf < lo < hi < math.inf:
+        raise InvalidParameterError(f"window {window!r} must be finite with lo < hi")
     theta_hat = np.array([np.mean(ytilde0), 0.5 * abs(ytilde0[1] - ytilde0[0])])
     zhat = np.sign(ytilde0 - ytilde0[::-1])
 
-    lo, hi = window
     axis = np.linspace(lo, hi, resolution)
     yy1, yy2 = np.meshgrid(axis, axis, indexing="ij")
     safe = (np.abs(yy1) > 1e-300) & (np.abs(yy2) > 1e-300)
@@ -618,7 +620,7 @@ def cauchy_inversion_demo(
     excluded = []
     if lo < 0.0 < hi:
         excluded.append((0.0, line_offset))
-    if lo < -line_offset < hi:
+    if lo < -line_offset < hi and line_offset != 0.0:  # the origin once
         excluded.append((-line_offset, 0.0))
     on_contour = _halfplane_membership(line, zhat, tilde_bounds)
     ok = on_contour & ~non_invertible_mask(line, tol=1e-9)

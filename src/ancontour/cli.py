@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._jsonio import atomic_write_text, config_block, dumps
+from ._jsonio import atomic_write_text, config_block, csv_lines, dumps
 from .errors import (
     AncontourError,
     EmptyStudyError,
@@ -128,21 +128,13 @@ def _read_point(path: str) -> np.ndarray:
     except OSError as exc:
         raise _UsageError(f"cannot read data file {path}: {exc}") from exc
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    if tokens and not _is_float(tokens[0]) and all(
-            _is_float(t) for t in tokens[1:]):
-        tokens = tokens[1:]  # single header token, as in one-column CSV
     try:
         return np.array([float(t) for t in tokens])
     except ValueError as exc:
-        raise _UsageError(f"non-numeric entry in data file {path}: {exc}") from exc
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+        try:  # all but a single header token, as in one-column CSV
+            return np.array([float(t) for t in tokens[1:]])
+        except ValueError:
+            raise _UsageError(f"non-numeric entry in data file {path}: {exc}") from exc
 
 
 def _resolve_data(model, data: dict, seed_flag) -> np.ndarray:
@@ -200,11 +192,6 @@ def _render(value, sep: str) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return "none" if value is None else str(value)
-
-
-def _kv_csv(summary: dict) -> str:
-    lines = ["key,value", *(f"{key},{_render(value, ';')}" for key, value in summary.items())]
-    return "\n".join(lines) + "\n"
 
 
 def _load_point_config(args):
@@ -328,8 +315,8 @@ def main(argv=None) -> int:
         return 2
     try:
         path, doc, table, summary = args.handler(args)
-        _write(path, dumps(doc) if args.format == "json"
-               else _kv_csv(summary) if table is None else table.to_csv())
+        _write(path, dumps(doc) if args.format == "json" else table.to_csv() if table is not None
+               else csv_lines(["key", "value"], ([k, _render(v, ";")] for k, v in summary.items())))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,15 +2,15 @@
 
 A model is recorded through its vector quantile function y = q(x; theta),
 coordinate-wise in the reference (scoring) variable x and smooth in the
-parameter theta.  Every family is declared once, by its mean a(theta), its
-scale b(theta) and a reference law: q(x; theta) = a(theta) + b(theta) * x
-coordinate by coordinate, where b is either 1 or the last parameter
-coordinate, and the law is independent Normal(0, var) or standard Cauchy
-coordinates.  One constructor derives from this the quantile map (vectorized
-over a batch of parameter rows, so a contour sweep is one call), its first
-and second parameter derivatives, the x-derivative and the cross derivative;
-each family adds its own Newton start and, where one exists, its closed-form
-estimate and exact ancillary.
+parameter theta.  Every family is declared once, by its mean curve eta(theta)
+(an EtaHandle), its scale b(theta) and a reference law: q(x; theta) =
+eta(theta) + b(theta) * x coordinate by coordinate, where b is either 1 or the
+last parameter coordinate, and the law is independent Normal(0, var) or
+standard Cauchy coordinates.  One constructor derives from this the quantile
+map (vectorized over a batch of parameter rows, so a contour sweep is one
+call), its first and second parameter derivatives, the x-derivative and the
+cross derivative; each family adds its own Newton start and, where one
+exists, its closed-form estimate and exact ancillary.
 
 Instances are frozen; samplers take explicit seeds, so models are safe to
 share.
@@ -146,19 +146,33 @@ def _cauchy_law(n: int):
     return log_density, score, score_derivative, sampler
 
 
-def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
-                  closed_form, exact_label) -> QuantileModel:
-    """The model q(x; theta) = a(theta[:r]) + b(theta) * x, all callables derived here.
+class EtaHandle(NamedTuple):
+    """A family's mean curve eta(theta) in R^n over r parameter coordinates.
 
-    p = len(domain).  With scaled, b is the last coordinate theta[r] (r = p - 1)
-    and a does not depend on it; otherwise b = 1 and r = p.  a, da and d2a
-    map parameter rows (..., r) to (..., n), (..., n, r) and (..., n, r, r);
-    each may return anything that broadcasts to its shape.  b is linear in
-    theta, so its second derivative is zero.  law is the reference (log
-    density, score, score derivative, sampler).
+    Each callable takes one row theta (r,) or rows (..., r): value gives
+    (..., n), jac (..., n, r) and hess (..., n, r, r), one entry per row.
+    A built-in handle may return anything that broadcasts to its shape;
+    make_nonlinear_regression checks a hand-built handle's exact shapes.
     """
-    p = len(domain)
-    r = p - 1 if scaled else p
+
+    n: int
+    r: int
+    value: Callable[[np.ndarray], np.ndarray]
+    jac: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]
+
+
+def _affine_model(family, eta, scaled, law, start, closed_form=None,
+                  exact_label=None) -> QuantileModel:
+    """The model q(x; theta) = eta(theta[:r]) + b(theta) * x, all callables derived here.
+
+    With scaled, b is the last coordinate theta[r] (p = r + 1) and eta does
+    not depend on it; otherwise b = 1 and p = r.  b is linear in theta, so
+    its second derivative is zero.  law is the reference (log density,
+    score, score derivative, sampler).
+    """
+    n, r, value, jac, hess = eta
+    p = r + scaled
 
     def blank(x, theta, *tail):  # float x and theta, and zeros (rows..., n, *tail)
         x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
@@ -167,18 +181,18 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
 
     def quantile(x, theta):
         x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
-        return a(theta[..., :r]) + (theta[..., r:] * x if scaled else x)
+        return value(theta[..., :r]) + (theta[..., r:] * x if scaled else x)
 
     def dquantile_dtheta(x, theta):
         x, theta, out = blank(x, theta, p)
-        out[..., :r] = da(theta[..., :r])
+        out[..., :r] = jac(theta[..., :r])
         if scaled:
             out[..., r] = x  # assigned, not added: keeps the sign of a zero x
         return out
 
     def d2quantile_dtheta2(x, theta):
         x, theta, out = blank(x, theta, p, p)
-        out[..., :r, :r] = d2a(theta[..., :r])
+        out[..., :r, :r] = hess(theta[..., :r])
         return out
 
     def dquantile_dx(x, theta):
@@ -197,8 +211,8 @@ def _affine_model(family, n, a, da, d2a, scaled, law, domain, start,
         d2quantile_dtheta2=d2quantile_dtheta2, dquantile_dx=dquantile_dx,
         cross_hessian=cross_hessian, ref_log_density=ref_log_density, ref_score=ref_score,
         ref_score_derivative=ref_score_derivative, ref_sampler=ref_sampler,
-        param_domain=tuple(domain), start=start, closed_form=closed_form,
-        exact_label=exact_label,
+        param_domain=(_UNBOUNDED,) * r + (_POSITIVE,) * scaled, start=start,
+        closed_form=closed_form, exact_label=exact_label,
     )
 
 
@@ -257,14 +271,13 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
 
         closed_form, family, law = None, "cauchy-location-scale", _cauchy_law(n)
 
-    # a(mu) = mu broadcasts over the n coordinates
-    return _affine_model(
-        family, n, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0, True, law,
-        (_UNBOUNDED, _POSITIVE), start, closed_form, _configuration)
+    # the mean mu 1 is mu, broadcast over the n coordinates
+    return _affine_model(family, EtaHandle(n, 1, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0),
+                         True, law, start, closed_form, _configuration)
 
 
-def _circle_mean(rho: float, n: int):
-    """(a, da, d2a) of the circle mean rho (cos t, sin t, 0, ..., 0)."""
+def eta_circle(rho: float, n: int = 2) -> EtaHandle:
+    """Circle mean curve rho (cos t, sin t, 0, ..., 0) as a scalar-parameter regression surface."""
     _check_n(n, "circle family")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise InvalidParameterError("rho must be positive and finite")
@@ -277,9 +290,9 @@ def _circle_mean(rho: float, n: int):
         out[..., 1] = rho * second(angle)
         return out.reshape(angle.shape + (n,) + (1,) * trailing)
 
-    return (lambda theta: plane(theta, np.cos, np.sin, 0),
-            lambda theta: plane(theta, lambda t: -np.sin(t), np.cos, 1),
-            lambda theta: plane(theta, lambda t: -np.cos(t), lambda t: -np.sin(t), 2))
+    return EtaHandle(n, 1, lambda theta: plane(theta, np.cos, np.sin, 0),
+                     lambda theta: plane(theta, lambda t: -np.sin(t), np.cos, 1),
+                     lambda theta: plane(theta, lambda t: -np.cos(t), lambda t: -np.sin(t), 2))
 
 
 def _circle_label(y: np.ndarray) -> np.ndarray:
@@ -295,7 +308,7 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
     same circle in higher dimension (rotation taken as the identity).  The
     radius |(y_1, y_2)| with y_3..y_n is an exact ancillary.
     """
-    a, da, d2a = _circle_mean(rho, n)
+    eta = eta_circle(rho, n)
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
         raise InvalidParameterError("variance_scale must be positive and finite")
 
@@ -309,29 +322,8 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
             raise SingularInformationError("data at the circle center, angle undefined")
         return start(y)
 
-    return _affine_model(
-        "circle2d" if n == 2 else "circleN", n, a, da, d2a, False, _normal_law(n, variance_scale),
-        (_UNBOUNDED,), start, closed_form, _circle_label)
-
-
-class EtaHandle(NamedTuple):
-    """Mean-curve handle for regression families.
-
-    Each callable takes one row theta (r,) or rows (..., r): value gives
-    (..., n), jac (..., n, r) and hess (..., n, r, r), one entry per row.
-    """
-
-    n: int
-    r: int
-    value: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-
-
-def eta_circle(rho: float, n: int = 2) -> EtaHandle:
-    """Circle mean curve as a scalar-parameter regression surface."""
-    a, da, d2a = _circle_mean(rho, n)
-    return EtaHandle(n=n, r=1, value=a, jac=da, hess=d2a)
+    return _affine_model("circle2d" if n == 2 else "circleN", eta, False,
+                         _normal_law(n, variance_scale), start, closed_form, _circle_label)
 
 
 def eta_curved(n: int) -> EtaHandle:
@@ -353,12 +345,12 @@ def eta_curved(n: int) -> EtaHandle:
     )
 
 
-def _regression_start(mean, r: int, scaled: bool):
+def _regression_start(eta: EtaHandle, scaled: bool):
     """Newton start for regression: a scalar mean parameter at the vertex of the parabola
     through the residual sums of squares at the best point of a grid over [-3, 3] and its
     neighbours (at that point on the grid's ends or where the parabola is not convex; a
     longer one at 0); an unknown sigma (scaled) at the root mean square residual."""
-    axis = np.linspace(-3.0, 3.0, 61)
+    axis, mean, r = np.linspace(-3.0, 3.0, 61), eta.value, eta.r
 
     def start(y):
         y = np.asarray(y, dtype=float)
@@ -396,6 +388,8 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
         )
     if np.asarray(eta.jac(np.zeros(r))).shape != (n, r):
         raise InvalidDimensionError("eta jacobian shape does not match (n, r)")
+    if np.asarray(eta.hess(np.zeros(r))).shape != (n, r, r):
+        raise InvalidDimensionError("eta hessian shape does not match (n, r, r)")
 
     scaled, var = sigma_mode == "unknown", 1.0
     if not scaled:
@@ -409,10 +403,8 @@ def make_nonlinear_regression(eta: EtaHandle, sigma_mode="unknown") -> QuantileM
             raise InvalidParameterError("sigma0 must be positive and finite")
         var = sigma0 * sigma0
 
-    return _affine_model("nonlinreg-unknown-sigma" if scaled else "nonlinreg-known-sigma", n,
-                         eta.value, eta.jac, eta.hess, scaled, _normal_law(n, var),
-                         (_UNBOUNDED,) * r + (_POSITIVE,) * scaled,
-                         _regression_start(eta.value, r, scaled), None, None)
+    return _affine_model("nonlinreg-unknown-sigma" if scaled else "nonlinreg-known-sigma", eta,
+                         scaled, _normal_law(n, var), _regression_start(eta, scaled))
 
 
 def make_synthetic_curved(n: int) -> QuantileModel:

@@ -1048,6 +1048,21 @@ def test_inversion_demo_guards():
         cauchy_inversion_demo(ytilde0=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("window", [(3.0, -3.0), (1.0, 1.0), (math.nan, 3.0), (-3.0, math.inf)])
+def test_inversion_demo_refuses_a_window_that_is_not_a_finite_interval(window):
+    """A reversed, empty or unbounded window is named, not counted as 0 or
+    3 components with warnings."""
+    with pytest.raises(InvalidParameterError, match="window"):
+        cauchy_inversion_demo(window=window)
+
+
+def test_inversion_demo_lists_the_origin_once():
+    """At line offset 0 both axis crossings are the origin, one excluded point."""
+    report = cauchy_inversion_demo(line_offset=0.0)
+    assert report.line_excluded_points.tolist() == [[0.0, 0.0]]
+    assert not np.signbit(report.line_excluded_points).any()
+
+
 def test_cloud_csv_and_json_formats():
     model = make_circle(1.0, n=2, variance_scale=0.5)
     cloud = build_contour(model, np.array([0.9, 0.5]), GridSpec(1.0, 5))

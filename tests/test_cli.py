@@ -574,7 +574,9 @@ def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     ({"simulate": {"seed": 1}}, "missing simulate keys: ['theta']"),
     ({"file": str(DATA_DIR)}, "cannot read data file"),
     ({"file": str(DATA_DIR / "non_numeric_point.csv")}, "non-numeric entry in data file"),
-], ids=[f"data_block{k}" for k in range(19)])
+    # one leading word is a header; with two, the first is the entry named
+    ({"file": str(DATA_DIR / "two_word_header_point.csv")}, "float: 'a'"),
+], ids=[f"data_block{k}" for k in range(20)])
 def test_contour_bad_data_block_is_usage_error(data_block, named, tmp_path, capsys):
     config = write_config(tmp_path, {
         "model": {"family": "circle2d", "rho": 1.0},
@@ -1205,7 +1207,7 @@ def test_one_line_search_holds_the_halving_scales():
 # partition check), each checked with the functions nested in it
 HOT_FUNCTIONS = {
     "models.py": {"check_theta", "check_point", "_normal_law", "_cauchy_law", "_affine_model",
-                  "_moments", "_moment_fit", "make_location_scale", "_circle_mean",
+                  "_moments", "_moment_fit", "make_location_scale", "eta_circle",
                   "_regression_start"},
     "estimation.py": {"_likelihood", "_values", "_newton", "_newton_system", "_line_search",
                       "_fit_points", "_rank_gate", "standardize"},

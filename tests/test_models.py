@@ -246,6 +246,19 @@ def test_domain_validation():
         make_circle(1.0, n=1)
 
 
+@pytest.mark.parametrize("field, shape, named", [
+    ("value", (3,), "value shape"),
+    ("jac", (3, 1), "jacobian shape"),
+    ("hess", (3, 1, 1), "hessian shape"),
+])
+def test_hand_built_eta_of_a_wrong_shape_is_refused(field, shape, named):
+    """Each callable of a hand-built mean is checked at theta = 0 when the
+    model is built, not left to fail inside a fit as a raw ValueError."""
+    eta = eta_curved(4)._replace(**{field: lambda theta: np.zeros(shape)})
+    with pytest.raises(InvalidDimensionError, match=named):
+        make_nonlinear_regression(eta, "unknown")
+
+
 def test_sampler_shapes_and_determinism():
     model = make_circle(1.0, n=3, variance_scale=0.04)
     a = model.ref_sampler(42, 10)

@@ -63,8 +63,10 @@ def test_density_integral_accepts_an_array_of_a():
 
 
 def test_quadrature_gaps_are_exactly_zero():
-    """Mirror-image nodes are summed in pairs, so the symmetries hold bit for bit."""
-    for case in quadrature_first_derivative().cases:
+    """Mirror-image nodes are summed in pairs, so the symmetries hold bit for
+    bit, at the default spec and away from it."""
+    away = QuadratureSpec(c_values=(-2.0, 0.7, 3.0), eps=0.3, theta_probe=1.7)
+    for case in (*quadrature_first_derivative().cases, *quadrature_first_derivative(away).cases):
         assert case.max_abs_derivative == 0.0
         assert case.symmetry_gap == 0.0
         assert case.flip_gap == 0.0
