@@ -166,12 +166,17 @@ def build_contour(
     map on the offset grid in one call.
     Grid points whose parameter leaves the open domain (a negative sigma,
     say) are dropped, which is how positive-ray constraints are enforced.
+    A grid so wide that a point is not finite raises InvalidParameterError.
     """
     y0 = model.check_point(y0)
     fit = fit_mle(model, y0) if fit is None else _check_fit(model, y0, fit)
     rec = standardize(fit.obs_info)
-    offsets, offsets_std, points, keep = _sweep(
-        model, fit.x_hat[None], fit.theta_hat[None], rec, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        offsets, offsets_std, points, keep = _sweep(
+            model, fit.x_hat[None], fit.theta_hat[None], rec, grid)
+    if not _all(np.isfinite(points), None):
+        raise InvalidParameterError(
+            f"contour points overflow at grid half_width {grid.half_width!r}")
     return ContourCloud(
         family=model.family,
         base_point=y0,
@@ -587,13 +592,17 @@ def cauchy_inversion_demo(
     on the square grid, connected whenever it is not empty.  So the count is
     the number of non-empty quadrant pieces.  Also samples the line
     ytilde_2 = ytilde_1 + line_offset on the contour and reports its
-    zero-coordinate points, which have no back image.
+    zero-coordinate points, which have no back image.  A bad argument raises
+    InvalidParameterError naming it.
     """
     ytilde0 = np.asarray(ytilde0, dtype=float)
     if ytilde0.shape != (2,):
         raise InvalidDimensionError("demo is the two-observation case")
-    if resolution < 16:
-        raise InvalidParameterError("resolution too small to count components")
+    resolution = config_int(resolution, "resolution", 16)
+    line_offset = config_float(line_offset, "line_offset")
+    if tilde_bounds is not None and not (
+            len(tilde_bounds) == 2 and all(a < b for a, b in tilde_bounds)):
+        raise InvalidParameterError(f"tilde_bounds {tilde_bounds!r} must be two lo < hi pairs")
     if not _all(np.isfinite(ytilde0)):
         raise InvalidParameterError("ytilde0 has non-finite entries")
     if ytilde0[0] == ytilde0[1]:

@@ -159,11 +159,9 @@ def _resolve_data(model, data: dict, seed_flag) -> np.ndarray:
 def _resolve_grid(args, block):
     from .ancillary import GridSpec
 
-    if args.grid is not None:
-        return GridSpec.parse(args.grid)
-    if isinstance(block, str):
-        return GridSpec.parse(block)
-    return GridSpec(**config_block({} if block is None else block, GridSpec()._asdict(), "grid"))
+    grid = (GridSpec.parse(block) if isinstance(block, str) else  # checked, even under --grid
+            GridSpec(**config_block({} if block is None else block, GridSpec()._asdict(), "grid")))
+    return grid if args.grid is None else GridSpec.parse(args.grid)
 
 
 def _target(args, stem: str) -> str:

@@ -6,8 +6,8 @@ log-likelihood of y under theta is the reference log density at x(y, theta)
 minus the log Jacobian sum(log b).  Implicit differentiation of the
 reference solve gives the score and the observed information in closed form,
 in one pass, from the model's derivatives and its reference law; nothing is
-differenced numerically.  Newton starts and closed-form estimates come from
-the model itself, so no family is named here.  Sigma-type parameters
+differenced numerically.  Starts, one per family and its closed form where
+it has one, come from the model: no family is named.  Sigma-type parameters
 (positive open domain) are iterated on the log scale internally.  A fit is
 accepted only where the information is positive definite relative to its
 scale, so flat likelihood ridges raise SingularInformationError.  LAPACK is
@@ -262,8 +262,8 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
 def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None) -> FitResult:
     """Fit by Newton iteration with backtracking line search.
 
-    Newton starts at init, by default at model.closed_form(y) where the model
-    has one and at model.start(y) otherwise; where it stops short of a score
+    Newton starts at init, by default at model.start(y), the family's one
+    start, its closed form where it has one; where it stops short of a score
     norm of 1e-8 (at most 100 iterations), the damped rescue finishes the fit
     (up to 100 more).  The FitResult's iterations count both; its score norm
     is below 1e-8 and its information positive definite relative to its
@@ -281,11 +281,13 @@ def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None)
 def _fit_points(model, y, init=None, trace=None):
     """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
     fit_mle on each row of y (K, n) at once: Newton from rows init (by default
-    each row's checked closed form or start), the rescue over rows it leaves
-    short of a score norm of 1e-8, the convergence check and the rank gate.
-    Each row has a one-row fit's bits, all from _newton's last pass."""
+    one model.start call for all rows, each row checked), the rescue over rows
+    it leaves short of a score norm of 1e-8, the convergence check and the
+    rank gate.  Each row has a one-row fit's bits, all from _newton's last pass."""
     if init is None:
-        init = np.array([model.check_theta((model.closed_form or model.start)(row)) for row in y])
+        init = model.start(y)
+        for row in init:
+            model.check_theta(row)
     x, theta, iterations, converged, value, s, info = _newton(model, y, init, trace=trace)
     if not _all(converged):
         short = (~converged).nonzero()[0]

@@ -9,8 +9,8 @@ last parameter coordinate, and the law is independent Normal(0, var) or
 standard Cauchy coordinates.  One constructor derives from this the quantile
 map (vectorized over a batch of parameter rows, so a contour sweep is one
 call), its first and second parameter derivatives, the x-derivative and the
-cross derivative; each family adds its own Newton start and, where one
-exists, its closed-form estimate and exact ancillary.
+cross derivative; each family adds its one start, its closed form where it
+has one, and its exact ancillary where one exists.
 
 Instances are frozen; samplers take explicit seeds, so models are safe to
 share.
@@ -57,10 +57,10 @@ class QuantileModel:
     over the last axis, (..., n) -> (...); ref_score and ref_score_derivative
     are the elementwise first and second derivatives of each coordinate's
     reference log density; ref_sampler(seed, count) returns (count, n) draws.
-    param_domain holds one open interval per parameter coordinate.  start(y)
-    is the Newton start for data y, (..., n) -> (..., p); closed_form(y), when
-    not None, is the exact MLE; exact_label(y), when not None, is an exact
-    ancillary statistic of a point or of rows of points, (..., n) -> (..., m).
+    param_domain holds one open interval per parameter coordinate.  start(y),
+    (..., n) -> (..., p), is the family's one start, its closed form where it
+    has one, and closed_form is then start (else None); exact_label(y), when
+    not None, is an exact ancillary of a point or of rows, (..., n) -> (..., m).
     """
 
     family: str
@@ -162,14 +162,14 @@ class EtaHandle(NamedTuple):
     hess: Callable[[np.ndarray], np.ndarray]
 
 
-def _affine_model(family, eta, scaled, law, start, closed_form=None,
+def _affine_model(family, eta, scaled, law, start, exact=False,
                   exact_label=None) -> QuantileModel:
     """The model q(x; theta) = eta(theta[:r]) + b(theta) * x, all callables derived here.
 
     With scaled, b is the last coordinate theta[r] (p = r + 1) and eta does
     not depend on it; otherwise b = 1 and p = r.  b is linear in theta, so
-    its second derivative is zero.  law is the reference (log density,
-    score, score derivative, sampler).
+    its second derivative is zero.  law is the reference (log density, score,
+    score derivative, sampler); exact makes start, the MLE, the closed_form.
     """
     n, r, value, jac, hess = eta
     p = r + scaled
@@ -212,7 +212,7 @@ def _affine_model(family, eta, scaled, law, start, closed_form=None,
         cross_hessian=cross_hessian, ref_log_density=ref_log_density, ref_score=ref_score,
         ref_score_derivative=ref_score_derivative, ref_sampler=ref_sampler,
         param_domain=(_UNBOUNDED,) * r + (_POSITIVE,) * scaled, start=start,
-        closed_form=closed_form, exact_label=exact_label,
+        closed_form=start if exact else None, exact_label=exact_label,
     )
 
 
@@ -243,19 +243,15 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
     """Location-scale family y = mu 1 + sigma z with standard error law z.
 
     n >= 2, so that sigma is identifiable; error_law is "normal" or "cauchy".
-    Normal errors have a closed-form MLE, which also takes rows of points
-    (..., n) -> (..., 2).  Either law has the exact ancillary (y - mean) / rms.
+    Normal errors have a closed-form MLE, their start.  Either law has the
+    exact ancillary (y - mean) / rms.
     """
     _check_n(n, "location-scale")
     if error_law not in ("normal", "cauchy"):
         raise UnsupportedFamilyError(f"unknown error law {error_law!r}")
 
     if error_law == "normal":
-        def start(y):
-            mu, sigma = _moments(y)
-            return np.concatenate([mu[..., None], np.maximum(sigma, 1e-8)[..., None]], -1)
-
-        closed_form, family, law = _moment_fit, "location-scale", _normal_law(n, 1.0)
+        start, family, law = _moment_fit, "location-scale", _normal_law(n, 1.0)
     else:
         def quartile(s, q):  # np.percentile's linear rule, on rows s sorted along the last axis
             v = q * (s.shape[-1] - 1)
@@ -269,11 +265,11 @@ def make_location_scale(n: int, error_law: str = "normal") -> QuantileModel:
             return np.concatenate([_sum(middle, -1, keepdims=True) / middle.shape[-1], np.maximum(
                 0.5 * (quartile(s, 0.75) - quartile(s, 0.25)), 1e-8)[..., None]], -1)
 
-        closed_form, family, law = None, "cauchy-location-scale", _cauchy_law(n)
+        family, law = "cauchy-location-scale", _cauchy_law(n)
 
     # the mean mu 1 is mu, broadcast over the n coordinates
     return _affine_model(family, EtaHandle(n, 1, lambda mu: mu, lambda mu: 1.0, lambda mu: 0.0),
-                         True, law, start, closed_form, _configuration)
+                         True, law, start, error_law == "normal", _configuration)
 
 
 def eta_circle(rho: float, n: int = 2) -> EtaHandle:
@@ -305,8 +301,9 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 
     The reference coordinates are independent mean-0 Normals with variance
     variance_scale; p = 1.  n = 2 gives the planar family, n > 2 embeds the
-    same circle in higher dimension (rotation taken as the identity).  The
-    radius |(y_1, y_2)| with y_3..y_n is an exact ancillary.
+    same circle in higher dimension (rotation taken as the identity).  Its
+    start, the closed-form angle of (y_1, y_2), refuses a point at the centre;
+    the radius |(y_1, y_2)| with y_3..y_n is an exact ancillary.
     """
     eta = eta_circle(rho, n)
     if not (variance_scale > 0.0 and math.isfinite(variance_scale)):
@@ -314,16 +311,13 @@ def make_circle(rho: float, n: int = 2, variance_scale: float = 1.0) -> Quantile
 
     def start(y):  # math.atan2: np.arctan2 differs from it in the last bit
         y = np.asarray(y, dtype=float)
-        angle = [math.atan2(v, u) for u, v in y[..., :2].reshape(-1, 2).tolist()]
-        return np.array(angle).reshape(y.shape[:-1] + (1,))
-
-    def closed_form(y):
-        if math.hypot(y[0], y[1]) == 0.0:
+        pairs = y[..., :2].reshape(-1, 2).tolist()
+        if [0.0, 0.0] in pairs:  # -0.0 == 0.0: a signed zero too
             raise SingularInformationError("data at the circle center, angle undefined")
-        return start(y)
+        return np.array([math.atan2(v, u) for u, v in pairs]).reshape(y.shape[:-1] + (1,))
 
     return _affine_model("circle2d" if n == 2 else "circleN", eta, False,
-                         _normal_law(n, variance_scale), start, closed_form, _circle_label)
+                         _normal_law(n, variance_scale), start, True, _circle_label)
 
 
 def eta_curved(n: int) -> EtaHandle:

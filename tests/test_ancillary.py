@@ -1056,6 +1056,19 @@ def test_inversion_demo_refuses_a_window_that_is_not_a_finite_interval(window):
         cauchy_inversion_demo(window=window)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"line_offset": math.nan}, {"line_offset": math.inf},
+    {"tilde_bounds": [(1.0, -1.0), (0.0, 1.0)]}, {"tilde_bounds": [(math.nan, 1.0), (0.0, 1.0)]},
+    {"resolution": 20.0},
+], ids=["nan-offset", "inf-offset", "reversed-bounds", "nan-bounds", "float-resolution"])
+def test_inversion_demo_names_a_bad_argument(kwargs):
+    """A non-finite line offset, bounds that are not lo < hi intervals and a
+    resolution that is not an integer are named, not reported as a nan
+    excluded point, 2 segments, 0 components or a raw TypeError."""
+    with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+        cauchy_inversion_demo(**kwargs)
+
+
 def test_inversion_demo_lists_the_origin_once():
     """At line offset 0 both axis crossings are the origin, one excluded point."""
     report = cauchy_inversion_demo(line_offset=0.0)

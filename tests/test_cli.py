@@ -552,6 +552,33 @@ def test_contour_grid_flag_overrides_config(tmp_path, capsys):
     assert int(values["points"]) == 5
 
 
+@pytest.mark.parametrize("grid", ["garbage", {"bogus": 1}])
+def test_grid_flag_does_not_hide_a_malformed_config_grid(grid, tmp_path, capsys):
+    """The config's grid block is checked before --grid replaces it."""
+    config = write_config(tmp_path, dict(CIRCLE_CONFIG, grid=grid))
+    code, _, err = run_cli(["contour", "--config", config, "--grid", "3.0,5",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "grid" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_contour_that_overflows_exits_one_naming_the_half_width(fmt, tmp_path, capsys):
+    """Contour points past the float range are refused before any write, in
+    either format, not written as inf cells or left to the JSON encoder."""
+    config = write_config(tmp_path, {
+        "model": {"family": "nonlinreg-known-sigma", "eta": "curved", "n": 6},
+        "data": {"y": [0.4, 0.1, 0.5, 0.2, 0.6, 0.3]},
+        "grid": {"half_width": 1e300, "points_per_axis": 3},
+    })
+    code, values, err = run_cli(["contour", "--config", config, "--out", str(tmp_path / "out"),
+                                 "--format", fmt], capsys)
+    assert (code, values) == (1, {})
+    assert err == "error: contour points overflow at grid half_width 1e+300\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("data_block, named", [
     ({}, "exactly one data source"),
     ({"y": [1.0, 0.5], "file": "extra.txt"}, "exactly one data source"),

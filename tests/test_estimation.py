@@ -1,5 +1,6 @@
 """Likelihood machinery: fits, score/information oracles, standardization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -523,6 +524,34 @@ def test_fit_many_rows_agree_with_fit_mle(family):
             # one Newton step from fit_mle's estimate: |info (row - theta_hat)| ~ |score|
             gap = observed_information(model, y, fit.theta_hat) @ (row - fit.theta_hat)
             assert np.linalg.norm(gap) < 2.0 * _SCORE_TOL
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_fit_points_calls_start_once_for_all_rows(family):
+    """A batched fit's default start is one model.start call on all its rows,
+    and each row fits to fit_mle's bits."""
+    for model, theta, _ in iter_instances(family, 2, seed=41):
+        ys, calls = _draws(model, theta, 6, seed=43), []
+        counted = dataclasses.replace(
+            model, start=lambda y, start=model.start: calls.append(y.shape) or start(y))
+        rows = _fit_points(counted, ys)[0]
+        assert calls == [ys.shape]
+        for y, row in zip(ys, rows):
+            assert row.tobytes() == fit_mle(model, y).theta_hat.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_circle_start_refuses_a_batch_with_a_row_at_the_centre(n):
+    """One row at the centre, a signed zero included, fails the whole batch
+    with the closed form's message, from start, from a batched fit and from
+    fit_mle of that row; the other rows alone are fitted."""
+    model = make_circle(1.5, n)
+    ys = _draws(model, (0.4,), 4, seed=3)
+    ys[2, :2] = (-0.0, 0.0)
+    for fit in (model.start, lambda y: _fit_points(model, y), lambda y: fit_mle(model, y[2])):
+        with pytest.raises(SingularInformationError, match="circle center, angle undefined"):
+            fit(ys)
+    assert _fit_points(model, np.delete(ys, 2, 0))[0].shape == (3, 1)
 
 
 def test_fit_many_forced_fallback_row():

@@ -150,6 +150,15 @@ def test_callables_on_rows_match_per_row_calls(family):
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_each_family_has_one_start(family):
+    """start is the family's one estimate function: where the family has a
+    closed form, closed_form is start itself, and otherwise None."""
+    exact = family in ("location-scale", "circle2d", "circleN")
+    for model, _, _ in iter_instances(family, 2, seed=7):
+        assert model.closed_form is (model.start if exact else None)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_first_derivative_matches_fd(family):
     for model, theta, _ in iter_instances(family, 8, seed=101):
         x = model.ref_sampler(3, 1)[0]

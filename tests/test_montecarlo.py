@@ -1,5 +1,6 @@
 """Verification harness: quadrature checks and replicated order studies."""
 
+import dataclasses
 import json
 import math
 from statistics import NormalDist
@@ -746,6 +747,23 @@ def test_partition_order_study_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 1.42 * 2**20
+
+
+def test_partition_order_study_starts_each_size_in_one_call(monkeypatch):
+    """The default study fits each size's 12 draws from one model.start call,
+    4 calls in all rather than one a draw, and reports the same bytes."""
+    import ancontour.models as models
+
+    calls, make = [], models.make_synthetic_curved
+
+    def counted(n):
+        model = make(n)
+        return dataclasses.replace(model, start=lambda y: calls.append(y.shape) or model.start(y))
+
+    plain = dumps(partition_order_study())
+    monkeypatch.setattr(models, "make_synthetic_curved", counted)
+    assert dumps(partition_order_study()) == plain
+    assert calls == [(12, n) for n in PartitionOrderSpec().n_grid]
 
 
 def test_partition_order_study_rerun_identical():
