@@ -126,8 +126,8 @@ def _grid_offsets(p: int, grid: GridSpec) -> np.ndarray:
 def _sweep(model, x_hat, theta_hat, rec, grid):
     """Grid contours through rows x_hat (K, n), theta_hat (K, p) standardized by
     rec (of one fit or of K): offsets and offsets_std, (G, p) or (K, G, p) as
-    rec and grid give them, the kept points (N, n) in row-major order and
-    keep (K, G), False off the open domain."""
+    rec and grid give them, the kept points (N, n) in row-major order (finite,
+    or InvalidParameterError) and keep (K, G), False off the open domain."""
     t_std = _grid_offsets(model.p, grid)
     if grid.standardized:
         offsets, offsets_std = rec.map_offsets(t_std), t_std
@@ -137,7 +137,11 @@ def _sweep(model, x_hat, theta_hat, rec, grid):
     lo, hi = _domain(model.param_domain)[:2]
     keep = _all((rows > lo) & (rows < hi), 2)
     x = x_hat[0] if len(x_hat) == 1 else np.repeat(x_hat, _sum(keep, 1), axis=0)
-    points = model.quantile(x, rows[keep])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        points = model.quantile(x, rows[keep])
+    if not _all(np.isfinite(points), None):
+        raise InvalidParameterError(
+            f"contour points overflow at grid half_width {grid.half_width!r}")
     return offsets, offsets_std, points, keep
 
 
@@ -171,12 +175,8 @@ def build_contour(
     y0 = model.check_point(y0)
     fit = fit_mle(model, y0) if fit is None else _check_fit(model, y0, fit)
     rec = standardize(fit.obs_info)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        offsets, offsets_std, points, keep = _sweep(
-            model, fit.x_hat[None], fit.theta_hat[None], rec, grid)
-    if not _all(np.isfinite(points), None):
-        raise InvalidParameterError(
-            f"contour points overflow at grid half_width {grid.half_width!r}")
+    offsets, offsets_std, points, keep = _sweep(
+        model, fit.x_hat[None], fit.theta_hat[None], rec, grid)
     return ContourCloud(
         family=model.family,
         base_point=y0,
@@ -600,9 +600,13 @@ def cauchy_inversion_demo(
         raise InvalidDimensionError("demo is the two-observation case")
     resolution = config_int(resolution, "resolution", 16)
     line_offset = config_float(line_offset, "line_offset")
-    if tilde_bounds is not None and not (
-            len(tilde_bounds) == 2 and all(a < b for a, b in tilde_bounds)):
-        raise InvalidParameterError(f"tilde_bounds {tilde_bounds!r} must be two lo < hi pairs")
+    if tilde_bounds is not None:
+        try:
+            bounds = np.array(tilde_bounds, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            bounds = np.empty(0)
+        if bounds.shape != (2, 2) or not _all(bounds[:, 0] < bounds[:, 1]):
+            raise InvalidParameterError(f"tilde_bounds {tilde_bounds!r} must be two lo < hi pairs")
     if not _all(np.isfinite(ytilde0)):
         raise InvalidParameterError("ytilde0 has non-finite entries")
     if ytilde0[0] == ytilde0[1]:

@@ -9,8 +9,10 @@ in one pass, from the model's derivatives and its reference law; nothing is
 differenced numerically.  Starts, one per family and its closed form where
 it has one, come from the model: no family is named.  Sigma-type parameters
 (positive open domain) are iterated on the log scale internally.  A fit is
-accepted only where the information is positive definite relative to its
-scale, so flat likelihood ridges raise SingularInformationError.  LAPACK is
+one Newton pass with backtracking, Levenberg-damped where the Newton matrix
+is not safely positive definite, accepted only where the information is
+positive definite relative to its scale, so flat likelihood ridges raise
+SingularInformationError.  LAPACK is
 called through numpy's gufuncs, the kernels behind np.linalg: the same bits,
 without wrapper checks that cost more than p x p arithmetic.
 """
@@ -192,21 +194,22 @@ def _line_search(rows, x, step, evaluate):
     return moved
 
 
-def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False):
-    """Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
+def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
+    """Damped Newton with backtracking in internal coordinates, rows theta (K, p) for rows y (K, n).
 
-    A row stops at a score norm below 1e-8 (before any step if it starts
-    there), a failed line search (no scale of the step stays in the domain
-    and keeps the log-likelihood from falling), a step under 1e-10 or the
-    iteration limit.  Rows retire in place, as in contour_min_distance: they
-    are slice(None), views, until one stops, then the indices of the rows
-    still active.  A singular Hessian raises.  Returns rows (x, theta,
-    iterations, converged, log-likelihood, score, information), all
-    _likelihood's at the final theta; trace gets the first row's iterates.
-    damped (the rescue) adds lam I to each H whose least eigenvalue is not
-    above 1e-8 |tr H|, lam = 1.5 max(0, -eig_min) + 1e-3 |tr H|: every step
-    ascends (Levenberg), and a safely positive definite H keeps Newton's
-    quadratic convergence.
+    Each iteration raises SingularInformationError, naming the iterate, where
+    a row's Newton matrix H is singular (|eigenvalue| ratio above 1e14, or not
+    finite), then adds lam I to each H whose least eigenvalue is not above
+    1e-8 |tr H|, lam = 1.5 max(0, -eig_min) + 1e-3 |tr H|: every step ascends
+    (Levenberg), and a safely positive definite H keeps its plain step, bits
+    and quadratic convergence.  A row stops at a score norm below 1e-8 (before
+    any step if it starts there), a failed line search (no scale of the step
+    stays in the domain and keeps the log-likelihood from falling), a step
+    under 1e-10 or the iteration limit.  Rows retire in place, as in
+    contour_min_distance: they are slice(None), views, until one stops, then
+    the indices of the rows still active.  Returns rows (x, theta, iterations,
+    converged, log-likelihood, score, information), all _likelihood's at the
+    final theta; trace gets the first row's iterates.
     """
     (lo, hi, logs), eye = _domain(model.param_domain), _eye(model.p)
     z = _on_log_axes(logs, theta, math.log)
@@ -236,11 +239,7 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
             if not (rows := active.nonzero()[0]).size:
                 break
         hess, grad = _newton_system(logs, theta[rows], s[rows], info[rows])
-        if damped:
-            low, size = _eigvalsh(hess)[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
-            lam = np.where(low > 1e-8 * size, 0.0, 1.5 * np.maximum(0.0, -low) + 1e-3 * size)
-            hess = hess + lam[:, None, None] * eye
-        size = np.abs(_eigvalsh(hess))
+        size = np.abs(eigs := _eigvalsh(hess))
         big, small = _max(size, 1), _min(size, 1)
         ok = (big <= 1e14 * small) & (small > 0.0)  # cond = big / small <= 1e14, finite
         if not _all(ok):
@@ -249,7 +248,11 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
                 cond = big[k] / small[k]
             raise SingularInformationError(
                 f"Hessian singular at iterate {count + 1} (cond {cond:.2e})")
-        step = _solve(hess, grad[..., None])[..., 0]  # cond <= 1e14: no singular pivot
+        low, tr = eigs[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
+        if _any(damp := low <= 1e-8 * tr):  # Levenberg: lam I where H is not safely PD
+            lam = 1.5 * np.maximum(0.0, -low) + 1e-3 * tr
+            hess = np.where(damp[:, None, None], hess + lam[:, None, None] * eye, hess)
+        step = _solve(hess, grad[..., None])[..., 0]  # cond <= 1e14 or damped: no singular pivot
         if trace is not None and active[0]:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})
         moved = _line_search(rows, z, step, evaluate)[rows]
@@ -262,13 +265,11 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None, damped=False)
 def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None) -> FitResult:
     """Fit by Newton iteration with backtracking line search.
 
-    Newton starts at init, by default at model.start(y), the family's one
-    start, its closed form where it has one; where it stops short of a score
-    norm of 1e-8 (at most 100 iterations), the damped rescue finishes the fit
-    (up to 100 more).  The FitResult's iterations count both; its score norm
-    is below 1e-8 and its information positive definite relative to its
-    scale, or ConvergenceError (with the iterates) or SingularInformationError
-    is raised.
+    One damped Newton pass (see _newton), at most 100 iterations, starts at
+    init, by default at model.start(y), the family's one start, its closed
+    form where it has one.  The FitResult's score norm is below 1e-8 and its
+    information positive definite relative to its scale, or ConvergenceError
+    (with the iterates) or SingularInformationError is raised.
     """
     y = model.check_point(y)
     theta, info, x_hat, iterations, value, s = _fit_points(
@@ -280,20 +281,14 @@ def fit_mle(model: QuantileModel, y: np.ndarray, init: np.ndarray | None = None)
 
 def _fit_points(model, y, init=None, trace=None):
     """Rows (theta, information, x_hat, iterations, log-likelihood, score) of
-    fit_mle on each row of y (K, n) at once: Newton from rows init (by default
-    one model.start call for all rows, each row checked), the rescue over rows
-    it leaves short of a score norm of 1e-8, the convergence check and the
-    rank gate.  Each row has a one-row fit's bits, all from _newton's last pass."""
+    fit_mle on each row of y (K, n) at once: one _newton call from rows init
+    (by default one model.start call for all rows, each row checked), its
+    convergence check and the rank gate; each row has a one-row fit's bits."""
     if init is None:
         init = model.start(y)
         for row in init:
             model.check_theta(row)
     x, theta, iterations, converged, value, s, info = _newton(model, y, init, trace=trace)
-    if not _all(converged):
-        short = (~converged).nonzero()[0]
-        x[short], theta[short], extra, converged[short], value[short], s[short], info[short] = (
-            _newton(model, y[short], theta[short], trace=trace, damped=True))
-        iterations[short] += extra
     if not _all(converged):
         k = int(converged.argmin())
         raise ConvergenceError(f"no convergence after {iterations[k]} iterations "

@@ -595,12 +595,11 @@ def test_partition_check_reuses_a_given_fit(example, monkeypatch):
     grid = GridSpec(2.0, 21)
     fit = fit_mle(model, y0)
     newtons, newton = [], est._newton
-    monkeypatch.setattr(est, "_newton",
-                        lambda *a, **k: newtons.append(k.get("damped", False)) or newton(*a, **k))
+    monkeypatch.setattr(est, "_newton", lambda *a, **k: newtons.append(1) or newton(*a, **k))
     fresh = partition_check(model, y0, np.array(t1), grid)
-    assert newtons == [False, False]
+    assert len(newtons) == 2
     reused = partition_check(model, y0, np.array(t1), grid, fit=fit)
-    assert newtons == [False, False, False]
+    assert len(newtons) == 3
     assert dumps(reused) == dumps(fresh)
 
 
@@ -859,6 +858,18 @@ def test_partition_check_names_non_finite_t1():
         partition_check(model, np.array([1.2, 0.0]), np.array([math.nan]))
 
 
+def test_a_grid_that_overflows_is_named_by_its_half_width():
+    """Contour points past the float range, built or rebuilt, raise naming the
+    grid's half width: no overflow warning, and not contour_min_distance's q."""
+    model = make_nonlinear_regression(eta_curved(6), ("known", 1.0))
+    y, grid = np.array([0.4, 0.1, 0.5, 0.2, 0.6, 0.3]), GridSpec(1e300, 3)
+    for run in (lambda: build_contour(model, y, grid),
+                lambda: partition_check(model, y, np.array([1.0]), grid=grid)):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^contour points overflow at grid half_width 1e\+300$"):
+            run()
+
+
 def test_severini_pivot_values():
     model = make_circle(1.0, n=3, variance_scale=1.0 / 36.0)
     y = np.array([1.25, 0.0, 0.15])
@@ -1059,11 +1070,13 @@ def test_inversion_demo_refuses_a_window_that_is_not_a_finite_interval(window):
 @pytest.mark.parametrize("kwargs", [
     {"line_offset": math.nan}, {"line_offset": math.inf},
     {"tilde_bounds": [(1.0, -1.0), (0.0, 1.0)]}, {"tilde_bounds": [(math.nan, 1.0), (0.0, 1.0)]},
-    {"resolution": 20.0},
-], ids=["nan-offset", "inf-offset", "reversed-bounds", "nan-bounds", "float-resolution"])
+    {"tilde_bounds": [1.0, 2.0]}, {"tilde_bounds": [(0.0, 1.0)] * 3},
+    {"tilde_bounds": [(0.0, 1.0, 2.0), (0.0, 1.0)]}, {"resolution": 20.0},
+], ids=["nan-offset", "inf-offset", "reversed-bounds", "nan-bounds", "two-numbers-bounds",
+        "three-pairs-bounds", "a-triple-bounds", "float-resolution"])
 def test_inversion_demo_names_a_bad_argument(kwargs):
-    """A non-finite line offset, bounds that are not lo < hi intervals and a
-    resolution that is not an integer are named, not reported as a nan
+    """A non-finite line offset, bounds that are not two lo < hi intervals and
+    a resolution that is not an integer are named, not reported as a nan
     excluded point, 2 segments, 0 components or a raw TypeError."""
     with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
         cauchy_inversion_demo(**kwargs)

@@ -37,6 +37,7 @@ from ancontour.estimation import (
     _RANK_TOL,
     _SCORE_TOL,
     _cholesky,
+    _domain,
     _eigvalsh,
     _fit_points,
     _inv,
@@ -347,35 +348,27 @@ def test_lapack_gufuncs_match_np_linalg_bit_for_bit(k, p):
         assert mine.tobytes() == numpys.tobytes()
 
 
+HARD = np.array([-0.760033411767359, 2.0551768100006615, -2.0417065446907747, -0.7852925465289906])
+
+
 def test_cauchy_quasi_newton_fallback():
-    """A heavy-tailed sample where plain Newton stalls still fits, in the
-    damped rescue."""
+    """A heavy-tailed sample on which undamped Newton stalls fits in the one
+    damped Newton pass, from its start, to a score norm below 1e-8."""
     model = make_location_scale(4, error_law="cauchy")
-    y = np.array([-0.760033411767359, 2.0551768100006615,
-                  -2.0417065446907747, -0.7852925465289906])
-    assert not _newton(model, y[None], model.start(y[None]))[3][0]
-    fit = fit_mle(model, y)
+    assert _newton(model, HARD[None], model.start(HARD[None]))[3].tolist() == [True]
+    fit = fit_mle(model, HARD)
     assert fit.converged
     assert fit.score_norm < 1e-8
-    assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-7
+    assert np.linalg.norm(score(model, HARD, fit.theta_hat)) < 1e-7
 
 
-def _count_rescues(monkeypatch, limit=None):
-    """Record the row count of every damped Newton call (the rescue); with a
-    limit, plain Newton stops after that many iterations."""
-    import ancontour.estimation as est
-
-    calls, newton = [], est._newton
-
-    def counted(model, y, theta, *args, **kw):
-        if kw.get("damped"):
-            calls.append(len(y))
-        elif limit is not None:
-            kw["max_iterations"] = limit
-        return newton(model, y, theta, *args, **kw)
-
-    monkeypatch.setattr(est, "_newton", counted)
-    return calls
+def _damps_first_step(model, y, theta):
+    """Whether _newton damps its first step from theta for y: the least
+    eigenvalue of the Newton matrix there is not above 1e-8 |tr H|."""
+    theta = np.asarray(theta, dtype=float)[None]
+    _, _, s, info = _likelihood(model, y[None], theta)
+    hess = _newton_system(_domain(model.param_domain)[2], theta, s, info)[0][0]
+    return np.linalg.eigvalsh(hess)[0] <= 1e-8 * abs(np.trace(hess))
 
 
 def _same_stationary_point(model, y, theta, reference):
@@ -384,39 +377,36 @@ def _same_stationary_point(model, y, theta, reference):
     return np.linalg.norm(gap) < 2.0 * _SCORE_TOL
 
 
-def test_scalar_forced_rescue(monkeypatch):
-    """A one-parameter fit cut off after one Newton step from off the mode is
-    finished by the damped rescue at the plain fit."""
+def test_scalar_forced_rescue():
+    """A one-parameter fit from a start where the log-likelihood curves
+    upward, so its first Newton step is damped, reaches the closed-form fit
+    in one pass."""
     model = make_circle(1.0, n=2, variance_scale=1.0 / 64.0)
     y = model.quantile(model.ref_sampler(101, 1)[0], np.array([0.3]))
     plain = fit_mle(model, y)
-    assert not _newton(model, y[None], np.array([[1.0]]), 1)[3][0]  # one step stops short
-    calls = _count_rescues(monkeypatch, limit=1)
-    fit = fit_mle(model, y, init=np.array([1.0]))
-    assert calls == [1]
-    assert fit.iterations > 1  # Newton's one and the rescue's
+    assert _damps_first_step(model, y, [2.0])
+    fit = fit_mle(model, y, init=np.array([2.0]))
     np.testing.assert_allclose(fit.theta_hat, plain.theta_hat, rtol=0, atol=1e-10)
     assert np.linalg.norm(score(model, y, fit.theta_hat)) < 1e-8
 
 
-def test_vector_forced_rescue(monkeypatch):
-    """A two-parameter Cauchy fit cut off after one Newton step is finished by
-    the damped rescue at the plain fit's stationary point."""
+def test_vector_forced_rescue():
+    """A two-parameter Cauchy fit from a start whose Newton matrix is not
+    safely positive definite, so its first step is damped, reaches the
+    stationary point of the fit from the family's start in one pass."""
     model = make_location_scale(8, error_law="cauchy")
     y = _draws(model, (0.3, 1.1), 1, seed=42)[0]
     plain = fit_mle(model, y)
-    assert not _newton(model, y[None], model.start(y[None]), 1)[3][0]  # one step stops short
-    calls = _count_rescues(monkeypatch, limit=1)
-    fit = fit_mle(model, y)
-    assert calls == [1]
+    assert _damps_first_step(model, y, [3.0, 1.1])
+    fit = fit_mle(model, y, init=np.array([3.0, 1.1]))
     assert fit.score_norm < 1e-8
     assert _same_stationary_point(model, y, fit.theta_hat, plain.theta_hat)
 
 
 # Seeded fit outcomes per family, fit_mle on
-# iter_instances(family, 40, seed=2026): every instance converges under plain
-# Newton except the listed ones, finished by the rescue at the estimate the
-# one-row BFGS rescue gave them; plus one input per family that raises.
+# iter_instances(family, 40, seed=2026): every instance converges in the one
+# damped Newton pass; the listed ones, on which undamped Newton stalls, land at
+# the estimate a one-row BFGS fit gave them; plus one input per family that raises.
 RESCUED = {"cauchy-location-scale": {5: [-1.3589187323010794, 0.3503686355308432]}}
 RAISES = {
     "location-scale": (make_location_scale(4), np.full(4, 1.7)),
@@ -431,25 +421,22 @@ RAISES = {
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_fit_outcome_table(family, monkeypatch):
-    calls, rescued = _count_rescues(monkeypatch), []
+def test_fit_outcome_table(family):
     for i, (model, _, y) in enumerate(iter_instances(family, 40, seed=2026)):
-        before = len(calls)
         fit = fit_mle(model, y)
         assert fit.score_norm < _SCORE_TOL
-        if len(calls) > before:
-            rescued.append(i)
+        if i in RESCUED.get(family, {}):
             assert _same_stationary_point(model, y, fit.theta_hat, RESCUED[family][i])
-    assert rescued == sorted(RESCUED.get(family, {}))
     if RAISES[family] is not None:
         with pytest.raises(SingularInformationError):
             fit_mle(*RAISES[family])
 
 
 def test_fit_batch_cauchy_rescues_match_recorded():
-    """The two fit-batch Cauchy datasets whose fits stall: the dataset fit and
-    every stalled row of a batched fit of its contour points from the Newton
-    start land on the stationary points recorded from the one-row BFGS rescue."""
+    """The two fit-batch Cauchy datasets on which undamped Newton stalls: the
+    dataset fit, and one damped Newton pass over the dataset and its contour
+    points from the family's start, in which no row stops short, land every
+    recorded row on the stationary point recorded from a one-row BFGS fit."""
     path = os.path.join(os.path.dirname(__file__), "data", "fit_batch_cauchy_rescues.json")
     with open(path) as handle:
         records = json.load(handle)["datasets"]
@@ -463,10 +450,10 @@ def test_fit_batch_cauchy_rescues_match_recorded():
         at = fit_mle(model, y, init=np.array(record["theta_hat"]))
         assert at.theta_hat.tolist() == record["theta_hat"]
         ys = np.vstack([y, build_contour(model, y, GridSpec(2.0, 11), fit=at).points])
-        stalled = np.flatnonzero(~_newton(model, ys, model.start(ys))[3])
-        assert stalled.tolist() == record["rows"]
-        rows = _fit_points(model, ys, model.start(ys))[0]
-        for k, theta in zip(stalled, record["theta"]):
+        _, rows, _, converged, _, s, _ = _newton(model, ys, model.start(ys))
+        assert converged.all()
+        for k, theta in zip(record["rows"], record["theta"]):
+            assert np.linalg.norm(s[k]) < _SCORE_TOL
             assert _same_stationary_point(model, ys[k], rows[k], theta)
 
 
@@ -555,33 +542,30 @@ def test_circle_start_refuses_a_batch_with_a_row_at_the_centre(n):
 
 
 def test_fit_many_forced_fallback_row():
-    """In a batched fit, a row whose Newton line search fails is finished by
-    the damped rescue, as fit_mle finishes it, while the other rows keep
-    their Newton bits."""
+    """In a batched fit, the row on which undamped Newton stalls and a row
+    whose first step is damped converge with the other rows in one pass,
+    each with its one-row fit's bits, while the other rows keep theirs."""
     model = make_location_scale(4, error_law="cauchy")
-    hard = np.array([-0.760033411767359, 2.0551768100006615,
-                     -2.0417065446907747, -0.7852925465289906])
-    ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), hard])
-    converged = _newton(model, ys, model.start(ys))[3]
-    assert converged.tolist() == [True, True, True, False]
-    rows = _fit_points(model, ys, model.start(ys))[0]
-    assert rows[:3].tobytes() == _fit_points(model, ys[:3], model.start(ys[:3]))[0].tobytes()
-    for y, row in zip(ys, rows):
+    draws = _draws(model, (0.3, 1.1), 3, seed=42)
+    ys = np.vstack([draws, draws[:1], HARD])
+    init = np.vstack([model.start(draws), [[4.0, 1.0]], model.start(HARD[None])])
+    assert _damps_first_step(model, ys[3], init[3])
+    rows = _fit_points(model, ys, init)[0]
+    assert rows[:3].tobytes() == _fit_points(model, ys[:3], init[:3])[0].tobytes()
+    for y, start, row in zip(ys, init, rows):
         assert np.linalg.norm(score(model, y, row)) < _SCORE_TOL
-        np.testing.assert_allclose(row, fit_mle(model, y).theta_hat, rtol=0, atol=1e-8)
+        assert row.tobytes() == fit_mle(model, y, init=start).theta_hat.tobytes()
 
 
 def test_fit_points_reuse_newtons_values_at_the_estimate():
     """The reference values, log-likelihood, score and information a batched
-    fit returns come from its Newton and rescue iterations' last likelihood
-    pass, rescued rows included: all of them _likelihood's at the estimate,
-    bit for bit."""
+    fit returns, and its iteration counts, come from its one Newton pass, the
+    row on which undamped Newton stalls included: the values are
+    _likelihood's at the estimate, bit for bit."""
     model = make_location_scale(4, error_law="cauchy")
-    hard = np.array([-0.760033411767359, 2.0551768100006615,
-                     -2.0417065446907747, -0.7852925465289906])
-    ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), hard])
+    ys = np.vstack([_draws(model, (0.3, 1.1), 3, seed=42), HARD])
     theta, info, x_hat, iterations, value, s = _fit_points(model, ys, model.start(ys))
-    assert iterations[3] > _newton(model, ys[3:], model.start(ys[3:]))[2][0]  # rescued
+    assert iterations.tolist() == _newton(model, ys, model.start(ys))[2].tolist()
     x_ref, value_ref, s_ref, info_ref = _likelihood(model, ys, theta)
     for got, want in ((x_hat, x_ref), (value, value_ref), (s, s_ref), (info, info_ref)):
         assert got.tobytes() == want.tobytes()
@@ -628,7 +612,7 @@ def test_fit_many_guards():
 
 
 def test_convergence_error_carries_trace():
-    """A fit that neither Newton nor the rescue finishes raises with its iterates."""
+    """A fit that Newton does not finish raises with its iterates."""
     model = make_location_scale(6, error_law="cauchy")
     y = model.quantile(model.ref_sampler(3, 1)[0], np.array([0.2, 1.3]))
     with pytest.raises(ConvergenceError) as err:
@@ -676,12 +660,20 @@ def test_singular_newton_matrix_raises_at_its_iterate(bad, cond, monkeypatch):
 # Per family: a model with a small noise scale, so that a start `tiny` from the
 # estimate in its first coordinate has a score norm above 1e-8 but a Newton step
 # under 1e-10, its true theta, and further starts (theta_hat + shift) * factor
-# whose one-row fits stop, under a limit of 5 iterations, by the other rules.
+# whose one-row fits stop, under a limit of 5 iterations, by the score rules and
+# the iteration limit; then one whose first step is damped (the first dataset's
+# Newton matrix there is not safely positive definite) and, on a family with a
+# sigma axis, one whose damped first step overshoots at every scale (a failed
+# line search): far out on sigma, or, for the Cauchy, on mu, where the trial
+# sigma overflows math.exp.  Every step ascends, so with no sigma axis no start
+# fails its line search.
 RETIREMENT = {
     "location-scale": (make_location_scale(8), (0.3, 0.05), 3e-12, [
-        ((0.006, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0)]),
+        ((0.006, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0),
+        ((0.0, 0.0), (1.0, 10**8.5))]),
     "cauchy-location-scale": (make_location_scale(8, error_law="cauchy"), (0.3, 0.05), 3e-13, [
-        ((-0.0036, 0.0), 1.0), ((0.0036, 0.0), 1.0), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0)]),
+        ((-0.0036, 0.0), 1.0), ((0.0036, 0.0), 1.0), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0),
+        ((1e7, 0.0), 1.0)]),
     "circle2d": (make_circle(1.0, n=2, variance_scale=1e-4), (0.3,), 1e-12, [
         ((0.02,), 1.0), ((1.18,), 1.0), ((1.14,), 1.0), ((1.98,), 1.0)]),
     "circleN": (make_circle(1.5, n=4, variance_scale=1e-4), (0.3,), 1e-12, [
@@ -692,7 +684,8 @@ RETIREMENT = {
                                               ((1.98,), 1.0)]),
     "nonlinreg-unknown-sigma": (make_nonlinear_regression(eta_curved(12), "unknown"),
                                 (0.4, 0.02), 3e-13, [((0.0018, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)),
-                                                     ((0.14, 0.0), 1.0), ((0.08, 0.0), 1.0)]),
+                                                     ((0.14, 0.0), 1.0), ((0.08, 0.0), 1.0),
+                                                     ((0.0, 0.0), (1.0, 1e8))]),
 }
 
 
@@ -767,10 +760,12 @@ def test_line_search_tries_one_scale_a_call():
 def test_newton_batch_rows_retire_as_one_row_fits(family, monkeypatch):
     """One batch whose rows stop by every rule (converged at the start, the score
     tolerance after full steps and after backtracking, a step under 1e-10, the
-    iteration limit and a failed line search) gives each row the bits,
-    iteration count and converged flag of its one-row call.  The rows of the
-    first dataset stop by those rules in turn; each is followed by a row of a
-    second dataset from the same start relative to its own estimate."""
+    iteration limit and, with a sigma axis, a failed line search), with a row
+    whose first step is damped, gives each row the bits, iteration count and
+    converged flag of its one-row call.  The rows of the first dataset stop by
+    those rules in turn, the damped row before the failed line search; each is
+    followed by a row of a second dataset from the same start relative to its
+    own estimate."""
     model, theta, tiny, starts = RETIREMENT[family]
     ys = model.quantile(model.ref_sampler(7, 2), np.array(theta))
     theta_hats = [fit_mle(model, y).theta_hat for y in ys]
@@ -779,9 +774,11 @@ def test_newton_batch_rows_retire_as_one_row_fits(family, monkeypatch):
                                    for theta_hat in theta_hats])
     y_rows = np.tile(ys, (len(inits) // 2, 1))
     rows = [_one_row_newton(model, y, init, 5, monkeypatch) for y, init in zip(y_rows, inits)]
-    assert [rule for _, rule in rows[::2]] == [
+    rules = [rule for _, rule in rows[::2]]
+    assert rules[:5] + rules[6:] == [
         "converged at the start", "step under 1e-10", "score", "score after backtracking",
-        "iteration limit", "failed line search"]
+        "iteration limit"] + ["failed line search"] * (len(starts) == 6)
+    assert _damps_first_step(model, y_rows[10], inits[10])
     batch = _newton(model, y_rows, inits, 5)
     for k, (one, rule) in enumerate(rows):
         for got, want in zip(batch, one):
