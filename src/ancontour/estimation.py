@@ -10,11 +10,11 @@ differenced numerically.  Starts, one per family and its closed form where
 it has one, come from the model: no family is named.  Sigma-type parameters
 (positive open domain) are iterated on the log scale internally.  A fit is
 one Newton pass with backtracking, Levenberg-damped where the Newton matrix
-is not safely positive definite, accepted only where the information is
-positive definite relative to its scale, so flat likelihood ridges raise
-SingularInformationError.  LAPACK is
-called through numpy's gufuncs, the kernels behind np.linalg: the same bits,
-without wrapper checks that cost more than p x p arithmetic.
+is indefinite, accepted only where the information is positive definite
+relative to its scale, so flat likelihood ridges raise
+SingularInformationError.  LAPACK is called through numpy's gufuncs, the
+kernels behind np.linalg: the same bits, without wrapper checks that cost
+more than p x p arithmetic.
 """
 
 from __future__ import annotations
@@ -199,13 +199,13 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
 
     Each iteration raises SingularInformationError, naming the iterate, where
     a row's Newton matrix H is singular (|eigenvalue| ratio above 1e14, or not
-    finite), then adds lam I to each H whose least eigenvalue is not above
-    1e-8 |tr H|, lam = 1.5 max(0, -eig_min) + 1e-3 |tr H|: every step ascends
-    (Levenberg), and a safely positive definite H keeps its plain step, bits
-    and quadratic convergence.  A row stops at a score norm below 1e-8 (before
-    any step if it starts there), a failed line search (no scale of the step
-    stays in the domain and keeps the log-likelihood from falling), a step
-    under 1e-10 or the iteration limit.  Rows retire in place, as in
+    finite), then adds lam I to each H with a negative eigenvalue, lam =
+    1e-3 |tr H| - 1.5 eig_min: every step ascends (Levenberg), and a positive
+    definite H, however far its condition is from 1, keeps its plain step,
+    bits and quadratic convergence.  A row stops at a score norm below 1e-8
+    (before any step if it starts there), a failed line search (no scale of
+    the step stays in the domain and keeps the log-likelihood from falling),
+    a step under 1e-10 or the iteration limit.  Rows retire in place, as in
     contour_min_distance: they are slice(None), views, until one stops, then
     the indices of the rows still active.  Returns rows (x, theta, iterations,
     converged, log-likelihood, score, information), all _likelihood's at the
@@ -248,10 +248,9 @@ def _newton(model, y, theta, max_iterations=_MAX_ITER, trace=None):
                 cond = big[k] / small[k]
             raise SingularInformationError(
                 f"Hessian singular at iterate {count + 1} (cond {cond:.2e})")
+        # Levenberg: lam I where H is indefinite, so every step ascends
         low, tr = eigs[:, 0], np.abs(hess.trace(axis1=1, axis2=2))
-        if _any(damp := low <= 1e-8 * tr):  # Levenberg: lam I where H is not safely PD
-            lam = 1.5 * np.maximum(0.0, -low) + 1e-3 * tr
-            hess = np.where(damp[:, None, None], hess + lam[:, None, None] * eye, hess)
+        hess = hess + np.where(low > 0.0, 0.0, 1e-3 * tr - 1.5 * low)[:, None, None] * eye
         step = _solve(hess, grad[..., None])[..., 0]  # cond <= 1e14 or damped: no singular pivot
         if trace is not None and active[0]:
             trace.append({"iter": count + 1, "theta": theta[0].tolist(), "loglik": float(value[0])})

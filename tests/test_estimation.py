@@ -364,11 +364,19 @@ def test_cauchy_quasi_newton_fallback():
 
 def _damps_first_step(model, y, theta):
     """Whether _newton damps its first step from theta for y: the least
-    eigenvalue of the Newton matrix there is not above 1e-8 |tr H|."""
+    eigenvalue of the Newton matrix there is not above 0."""
     theta = np.asarray(theta, dtype=float)[None]
     _, _, s, info = _likelihood(model, y[None], theta)
     hess = _newton_system(_domain(model.param_domain)[2], theta, s, info)[0][0]
-    return np.linalg.eigvalsh(hess)[0] <= 1e-8 * abs(np.trace(hess))
+    return np.linalg.eigvalsh(hess)[0] <= 0.0
+
+
+def _damped_steps(model, y, theta):
+    """How many steps of the one-row _newton from theta for y are damped, read
+    from its iterates."""
+    trace = []
+    _newton(model, y[None], np.asarray(theta, dtype=float)[None], trace=trace)
+    return sum(_damps_first_step(model, y, it["theta"]) for it in trace)
 
 
 def _same_stationary_point(model, y, theta, reference):
@@ -391,9 +399,9 @@ def test_scalar_forced_rescue():
 
 
 def test_vector_forced_rescue():
-    """A two-parameter Cauchy fit from a start whose Newton matrix is not
-    safely positive definite, so its first step is damped, reaches the
-    stationary point of the fit from the family's start in one pass."""
+    """A two-parameter Cauchy fit from a start whose Newton matrix is
+    indefinite, so its first step is damped, reaches the stationary point of
+    the fit from the family's start in one pass."""
     model = make_location_scale(8, error_law="cauchy")
     y = _draws(model, (0.3, 1.1), 1, seed=42)[0]
     plain = fit_mle(model, y)
@@ -403,10 +411,23 @@ def test_vector_forced_rescue():
     assert _same_stationary_point(model, y, fit.theta_hat, plain.theta_hat)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_cauchy_fit_on_a_far_scale_takes_plain_steps(scale):
+    """Cauchy data scaled by 1e-5 or 1e5 has a positive definite Newton matrix
+    whose condition, about sigma^-2 in (mu, log sigma), is far from 1: no
+    step is damped, and the fit reaches a score norm below 1e-8."""
+    model = make_location_scale(8, error_law="cauchy")
+    for seed in (1, 2, 3):
+        y = scale * model.quantile(model.ref_sampler(seed, 1)[0], np.array([0.3, 1.1]))
+        assert _damped_steps(model, y, model.start(y[None])[0]) == 0
+        assert fit_mle(model, y).score_norm < _SCORE_TOL
+
+
 # Seeded fit outcomes per family, fit_mle on
 # iter_instances(family, 40, seed=2026): every instance converges in the one
-# damped Newton pass; the listed ones, on which undamped Newton stalls, land at
-# the estimate a one-row BFGS fit gave them; plus one input per family that raises.
+# damped Newton pass; the listed ones, on which undamped Newton stalls, are the
+# ones that take a damped step, and land at the estimate a one-row BFGS fit
+# gave them; plus one input per family that raises.
 RESCUED = {"cauchy-location-scale": {5: [-1.3589187323010794, 0.3503686355308432]}}
 RAISES = {
     "location-scale": (make_location_scale(4), np.full(4, 1.7)),
@@ -422,11 +443,15 @@ RAISES = {
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_fit_outcome_table(family):
+    damped = []
     for i, (model, _, y) in enumerate(iter_instances(family, 40, seed=2026)):
         fit = fit_mle(model, y)
         assert fit.score_norm < _SCORE_TOL
+        if _damped_steps(model, y, model.start(y[None])[0]):
+            damped.append(i)
         if i in RESCUED.get(family, {}):
             assert _same_stationary_point(model, y, fit.theta_hat, RESCUED[family][i])
+    assert damped == sorted(RESCUED.get(family, {}))
     if RAISES[family] is not None:
         with pytest.raises(SingularInformationError):
             fit_mle(*RAISES[family])
@@ -435,8 +460,9 @@ def test_fit_outcome_table(family):
 def test_fit_batch_cauchy_rescues_match_recorded():
     """The two fit-batch Cauchy datasets on which undamped Newton stalls: the
     dataset fit, and one damped Newton pass over the dataset and its contour
-    points from the family's start, in which no row stops short, land every
-    recorded row on the stationary point recorded from a one-row BFGS fit."""
+    points from the family's start, in which no row stops short and the
+    recorded rows are the ones that take a damped step, land every recorded
+    row on the stationary point recorded from a one-row BFGS fit."""
     path = os.path.join(os.path.dirname(__file__), "data", "fit_batch_cauchy_rescues.json")
     with open(path) as handle:
         records = json.load(handle)["datasets"]
@@ -450,8 +476,10 @@ def test_fit_batch_cauchy_rescues_match_recorded():
         at = fit_mle(model, y, init=np.array(record["theta_hat"]))
         assert at.theta_hat.tolist() == record["theta_hat"]
         ys = np.vstack([y, build_contour(model, y, GridSpec(2.0, 11), fit=at).points])
-        _, rows, _, converged, _, s, _ = _newton(model, ys, model.start(ys))
+        _, rows, _, converged, _, s, _ = _newton(model, ys, starts := model.start(ys))
         assert converged.all()
+        assert record["rows"] == [k for k in range(len(ys))
+                                  if _damped_steps(model, ys[k], starts[k])]
         for k, theta in zip(record["rows"], record["theta"]):
             assert np.linalg.norm(s[k]) < _SCORE_TOL
             assert _same_stationary_point(model, ys[k], rows[k], theta)
@@ -662,11 +690,11 @@ def test_singular_newton_matrix_raises_at_its_iterate(bad, cond, monkeypatch):
 # under 1e-10, its true theta, and further starts (theta_hat + shift) * factor
 # whose one-row fits stop, under a limit of 5 iterations, by the score rules and
 # the iteration limit; then one whose first step is damped (the first dataset's
-# Newton matrix there is not safely positive definite) and, on a family with a
-# sigma axis, one whose damped first step overshoots at every scale (a failed
-# line search): far out on sigma, or, for the Cauchy, on mu, where the trial
-# sigma overflows math.exp.  Every step ascends, so with no sigma axis no start
-# fails its line search.
+# Newton matrix there is indefinite) and, on a family with a sigma axis, one
+# whose damped first step overshoots at every scale (a failed line search): far
+# out on sigma, or, for the Cauchy, on mu, where the trial sigma overflows
+# math.exp.  Every step ascends, so with no sigma axis no start fails its line
+# search.
 RETIREMENT = {
     "location-scale": (make_location_scale(8), (0.3, 0.05), 3e-12, [
         ((0.006, 0.0), 1.0), ((0.0, 0.0), (1.0, 3.0)), ((0.02, 0.0), 1.0), ((0.04, 0.0), 1.0),
